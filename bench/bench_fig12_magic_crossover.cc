@@ -21,7 +21,7 @@ namespace {
 double MeasuredCost(Database* db, const char* query,
                     OptimizerOptions::MagicMode mode) {
   db->mutable_optimizer_options()->magic_mode = mode;
-  auto result = db->Query(query);
+  auto result = db->Run(query);
   MAGICDB_CHECK_OK(result.status());
   return result->counters.TotalCost();
 }
@@ -49,7 +49,7 @@ void PrintCrossoverTable() {
         OptimizerOptions::MagicMode::kAlwaysOnVirtual);
     db->mutable_optimizer_options()->magic_mode =
         OptimizerOptions::MagicMode::kCostBased;
-    auto chosen = db->Query(kFigure1Query);
+    auto chosen = db->Run(kFigure1Query);
     MAGICDB_CHECK_OK(chosen.status());
     const double cost_based = chosen->counters.TotalCost();
 
@@ -83,7 +83,7 @@ void PrintExpensiveViewTable() {
         db.get(), kExpensiveViewQuery, OptimizerOptions::MagicMode::kNever);
     db->mutable_optimizer_options()->magic_mode =
         OptimizerOptions::MagicMode::kCostBased;
-    auto chosen = db->Query(kExpensiveViewQuery);
+    auto chosen = db->Run(kExpensiveViewQuery);
     MAGICDB_CHECK_OK(chosen.status());
     const double cost_based = chosen->counters.TotalCost();
 
@@ -104,7 +104,7 @@ void BM_Figure1CostBased(benchmark::State& state) {
   opts.big_frac = 0.05;
   auto db = MakeFigure1Database(opts);
   for (auto _ : state) {
-    auto result = db->Query(kFigure1Query);
+    auto result = db->Run(kFigure1Query);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }
@@ -121,7 +121,7 @@ void BM_Figure1NoMagic(benchmark::State& state) {
   db->mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
   for (auto _ : state) {
-    auto result = db->Query(kFigure1Query);
+    auto result = db->Run(kFigure1Query);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

@@ -33,7 +33,7 @@ void PrintKnobTable() {
     db->mutable_optimizer_options()->equivalence_classes = k;
 
     const auto start = std::chrono::steady_clock::now();
-    auto result = db->Query(kFigure1Query);
+    auto result = db->Run(kFigure1Query);
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
     MAGICDB_CHECK_OK(result.status());

@@ -23,7 +23,7 @@ std::string RunWith(Database* db, const std::string& query,
   OptimizerOptions opts;  // fresh defaults
   configure(&opts);
   *db->mutable_optimizer_options() = opts;
-  auto result = db->Query(query);
+  auto result = db->Run(query);
   *db->mutable_optimizer_options() = saved;
   if (!result.ok()) return "-";
   return FormatCost(result->counters.TotalCost());
@@ -206,7 +206,7 @@ void BM_TaxonomyViewMagic(benchmark::State& state) {
   opts.num_depts = 200;
   auto db = MakeFigure1Database(opts);
   for (auto _ : state) {
-    auto result = db->Query(kFigure1Query);
+    auto result = db->Run(kFigure1Query);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

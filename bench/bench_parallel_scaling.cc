@@ -1,5 +1,5 @@
 // Parallel scaling of the morsel-driven executor (src/parallel) on the
-// Figure-1/2 workload: wall-clock speedup of Database::ExecuteParallel at
+// Figure-1/2 workload: wall-clock speedup of Database::Run(sql, {.dop}) at
 // DoP in {1, 2, 4, 8}, for the plan shapes the executor parallelizes —
 // the no-magic hash-join plan, the magic FilterJoin plan, and two-phase
 // parallel GROUP BY aggregation at both cardinality extremes
@@ -40,7 +40,7 @@ double MedianWallMs(Database* db, const char* query, int dop,
   std::vector<double> ms;
   for (int r = 0; r < g_repetitions; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto result = db->ExecuteParallel(query, dop);
+    auto result = db->Run(query, {.dop = dop});
     const auto t1 = std::chrono::steady_clock::now();
     MAGICDB_CHECK_OK(result.status());
     ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -183,7 +183,7 @@ double MedianQueryWallMs(Database* db, const char* query, QueryResult* out) {
   std::vector<double> ms;
   for (int r = 0; r < g_repetitions; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto result = db->Query(query);
+    auto result = db->Run(query);
     const auto t1 = std::chrono::steady_clock::now();
     MAGICDB_CHECK_OK(result.status());
     ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());

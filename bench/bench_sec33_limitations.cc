@@ -26,7 +26,7 @@ void AddConfigRow(TablePrinter* table, Database* db,
   configure(&opts);
   *db->mutable_optimizer_options() = opts;
   const auto start = std::chrono::steady_clock::now();
-  auto result = db->Query(kExpensiveViewQuery);
+  auto result = db->Run(kExpensiveViewQuery);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -87,7 +87,7 @@ void BM_LimitationsDefault(benchmark::State& state) {
   opts.num_depts = 400;
   auto db = MakeExpensiveViewDatabase(opts);
   for (auto _ : state) {
-    auto result = db->Query(kExpensiveViewQuery);
+    auto result = db->Run(kExpensiveViewQuery);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

@@ -22,7 +22,7 @@ std::string RunWith(Database* db, const std::string& query,
   OptimizerOptions opts;
   configure(&opts);
   *db->mutable_optimizer_options() = opts;
-  auto result = db->Query(query);
+  auto result = db->Run(query);
   if (!result.ok()) return "-";
   if (cost_out != nullptr) *cost_out = result->counters.TotalCost();
   return FormatCost(result->counters.TotalCost());
@@ -80,7 +80,7 @@ void PrintSelectivitySweep() {
 
     db->mutable_optimizer_options()->magic_mode =
         OptimizerOptions::MagicMode::kCostBased;
-    auto plan = db->Query(kTwoTableQuery);
+    auto plan = db->Run(kTwoTableQuery);
     std::string what = "?";
     if (plan.ok()) {
       if (!plan->filter_joins.empty()) {
@@ -130,7 +130,7 @@ void BM_DistributedOptimizerChoice(benchmark::State& state) {
   opts.s_site = 1;
   auto db = MakeTwoTableDatabase(opts);
   for (auto _ : state) {
-    auto result = db->Query(kTwoTableQuery);
+    auto result = db->Run(kTwoTableQuery);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

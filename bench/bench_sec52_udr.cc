@@ -25,7 +25,7 @@ Outcome RunWith(Database* db, const std::function<void(OptimizerOptions*)>&
   OptimizerOptions opts;
   configure(&opts);
   *db->mutable_optimizer_options() = opts;
-  auto result = db->Query(kUdrQuery);
+  auto result = db->Run(kUdrQuery);
   if (!result.ok()) return {};
   return {result->counters.TotalCost(),
           result->counters.function_invocations};
@@ -75,7 +75,7 @@ void BM_UdrOptimizerChoice(benchmark::State& state) {
   opts.distinct_args = static_cast<int>(state.range(0));
   auto db = MakeUdrDatabase(opts);
   for (auto _ : state) {
-    auto result = db->Query(kUdrQuery);
+    auto result = db->Run(kUdrQuery);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

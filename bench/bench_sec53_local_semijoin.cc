@@ -21,7 +21,7 @@ double RunWith(Database* db, const std::function<void(OptimizerOptions*)>&
   opts.memory_budget_bytes = 64 * 1024;  // §5.3 presumes memory pressure
   configure(&opts);
   *db->mutable_optimizer_options() = opts;
-  auto result = db->Query(kTwoTableQuery);
+  auto result = db->Run(kTwoTableQuery);
   MAGICDB_CHECK_OK(result.status());
   return result->counters.TotalCost();
 }
@@ -92,7 +92,7 @@ void BM_LocalSemijoin(benchmark::State& state) {
   auto db = MakeTwoTableDatabase(opts);
   db->mutable_optimizer_options()->filter_join_on_stored = true;
   for (auto _ : state) {
-    auto result = db->Query(kTwoTableQuery);
+    auto result = db->Run(kTwoTableQuery);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

@@ -13,7 +13,7 @@
 // almost the whole query — the gap is the documented trade-off.
 //
 // Correctness is asserted, not assumed: every session compares each result
-// against a sequential Database::Query() baseline captured before the
+// against a sequential Database::Run() baseline captured before the
 // service starts — any row or counter divergence aborts the bench.
 //
 // Throughput is hardware-bound; the header prints the detected core count.
@@ -429,11 +429,11 @@ void Run(const std::string& json_path, bool smoke) {
   // Sequential ground truth for every statement, before the service runs.
   std::vector<QueryResult> baseline;
   for (const char* q : kStatements) {
-    auto r = db->Query(q);
+    auto r = db->Run(q);
     MAGICDB_CHECK_OK(r.status());
     baseline.push_back(std::move(*r));
   }
-  auto stream_baseline = db->Query(kStreamQuery);
+  auto stream_baseline = db->Run(kStreamQuery);
   MAGICDB_CHECK_OK(stream_baseline.status());
 
   TablePrinter table({"dop", "qps", "p50_us", "p95_us", "p99_us",
@@ -454,7 +454,7 @@ void Run(const std::string& json_path, bool smoke) {
                        .Set("morsels_stolen", r.morsels_stolen));
   }
   table.Print();
-  std::cout << "(every result verified byte-identical to Database::Query(), "
+  std::cout << "(every result verified byte-identical to Database::Run(), "
                "counters exact)\n\n";
 
   // Batch-vs-row section: the same closed loop at DoP 1, with the
@@ -508,7 +508,7 @@ void Run(const std::string& json_path, bool smoke) {
                               .Set("producer_parks", r.producer_parks));
   }
   stream_table.Print();
-  std::cout << "(batches concatenate byte-identical to Database::Query(); "
+  std::cout << "(batches concatenate byte-identical to Database::Run(); "
                "peak buffered rows bounded by queue + one quantum)\n\n";
 
   // Low-memory section: out-of-core throughput. Fixed-size database on
@@ -543,7 +543,7 @@ void Run(const std::string& json_path, bool smoke) {
                          "peak_bytes"});
   Json lm_results = Json::Array();
   for (const LowMemQuery& q : kLowMemQueries) {
-    auto lm_baseline = lm_db->Query(q.sql);
+    auto lm_baseline = lm_db->Run(q.sql);
     MAGICDB_CHECK_OK(lm_baseline.status());
     const LowMemResult r =
         RunLowMemory(lm_db.get(), lm_session.get(), *lm_baseline, q);

@@ -17,7 +17,7 @@ namespace {
 
 void PrintComponentsFor(const std::string& label, const Figure1Options& opts) {
   auto db = MakeFigure1Database(opts);
-  auto result = db->Query(kFigure1Query);
+  auto result = db->Run(kFigure1Query);
   MAGICDB_CHECK_OK(result.status());
   if (result->filter_joins.empty()) {
     std::cout << label << ": optimizer chose a non-FilterJoin plan "
@@ -92,7 +92,7 @@ void BM_FilterJoinExecution(benchmark::State& state) {
   opts.big_frac = 0.05;
   auto db = MakeFigure1Database(opts);
   for (auto _ : state) {
-    auto result = db->Query(kFigure1Query);
+    auto result = db->Run(kFigure1Query);
     MAGICDB_CHECK_OK(result.status());
     benchmark::DoNotOptimize(result->rows);
   }

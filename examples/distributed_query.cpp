@@ -34,7 +34,7 @@ void Check(const magicdb::Status& status) {
 }
 
 double RunAndReport(Database* db, const char* label) {
-  auto result = db->Query(kQuery);
+  auto result = db->Run(kQuery);
   Check(result.status());
   std::cout << "--- " << label << " ---\n"
             << result->explain

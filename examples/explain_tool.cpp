@@ -111,7 +111,7 @@ int main() {
         std::cout << (st.ok() ? "ok" : st.ToString()) << "\n";
         continue;
       }
-      auto result = db.Query(sql);
+      auto result = db.Run(sql);
       if (!result.ok()) {
         std::cout << result.status().ToString() << "\n";
         continue;

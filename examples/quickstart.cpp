@@ -74,7 +74,7 @@ int main() {
   // --- Classic System R: no Filter Join ---
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto classic = db.Query(kQuery);
+  auto classic = db.Run(kQuery);
   Check(classic.status());
   std::cout << "=== classic plan (magic sets disabled) ===\n"
             << classic->explain << "measured cost: "
@@ -83,7 +83,7 @@ int main() {
   // --- The paper's contribution: Filter Join costed inside the DP ---
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kCostBased;
-  auto magic = db.Query(kQuery);
+  auto magic = db.Run(kQuery);
   Check(magic.status());
   std::cout << "=== cost-based plan (Filter Join considered) ===\n"
             << magic->explain << "measured cost: "

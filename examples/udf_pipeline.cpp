@@ -84,7 +84,7 @@ int main() {
     OptimizerOptions opts;
     mode.configure(&opts);
     *db.mutable_optimizer_options() = opts;
-    auto result = db.Query(kQuery);
+    auto result = db.Run(kQuery);
     Check(result.status());
     std::cout << "--- " << mode.label << " ---\n"
               << "  function invocations: "

@@ -18,9 +18,11 @@
 #      (lifetime bugs in pooled plan instances, cancellation unwinds, and
 #      UB anywhere; MAGICDB_SANITIZE=address enables both).
 # Every build also smoke-runs bench_server_throughput, whose closed-loop and
-# streaming-cursor sections assert byte-identity against Database::Query and
+# streaming-cursor sections assert byte-identity against Database::Run and
 # the cursor queue's bounded-memory contract while racing sessions on the
-# shared pool.
+# shared pool. After the Release suite the benchmark package (perfbench/)
+# is built on its own, its helper tests run, and one traced analytic_dop3
+# window must verify every result against Database::Run.
 #
 # A second trio of builds repeats Release/TSAN/ASan+UBSan with
 # -DMAGICDB_FAILPOINTS=ON and runs the chaos suite (fault injection at every
@@ -94,6 +96,21 @@ echo "=== Parallel-scaling bench smoke (Release, DoP 2) ==="
 
 echo "=== Server-throughput bench smoke (Release) ==="
 ./build-release/bench/bench_server_throughput --smoke
+
+# The benchmark package (perfbench/, declared in BENCHMARK.json) builds the
+# library from src/ on its own, so the root build above never compiles it.
+# Build it, run its helper tests, and run one traced analytic_dop3 window:
+# a library change that breaks the benchmark's direct path (bind, plan,
+# ParallelExecutor::Run, ExecuteToVector) or its Database::Run result
+# verification fails here.
+echo "=== Benchmark package: helper tests + traced analytic_dop3 run ==="
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-perfbench -j "${JOBS}"
+ctest --test-dir build-perfbench --output-on-failure --timeout 120
+PERFBENCH_WORK_DIR="$(mktemp -d)"
+./build-perfbench/perfbench --workload analytic_dop3 --seed 1 --seconds 20 \
+    --trace 1 --work-dir "${PERFBENCH_WORK_DIR}"
+rm -rf "${PERFBENCH_WORK_DIR}"
 
 echo "=== ThreadSanitizer build ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,7 +1,6 @@
 #include "src/db/database.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -81,7 +80,7 @@ Status Database::Execute(const std::string& sql) {
     }
     case Statement::Kind::kSelect:
       return Status::InvalidArgument(
-          "Execute() is for DDL; use Query() for SELECT statements");
+          "Execute() is for DDL; use Run() for SELECT statements");
   }
   return Status::Internal("unhandled statement kind");
 }
@@ -157,85 +156,148 @@ void CollectFilterJoinMeasured(const Operator& root,
   }
 }
 
-StatusOr<QueryResult> Database::Query(const std::string& sql) {
-  return Run(sql);
+namespace {
+
+/// Gives `ctx` a fresh tracker with the same limit (no-op when ungoverned):
+/// an aborted attempt may have unwound with charges still on the old one.
+void RenewMemoryTracker(ExecContext* ctx) {
+  if (ctx->memory_tracker() != nullptr) {
+    ctx->set_memory_tracker(std::make_shared<MemoryTracker>(
+        ctx->memory_tracker()->limit_bytes()));
+  }
 }
 
-StatusOr<QueryResult> Database::ExecuteParallel(const std::string& sql,
-                                                int dop) {
-  ExecOptions options;
-  options.dop = dop;
-  return Run(sql, options);
+}  // namespace
+
+StatusOr<QueryStream> Database::StartQuery(
+    QueryStart start, const OptimizerOptions& options) const {
+  const double threshold = start.reoptimize_qerror_threshold;
+  const int max_attempts = 1 + std::max(0, start.max_reoptimizations);
+  // One ledger for the whole query: observations survive re-plans (first
+  // record per key wins, so re-executions keep the original wrong-estimate
+  // evidence).
+  auto ledger = std::make_shared<CardinalityFeedback>();
+  PlannedSelect planned = std::move(start.first);
+  QueryStream stream;
+  for (int attempt = 0;; ++attempt) {
+    // The final permitted attempt runs unarmed, so the loop always ends
+    // with a stream that can run to completion.
+    bool armed = threshold > 0 && attempt + 1 < max_attempts;
+    auto ctx = std::make_unique<ExecContext>();
+    ctx->InheritConfig(start.proto);
+    ctx->set_cardinality_feedback(ledger);
+    ctx->set_reoptimize_qerror_threshold(armed ? threshold : 0.0);
+    if (attempt > 0) RenewMemoryTracker(ctx.get());
+    const CardinalityOverlay* overlay =
+        start.overlay.empty() ? nullptr : &start.overlay;
+    if (planned.root == nullptr) {
+      MAGICDB_ASSIGN_OR_RETURN(planned,
+                               PlanBound(planned.bound, options, overlay));
+    }
+
+    // LIMIT cuts the stream early; workers would race for the quota, so it
+    // runs sequentially without planning replicas for nothing.
+    stream.fallback_reason.clear();
+    if (start.dop > 1) {
+      stream.fallback_reason =
+          planned.bound.limit >= 0
+              ? "LIMIT clause"
+              : ParallelExecutor::UnsafeReason(*planned.root);
+    }
+    Status restart;  // this attempt's kReoptimizeRequested, if any
+    if (start.dop > 1 && stream.fallback_reason.empty()) {
+      // One optimizer pass per worker replica: Optimize() is deterministic
+      // under the same overlay, so the trees are isomorphic (the executor
+      // verifies that before wiring shared state into them). Planning uses
+      // the caller's options, never the execution dop, so every dop runs
+      // the identical plan.
+      std::vector<OpPtr> replicas;
+      replicas.push_back(std::move(planned.root));
+      for (int w = 1; w < start.dop; ++w) {
+        MAGICDB_ASSIGN_OR_RETURN(PlannedSelect replica,
+                                 PlanBound(planned.bound, options, overlay));
+        replicas.push_back(std::move(replica.root));
+      }
+      StatusOr<StagedStream> gang = ParallelExecutor(start.dop).RunStaged(
+          std::move(replicas), *ctx);
+      if (gang.ok()) {
+        planned.root = std::move(gang->stream_root);
+        stream.staged = gang->staged;
+        stream.fallback_reason = std::move(gang->fallback_reason);
+        if (gang->staged) {
+          stream.used_dop = gang->used_dop;
+          stream.counters = gang->counters;
+          if (gang->has_filter_join) {
+            stream.filter_join_measured.push_back(gang->filter_join_measured);
+          }
+        }
+      } else if (gang.status().IsReoptimizeRequested()) {
+        restart = gang.status();
+      } else if (gang.status().code() == StatusCode::kResourceExhausted &&
+                 ctx->spill_enabled()) {
+        // The gang breached the limit where the parallel operators cannot
+        // spill (e.g. a shared build): degrade to sequential out-of-core
+        // execution instead of failing. Nothing has been delivered yet.
+        RenewMemoryTracker(ctx.get());
+        ctx->set_reoptimize_qerror_threshold(0.0);
+        armed = false;
+        stream.fallback_reason =
+            "memory pressure: degraded to sequential spill";
+        MAGICDB_ASSIGN_OR_RETURN(planned,
+                                 PlanBound(planned.bound, options, overlay));
+      } else {
+        return gang.status();
+      }
+    }
+    if (restart.ok() && armed && !stream.staged) {
+      // Every pipeline breaker completes inside Open(), so a trigger fires
+      // before the first output row and the restart is invisible to the
+      // consumer. Later observations must never fail Next().
+      Status open = planned.root->Open(ctx.get());
+      if (open.IsReoptimizeRequested()) {
+        restart = std::move(open);
+      } else {
+        ctx->set_reoptimize_qerror_threshold(0.0);
+        stream.opened = open.ok();
+        stream.open_status = std::move(open);
+      }
+    }
+    if (restart.ok()) {
+      stream.root = std::move(planned.root);
+      stream.ctx = std::move(ctx);
+      stream.plan = std::move(planned);
+      return stream;
+    }
+    // Fold every exact overlay-eligible observation into the overlay for
+    // the re-plan, and suppress its key: the corrected estimate makes the
+    // observation consistent, so re-triggering on it would be a planning
+    // no-op. The suppression set only changes here, between attempts —
+    // never while a gang is running.
+    stream.reoptimizations.push_back(restart.message());
+    for (const CardinalityObservation& obs : ledger->Snapshot()) {
+      if (!obs.exact || !IsOverlayKey(obs.key)) continue;
+      start.overlay.rows[obs.key] = obs.actual;
+      ledger->SuppressKey(obs.key);
+    }
+    planned.root.reset();
+  }
 }
 
 StatusOr<QueryResult> Database::Run(const std::string& sql,
                                     const ExecOptions& options) {
-  int dop = options.dop;
-  if (dop <= 0) {
+  QueryStart start;
+  start.dop = options.dop;
+  if (start.dop <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
-    dop = hw > 0 ? static_cast<int>(hw) : 1;
+    start.dop = hw > 0 ? static_cast<int>(hw) : 1;
   }
-  MAGICDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(sql));
-
-  const double threshold =
+  MAGICDB_ASSIGN_OR_RETURN(start.first.bound, BindSelect(sql));
+  // Start from what earlier persisting queries learned.
+  start.overlay = feedback_store_.Snapshot();
+  start.reoptimize_qerror_threshold =
       ResolveReoptQErrorThreshold(options.reoptimize_qerror_threshold);
-  // One ledger for the whole query: observations survive re-optimization
-  // restarts (first record per key wins, so re-executions keep the original
-  // wrong-estimate evidence) and end up in QueryResult::feedback.
-  auto ledger = std::make_shared<CardinalityFeedback>();
-  // Start from what earlier persisting queries learned; attempts add their
-  // own observations on top.
-  CardinalityOverlay overlay = feedback_store_.Snapshot();
-
-  const int max_attempts = 1 + std::max(0, options.max_reoptimizations);
-  for (int attempt = 0;; ++attempt) {
-    // The final permitted attempt runs with triggering disabled, so the
-    // loop always terminates with a completed execution.
-    const bool last = attempt + 1 >= max_attempts;
-    StatusOr<QueryResult> r = RunAttempt(bound, dop, options, overlay, ledger,
-                                         last ? 0.0 : threshold);
-    if (r.ok()) {
-      r->reoptimizations = attempt;
-      r->feedback = ledger->Snapshot();
-      if (options.persist_feedback) {
-        feedback_store_.Fold(r->feedback);
-      }
-      return r;
-    }
-    if (!r.status().IsReoptimizeRequested()) return r.status();
-    // Fold every exact overlay-eligible observation into the overlay for
-    // the re-plan, and suppress its key: the corrected estimate makes the
-    // observation consistent, so re-triggering on it would be a planning
-    // no-op (the suppression set is only ever mutated here, between
-    // attempts — never while a gang is running).
-    for (const CardinalityObservation& obs : ledger->Snapshot()) {
-      if (!obs.exact || !IsOverlayKey(obs.key)) continue;
-      overlay.rows[obs.key] = obs.actual;
-      ledger->SuppressKey(obs.key);
-    }
-  }
-}
-
-StatusOr<QueryResult> Database::RunAttempt(
-    const BoundSelect& bound, int dop, const ExecOptions& options,
-    const CardinalityOverlay& overlay,
-    const std::shared_ptr<CardinalityFeedback>& ledger, double threshold) {
-  const CardinalityOverlay* ov = overlay.empty() ? nullptr : &overlay;
-  MAGICDB_ASSIGN_OR_RETURN(PlannedSelect planned,
-                           PlanBound(bound, optimizer_options_, ov));
-
-  QueryResult result;
-  result.schema = planned.schema;
-  result.explain = std::move(planned.explain);
-  result.est_cost = planned.est_cost;
-  result.est_rows = planned.est_rows;
-  result.filter_joins = std::move(planned.filter_joins);
-  result.optimizer_stats = planned.optimizer_stats;
-
-  // Prototype execution environment every attempt context inherits. The
-  // memory tracker is per-attempt: an aborted attempt's charges must not
-  // linger into the re-execution.
-  ExecContext proto;
+  start.max_reoptimizations = options.max_reoptimizations;
+  ExecContext& proto = start.proto;
   proto.set_memory_budget_bytes(optimizer_options_.memory_budget_bytes);
   proto.set_batch_size(options.batch_size < 0 ? exec_batch_size_
                                               : options.batch_size);
@@ -249,54 +311,33 @@ StatusOr<QueryResult> Database::RunAttempt(
     proto.set_memory_tracker(
         std::make_shared<MemoryTracker>(options.memory_limit_bytes));
   }
-  proto.set_cardinality_feedback(ledger);
-  proto.set_reoptimize_qerror_threshold(threshold);
 
-  // LIMIT cuts the stream early; workers would race for the quota, so it
-  // runs sequentially (the shape analyzer would reject LimitOp anyway —
-  // this path just avoids planning dop replicas for nothing).
-  const bool has_limit = bound.limit >= 0;
-  if (dop <= 1 || has_limit) {
-    ExecContext ctx;
-    ctx.InheritConfig(proto);
-    MAGICDB_ASSIGN_OR_RETURN(result.rows,
-                             ExecuteToVector(planned.root.get(), &ctx));
-    result.counters = ctx.counters();
-    // Collect measured per-phase Filter Join costs from the executed tree.
-    CollectFilterJoinMeasured(*planned.root, &result.filter_join_measured);
-    if (has_limit && dop > 1) {
-      result.parallel_fallback_reason = "LIMIT clause";
-    }
-    return result;
+  MAGICDB_ASSIGN_OR_RETURN(QueryStream stream,
+                           StartQuery(std::move(start), optimizer_options_));
+  MAGICDB_RETURN_IF_ERROR(stream.open_status);
+  ExecContext* ctx = stream.ctx.get();
+  if (!stream.opened) MAGICDB_RETURN_IF_ERROR(stream.root->Open(ctx));
+  QueryResult result;
+  MAGICDB_ASSIGN_OR_RETURN(result.rows,
+                           DrainToVector(stream.root.get(), ctx));
+  result.schema = std::move(stream.plan.schema);
+  result.explain = std::move(stream.plan.explain);
+  result.est_cost = stream.plan.est_cost;
+  result.est_rows = stream.plan.est_rows;
+  result.filter_joins = std::move(stream.plan.filter_joins);
+  result.optimizer_stats = stream.plan.optimizer_stats;
+  if (stream.staged) {
+    result.counters = stream.counters;
+    result.filter_join_measured = std::move(stream.filter_join_measured);
+  } else {
+    result.counters = ctx->counters();
+    CollectFilterJoinMeasured(*stream.root, &result.filter_join_measured);
   }
-
-  // One optimizer pass per worker replica: Optimize() is deterministic
-  // (under the same overlay), so the trees are isomorphic and the executor
-  // verifies that before wiring shared state into them. Planning always
-  // uses the session options (the degree_of_parallelism costing knob
-  // included), never the execution dop — every dop must run the identical
-  // plan or the counter-identity guarantee would be comparing different
-  // plans.
-  std::vector<OpPtr> replicas;
-  replicas.push_back(std::move(planned.root));
-  if (ParallelExecutor::UnsafeReason(*replicas[0]).empty()) {
-    for (int w = 1; w < dop; ++w) {
-      MAGICDB_ASSIGN_OR_RETURN(PlannedSelect replica,
-                               PlanBound(bound, optimizer_options_, ov));
-      replicas.push_back(std::move(replica.root));
-    }
-  }
-
-  ParallelExecutor executor(dop);
-  MAGICDB_ASSIGN_OR_RETURN(ParallelRunResult run,
-                           executor.Run(std::move(replicas), proto));
-  result.rows = std::move(run.rows);
-  result.counters = run.counters;
-  result.used_dop = run.used_dop;
-  result.parallel_fallback_reason = std::move(run.fallback_reason);
-  if (run.has_filter_join) {
-    result.filter_join_measured.push_back(run.filter_join_measured);
-  }
+  result.used_dop = stream.used_dop;
+  result.parallel_fallback_reason = std::move(stream.fallback_reason);
+  result.reoptimizations = static_cast<int>(stream.reoptimizations.size());
+  result.feedback = ctx->cardinality_feedback()->Snapshot();
+  if (options.persist_feedback) feedback_store_.Fold(result.feedback);
   return result;
 }
 

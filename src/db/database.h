@@ -8,6 +8,7 @@
 #include "src/catalog/catalog.h"
 #include "src/common/statusor.h"
 #include "src/exec/cardinality_feedback.h"
+#include "src/exec/exec_context.h"
 #include "src/exec/exec_options.h"
 #include "src/exec/filter_join_op.h"
 #include "src/exec/operator.h"
@@ -34,10 +35,11 @@ struct QueryResult {
   std::vector<FilterJoinMeasured> filter_join_measured;
   /// Optimization effort spent planning this query.
   OptimizerStats optimizer_stats;
-  /// Degree of parallelism the execution actually used (1 for Query() and
-  /// for ExecuteParallel fallbacks).
+  /// Degree of parallelism the execution actually used (1 when it ran
+  /// sequentially, requested or not).
   int used_dop = 1;
-  /// Why ExecuteParallel ran single-threaded; empty when it ran parallel.
+  /// Why a dop > 1 query ran single-threaded; empty when it ran parallel
+  /// or dop 1 was requested.
   std::string parallel_fallback_reason;
 
   /// How many times runtime cardinality feedback re-planned this query
@@ -67,17 +69,78 @@ struct BoundSelect {
   int64_t limit = -1;  ///< -1 = no LIMIT clause.
 };
 
-/// A fully planned SELECT, ready to execute: the physical root (with any
-/// LIMIT already applied) plus the optimizer's estimates and diagnostics.
-struct PlannedSelect {
+/// Everything that describes a planned SELECT apart from its physical
+/// tree: the bound logical plan plus the optimizer's estimates and
+/// diagnostics. The query service's plan cache keeps one per statement.
+struct PlanMeta {
   BoundSelect bound;
-  OpPtr root;
   Schema schema;
   std::string explain;
   double est_cost = 0.0;
   double est_rows = 0.0;
   std::vector<FilterJoinCostBreakdown> filter_joins;
   OptimizerStats optimizer_stats;
+};
+
+/// A fully planned SELECT, ready to execute: the physical root (with any
+/// LIMIT already applied) plus its PlanMeta.
+struct PlannedSelect : PlanMeta {
+  OpPtr root;
+};
+
+/// Inputs of Database::StartQuery. Each caller resolves its own defaults
+/// (dop, deadline, memory limit, batch size) into these fields.
+struct QueryStart {
+  /// Attempt 0 runs `first.root` when it is set (a pooled plan instance,
+  /// or the plan a plan-cache miss just built) and plans `first.bound`
+  /// otherwise. Re-plans always plan `first.bound`.
+  PlannedSelect first;
+  /// Overlay attempt 0 is planned against (a FeedbackStore snapshot); each
+  /// re-plan adds the abandoned attempt's exact observations on top.
+  CardinalityOverlay overlay;
+  /// Configuration every attempt's ExecContext inherits: cancel token,
+  /// memory tracker, spill area, memory budget, batch size, shared pool and
+  /// progress heartbeat. A governed query gets a fresh tracker with the
+  /// same limit for every attempt after the first.
+  ExecContext proto;
+  /// Degree of parallelism, already resolved (>= 1).
+  int dop = 1;
+  /// Resolved re-optimization threshold (<= 0 disables re-planning) and
+  /// the bound on re-plans (ExecOptions::max_reoptimizations).
+  double reoptimize_qerror_threshold = 0.0;
+  int max_reoptimizations = 0;
+};
+
+/// A started SELECT, ready to deliver rows: the outcome of
+/// Database::StartQuery. `root` runs under `*ctx`, which carries the query's
+/// cancel token, memory tracker, spill area and cardinality-feedback ledger.
+/// `ctx` is heap-allocated because an opened tree keeps pointers into it,
+/// and declared first so it outlives `root`, whose operators release memory
+/// through it when destroyed. Three shapes:
+///   - `staged`: the parallel gang already ran. `root` is a GatherOp whose
+///     drain performs no query work and charges nothing, and `counters` and
+///     `filter_join_measured` are final.
+///   - `opened`: a sequential tree whose Open() — every pipeline breaker —
+///     already ran; the consumer drains and closes it.
+///   - neither: a sequential tree the consumer opens, drains and closes.
+/// A sequential stream's work accrues in `ctx->counters()`.
+struct QueryStream {
+  std::unique_ptr<ExecContext> ctx;
+  OpPtr root;
+  bool staged = false;
+  bool opened = false;
+  /// The error the eager Open failed with, when it failed for any reason
+  /// but a re-plan request; the consumer reports it as the query's outcome.
+  Status open_status;
+  CostCounters counters;
+  std::vector<FilterJoinMeasured> filter_join_measured;
+  /// The plan that runs: attempt 0's, or the last re-plan's.
+  PlanMeta plan;
+  int used_dop = 1;
+  /// Why a dop > 1 query runs sequentially; empty when it runs parallel.
+  std::string fallback_reason;
+  /// The kReoptimizeRequested message of every abandoned attempt, in order.
+  std::vector<std::string> reoptimizations;
 };
 
 /// Top-level embedded-database facade tying catalog, SQL front end,
@@ -88,8 +151,8 @@ struct PlannedSelect {
 ///   db.LoadRows("Emp", rows);
 ///   db.Execute("CREATE VIEW DepAvgSal AS SELECT did, AVG(sal) AS avgsal "
 ///              "FROM Emp GROUP BY did");
-///   auto result = db.Query("SELECT ... FROM Emp E, Dept D, DepAvgSal V "
-///                          "WHERE ...");
+///   auto result = db.Run("SELECT ... FROM Emp E, Dept D, DepAvgSal V "
+///                        "WHERE ...", {.dop = 4});
 class Database {
  public:
   Database() = default;
@@ -99,10 +162,10 @@ class Database {
 
   OptimizerOptions* mutable_optimizer_options() { return &optimizer_options_; }
 
-  /// Rows per batch for the vectorized execution path used by Query() and
-  /// ExecuteParallel(). 0 = classic tuple-at-a-time execution. Results and
-  /// cost counters are byte-identical either way; this only changes how
-  /// operators exchange rows internally.
+  /// Rows per batch for the vectorized execution path Run() uses when
+  /// ExecOptions::batch_size is negative. 0 = classic tuple-at-a-time
+  /// execution. Results and cost counters are byte-identical either way;
+  /// this only changes how operators exchange rows internally.
   int64_t exec_batch_size() const { return exec_batch_size_; }
   void set_exec_batch_size(int64_t rows) {
     exec_batch_size_ = rows < 0 ? 0 : rows;
@@ -124,18 +187,12 @@ class Database {
   /// exceeds it abort the attempt, fold the observed counts into a
   /// cardinality overlay, and re-plan — bounded by
   /// `options.max_reoptimizations`, with the final attempt always running
-  /// to completion. The plan is chosen with the session's OptimizerOptions
-  /// — including its degree_of_parallelism costing knob — NOT with
-  /// `options.dop`, so every dop executes the identical plan.
+  /// to completion (StartQuery is the driver). The plan is chosen with the
+  /// session's OptimizerOptions — including its degree_of_parallelism
+  /// costing knob — NOT with `options.dop`, so every dop executes the
+  /// identical plan.
   StatusOr<QueryResult> Run(const std::string& sql,
                             const ExecOptions& options = {});
-
-  /// DEPRECATED: thin wrapper over Run(sql) (sequential). Prefer Run().
-  StatusOr<QueryResult> Query(const std::string& sql);
-
-  /// DEPRECATED: thin wrapper over Run() with `options.dop = dop`. Prefer
-  /// Run().
-  StatusOr<QueryResult> ExecuteParallel(const std::string& sql, int dop = 0);
 
   /// Cross-query cardinality feedback: queries run with
   /// ExecOptions::persist_feedback fold their exact scan/view observations
@@ -174,13 +231,28 @@ class Database {
                                     const OptimizerOptions& options,
                                     const CardinalityOverlay* overlay) const;
 
- private:
-  /// One planning+execution attempt of Run's adaptive loop.
-  StatusOr<QueryResult> RunAttempt(
-      const BoundSelect& bound, int dop, const ExecOptions& options,
-      const CardinalityOverlay& overlay,
-      const std::shared_ptr<CardinalityFeedback>& ledger, double threshold);
+  /// The attempt driver behind Run() and the query service: plans (unless
+  /// `start.first` carries a tree), executes, and re-plans until an attempt
+  /// survives, then returns its stream without draining it.
+  ///
+  /// An attempt runs parallel when dop > 1, there is no LIMIT, and the plan
+  /// has a parallel-safe shape: it plans the other dop - 1 replicas and
+  /// runs the gang to completion. Otherwise it runs sequentially, with the
+  /// fallback reason "LIMIT clause" or the unsafe shape. An attempt is
+  /// armed when the threshold is positive and it is not the last one
+  /// permitted. An armed gang runs with triggering on; an armed sequential
+  /// tree is opened here with triggering on and disarmed once Open()
+  /// returns. Either way a kReoptimizeRequested unwind folds the exact
+  /// overlay-eligible observations into the overlay, suppresses their keys,
+  /// and re-plans on a fresh ExecContext and MemoryTracker. An unarmed
+  /// sequential tree is returned unopened. A gang that breaches its memory
+  /// limit on a context that can spill degrades to an unopened sequential
+  /// tree planned against the same overlay; without a spill area the
+  /// kResourceExhausted surfaces. Runs under the caller's DDL protection.
+  StatusOr<QueryStream> StartQuery(QueryStart start,
+                                   const OptimizerOptions& options) const;
 
+ private:
   Catalog catalog_;
   OptimizerOptions optimizer_options_;
   int64_t exec_batch_size_ = DefaultExecBatchSize();

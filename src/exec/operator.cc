@@ -39,6 +39,10 @@ Status Operator::NextBatch(RowBatch* out, bool* eof) {
 StatusOr<std::vector<Tuple>> ExecuteToVector(Operator* root,
                                              ExecContext* ctx) {
   MAGICDB_RETURN_IF_ERROR(root->Open(ctx));
+  return DrainToVector(root, ctx);
+}
+
+StatusOr<std::vector<Tuple>> DrainToVector(Operator* root, ExecContext* ctx) {
   std::vector<Tuple> rows;
   if (ctx->batch_size() > 0) {
     RowBatch batch(static_cast<int32_t>(ctx->batch_size()));

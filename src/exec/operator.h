@@ -68,10 +68,15 @@ class Operator {
 
 using OpPtr = std::unique_ptr<Operator>;
 
-/// Runs `root` to completion under `ctx` and returns all produced tuples.
-/// When ctx->batch_size() > 0 the drain pulls batches through NextBatch
-/// (with one cancellation checkpoint per batch); otherwise it loops Next().
+/// Runs `root` to completion under `ctx` and returns all produced tuples:
+/// Open() followed by DrainToVector().
 StatusOr<std::vector<Tuple>> ExecuteToVector(Operator* root, ExecContext* ctx);
+
+/// Drains an already-opened `root` under `ctx`, closes it, and returns all
+/// produced tuples. When ctx->batch_size() > 0 the drain pulls batches
+/// through NextBatch (with one cancellation checkpoint per batch);
+/// otherwise it loops Next().
+StatusOr<std::vector<Tuple>> DrainToVector(Operator* root, ExecContext* ctx);
 
 }  // namespace magicdb
 

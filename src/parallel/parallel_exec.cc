@@ -293,13 +293,11 @@ StatusOr<ParallelRunResult> ParallelExecutor::Run(
     result.counters = staged.counters;
     result.has_filter_join = staged.has_filter_join;
     result.filter_join_measured = staged.filter_join_measured;
-    result.filter_set_size = staged.filter_set_size;
   } else {
     result.counters = ctx.counters();
     if (const FilterJoinOp* fj = FindFilterJoin(*staged.stream_root)) {
       result.has_filter_join = true;
       result.filter_join_measured = fj->measured();
-      result.filter_set_size = fj->last_filter_set_size();
     }
   }
   return result;
@@ -441,9 +439,6 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
       staged.filter_join_measured.avail_filter += m.avail_filter;
       staged.filter_join_measured.filter_inner += m.filter_inner;
       staged.filter_join_measured.final_join += m.final_join;
-      // Only the coordinator observed the filter set; peers report 0.
-      staged.filter_set_size +=
-          shapes[w].filter_join->last_filter_set_size();
     }
   }
 

@@ -36,7 +36,6 @@ struct ParallelRunResult {
   /// Summed Table-1 phase measurements of the plan's Filter Join, if any.
   bool has_filter_join = false;
   FilterJoinMeasured filter_join_measured;
-  int64_t filter_set_size = 0;
 };
 
 /// A parallel execution staged for streaming: the outcome of
@@ -60,7 +59,6 @@ struct StagedStream {
   std::string fallback_reason;
   bool has_filter_join = false;
   FilterJoinMeasured filter_join_measured;
-  int64_t filter_set_size = 0;
 };
 
 /// Morsel-driven parallel executor. Takes `dop` isomorphic plan replicas

@@ -51,12 +51,7 @@ struct CursorState {
   std::shared_ptr<std::atomic<int64_t>> progress_heartbeat;
 
   // Plan metadata, immutable once the cursor is handed out.
-  Schema schema;
-  std::string explain;
-  double est_cost = 0.0;
-  double est_rows = 0.0;
-  std::vector<FilterJoinCostBreakdown> filter_joins;
-  OptimizerStats optimizer_stats;
+  PlanMeta plan;
   int used_dop = 1;
   std::string parallel_fallback_reason;
   /// Times runtime cardinality feedback re-planned this query before its
@@ -109,19 +104,19 @@ class Cursor {
 
   bool valid() const { return state_ != nullptr; }
 
-  const Schema& schema() const { return state_->schema; }
-  const std::string& explain() const { return state_->explain; }
-  double est_cost() const { return state_->est_cost; }
-  double est_rows() const { return state_->est_rows; }
+  const Schema& schema() const { return state_->plan.schema; }
+  const std::string& explain() const { return state_->plan.explain; }
+  double est_cost() const { return state_->plan.est_cost; }
+  double est_rows() const { return state_->plan.est_rows; }
   int used_dop() const { return state_->used_dop; }
   const std::string& parallel_fallback_reason() const {
     return state_->parallel_fallback_reason;
   }
   const std::vector<FilterJoinCostBreakdown>& filter_joins() const {
-    return state_->filter_joins;
+    return state_->plan.filter_joins;
   }
   const OptimizerStats& optimizer_stats() const {
-    return state_->optimizer_stats;
+    return state_->plan.optimizer_stats;
   }
 
   /// How many times cardinality feedback re-planned this query at Open.

@@ -3,7 +3,7 @@
 namespace magicdb {
 
 bool PlanCache::Lookup(const std::string& key, int64_t epoch,
-                       CachedPlanMeta* meta, OpPtr* instance) {
+                       PlanMeta* meta, OpPtr* instance) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
@@ -29,7 +29,7 @@ bool PlanCache::Lookup(const std::string& key, int64_t epoch,
 }
 
 void PlanCache::Insert(const std::string& key, int64_t epoch,
-                       CachedPlanMeta meta) {
+                       PlanMeta meta) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {

@@ -13,22 +13,12 @@
 
 namespace magicdb {
 
-/// Everything a cache hit reuses without re-planning: the bound logical
-/// plan (immutable, shared) plus the optimizer's outputs for it. The
-/// physical instances live next to this in the cache entry.
-struct CachedPlanMeta {
-  BoundSelect bound;
-  Schema schema;
-  std::string explain;
-  double est_cost = 0.0;
-  double est_rows = 0.0;
-  std::vector<FilterJoinCostBreakdown> filter_joins;
-  OptimizerStats optimizer_stats;
-};
-
-/// SQL-keyed plan cache with LRU eviction. The key must already embed the
-/// session's OptimizerOptions fingerprint (see OptimizerOptionsFingerprint)
-/// so sessions with different knobs never share plans.
+/// SQL-keyed plan cache with LRU eviction. An entry holds what a hit reuses
+/// without re-planning: the statement's PlanMeta (its bound logical plan is
+/// immutable and shared) plus a pool of idle physical instances. The key
+/// must already embed the session's OptimizerOptions fingerprint (see
+/// OptimizerOptionsFingerprint) so sessions with different knobs never
+/// share plans.
 ///
 /// Validity is keyed on the catalog DDL epoch: an entry created at epoch E
 /// is dead the moment the catalog reports a newer epoch (DDL or ANALYZE),
@@ -54,11 +44,11 @@ class PlanCache {
   /// On hit: copies the metadata, pops an idle instance into `*instance`
   /// when one is pooled (nullptr otherwise), refreshes LRU recency, and
   /// returns true. On miss (absent or stale): returns false.
-  bool Lookup(const std::string& key, int64_t epoch, CachedPlanMeta* meta,
+  bool Lookup(const std::string& key, int64_t epoch, PlanMeta* meta,
               OpPtr* instance);
 
   /// Installs (or refreshes) the entry for `key` after a miss was planned.
-  void Insert(const std::string& key, int64_t epoch, CachedPlanMeta meta);
+  void Insert(const std::string& key, int64_t epoch, PlanMeta meta);
 
   /// Returns an executed instance to the entry's idle pool. Dropped
   /// silently when the entry vanished, the epoch moved on, or the pool is
@@ -74,7 +64,7 @@ class PlanCache {
  private:
   struct Entry {
     int64_t epoch = 0;
-    CachedPlanMeta meta;
+    PlanMeta meta;
     std::vector<OpPtr> idle_instances;
     std::list<std::string>::iterator lru_pos;
   };

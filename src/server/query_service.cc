@@ -73,34 +73,27 @@ int PriorityIndex(SessionPriority priority) {
 }  // namespace
 
 /// Control block of one cursor's producing pipeline. The Volcano state
-/// (tree/ctx/opened) is touched only by the currently running pump quantum;
+/// (`stream`) is touched only by the currently running pump quantum;
 /// successive quanta are ordered through the pool's queue locks (and, across
 /// a park, through the sink's mutex), so it needs no extra synchronization.
 ///
-/// Two producer flavors share this code path:
-///   - sequential stream: `tree` is the live plan instance; each quantum
-///     performs real query work, so it re-validates the catalog epoch under
-///     the DDL lock and the final counters come from `ctx` at end of stream.
-///   - parallel staged stream: the worker gang already ran (inside Open,
-///     under the DDL lock); `tree` is a GatherOp draining pre-staged rows.
+/// The two stream shapes Database::StartQuery returns share this code path:
+///   - sequential stream: `stream.root` is the live plan instance; each
+///     quantum performs real query work, so it re-validates the catalog
+///     epoch under the DDL lock and the final counters come from
+///     `stream.ctx` at end of stream.
+///   - staged stream: the worker gang already ran (inside Open, under the
+///     DDL lock); `stream.root` is a GatherOp draining pre-staged rows.
 ///     Pumping it performs no catalog access (the plan is effectively
-///     pinned across DDL) and charges nothing — `counters_preset` marks
-///     that the cursor's final counters were fixed at Open time.
+///     pinned across DDL) and charges nothing — the cursor's final counters
+///     were fixed at Open time.
 struct StreamProducer {
   std::shared_ptr<CursorState> cursor;
-  OpPtr tree;
-  ExecContext ctx;
-  bool opened = false;
+  QueryStream stream;
   /// Vectorized pump: the reusable batch the quantum loop pulls into when
-  /// ctx.batch_size() > 0 (lazily allocated on the first quantum).
+  /// the batch size is positive (lazily allocated on the first quantum).
   std::unique_ptr<RowBatch> row_batch;
-  /// Final counters/FilterJoin phases were stored in the cursor at Open
-  /// (parallel staged execution); FinishProducer must not overwrite them.
-  bool counters_preset = false;
-  /// Re-check the catalog DDL epoch every quantum (sequential streams);
-  /// a mismatch fails the stream with FailedPrecondition.
-  bool check_epoch = false;
-  /// Return `tree` to the plan cache on clean end of stream.
+  /// Return `stream.root` to the plan cache on clean end of stream.
   bool check_in = false;
   /// Fold the query's exact cardinality observations into the database's
   /// FeedbackStore on clean end of stream (ExecOptions::persist_feedback).
@@ -650,6 +643,7 @@ void QueryService::SubmitProducer(const std::shared_ptr<StreamProducer>& p) {
 
 void QueryService::PumpQuantum(const std::shared_ptr<StreamProducer>& p) {
   CursorState* c = p->cursor.get();
+  QueryStream& stream = p->stream;
   // Backpressure before anything else: on a full queue the producer parks —
   // stores its resume closure in the sink and returns the worker without
   // rescheduling. The consumer's Fetch re-submits it after draining below
@@ -673,30 +667,30 @@ void QueryService::PumpQuantum(const std::shared_ptr<StreamProducer>& p) {
     // check turns a catalog change under a live sequential stream into a
     // clean stale-plan error instead of reads from replaced objects.
     std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-    if (p->check_epoch && db_->catalog()->ddl_epoch() != c->plan_epoch) {
+    if (!stream.staged && db_->catalog()->ddl_epoch() != c->plan_epoch) {
       cursors_stale_->Increment();
       status = Status::FailedPrecondition(
           "plan invalidated by DDL: catalog changed while cursor was open");
     }
-    if (status.ok() && !p->opened) {
-      status = p->tree->Open(&p->ctx);
-      p->opened = status.ok();
+    if (status.ok() && !stream.opened) {
+      status = stream.root->Open(stream.ctx.get());
+      stream.opened = status.ok();
     }
     if (status.ok()) {
-      if (p->ctx.batch_size() > 0) {
+      if (stream.ctx->batch_size() > 0) {
         // Vectorized pump. The pump batch is capped at the scheduler
         // quantum, and another batch is pulled only while a full one still
         // fits, so one quantum never delivers more rows than the
         // tuple-at-a-time pump would — the cursor's peak-buffered-rows
         // bound stays batch-size independent.
         const int64_t cap = std::min<int64_t>(
-            p->ctx.batch_size(), options_.scheduler_quantum_rows);
+            stream.ctx->batch_size(), options_.scheduler_quantum_rows);
         if (p->row_batch == nullptr) {
           p->row_batch = std::make_unique<RowBatch>(static_cast<int32_t>(cap));
         }
         while (static_cast<int64_t>(batch.size()) + cap <=
                options_.scheduler_quantum_rows) {
-          status = p->tree->NextBatch(p->row_batch.get(), &eof);
+          status = stream.root->NextBatch(p->row_batch.get(), &eof);
           if (!status.ok()) break;
           p->row_batch->MoveActiveToTuples(&batch);
           if (eof) break;
@@ -704,19 +698,19 @@ void QueryService::PumpQuantum(const std::shared_ptr<StreamProducer>& p) {
       } else {
         for (int64_t i = 0; i < options_.scheduler_quantum_rows; ++i) {
           Tuple t;
-          status = p->tree->Next(&t, &eof);
+          status = stream.root->Next(&t, &eof);
           if (!status.ok() || eof) break;
           batch.push_back(std::move(t));
         }
       }
     }
     if (status.ok() && eof) {
-      status = p->tree->Close();
+      status = stream.root->Close();
     }
   }
   // A quantum that ran (even to an empty batch or an error) is progress;
   // a parked producer returned above, so parking never feeds the watchdog.
-  p->ctx.NoteProgress(static_cast<int64_t>(batch.size()) + 1);
+  stream.ctx->NoteProgress(static_cast<int64_t>(batch.size()) + 1);
   if (!batch.empty()) {
     Status push_status = MAGICDB_FAILPOINT_EVAL("server.sink.push");
     if (push_status.ok()) push_status = c->sink.Push(std::move(batch));
@@ -736,21 +730,21 @@ void QueryService::PumpQuantum(const std::shared_ptr<StreamProducer>& p) {
 void QueryService::FinishProducer(const std::shared_ptr<StreamProducer>& p,
                                   Status status) {
   CursorState* c = p->cursor.get();
-  if (!p->counters_preset) {
-    c->final_counters = p->ctx.counters();
+  QueryStream& stream = p->stream;
+  if (!stream.staged) {  // a staged stream's totals were stored at Open
+    c->final_counters = stream.ctx->counters();
     c->filter_join_measured.clear();
-    CollectFilterJoinMeasured(*p->tree, &c->filter_join_measured);
+    CollectFilterJoinMeasured(*stream.root, &c->filter_join_measured);
   }
   if (status.ok() && p->check_in && !c->cache_key.empty()) {
     // The tree fully re-initializes in Open(), so it can serve the next
     // execution of the same statement. CheckIn refuses stale epochs.
-    plan_cache_.CheckIn(c->cache_key, c->plan_epoch, std::move(p->tree));
+    plan_cache_.CheckIn(c->cache_key, c->plan_epoch, std::move(stream.root));
   }
-  if (status.ok() && p->persist_feedback &&
-      p->ctx.cardinality_feedback() != nullptr) {
+  if (status.ok() && p->persist_feedback) {
     // Cross-query learning: fold this query's exact observations into the
     // store so later plans (cache-keyed by the store's version) use them.
-    db_->feedback_store()->Fold(p->ctx.cardinality_feedback()->Snapshot());
+    db_->feedback_store()->Fold(c->cardinality_feedback->Snapshot());
   }
   // Finish last: it publishes the terminal state (counters included — the
   // sink's mutex orders the handoff) to the consumer.
@@ -840,10 +834,11 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                                             int gang_slots) {
   uint64_t watch_id = 0;
   StatusOr<Cursor> result = [&]() -> StatusOr<Cursor> {
-    // Planning and the parallel worker gang run under the shared DDL lock;
-    // by the time rows stream out, a parallel execution's staged result is
-    // already catalog-consistent (its plan is pinned), while a sequential
-    // stream re-validates the epoch every quantum.
+    // Planning, the parallel worker gang and an armed eager Open run under
+    // the shared DDL lock; by the time rows stream out, a parallel
+    // execution's staged result is already catalog-consistent (its plan is
+    // pinned), while a sequential stream re-validates the epoch every
+    // quantum.
     std::shared_lock<std::shared_mutex> lock(ddl_mu_);
 
     const OptimizerOptions& opts = session->options();
@@ -858,9 +853,8 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     // of the database's feedback store, and the store's version keys the
     // cache — a persisting query bumping it invalidates every plan built
     // from the older statistics.
-    const CardinalityOverlay feedback_overlay = db_->feedback_store()->Snapshot();
-    const CardinalityOverlay* base_overlay =
-        feedback_overlay.empty() ? nullptr : &feedback_overlay;
+    QueryStart start;
+    start.overlay = db_->feedback_store()->Snapshot();
     const std::string key =
         OptimizerOptionsFingerprint(opts) + "\n" + sql +
         "\nbatch=" + std::to_string(effective_batch) +
@@ -868,38 +862,31 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     const std::string backend_label = SanitizeReasonLabel(
         opts.join_order_backend.empty() ? "dp" : opts.join_order_backend);
 
-    CachedPlanMeta meta;
-    OpPtr instance;
     // Parallel queries never reuse pooled instances (they need fresh
     // replicas for shared-state wiring), so leave the pool untouched for
     // them.
     const bool want_instance = effective_dop == 1;
-    const bool hit = plan_cache_.Lookup(key, epoch, &meta,
-                                        want_instance ? &instance : nullptr);
+    const bool hit = plan_cache_.Lookup(
+        key, epoch, &start.first, want_instance ? &start.first.root : nullptr);
     if (hit) {
       plan_cache_hits_->Increment();
       metrics_.counter(kCacheHitBackendPrefix + backend_label + "}")
           ->Increment();
+      if (start.first.root != nullptr) plan_instance_reuses_->Increment();
     } else {
       plan_cache_misses_->Increment();
       metrics_.counter(kCacheMissBackendPrefix + backend_label + "}")
           ->Increment();
-      MAGICDB_ASSIGN_OR_RETURN(BoundSelect fresh_bound, db_->BindSelect(sql));
-      MAGICDB_ASSIGN_OR_RETURN(PlannedSelect planned,
-                               db_->PlanBound(fresh_bound, opts, base_overlay));
-      meta.bound = planned.bound;
-      meta.schema = planned.schema;
-      meta.explain = planned.explain;
-      meta.est_cost = planned.est_cost;
-      meta.est_rows = planned.est_rows;
-      meta.filter_joins = planned.filter_joins;
-      meta.optimizer_stats = planned.optimizer_stats;
+      MAGICDB_ASSIGN_OR_RETURN(BoundSelect bound, db_->BindSelect(sql));
+      MAGICDB_ASSIGN_OR_RETURN(
+          start.first,
+          db_->PlanBound(bound, opts,
+                         start.overlay.empty() ? nullptr : &start.overlay));
       // Injected insert failure models a cache under memory pressure: the
       // query must fail cleanly at Open (ticket released by the caller)
       // rather than stream from a half-registered plan.
       MAGICDB_FAILPOINT("server.plan_cache.insert");
-      plan_cache_.Insert(key, epoch, meta);
-      if (want_instance) instance = std::move(planned.root);
+      plan_cache_.Insert(key, epoch, start.first);
     }
 
     const int64_t high_water = exec.stream_queue_rows > 0
@@ -912,19 +899,9 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     const int64_t memory_limit = exec.memory_limit_bytes != 0
                                      ? exec.memory_limit_bytes
                                      : options_.query_memory_limit_bytes;
-    if (memory_limit > 0) {
-      state->memory_tracker = std::make_shared<MemoryTracker>(memory_limit);
-      state->sink.set_memory_tracker(state->memory_tracker);
-    }
     state->token = token;
     state->plan_epoch = epoch;
     state->cache_key = key;
-    state->schema = meta.schema;
-    state->explain = meta.explain;
-    state->est_cost = meta.est_cost;
-    state->est_rows = meta.est_rows;
-    state->filter_joins = meta.filter_joins;
-    state->optimizer_stats = meta.optimizer_stats;
     state->memory_claim = memory_limit > 0 ? memory_limit : 0;
     // Liveness plumbing: one shared heartbeat per query, inherited by every
     // worker context; the registry entry lets the watchdog sample it and
@@ -933,219 +910,63 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     watch_id = RegisterLiveQuery(state);
     state->watch_id = watch_id;
 
-    const bool has_limit = meta.bound.limit >= 0;
+    ExecContext& proto = start.proto;
+    proto.set_memory_budget_bytes(opts.memory_budget_bytes);
+    proto.set_cancel_token(token);
+    proto.set_batch_size(effective_batch);
+    proto.set_progress_heartbeat(state->progress_heartbeat);
+    proto.set_shared_pool(pool_.get());
+    if (memory_limit > 0) {
+      proto.set_memory_tracker(std::make_shared<MemoryTracker>(memory_limit));
+      // Out-of-core degradation is offered only to governed queries that
+      // did not opt out, and only when the service has a spill area. An
+      // ungoverned query never breaches, so the manager would be inert.
+      if (spill_manager_ != nullptr && exec.allow_spill) {
+        proto.set_spill_manager(spill_manager_);
+      }
+    }
+    start.dop = effective_dop;
+    start.reoptimize_qerror_threshold =
+        ResolveReoptQErrorThreshold(exec.reoptimize_qerror_threshold);
+    start.max_reoptimizations = exec.max_reoptimizations;
+    MAGICDB_ASSIGN_OR_RETURN(QueryStream stream,
+                             db_->StartQuery(std::move(start), opts));
+
+    for (const std::string& reason : stream.reoptimizations) {
+      RecordReoptimization(reason);
+    }
+    if (stream.used_dop < effective_dop) {
+      RecordParallelFallback(stream.fallback_reason);
+    }
+    state->plan = std::move(stream.plan);
+    state->used_dop = stream.used_dop;
+    state->parallel_fallback_reason = std::move(stream.fallback_reason);
+    state->reoptimizations = static_cast<int>(stream.reoptimizations.size());
+    state->cardinality_feedback = stream.ctx->cardinality_feedback();
+    state->memory_tracker = stream.ctx->memory_tracker();
+    state->sink.set_memory_tracker(state->memory_tracker);
+    if (stream.staged) {
+      // The gang already ran: its totals are final before any row streams.
+      state->final_counters = stream.counters;
+      state->filter_join_measured = std::move(stream.filter_join_measured);
+    }
 
     auto producer = std::make_shared<StreamProducer>();
     producer->cursor = state;
-    producer->ctx.set_memory_budget_bytes(opts.memory_budget_bytes);
-    producer->ctx.set_cancel_token(token);
-    producer->ctx.set_memory_tracker(state->memory_tracker);
-    producer->ctx.set_batch_size(effective_batch);
-    producer->ctx.set_progress_heartbeat(state->progress_heartbeat);
-    // Out-of-core degradation is offered only to governed queries that did
-    // not opt out, and only when the service has a spill area. An
-    // ungoverned query never breaches, so the manager would be inert.
-    const bool spill_active = spill_manager_ != nullptr && exec.allow_spill &&
-                              state->memory_tracker != nullptr;
-    if (spill_active) {
-      producer->ctx.set_spill_manager(spill_manager_);
-    }
-
-    // Adaptive re-optimization plumbing: one ledger per query, shared by
-    // every execution context; the resolved threshold arms triggering only
-    // on the paths that can restart cleanly (eager sequential Open, the
-    // parallel gang) — lazily pumped streams record observations but never
-    // trigger.
-    const double reopt_threshold =
-        ResolveReoptQErrorThreshold(exec.reoptimize_qerror_threshold);
-    auto ledger = std::make_shared<CardinalityFeedback>();
-    state->cardinality_feedback = ledger;
-    producer->ctx.set_cardinality_feedback(ledger);
+    // Only a sequential dop-1 run of the cached plan may return its tree to
+    // the pool; a re-planned tree is attempt-specific.
+    producer->check_in = effective_dop == 1 && stream.reoptimizations.empty();
     producer->persist_feedback = exec.persist_feedback;
-    // Folds the attempt's exact scan/view observations into `overlay` for
-    // the next plan, suppressing each folded key (the corrected estimate
-    // makes re-triggering on it pointless).
-    auto fold_overlay = [&ledger](CardinalityOverlay* overlay) {
-      for (const CardinalityObservation& obs : ledger->Snapshot()) {
-        if (!obs.exact || !IsOverlayKey(obs.key)) continue;
-        overlay->rows[obs.key] = obs.actual;
-        ledger->SuppressKey(obs.key);
-      }
-    };
-
-    if (effective_dop > 1) {
-      // Mirror Database::Run on the shared pool: plan isomorphic replicas
-      // from the cached bound plan (skipping parse+bind on hits), run the
-      // gang to completion, and stream the deterministic gather merge out
-      // of the staged runs. A kReoptimizeRequested unwind from the gang
-      // restarts the whole attempt against the corrected overlay (bounded;
-      // the final attempt runs with triggering disabled).
-      CardinalityOverlay attempt_overlay = feedback_overlay;
-      int replans_left =
-          reopt_threshold > 0 ? std::max(0, exec.max_reoptimizations) : 0;
-      StatusOr<StagedStream> staged_or = Status::Internal("unreachable");
-      while (true) {
-        const CardinalityOverlay* ov =
-            attempt_overlay.empty() ? nullptr : &attempt_overlay;
-        std::vector<OpPtr> replicas;
-        MAGICDB_ASSIGN_OR_RETURN(PlannedSelect first,
-                                 db_->PlanBound(meta.bound, opts, ov));
-        // Keep the cursor's plan metadata attached to the plan actually
-        // running (a re-planned attempt differs from the cached one).
-        state->explain = first.explain;
-        state->est_cost = first.est_cost;
-        state->est_rows = first.est_rows;
-        state->filter_joins = first.filter_joins;
-        state->optimizer_stats = first.optimizer_stats;
-        replicas.push_back(std::move(first.root));
-        if (!has_limit &&
-            ParallelExecutor::UnsafeReason(*replicas[0]).empty()) {
-          for (int w = 1; w < effective_dop; ++w) {
-            MAGICDB_ASSIGN_OR_RETURN(PlannedSelect replica,
-                                     db_->PlanBound(meta.bound, opts, ov));
-            replicas.push_back(std::move(replica.root));
-          }
-        }
-        ParallelExecutor executor(has_limit ? 1 : effective_dop);
-        ExecContext proto;
-        proto.InheritConfig(producer->ctx);
-        proto.set_shared_pool(pool_.get());
-        proto.set_reoptimize_qerror_threshold(
-            replans_left > 0 ? reopt_threshold : 0.0);
-        staged_or = executor.RunStaged(std::move(replicas), proto);
-        if (!staged_or.ok() && staged_or.status().IsReoptimizeRequested() &&
-            replans_left > 0) {
-          RecordReoptimization(staged_or.status().message());
-          state->reoptimizations += 1;
-          fold_overlay(&attempt_overlay);
-          // Fresh governor: the aborted gang may have unwound with charges
-          // still on the tracker.
-          if (memory_limit > 0) {
-            state->memory_tracker =
-                std::make_shared<MemoryTracker>(memory_limit);
-            state->sink.set_memory_tracker(state->memory_tracker);
-            producer->ctx.set_memory_tracker(state->memory_tracker);
-          }
-          --replans_left;
-          continue;
-        }
-        break;
-      }
-      if (!staged_or.ok() &&
-          staged_or.status().code() == StatusCode::kResourceExhausted &&
-          spill_active) {
-        // The gang breached the limit in a spot the parallel operators
-        // cannot spill from (e.g. a shared build): degrade to sequential
-        // out-of-core execution instead of failing. Nothing has streamed
-        // yet, and the failed gang may have unwound with charges still on
-        // the tracker, so the retry gets a fresh governor.
-        state->memory_tracker = std::make_shared<MemoryTracker>(memory_limit);
-        state->sink.set_memory_tracker(state->memory_tracker);
-        producer->ctx.set_memory_tracker(state->memory_tracker);
-        MAGICDB_ASSIGN_OR_RETURN(
-            PlannedSelect sequential,
-            db_->PlanBound(meta.bound, opts, base_overlay));
-        producer->tree = std::move(sequential.root);
-        producer->check_epoch = true;
-        state->used_dop = 1;
-        state->parallel_fallback_reason =
-            "memory pressure: degraded to sequential spill";
-        RecordParallelFallback(state->parallel_fallback_reason);
-        SubmitProducer(producer);
-        return Cursor(state);
-      }
-      MAGICDB_RETURN_IF_ERROR(staged_or.status());
-      StagedStream staged = std::move(*staged_or);
-      producer->tree = std::move(staged.stream_root);
-      if (staged.staged) {
-        // Gang already ran; the gather drain performs no query work, so
-        // the counters are final now and DDL can no longer stale the plan.
-        state->used_dop = staged.used_dop;
-        state->final_counters = staged.counters;
-        if (staged.has_filter_join) {
-          state->filter_join_measured.push_back(staged.filter_join_measured);
-        }
-        producer->counters_preset = true;
-      } else {
-        state->used_dop = 1;
-        state->parallel_fallback_reason =
-            has_limit ? "LIMIT clause" : std::move(staged.fallback_reason);
-        producer->check_epoch = true;
-      }
-      if (state->used_dop < effective_dop) {
-        RecordParallelFallback(state->parallel_fallback_reason);
-      }
-      SubmitProducer(producer);
-      return Cursor(state);
-    }
-
-    // Sequential path: reuse a pooled instance when one was available,
-    // otherwise instantiate from the cached bound plan.
-    if (instance != nullptr) {
-      if (hit) plan_instance_reuses_->Increment();
+    Status open_status = stream.open_status;
+    producer->stream = std::move(stream);
+    if (!open_status.ok()) {
+      // Surface an eager Open's failure through the stream, exactly as the
+      // lazy Open does: the first Fetch reports it and Close runs the
+      // normal terminal accounting (memory histogram included).
+      FinishProducer(producer, std::move(open_status));
     } else {
-      MAGICDB_ASSIGN_OR_RETURN(PlannedSelect planned,
-                               db_->PlanBound(meta.bound, opts, base_overlay));
-      instance = std::move(planned.root);
+      SubmitProducer(producer);
     }
-    producer->tree = std::move(instance);
-    producer->check_epoch = true;
-    producer->check_in = true;
-    state->used_dop = 1;
-    if (reopt_threshold > 0) {
-      // Re-optimization arms only an eager Open: every pipeline breaker
-      // completes inside Open(), so a trigger always fires before the first
-      // output row and the restart is invisible to the consumer. Opening
-      // here (still under the DDL lock, like the parallel gang) keeps the
-      // lazily pumped quanta trigger-free.
-      int replans_left = std::max(0, exec.max_reoptimizations);
-      CardinalityOverlay attempt_overlay = feedback_overlay;
-      while (true) {
-        producer->ctx.set_reoptimize_qerror_threshold(
-            replans_left > 0 ? reopt_threshold : 0.0);
-        Status open_status = producer->tree->Open(&producer->ctx);
-        if (open_status.ok()) {
-          producer->opened = true;
-          // Breakers are done; later observations must never fail Next().
-          producer->ctx.set_reoptimize_qerror_threshold(0.0);
-          break;
-        }
-        if (!open_status.IsReoptimizeRequested() || replans_left <= 0) {
-          // Surface execution failures through the stream, exactly as the
-          // lazy Open does: the first Fetch reports them and Close runs the
-          // normal terminal accounting (memory histogram included).
-          FinishProducer(producer, std::move(open_status));
-          return Cursor(state);
-        }
-        RecordReoptimization(open_status.message());
-        state->reoptimizations += 1;
-        // The replacement plan is attempt-specific: never check it back
-        // into the plan cache.
-        producer->check_in = false;
-        fold_overlay(&attempt_overlay);
-        // Fresh context per attempt so the aborted attempt's counters don't
-        // leak into the final totals (Run() has the same contract).
-        ExecContext fresh;
-        fresh.InheritConfig(producer->ctx);
-        producer->ctx = std::move(fresh);
-        if (memory_limit > 0) {
-          state->memory_tracker = std::make_shared<MemoryTracker>(memory_limit);
-          state->sink.set_memory_tracker(state->memory_tracker);
-          producer->ctx.set_memory_tracker(state->memory_tracker);
-        }
-        MAGICDB_ASSIGN_OR_RETURN(
-            PlannedSelect replanned,
-            db_->PlanBound(meta.bound, opts, &attempt_overlay));
-        state->explain = replanned.explain;
-        state->est_cost = replanned.est_cost;
-        state->est_rows = replanned.est_rows;
-        state->filter_joins = replanned.filter_joins;
-        state->optimizer_stats = replanned.optimizer_stats;
-        producer->tree = std::move(replanned.root);
-        --replans_left;
-      }
-    }
-    SubmitProducer(producer);
     return Cursor(state);
   }();
   // A failed Open never hands out a cursor, so nothing would ever

@@ -228,7 +228,7 @@ struct ServiceStats {
 /// "embedded library" and "server".
 ///
 ///   - One process-wide work-stealing ThreadPool shared by every query
-///     (PR 1 created a pool per ExecuteParallel call).
+///     (an embedded Database::Run at dop > 1 creates a pool per call).
 ///   - FIFO admission controller: `max_concurrent_queries` tickets, plus
 ///     gang-slot accounting that keeps the number of potentially blocking
 ///     parallel workers at or below the pool size — the invariant that
@@ -250,9 +250,11 @@ struct ServiceStats {
 ///     every operator checkpoint and every cursor Fetch; cursor close =
 ///     cancel + drain, so abandoned consumers free pool resources.
 ///
-/// Results are byte-identical to Database::Query() under the same session
-/// options — concatenating a cursor's fetched batches reproduces the exact
-/// rows, order, and merged CostCounters at any DoP.
+/// Queries run through Database::StartQuery, the same attempt driver behind
+/// Database::Run, so results are byte-identical to Database::Run() under
+/// the same session options and ExecOptions — concatenating a cursor's
+/// fetched batches reproduces the exact rows, order, merged CostCounters
+/// and re-optimizations at any DoP.
 ///
 /// The service takes over the database for its lifetime: run DDL/loads
 /// through Execute()/LoadRows() (serialized against queries; a sequential
@@ -371,7 +373,8 @@ class QueryService {
   /// finished streams. Failpoint site: `watchdog.fire`.
   void WatchdogLoop();
 
-  /// Plans the query and starts its producer; always releases `gang_slots`
+  /// Looks up or plans the query, starts it through Database::StartQuery,
+  /// and hands the stream to its producer; always releases `gang_slots`
   /// before returning (the gang, if any, has finished by then). On success
   /// the returned cursor owns the admission ticket.
   StatusOr<Cursor> OpenAdmitted(Session* session, const std::string& sql,

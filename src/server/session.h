@@ -43,7 +43,7 @@ struct SessionOptions {
 /// One client's connection to a QueryService: per-session optimizer
 /// options, named prepared statements, and the entry points that route
 /// through the service's admission controller, shared pool, and plan
-/// cache. Results are byte-identical to calling Database::Query() with the
+/// cache. Results are byte-identical to calling Database::Run() with the
 /// same options.
 ///
 /// A Session must not outlive its QueryService. One session is meant to be

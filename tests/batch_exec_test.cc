@@ -347,14 +347,14 @@ TEST(BatchIdentitySweepTest, DopTimesBatchSizeGridIsByteIdentical) {
     SCOPED_TRACE(query);
     // Row-mode sequential execution is the reference.
     db.set_exec_batch_size(0);
-    auto reference = db.Query(query);
+    auto reference = db.Run(query);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (int dop : {1, 4}) {
       for (int64_t batch : {0, 1, 7, 1024}) {
         SCOPED_TRACE("dop=" + std::to_string(dop) +
                      " batch=" + std::to_string(batch));
         db.set_exec_batch_size(batch);
-        auto result = db.ExecuteParallel(query, dop);
+        auto result = db.Run(query, {.dop = dop});
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         ExpectRowsIdentical(result->rows, reference->rows);
         ExpectCountersEqual(result->counters, reference->counters);

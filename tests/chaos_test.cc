@@ -175,7 +175,7 @@ TEST(MemoryGovernorTest, ServiceDefaultLimitAppliesAndCanBeOverridden) {
 TEST(MemoryGovernorTest, ConcurrentUnderLimitQueriesCompleteWhileOneBreaches) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -231,7 +231,7 @@ TEST(MemoryGovernorTest, ConcurrentUnderLimitQueriesCompleteWhileOneBreaches) {
 TEST(MemoryGovernorTest, UngovernedResultsByteIdenticalToDatabaseQuery) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kMagicQuery);
+  auto baseline = db.Run(kMagicQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -322,7 +322,7 @@ void RunMixedWorkload(Session* session, const std::string& injected_msg) {
 TEST(ChaosTest, AnyInjectedFaultLeavesServiceConsistent) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kMagicQuery);
+  auto baseline = db.Run(kMagicQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -412,7 +412,7 @@ TEST(ChaosTest, ProbabilisticFaultsUnderConcurrencyRecover) {
 TEST(ChaosTest, ParkResumeDelayInjectionKeepsStreamExact) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;

@@ -131,7 +131,7 @@ TEST(CursorTest, ConcatIdenticalToQueryAcrossDopSweep) {
   std::unique_ptr<Session> session = service.CreateSession();
   int64_t expected_completed = 0;
   for (const char* sql : queries) {
-    auto baseline = db.Query(sql);
+    auto baseline = db.Run(sql);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     ASSERT_FALSE(baseline->rows.empty());
     for (int dop : {1, 2, 4}) {
@@ -204,7 +204,7 @@ TEST(CursorTest, PeakBufferedRowsBoundedByHighWaterMark) {
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();
 
-  auto baseline = db.Query(kBigQuery);
+  auto baseline = db.Run(kBigQuery);
   ASSERT_TRUE(baseline.ok());
   ASSERT_EQ(baseline->rows.size(), static_cast<size_t>(kRows));
 
@@ -353,8 +353,8 @@ TEST(CursorTest, FetchMisuseAndDoubleClose) {
 TEST(CursorTest, TwoSessionsInterleaveCursorsOnSharedPool) {
   Database db;
   MakeWorkload(&db);
-  auto baseline_join = db.Query(kJoinQuery);
-  auto baseline_fj = db.Query(kFilterJoinQuery);
+  auto baseline_join = db.Run(kJoinQuery);
+  auto baseline_fj = db.Run(kFilterJoinQuery);
   ASSERT_TRUE(baseline_join.ok());
   ASSERT_TRUE(baseline_fj.ok());
 
@@ -435,7 +435,7 @@ TEST(CursorTest, SequentialCursorFailsCleanlyWhenDdlStalesPlan) {
 TEST(CursorTest, ParallelStagedCursorSurvivesDdl) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;

@@ -77,7 +77,7 @@ class DatabaseFigure1 : public ::testing::Test {
 
 TEST_F(DatabaseFigure1, Figure1QueryCorrect) {
   Populate(25, 8, 0.3, 0.3);
-  auto result = db_.Query(kFigure1Query);
+  auto result = db_.Run(kFigure1Query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SameMultiset(result->rows, Reference()));
   EXPECT_EQ(result->schema.num_columns(), 3);
@@ -85,15 +85,15 @@ TEST_F(DatabaseFigure1, Figure1QueryCorrect) {
 
 TEST_F(DatabaseFigure1, MagicModesAgreeOnResults) {
   Populate(30, 6, 0.2, 0.2);
-  auto cost_based = db_.Query(kFigure1Query);
+  auto cost_based = db_.Run(kFigure1Query);
   ASSERT_TRUE(cost_based.ok());
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto never = db_.Query(kFigure1Query);
+  auto never = db_.Run(kFigure1Query);
   ASSERT_TRUE(never.ok());
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kAlwaysOnVirtual;
-  auto always = db_.Query(kFigure1Query);
+  auto always = db_.Run(kFigure1Query);
   ASSERT_TRUE(always.ok());
   EXPECT_TRUE(SameMultiset(cost_based->rows, never->rows));
   EXPECT_TRUE(SameMultiset(cost_based->rows, always->rows));
@@ -101,13 +101,13 @@ TEST_F(DatabaseFigure1, MagicModesAgreeOnResults) {
 
 TEST_F(DatabaseFigure1, SelectiveWorkloadUsesFilterJoinAndWins) {
   Populate(400, 4, 0.02, 0.02);
-  auto magic = db_.Query(kFigure1Query);
+  auto magic = db_.Run(kFigure1Query);
   ASSERT_TRUE(magic.ok());
   EXPECT_FALSE(magic->filter_joins.empty()) << magic->explain;
 
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db_.Query(kFigure1Query);
+  auto plain = db_.Run(kFigure1Query);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
   EXPECT_LT(magic->counters.TotalCost(), plain->counters.TotalCost());
@@ -131,16 +131,16 @@ TEST(DatabaseTest, CreateTableAndSimpleQueries) {
   }
   ASSERT_TRUE(db.LoadRows("t", std::move(rows)).ok());
 
-  auto all = db.Query("SELECT * FROM t");
+  auto all = db.Run("SELECT * FROM t");
   ASSERT_TRUE(all.ok()) << all.status().ToString();
   EXPECT_EQ(all->rows.size(), 10u);
   EXPECT_EQ(all->schema.num_columns(), 3);
 
-  auto filtered = db.Query("SELECT a FROM t WHERE s = 'even' AND a > 2");
+  auto filtered = db.Run("SELECT a FROM t WHERE s = 'even' AND a > 2");
   ASSERT_TRUE(filtered.ok());
   EXPECT_EQ(filtered->rows.size(), 3u);  // 4, 6, 8
 
-  auto computed = db.Query("SELECT a + 1 AS a1, b * 2 FROM t WHERE a = 3");
+  auto computed = db.Run("SELECT a + 1 AS a1, b * 2 FROM t WHERE a = 3");
   ASSERT_TRUE(computed.ok());
   ASSERT_EQ(computed->rows.size(), 1u);
   EXPECT_EQ(computed->rows[0][0], Value::Int64(4));
@@ -156,7 +156,7 @@ TEST(DatabaseTest, AggregationQueries) {
   }
   ASSERT_TRUE(db.LoadRows("t", std::move(rows)).ok());
 
-  auto grouped = db.Query(
+  auto grouped = db.Run(
       "SELECT g, COUNT(*) AS c, SUM(v) AS s, MIN(v), MAX(v), AVG(v) "
       "FROM t GROUP BY g ORDER BY g");
   ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
@@ -168,12 +168,12 @@ TEST(DatabaseTest, AggregationQueries) {
   EXPECT_EQ(grouped->rows[0][4], Value::Int64(9));
   EXPECT_DOUBLE_EQ(grouped->rows[0][5].AsDouble(), 4.5);
 
-  auto having = db.Query(
+  auto having = db.Run(
       "SELECT g FROM t GROUP BY g HAVING SUM(v) > 20");
   ASSERT_TRUE(having.ok()) << having.status().ToString();
   EXPECT_EQ(having->rows.size(), 2u);  // groups 1 (22) and 2 (26)
 
-  auto scalar = db.Query("SELECT COUNT(*), AVG(v) FROM t");
+  auto scalar = db.Run("SELECT COUNT(*), AVG(v) FROM t");
   ASSERT_TRUE(scalar.ok());
   ASSERT_EQ(scalar->rows.size(), 1u);
   EXPECT_EQ(scalar->rows[0][0], Value::Int64(12));
@@ -186,7 +186,7 @@ TEST(DatabaseTest, DistinctOrderLimit) {
   for (int i = 0; i < 20; ++i) rows.push_back({Value::Int64(i % 5)});
   ASSERT_TRUE(db.LoadRows("t", std::move(rows)).ok());
 
-  auto result = db.Query("SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 3");
+  auto result = db.Run("SELECT DISTINCT a FROM t ORDER BY a DESC LIMIT 3");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->rows.size(), 3u);
   EXPECT_EQ(result->rows[0][0], Value::Int64(4));
@@ -205,20 +205,20 @@ TEST(DatabaseTest, ViewsComposable) {
                          "GROUP BY g")
                   .ok());
   auto result =
-      db.Query("SELECT t.v, S.s FROM t, sums S WHERE t.g = S.g AND t.v < 3");
+      db.Run("SELECT t.v, S.s FROM t, sums S WHERE t.g = S.g AND t.v < 3");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 3u);
 }
 
 TEST(DatabaseTest, ErrorPaths) {
   Database db;
-  EXPECT_FALSE(db.Query("SELECT * FROM missing").ok());
+  EXPECT_FALSE(db.Run("SELECT * FROM missing").ok());
   EXPECT_FALSE(db.Execute("SELECT 1 FROM x").ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
   EXPECT_FALSE(db.Execute("CREATE TABLE t (a INT)").ok());  // duplicate
-  EXPECT_FALSE(db.Query("SELECT b FROM t").ok());           // unknown column
-  EXPECT_FALSE(db.Query("SELECT a FROM t WHERE AVG(a) > 1").ok());
-  EXPECT_FALSE(db.Query("SELECT a, SUM(a) FROM t").ok());  // a not grouped
+  EXPECT_FALSE(db.Run("SELECT b FROM t").ok());           // unknown column
+  EXPECT_FALSE(db.Run("SELECT a FROM t WHERE AVG(a) > 1").ok());
+  EXPECT_FALSE(db.Run("SELECT a, SUM(a) FROM t").ok());  // a not grouped
   EXPECT_FALSE(db.LoadRows("missing", {}).ok());
 }
 
@@ -226,21 +226,21 @@ TEST(DatabaseTest, AmbiguousColumnRejected) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE r (k INT)").ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE s (k INT)").ok());
-  EXPECT_FALSE(db.Query("SELECT k FROM r, s").ok());
-  EXPECT_TRUE(db.Query("SELECT r.k FROM r, s").ok());
+  EXPECT_FALSE(db.Run("SELECT k FROM r, s").ok());
+  EXPECT_TRUE(db.Run("SELECT r.k FROM r, s").ok());
 }
 
 TEST(DatabaseTest, DuplicateAliasRejected) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE r (k INT)").ok());
-  EXPECT_FALSE(db.Query("SELECT x.k FROM r x, r x").ok());
+  EXPECT_FALSE(db.Run("SELECT x.k FROM r x, r x").ok());
 }
 
 TEST(DatabaseTest, QueryResultToString) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
   ASSERT_TRUE(db.LoadRows("t", {{Value::Int64(1)}, {Value::Int64(2)}}).ok());
-  auto result = db.Query("SELECT a FROM t");
+  auto result = db.Run("SELECT a FROM t");
   ASSERT_TRUE(result.ok());
   std::string text = result->ToString();
   EXPECT_NE(text.find("a"), std::string::npos);
@@ -256,7 +256,7 @@ TEST(DatabaseTest, SelfJoinWithAliases) {
   }
   ASSERT_TRUE(db.LoadRows("t", std::move(rows)).ok());
   auto result =
-      db.Query("SELECT a.v, b.v FROM t a, t b WHERE a.k = b.k AND a.v < b.v");
+      db.Run("SELECT a.v, b.v FROM t a, t b WHERE a.k = b.k AND a.v < b.v");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 3u);  // pairs (0,3),(1,4),(2,5)
 }

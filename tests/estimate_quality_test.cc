@@ -51,7 +51,7 @@ TEST_P(EstimateQualityTest, RowAndCostEstimatesWithinBounds) {
       "CREATE VIEW DepAvgSal AS SELECT did, AVG(sal) AS avgsal FROM Emp "
       "GROUP BY did"));
 
-  auto result = db.Query(
+  auto result = db.Run(
       "SELECT E.did, E.sal, V.avgsal FROM Emp E, Dept D, DepAvgSal V "
       "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgsal "
       "AND E.age < 30 AND D.budget > 100000");
@@ -111,7 +111,7 @@ TEST(EstimateQualityTest, FilterSetSizePredictionTracksActual) {
 
     db.mutable_optimizer_options()->magic_mode =
         OptimizerOptions::MagicMode::kAlwaysOnVirtual;
-    auto result = db.Query(
+    auto result = db.Run(
         "SELECT D.did, V.a FROM Dept D, V "
         "WHERE D.did = V.did AND D.budget > 100000");
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -148,7 +148,7 @@ TEST(EstimateQualityTest, MeasuredFilterJoinPhasesTrackPredictions) {
       "CREATE VIEW DepAvgSal AS SELECT did, AVG(sal) AS avgsal FROM Emp "
       "GROUP BY did"));
 
-  auto result = db.Query(
+  auto result = db.Run(
       "SELECT E.did, E.sal, V.avgsal FROM Emp E, Dept D, DepAvgSal V "
       "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgsal "
       "AND E.age < 30 AND D.budget > 100000");

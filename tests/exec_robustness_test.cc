@@ -215,9 +215,9 @@ TEST(ExecFilterJoinTest, ReopenRebuildsFilterSet) {
 // ----- Failpoint-driven error propagation -----
 //
 // Faults injected at operator internals (a storage page read, a hash-join
-// build insert, the parallel aggregate merge) must surface through Query /
-// ExecuteParallel verbatim — same code, same message — with no partial
-// result rows attached.
+// build insert, the parallel aggregate merge) must surface through Run at
+// any dop verbatim — same code, same message — with no partial result rows
+// attached.
 
 void MakeFailpointWorkload(Database* db) {
   MAGICDB_CHECK_OK(
@@ -242,7 +242,7 @@ TEST(ExecFailpointTest, ScanFaultSurfacesVerbatim) {
   FailpointConfig config;
   config.inject = Status::Internal("injected: page torn");
   ScopedFailpoint armed(std::string("storage.page_read"), config);
-  auto r = db.Query("SELECT a, b FROM R WHERE b < 100");
+  auto r = db.Run("SELECT a, b FROM R WHERE b < 100");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_EQ(r.status().message(), "injected: page torn");
@@ -254,7 +254,7 @@ TEST(ExecFailpointTest, HashJoinBuildFaultSurfacesVerbatim) {
   FailpointConfig config;
   config.inject = Status::Internal("injected: build heap poisoned");
   ScopedFailpoint armed(std::string("exec.hash_join.build"), config);
-  auto r = db.Query("SELECT R.b, S.c FROM R, S WHERE R.a = S.a");
+  auto r = db.Run("SELECT R.b, S.c FROM R, S WHERE R.a = S.a");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_EQ(r.status().message(), "injected: build heap poisoned");
@@ -269,7 +269,7 @@ TEST(ExecFailpointTest, AggregateBuildFaultSurfacesVerbatim) {
   config.fire_from_hit = 10;
   config.inject = Status::Unavailable("injected: agg state corrupt");
   ScopedFailpoint armed(std::string("exec.aggregate.build"), config);
-  auto r = db.Query("SELECT a, COUNT(*) FROM R GROUP BY a");
+  auto r = db.Run("SELECT a, COUNT(*) FROM R GROUP BY a");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(r.status().message(), "injected: agg state corrupt");
@@ -280,14 +280,14 @@ TEST(ExecFailpointTest, ParallelMergeFaultSurfacesVerbatimAtDop2) {
   MakeFailpointWorkload(&db);
   // Fault-free parallel run first: proves the plan actually exercises the
   // parallel path this test means to fault.
-  auto clean = db.ExecuteParallel("SELECT a, COUNT(*) FROM R GROUP BY a", 2);
+  auto clean = db.Run("SELECT a, COUNT(*) FROM R GROUP BY a", {.dop = 2});
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   FailpointConfig config;
   config.inject = Status::Internal("injected: merge partition lost");
   {
     ScopedFailpoint armed(std::string("parallel.aggregate.merge"), config);
-    auto r = db.ExecuteParallel("SELECT a, COUNT(*) FROM R GROUP BY a", 2);
+    auto r = db.Run("SELECT a, COUNT(*) FROM R GROUP BY a", {.dop = 2});
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInternal);
     EXPECT_EQ(r.status().message(), "injected: merge partition lost");
@@ -295,7 +295,7 @@ TEST(ExecFailpointTest, ParallelMergeFaultSurfacesVerbatimAtDop2) {
 
   // The merge fault tore down a gang mid-barrier; the database must still
   // answer the same query — sequentially and in parallel — afterwards.
-  auto after = db.ExecuteParallel("SELECT a, COUNT(*) FROM R GROUP BY a", 2);
+  auto after = db.Run("SELECT a, COUNT(*) FROM R GROUP BY a", {.dop = 2});
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->rows.size(), clean->rows.size());
 }
@@ -309,7 +309,7 @@ TEST(ExecFailpointTest, EveryKthTriggerFiresOnLaterQueryOnly) {
   config.fire_from_hit = 1000000;
   config.inject = Status::Internal("injected: late fault");
   ScopedFailpoint armed(std::string("storage.page_read"), config);
-  auto first = db.Query("SELECT a, b FROM R WHERE b < 100");
+  auto first = db.Run("SELECT a, b FROM R WHERE b < 100");
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->rows.empty());
 }

@@ -104,7 +104,7 @@ TEST_P(FuzzQueryTest, AllModesAgreeOnRandomQueries) {
     nl_only.magic_mode = OptimizerOptions::MagicMode::kNever;
     nl_only.filter_join_on_stored = false;
     *db.mutable_optimizer_options() = nl_only;
-    auto reference = db.Query(sql);
+    auto reference = db.Run(sql);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
 
@@ -114,7 +114,7 @@ TEST_P(FuzzQueryTest, AllModesAgreeOnRandomQueries) {
       opts.magic_mode = mode;
       opts.filter_join_on_stored = true;
       *db.mutable_optimizer_options() = opts;
-      auto result = db.Query(sql);
+      auto result = db.Run(sql);
       ASSERT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
       EXPECT_TRUE(SameMultiset(result->rows, reference->rows))
           << "seed=" << GetParam() << " mode="

@@ -57,12 +57,12 @@ TEST(IntegrationTest, ExpensiveViewAllModesAgreeAndMagicWins) {
       "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
       "AND E.age < 30 AND D.budget > 100000";
 
-  auto magic = db.Query(query);
+  auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
 
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
 
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
@@ -101,11 +101,11 @@ TEST(IntegrationTest, RemoteViewSemiJoinThroughSQL) {
       "SELECT C.cid, V.revenue FROM Customers C, CustRevenue V "
       "WHERE C.cid = V.cid AND C.region = 3";
 
-  auto magic = db.Query(query);
+  auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
   // The semi-join ships far fewer bytes than fetching the whole relation.
@@ -134,7 +134,7 @@ TEST(IntegrationTest, FunctionJoinThroughSQL) {
           })));
 
   auto result =
-      db.Query("SELECT T.tag, F.cube FROM T, cube F WHERE T.v = F.a");
+      db.Run("SELECT T.tag, F.cube FROM T, cube F WHERE T.v = F.a");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->rows.size(), 200u);
   for (const Tuple& r : result->rows) {
@@ -178,11 +178,11 @@ TEST(IntegrationTest, TwoViewsInOneQuery) {
       "WHERE E.did = A.did AND E.did = M.did AND E.sal > A.a "
       "AND E.sal = M.m AND E.age < 25";
 
-  auto magic = db.Query(query);
+  auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
   // Sanity: every returned employee is the top earner of their department.
@@ -203,7 +203,7 @@ TEST(IntegrationTest, ViewOverViewComposition) {
       "CREATE VIEW Sums AS SELECT g, SUM(v) AS s FROM T GROUP BY g"));
   MAGICDB_CHECK_OK(db.Execute(
       "CREATE VIEW BigSums AS SELECT g, s FROM Sums WHERE s > 250"));
-  auto result = db.Query(
+  auto result = db.Run(
       "SELECT T.v, B.s FROM T, BigSums B WHERE T.g = B.g AND T.v < 10");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Sums per group g: sum of {g, g+6, ..., g+54} = 10g + 270... groups with
@@ -243,13 +243,13 @@ TEST(IntegrationTest, InterestingOrderReusedBySecondSortMerge) {
 
   const char* query =
       "SELECT A.p, B.p, C.p FROM A, B, C WHERE A.k = B.k AND B.k = C.k";
-  auto smj_only = db.Query(query);
+  auto smj_only = db.Run(query);
   ASSERT_TRUE(smj_only.ok()) << smj_only.status().ToString();
   EXPECT_NE(smj_only->explain.find("outer presorted"), std::string::npos)
       << smj_only->explain;
 
   *db.mutable_optimizer_options() = OptimizerOptions();
-  auto free_choice = db.Query(query);
+  auto free_choice = db.Run(query);
   ASSERT_TRUE(free_choice.ok());
   EXPECT_TRUE(SameMultiset(smj_only->rows, free_choice->rows));
 }
@@ -269,10 +269,10 @@ TEST(IntegrationTest, InterestingOrdersToggleDoesNotChangeResults) {
   MAGICDB_CHECK_OK(db.LoadRows("A", std::move(a)));
   MAGICDB_CHECK_OK(db.LoadRows("B", std::move(b)));
   const char* query = "SELECT A.p, B.q FROM A, B WHERE A.k = B.k";
-  auto with_orders = db.Query(query);
+  auto with_orders = db.Run(query);
   ASSERT_TRUE(with_orders.ok());
   db.mutable_optimizer_options()->interesting_orders = false;
-  auto without = db.Query(query);
+  auto without = db.Run(query);
   ASSERT_TRUE(without.ok());
   EXPECT_TRUE(SameMultiset(with_orders->rows, without->rows));
 }
@@ -300,10 +300,10 @@ TEST(IntegrationTest, PrefixProductionAblationKeepsResults) {
   const char* query =
       "SELECT E.did FROM Emp E, Dept D, V WHERE E.did = D.did AND "
       "E.did = V.did AND E.sal > V.a AND D.budget > 100000";
-  auto default_plan = db.Query(query);
+  auto default_plan = db.Run(query);
   ASSERT_TRUE(default_plan.ok());
   db.mutable_optimizer_options()->explore_prefix_production_sets = true;
-  auto prefix_plan = db.Query(query);
+  auto prefix_plan = db.Run(query);
   ASSERT_TRUE(prefix_plan.ok());
   EXPECT_TRUE(SameMultiset(default_plan->rows, prefix_plan->rows));
   // The ablation explores at least as much (usually more).
@@ -319,7 +319,7 @@ TEST(IntegrationTest, HavingOverViewJoin) {
     rows.push_back({Value::Int64(i % 10), Value::Double(i)});
   }
   MAGICDB_CHECK_OK(db.LoadRows("Sales", std::move(rows)));
-  auto result = db.Query(
+  auto result = db.Run(
       "SELECT region, SUM(amt) AS total, COUNT(*) AS n FROM Sales "
       "GROUP BY region HAVING SUM(amt) > 500 ORDER BY total DESC");
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -60,11 +60,11 @@ class MultiKeyFixture : public ::testing::Test {
 };
 
 TEST_F(MultiKeyFixture, MultiKeyMagicMatchesBaseline) {
-  auto magic = db_.Query(kQuery);
+  auto magic = db_.Run(kQuery);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db_.Query(kQuery);
+  auto plain = db_.Run(kQuery);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
 }
@@ -72,7 +72,7 @@ TEST_F(MultiKeyFixture, MultiKeyMagicMatchesBaseline) {
 TEST_F(MultiKeyFixture, ForcedMultiKeyFilterJoinIsCorrect) {
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kAlwaysOnVirtual;
-  auto forced = db_.Query(kQuery);
+  auto forced = db_.Run(kQuery);
   ASSERT_TRUE(forced.ok()) << forced.status().ToString();
   ASSERT_FALSE(forced->filter_joins.empty());
   // Default Limitation 3: every join attribute contributes.
@@ -80,7 +80,7 @@ TEST_F(MultiKeyFixture, ForcedMultiKeyFilterJoinIsCorrect) {
 
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db_.Query(kQuery);
+  auto plain = db_.Run(kQuery);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(forced->rows, plain->rows));
 }
@@ -89,12 +89,12 @@ TEST_F(MultiKeyFixture, PartialKeyOptionKeepsResults) {
   db_.mutable_optimizer_options()->consider_partial_key_filter_sets = true;
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kAlwaysOnVirtual;
-  auto partial = db_.Query(kQuery);
+  auto partial = db_.Run(kQuery);
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
 
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db_.Query(kQuery);
+  auto plain = db_.Run(kQuery);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(partial->rows, plain->rows));
 }
@@ -102,11 +102,11 @@ TEST_F(MultiKeyFixture, PartialKeyOptionKeepsResults) {
 TEST_F(MultiKeyFixture, PartialKeyOptionCostsMoreVariants) {
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kAlwaysOnVirtual;
-  auto all_keys = db_.Query(kQuery);
+  auto all_keys = db_.Run(kQuery);
   ASSERT_TRUE(all_keys.ok());
 
   db_.mutable_optimizer_options()->consider_partial_key_filter_sets = true;
-  auto with_partial = db_.Query(kQuery);
+  auto with_partial = db_.Run(kQuery);
   ASSERT_TRUE(with_partial.ok());
   EXPECT_GT(with_partial->optimizer_stats.filter_joins_costed,
             all_keys->optimizer_stats.filter_joins_costed);

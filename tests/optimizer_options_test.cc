@@ -41,6 +41,12 @@ struct MethodToggle {
   void (*disable)(OptimizerOptions*);
 };
 
+// Prints the display name, so each case's test name is stable across
+// runs instead of spelling out the struct's pointer bytes.
+void PrintTo(const MethodToggle& toggle, std::ostream* os) {
+  *os << toggle.name;
+}
+
 class MethodToggleTest : public ::testing::TestWithParam<MethodToggle> {};
 
 TEST_P(MethodToggleTest, DisabledMethodNeverAppears) {
@@ -51,7 +57,7 @@ TEST_P(MethodToggleTest, DisabledMethodNeverAppears) {
   opts.filter_join_on_stored = false;
   toggle.disable(&opts);
   *db->mutable_optimizer_options() = opts;
-  auto result = db->Query(kJoinQuery);
+  auto result = db->Run(kJoinQuery);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->explain.find(toggle.marker), std::string::npos)
       << toggle.name << "\n"
@@ -59,7 +65,7 @@ TEST_P(MethodToggleTest, DisabledMethodNeverAppears) {
 
   // Results must match the unrestricted plan.
   *db->mutable_optimizer_options() = OptimizerOptions();
-  auto reference = db->Query(kJoinQuery);
+  auto reference = db->Run(kJoinQuery);
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(SameMultiset(result->rows, reference->rows));
 }
@@ -84,7 +90,7 @@ TEST(OptimizerOptionsTest, MagicNeverSuppressesFilterJoins) {
   auto db = TwoTables();
   db->mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto result = db->Query(kJoinQuery);
+  auto result = db->Run(kJoinQuery);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->explain.find("FilterJoin"), std::string::npos);
   EXPECT_TRUE(result->filter_joins.empty());
@@ -101,11 +107,11 @@ TEST(OptimizerOptionsTest, FilterJoinOnStoredRespectsFlag) {
   *db->mutable_optimizer_options() = opts;
   // With everything disabled, planning must fail rather than sneak a
   // method in.
-  EXPECT_FALSE(db->Query(kJoinQuery).ok());
+  EXPECT_FALSE(db->Run(kJoinQuery).ok());
 
   opts.filter_join_on_stored = true;
   *db->mutable_optimizer_options() = opts;
-  auto result = db->Query(kJoinQuery);
+  auto result = db->Run(kJoinQuery);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NE(result->explain.find("FilterJoin"), std::string::npos);
 }
@@ -121,12 +127,12 @@ TEST(OptimizerOptionsTest, BloomBitsPerKeyAffectsExecution) {
   opts.enable_nested_loops = false;
   opts.bloom_bits_per_key = 2.0;  // sloppy filter
   *db->mutable_optimizer_options() = opts;
-  auto sloppy = db->Query(kJoinQuery);
+  auto sloppy = db->Run(kJoinQuery);
   ASSERT_TRUE(sloppy.ok()) << sloppy.status().ToString();
 
   opts.bloom_bits_per_key = 16.0;  // tight filter
   *db->mutable_optimizer_options() = opts;
-  auto tight = db->Query(kJoinQuery);
+  auto tight = db->Run(kJoinQuery);
   ASSERT_TRUE(tight.ok());
   // Same results regardless of filter quality.
   EXPECT_TRUE(SameMultiset(sloppy->rows, tight->rows));
@@ -134,12 +140,12 @@ TEST(OptimizerOptionsTest, BloomBitsPerKeyAffectsExecution) {
 
 TEST(JoinOrderBackendTest, GreedyMatchesDpResultsAndExplainNamesBackend) {
   auto db = TwoTables();
-  auto dp = db->Query(kJoinQuery);
+  auto dp = db->Run(kJoinQuery);
   ASSERT_TRUE(dp.ok()) << dp.status().ToString();
   EXPECT_NE(dp->explain.find("backend=dp"), std::string::npos) << dp->explain;
 
   db->mutable_optimizer_options()->join_order_backend = "greedy";
-  auto greedy = db->Query(kJoinQuery);
+  auto greedy = db->Run(kJoinQuery);
   ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
   EXPECT_NE(greedy->explain.find("backend=greedy"), std::string::npos)
       << greedy->explain;
@@ -151,7 +157,7 @@ TEST(JoinOrderBackendTest, GreedyMatchesDpResultsAndExplainNamesBackend) {
 TEST(JoinOrderBackendTest, UnknownBackendFailsWithInvalidArgument) {
   auto db = TwoTables();
   db->mutable_optimizer_options()->join_order_backend = "simulated-annealing";
-  auto r = db->Query(kJoinQuery);
+  auto r = db->Run(kJoinQuery);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("join_order_backend"),
@@ -167,10 +173,10 @@ TEST(JoinOrderBackendTest, FingerprintSeparatesBackends) {
 TEST(OptimizerOptionsTest, MemoryBudgetChangesCostsNotResults) {
   auto db = TwoTables();
   db->mutable_optimizer_options()->memory_budget_bytes = 1 << 26;
-  auto roomy = db->Query(kJoinQuery);
+  auto roomy = db->Run(kJoinQuery);
   ASSERT_TRUE(roomy.ok());
   db->mutable_optimizer_options()->memory_budget_bytes = 512;
-  auto tight = db->Query(kJoinQuery);
+  auto tight = db->Run(kJoinQuery);
   ASSERT_TRUE(tight.ok());
   EXPECT_TRUE(SameMultiset(roomy->rows, tight->rows));
   // A starved executor does at least as much I/O.

@@ -83,7 +83,7 @@ TEST(OrderedAccessPathTest, OptimizerUsesOrderedScanForSortMergeChain) {
   opts.filter_join_on_stored = false;
   *db.mutable_optimizer_options() = opts;
   const char* query = "SELECT A.p, B.q FROM A, B WHERE A.k = B.k";
-  auto smj = db.Query(query);
+  auto smj = db.Run(query);
   ASSERT_TRUE(smj.ok()) << smj.status().ToString();
   EXPECT_NE(smj->explain.find("outer presorted"), std::string::npos)
       << smj->explain;
@@ -92,7 +92,7 @@ TEST(OrderedAccessPathTest, OptimizerUsesOrderedScanForSortMergeChain) {
 
   // Results agree with the unrestricted optimizer.
   *db.mutable_optimizer_options() = OptimizerOptions();
-  auto free_choice = db.Query(query);
+  auto free_choice = db.Run(query);
   ASSERT_TRUE(free_choice.ok());
   EXPECT_TRUE(SameMultiset(smj->rows, free_choice->rows));
 }
@@ -107,7 +107,7 @@ TEST(OrderedAccessPathTest, DisabledWithoutInterestingOrders) {
   MAGICDB_CHECK_OK(db.LoadRows("B", std::move(rows)));
   (*db.catalog()->Lookup("A"))->table->CreateOrderedIndex({0});
   db.mutable_optimizer_options()->interesting_orders = false;
-  auto result = db.Query("SELECT A.k FROM A, B WHERE A.k = B.k");
+  auto result = db.Run("SELECT A.k FROM A, B WHERE A.k = B.k");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->explain.find("OrderedIndexScan"), std::string::npos);
 }
@@ -176,11 +176,11 @@ TEST(StackedViewRewriteTest, StackedViewQueryCorrectUnderAllModes) {
   const char* query =
       "SELECT D.did, V.a FROM Dept D, DepAvgYoung V "
       "WHERE D.did = V.did AND D.budget > 100000";
-  auto magic = db.Query(query);
+  auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
 }

@@ -190,7 +190,7 @@ TEST(OverloadTest, ShedsNonHighUnderQueuePressureWithRetryHint) {
 TEST(OverloadTest, QueryRetriesAfterShedAndSucceeds) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -317,7 +317,7 @@ const char* kSpillJoinQuery =
 TEST(OverloadTest, SpillDiskBudgetFailsRequesterNotBystanders) {
   Database db;
   MakeSpillHeavyWorkload(&db);
-  auto baseline = db.Query(kSpillJoinQuery);
+  auto baseline = db.Run(kSpillJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -371,7 +371,7 @@ TEST(OverloadTest, SpillDiskBudgetFailsRequesterNotBystanders) {
 TEST(OverloadTest, WatchdogSparesParkedAndFinishedProducers) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kScanQuery);
+  auto baseline = db.Run(kScanQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -542,7 +542,7 @@ void RunFairnessWorkload(int dop) {
   SCOPED_TRACE("dop=" + std::to_string(dop));
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -625,7 +625,7 @@ TEST(OverloadFairnessTest, HighOutrunsBackgroundUnderSaturationDop4) {
 TEST(OverloadChaosTest, WatchdogCancelsStalledQueryAndLeaksNothing) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kScanQuery);
+  auto baseline = db.Run(kScanQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -668,7 +668,7 @@ TEST(OverloadChaosTest, MixedPriorityOversubscriptionLeaksNothing) {
   const char* queries[] = {kJoinQuery, kViewQuery, kScanQuery};
   std::vector<QueryResult> baselines;
   for (const char* q : queries) {
-    auto r = db.Query(q);
+    auto r = db.Run(q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     baselines.push_back(std::move(*r));
   }

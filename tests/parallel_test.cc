@@ -1,6 +1,6 @@
 // Tests for the morsel-driven parallel execution subsystem: the
 // work-stealing thread pool, morsel partitioning, and the end-to-end
-// guarantees of ParallelExecutor / Database::ExecuteParallel — results
+// guarantees of ParallelExecutor / Database::Run at dop > 1 — results
 // byte-identical to sequential execution at any DoP, and merged per-worker
 // cost counters exactly equal to a single-threaded execution's.
 
@@ -176,17 +176,17 @@ TEST(ParallelExecTest, HashJoinQueryIdenticalAtDop4) {
   const char* query =
       "SELECT E.eid, E.sal, D.budget FROM Emp E, Dept D "
       "WHERE E.did = D.did AND E.age < 30 AND D.budget > 100000";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   EXPECT_EQ(seq->used_dop, 1);
-  auto par = db.ExecuteParallel(query, 4);
+  auto par = db.Run(query, {.dop = 4});
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_EQ(par->used_dop, 4) << par->parallel_fallback_reason;
   ASSERT_FALSE(seq->rows.empty());
   ExpectRowsIdentical(par->rows, seq->rows);
   ExpectCountersEqual(par->counters, seq->counters);
-  // Query() must agree too (same plan, same order).
-  auto plain = db.Query(query);
+  // The default-options Run must agree too (same plan, same order).
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   ExpectRowsIdentical(seq->rows, plain->rows);
   ExpectCountersEqual(seq->counters, plain->counters);
@@ -203,13 +203,13 @@ TEST(ParallelExecTest, FilterJoinQueryIdenticalAtEveryDop) {
       "SELECT E.did, E.sal, V.avgcomp FROM Emp E, Dept D, DepComp V "
       "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
       "AND E.age < 30 AND D.budget > 100000";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_FALSE(seq->rows.empty());
   ASSERT_FALSE(seq->filter_join_measured.empty())
       << "workload regressed: expected a Filter Join in the plan";
   for (int dop : {2, 4, 8}) {
-    auto par = db.ExecuteParallel(query, dop);
+    auto par = db.Run(query, {.dop = dop});
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(par->used_dop, dop) << par->parallel_fallback_reason;
     ExpectRowsIdentical(par->rows, seq->rows);
@@ -233,9 +233,9 @@ TEST(ParallelExecTest, ViewBuildSideFallsBack) {
   const char* query =
       "SELECT E.eid, V.avgcomp FROM Emp E, DepComp V "
       "WHERE E.did = V.did AND E.sal > V.avgcomp AND E.age < 30";
-  auto par = db.ExecuteParallel(query, 4);
+  auto par = db.Run(query, {.dop = 4});
   ASSERT_TRUE(par.ok()) << par.status().ToString();
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   if (par->used_dop == 1) {
     EXPECT_FALSE(par->parallel_fallback_reason.empty());
@@ -250,11 +250,11 @@ TEST(ParallelExecTest, UnsafeShapesFallBackAndStayCorrect) {
   // A Sort at the top is not a parallel-safe pipeline shape.
   const char* query =
       "SELECT E.eid, E.sal FROM Emp E WHERE E.age < 30 ORDER BY eid";
-  auto par = db.ExecuteParallel(query, 4);
+  auto par = db.Run(query, {.dop = 4});
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_EQ(par->used_dop, 1);
   EXPECT_FALSE(par->parallel_fallback_reason.empty());
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   ExpectRowsIdentical(par->rows, plain->rows);
   ExpectCountersEqual(par->counters, plain->counters);
@@ -271,18 +271,18 @@ TEST(ParallelAggTest, GroupByIdenticalAtEveryDop) {
   const char* query =
       "SELECT E.did, COUNT(*) AS c, SUM(E.eid) AS s, MIN(E.sal) AS mn, "
       "MAX(E.age) AS mx, AVG(E.eid) AS av FROM Emp E GROUP BY E.did";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_EQ(seq->rows.size(), 200u);
   for (int dop : {2, 4, 8}) {
-    auto par = db.ExecuteParallel(query, dop);
+    auto par = db.Run(query, {.dop = dop});
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(par->used_dop, dop) << par->parallel_fallback_reason;
     ExpectRowsIdentical(par->rows, seq->rows);
     ExpectCountersEqual(par->counters, seq->counters);
   }
   // The plain sequential path agrees too (same first-seen output order).
-  auto plain = db.Query(query);
+  auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
   ExpectRowsIdentical(seq->rows, plain->rows);
   ExpectCountersEqual(seq->counters, plain->counters);
@@ -298,11 +298,11 @@ TEST(ParallelAggTest, GroupByOverHashJoinIdenticalAtEveryDop) {
       "SELECT E.did, COUNT(*) AS c, SUM(E.eid) AS s, MIN(E.sal) AS m "
       "FROM Emp E, Dept D WHERE E.did = D.did AND D.budget > 100000 "
       "GROUP BY E.did";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_FALSE(seq->rows.empty());
   for (int dop : {2, 4, 8}) {
-    auto par = db.ExecuteParallel(query, dop);
+    auto par = db.Run(query, {.dop = dop});
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(par->used_dop, dop) << par->parallel_fallback_reason;
     ExpectRowsIdentical(par->rows, seq->rows);
@@ -321,13 +321,13 @@ TEST(ParallelAggTest, GroupByOverFilterJoinIdenticalAtEveryDop) {
       "FROM Emp E, Dept D, DepComp V "
       "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
       "AND E.age < 30 AND D.budget > 100000 GROUP BY E.did";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_FALSE(seq->rows.empty());
   ASSERT_FALSE(seq->filter_join_measured.empty())
       << "workload regressed: expected a Filter Join in the plan";
   for (int dop : {2, 4, 8}) {
-    auto par = db.ExecuteParallel(query, dop);
+    auto par = db.Run(query, {.dop = dop});
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(par->used_dop, dop) << par->parallel_fallback_reason;
     ExpectRowsIdentical(par->rows, seq->rows);
@@ -350,7 +350,7 @@ TEST(ParallelAggTest, NullOnlyGroupsStayNullAtEveryDop) {
   const char* query =
       "SELECT T.g, COUNT(T.v) AS c, SUM(T.v) AS s, MIN(T.v) AS mn, "
       "AVG(T.v) AS a FROM T GROUP BY T.g";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_EQ(seq->rows.size(), 8u);
   for (const Tuple& row : seq->rows) {
@@ -361,7 +361,7 @@ TEST(ParallelAggTest, NullOnlyGroupsStayNullAtEveryDop) {
     EXPECT_TRUE(row[4].is_null());
   }
   for (int dop : {2, 4, 8}) {
-    auto par = db.ExecuteParallel(query, dop);
+    auto par = db.Run(query, {.dop = dop});
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(par->used_dop, dop) << par->parallel_fallback_reason;
     ExpectRowsIdentical(par->rows, seq->rows);
@@ -378,7 +378,7 @@ TEST(ParallelAggTest, EmptyInputScalarAggregateOneRowAtEveryDop) {
   const char* query =
       "SELECT COUNT(*) AS c, COUNT(T.v) AS cv, SUM(T.v) AS s, "
       "MIN(T.v) AS m FROM T";
-  auto seq = db.ExecuteParallel(query, 1);
+  auto seq = db.Run(query, {.dop = 1});
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ASSERT_EQ(seq->rows.size(), 1u);
   EXPECT_EQ(seq->rows[0][0].AsInt64(), 0);
@@ -386,7 +386,7 @@ TEST(ParallelAggTest, EmptyInputScalarAggregateOneRowAtEveryDop) {
   EXPECT_TRUE(seq->rows[0][2].is_null());
   EXPECT_TRUE(seq->rows[0][3].is_null());
   for (int dop : {2, 4, 8}) {
-    auto par = db.ExecuteParallel(query, dop);
+    auto par = db.Run(query, {.dop = dop});
     ASSERT_TRUE(par.ok()) << par.status().ToString();
     EXPECT_EQ(par->used_dop, dop) << par->parallel_fallback_reason;
     ExpectRowsIdentical(par->rows, seq->rows);
@@ -513,7 +513,7 @@ TEST(ParallelAggTest, BuildLoopHitsCancellationCheckpoint) {
 TEST(ParallelExecTest, LimitFallsBack) {
   Database db;
   MakeWorkload(&db);
-  auto par = db.ExecuteParallel("SELECT E.eid FROM Emp E LIMIT 5", 4);
+  auto par = db.Run("SELECT E.eid FROM Emp E LIMIT 5", {.dop = 4});
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   EXPECT_EQ(par->used_dop, 1);
   EXPECT_EQ(par->parallel_fallback_reason, "LIMIT clause");
@@ -544,10 +544,10 @@ TEST(ParallelExecTest, DopCostingKnobDividesCpuTermsOnly) {
   MakeWorkload(&db);
   const char* query =
       "SELECT E.eid FROM Emp E, Dept D WHERE E.did = D.did";
-  auto est1 = db.Query(query);
+  auto est1 = db.Run(query);
   ASSERT_TRUE(est1.ok());
   db.mutable_optimizer_options()->degree_of_parallelism = 4;
-  auto est4 = db.Query(query);
+  auto est4 = db.Run(query);
   ASSERT_TRUE(est4.ok());
   EXPECT_LT(est4->est_cost, est1->est_cost);
 
@@ -555,10 +555,10 @@ TEST(ParallelExecTest, DopCostingKnobDividesCpuTermsOnly) {
   const char* agg_query =
       "SELECT E.did, COUNT(*) AS c FROM Emp E GROUP BY E.did";
   db.mutable_optimizer_options()->degree_of_parallelism = 1;
-  auto agg1 = db.Query(agg_query);
+  auto agg1 = db.Run(agg_query);
   ASSERT_TRUE(agg1.ok());
   db.mutable_optimizer_options()->degree_of_parallelism = 4;
-  auto agg4 = db.Query(agg_query);
+  auto agg4 = db.Run(agg_query);
   ASSERT_TRUE(agg4.ok());
   EXPECT_LT(agg4->est_cost, agg1->est_cost);
 }

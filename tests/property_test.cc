@@ -72,17 +72,17 @@ class MagicEquivalenceTest : public ::testing::TestWithParam<Fig1Params> {
 TEST_P(MagicEquivalenceTest, AllOptimizerModesAgree) {
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto never = db_.Query(kQuery);
+  auto never = db_.Run(kQuery);
   ASSERT_TRUE(never.ok()) << never.status().ToString();
 
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kCostBased;
-  auto cost = db_.Query(kQuery);
+  auto cost = db_.Run(kQuery);
   ASSERT_TRUE(cost.ok()) << cost.status().ToString();
 
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kAlwaysOnVirtual;
-  auto always = db_.Query(kQuery);
+  auto always = db_.Run(kQuery);
   ASSERT_TRUE(always.ok()) << always.status().ToString();
 
   EXPECT_TRUE(SameMultiset(never->rows, cost->rows));
@@ -93,12 +93,12 @@ TEST_P(MagicEquivalenceTest, ExactAndBloomFilterSetsAgree) {
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kAlwaysOnVirtual;
   db_.mutable_optimizer_options()->consider_bloom_filter_sets = false;
-  auto exact = db_.Query(kQuery);
+  auto exact = db_.Run(kQuery);
   ASSERT_TRUE(exact.ok());
 
   db_.mutable_optimizer_options()->consider_bloom_filter_sets = true;
   db_.mutable_optimizer_options()->consider_exact_filter_sets = false;
-  auto bloom = db_.Query(kQuery);
+  auto bloom = db_.Run(kQuery);
   ASSERT_TRUE(bloom.ok());
   EXPECT_TRUE(SameMultiset(exact->rows, bloom->rows));
 }
@@ -106,11 +106,11 @@ TEST_P(MagicEquivalenceTest, ExactAndBloomFilterSetsAgree) {
 TEST_P(MagicEquivalenceTest, CostBasedNeverBeatenByBaselines) {
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kCostBased;
-  auto cost = db_.Query(kQuery);
+  auto cost = db_.Run(kQuery);
   ASSERT_TRUE(cost.ok());
   db_.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
-  auto never = db_.Query(kQuery);
+  auto never = db_.Run(kQuery);
   ASSERT_TRUE(never.ok());
   EXPECT_LE(cost->est_cost, never->est_cost * 1.0001);
 }
@@ -277,7 +277,7 @@ TEST_P(CostOrderTest, ConfidentPredictionsOrderCorrectly) {
     opts.filter_join_on_stored = false;
     cfg(&opts);
     *db.mutable_optimizer_options() = opts;
-    auto result = db.Query(query);
+    auto result = db.Run(query);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     outcomes.push_back({result->est_cost, result->counters.TotalCost()});
   }
@@ -320,11 +320,11 @@ TEST_P(SpillParityTest, ResultsUnaffectedByMemoryBudget) {
   MAGICDB_CHECK_OK(db.catalog()->AnalyzeAll());
 
   db.mutable_optimizer_options()->memory_budget_bytes = GetParam();
-  auto result = db.Query("SELECT R.x, S.y FROM R, S WHERE R.k = S.k");
+  auto result = db.Run("SELECT R.x, S.y FROM R, S WHERE R.k = S.k");
   ASSERT_TRUE(result.ok());
 
   db.mutable_optimizer_options()->memory_budget_bytes = 64 * 1024 * 1024;
-  auto reference = db.Query("SELECT R.x, S.y FROM R, S WHERE R.k = S.k");
+  auto reference = db.Run("SELECT R.x, S.y FROM R, S WHERE R.k = S.k");
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(SameMultiset(result->rows, reference->rows));
 }

@@ -1,6 +1,6 @@
 // Multi-threaded stress tests for the query service: N concurrent sessions
 // firing mixed sequential/parallel queries at one shared pool, asserting
-// every result byte-identical to a sequential Database::Query() baseline
+// every result byte-identical to a sequential Database::Run() baseline
 // with exactly equal cost counters; plus deadline enforcement on a
 // deliberately slow query while its neighbors run to completion, and DDL
 // racing queries.
@@ -94,7 +94,7 @@ TEST(ServerStressTest, ConcurrentSessionsMatchSequentialBaseline) {
   // Sequential ground truth, computed before the service exists.
   std::vector<QueryResult> baselines;
   for (const char* q : kQueries) {
-    auto r = db.Query(q);
+    auto r = db.Run(q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     baselines.push_back(std::move(*r));
   }
@@ -184,7 +184,7 @@ TEST(ServerStressTest, SlowQueryHitsDeadlineWhileNeighborsComplete) {
       "SELECT A.v, B.w FROM Big1 A, Big2 B WHERE A.k = B.k";
   const char* fast_query =
       "SELECT D.did, D.budget FROM Dept D WHERE D.budget > 100000";
-  auto fast_baseline = db.Query(fast_query);
+  auto fast_baseline = db.Run(fast_query);
   ASSERT_TRUE(fast_baseline.ok());
 
   QueryServiceOptions so;
@@ -238,7 +238,7 @@ TEST(ServerStressTest, SlowQueryHitsDeadlineWhileNeighborsComplete) {
   // completes and matches a direct execution.
   auto full = slow_session->Query(slow_query);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  auto direct = db.Query(slow_query);
+  auto direct = db.Run(slow_query);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(RowsIdentical(full->rows, direct->rows));
   ExpectCountersEqual(full->counters, direct->counters);
@@ -249,7 +249,7 @@ TEST(ServerStressTest, ConcurrentCursorsStreamIdenticalResults) {
   MakeWorkload(&db);
   std::vector<QueryResult> baselines;
   for (const char* q : kQueries) {
-    auto r = db.Query(q);
+    auto r = db.Run(q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     baselines.push_back(std::move(*r));
   }
@@ -330,7 +330,7 @@ TEST(ServerStressTest, DdlRacingQueriesStaysConsistent) {
   const char* query =
       "SELECT E.eid, E.sal, D.budget FROM Emp E, Dept D "
       "WHERE E.did = D.did AND E.age < 30 AND D.budget > 100000";
-  auto baseline = db.Query(query);
+  auto baseline = db.Run(query);
   ASSERT_TRUE(baseline.ok());
 
   std::atomic<int> bad{0};

@@ -1,7 +1,7 @@
 // Tests for the query-service subsystem: metrics primitives, cancellation
 // tokens, the plan cache's epoch-keyed invalidation, sessions/prepared
 // statements, deadlines, and — the core guarantee — that every service
-// execution path returns results byte-identical to Database::Query() with
+// execution path returns results byte-identical to Database::Run() with
 // exactly equal cost counters.
 
 #include <chrono>
@@ -102,15 +102,15 @@ TEST(ThreadPoolTest, RunGangRunsAllMembersAndCollectsStatuses) {
 
 // ----- PlanCache -----
 
-CachedPlanMeta MetaWithCost(double cost) {
-  CachedPlanMeta meta;
+PlanMeta MetaWithCost(double cost) {
+  PlanMeta meta;
   meta.est_cost = cost;
   return meta;
 }
 
 TEST(PlanCacheTest, MissThenHit) {
   PlanCache cache;
-  CachedPlanMeta meta;
+  PlanMeta meta;
   EXPECT_FALSE(cache.Lookup("q1", /*epoch=*/0, &meta, nullptr));
   cache.Insert("q1", 0, MetaWithCost(7.0));
   ASSERT_TRUE(cache.Lookup("q1", 0, &meta, nullptr));
@@ -120,7 +120,7 @@ TEST(PlanCacheTest, MissThenHit) {
 TEST(PlanCacheTest, EpochMismatchDropsEntry) {
   PlanCache cache;
   cache.Insert("q1", /*epoch=*/3, MetaWithCost(7.0));
-  CachedPlanMeta meta;
+  PlanMeta meta;
   // A newer catalog epoch makes the entry stale: miss, and the entry is
   // gone so it can never be served again.
   EXPECT_FALSE(cache.Lookup("q1", /*epoch=*/4, &meta, nullptr));
@@ -132,7 +132,7 @@ TEST(PlanCacheTest, StaleCheckInIsDropped) {
   PlanCache cache;
   cache.Insert("q1", 5, MetaWithCost(1.0));
   cache.CheckIn("q1", /*epoch=*/4, nullptr);  // null instance: no-op
-  CachedPlanMeta meta;
+  PlanMeta meta;
   OpPtr instance;
   ASSERT_TRUE(cache.Lookup("q1", 5, &meta, &instance));
   EXPECT_EQ(instance, nullptr);  // nothing was pooled
@@ -142,7 +142,7 @@ TEST(PlanCacheTest, LruEvictsOldest) {
   PlanCache cache(/*max_entries=*/2);
   cache.Insert("a", 0, MetaWithCost(1.0));
   cache.Insert("b", 0, MetaWithCost(2.0));
-  CachedPlanMeta meta;
+  PlanMeta meta;
   ASSERT_TRUE(cache.Lookup("a", 0, &meta, nullptr));  // refresh a
   cache.Insert("c", 0, MetaWithCost(3.0));            // evicts b
   EXPECT_TRUE(cache.Lookup("a", 0, &meta, nullptr));
@@ -235,8 +235,8 @@ const char* kMagicQuery =
 TEST(QueryServiceTest, ResultsByteIdenticalToDatabaseQuery) {
   Database db;
   MakeWorkload(&db);
-  auto baseline_join = db.Query(kJoinQuery);
-  auto baseline_magic = db.Query(kMagicQuery);
+  auto baseline_join = db.Run(kJoinQuery);
+  auto baseline_magic = db.Run(kMagicQuery);
   ASSERT_TRUE(baseline_join.ok());
   ASSERT_TRUE(baseline_magic.ok());
   ASSERT_FALSE(baseline_join->rows.empty());
@@ -272,7 +272,7 @@ TEST(QueryServiceTest, ResultsByteIdenticalToDatabaseQuery) {
 TEST(QueryServiceTest, ParallelQueryIdenticalOnSharedPool) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -294,7 +294,7 @@ TEST(QueryServiceTest, GroupByRunsParallelOnSharedPool) {
   const char* agg_query =
       "SELECT E.did, COUNT(*) AS c, SUM(E.eid) AS s, MIN(E.sal) AS m "
       "FROM Emp E GROUP BY E.did";
-  auto baseline = db.Query(agg_query);
+  auto baseline = db.Run(agg_query);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -384,7 +384,7 @@ TEST(QueryServiceTest, LoadRowsInvalidatesAndMatchesFreshPlanning) {
   ASSERT_TRUE(session->Query(kJoinQuery).ok());
 
   // New data changes statistics and possibly plan choice; the service must
-  // serve exactly what a fresh Database::Query() would.
+  // serve exactly what a fresh Database::Run() would.
   Random rng(99);
   std::vector<Tuple> more;
   for (int i = 0; i < 400; ++i) {
@@ -394,7 +394,7 @@ TEST(QueryServiceTest, LoadRowsInvalidatesAndMatchesFreshPlanning) {
   }
   MAGICDB_CHECK_OK(service.LoadRows("Emp", std::move(more)));
 
-  auto fresh = db.Query(kJoinQuery);
+  auto fresh = db.Run(kJoinQuery);
   ASSERT_TRUE(fresh.ok());
   auto served = session->Query(kJoinQuery);
   ASSERT_TRUE(served.ok());
@@ -432,7 +432,7 @@ TEST(QueryServiceTest, PreparedStatements) {
 
   EXPECT_FALSE(session->Prepare("bad", "SELECT nope FROM Nowhere").ok());
   MAGICDB_CHECK_OK(session->Prepare("q", kJoinQuery));
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
   auto r1 = session->ExecutePrepared("q");
   ASSERT_TRUE(r1.ok());
@@ -577,8 +577,32 @@ TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
   EXPECT_GE(par->reoptimizations, 1);
   ExpectRowsIdentical(par->rows, seq->rows);
 
+  // A dop-4 query that falls back to sequential (LIMIT, or a Sort the gang
+  // cannot run) re-plans exactly as Database::Run does: same number of
+  // re-plans, same final plan, same rows and counters.
+  int64_t fallback_replans = 0;
+  for (const std::string& variant :
+       {std::string(sql) + " LIMIT 100000", std::string(sql) + " ORDER BY k"}) {
+    SCOPED_TRACE(variant);
+    auto embedded = db.Run(variant, parallel);
+    ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
+    auto served = session->Query(variant, parallel);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_GE(embedded->reoptimizations, 1);
+    EXPECT_EQ(served->reoptimizations, embedded->reoptimizations);
+    EXPECT_EQ(served->explain, embedded->explain);
+    EXPECT_EQ(served->used_dop, 1);
+    EXPECT_EQ(served->parallel_fallback_reason,
+              embedded->parallel_fallback_reason);
+    ExpectRowsIdentical(served->rows, embedded->rows);
+    ExpectCountersEqual(served->counters, embedded->counters);
+    fallback_replans += served->reoptimizations;
+  }
+
   ServiceStats stats = service.StatsSnapshot();
   EXPECT_GE(stats.reoptimizations, 2);
+  EXPECT_EQ(stats.reoptimizations,
+            seq->reoptimizations + par->reoptimizations + fallback_replans);
   // The trigger site is the metric's reason label.
   EXPECT_GT(stats.reoptimization_reasons.count("hash_join_build"), 0u)
       << stats.ToString();

@@ -80,7 +80,7 @@ class GoldenFixture : public ::testing::Test {
       OptimizerOptions opts;
       config.apply(&opts);
       *db_.mutable_optimizer_options() = opts;
-      auto result = db_.Query(sql);
+      auto result = db_.Run(sql);
       ASSERT_TRUE(result.ok())
           << config.name << ": " << result.status().ToString();
       EXPECT_TRUE(SameMultiset(result->rows, expected))
@@ -180,7 +180,7 @@ TEST_F(GoldenFixture, ScalarAggregatesOverJoin) {
 TEST_F(GoldenFixture, OrderByLimitDeterministic) {
   OptimizerOptions opts;
   *db_.mutable_optimizer_options() = opts;
-  auto result = db_.Query("SELECT sal FROM Emp ORDER BY sal DESC LIMIT 3");
+  auto result = db_.Run("SELECT sal FROM Emp ORDER BY sal DESC LIMIT 3");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 3u);
   EXPECT_EQ(result->rows[0][0], Value::Double(500));

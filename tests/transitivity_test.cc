@@ -63,7 +63,7 @@ TEST_F(TransitivityFixture, ImpliedEdgeAvoidsCrossProducts) {
 }
 
 TEST_F(TransitivityFixture, ResultsUnchangedByTransitivity) {
-  auto result = db_.Query(kQuery);
+  auto result = db_.Run(kQuery);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Reference via nested loops over everything (methods disabled one way).
   OptimizerOptions opts;
@@ -73,7 +73,7 @@ TEST_F(TransitivityFixture, ResultsUnchangedByTransitivity) {
   opts.magic_mode = OptimizerOptions::MagicMode::kNever;
   opts.filter_join_on_stored = false;
   *db_.mutable_optimizer_options() = opts;
-  auto reference = db_.Query(kQuery);
+  auto reference = db_.Run(kQuery);
   ASSERT_TRUE(reference.ok());
   EXPECT_TRUE(SameMultiset(result->rows, reference->rows));
 }
@@ -81,7 +81,7 @@ TEST_F(TransitivityFixture, ResultsUnchangedByTransitivity) {
 TEST_F(TransitivityFixture, NoDuplicateRowsFromImpliedEdges) {
   // Implied conjuncts must not be applied as extra filters that change
   // multiplicities. Compare against hand-computed counts.
-  auto result = db_.Query(
+  auto result = db_.Run(
       "SELECT A.k FROM A, B, C WHERE A.k = B.k AND A.k = C.k AND A.p = 0");
   ASSERT_TRUE(result.ok());
   // Row A.p=0 has some key k0; result multiplicity = |B.k=k0| * |C.k=k0|.
@@ -126,7 +126,7 @@ TEST(OrderPropagationTest, OrderByElidedWhenPlanDeliversOrder) {
   opts.magic_mode = OptimizerOptions::MagicMode::kNever;
   opts.filter_join_on_stored = false;
   *db.mutable_optimizer_options() = opts;
-  auto sorted = db.Query(
+  auto sorted = db.Run(
       "SELECT A.k, B.q FROM A, B WHERE A.k = B.k ORDER BY k");
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
   EXPECT_EQ(sorted->explain.find("Sort("), std::string::npos)
@@ -144,7 +144,7 @@ TEST(OrderPropagationTest, DescendingOrderStillSorts) {
   for (int i = 0; i < 50; ++i) rows.push_back({Value::Int64(i % 7)});
   MAGICDB_CHECK_OK(db.LoadRows("A", std::move(rows)));
   (*db.catalog()->Lookup("A"))->table->CreateOrderedIndex({0});
-  auto result = db.Query("SELECT k FROM A ORDER BY k DESC");
+  auto result = db.Run("SELECT k FROM A ORDER BY k DESC");
   ASSERT_TRUE(result.ok());
   for (size_t i = 1; i < result->rows.size(); ++i) {
     EXPECT_GE(result->rows[i - 1][0].AsInt64(), result->rows[i][0].AsInt64());
