@@ -177,83 +177,6 @@ void PrintAggScalingTable(const char* title, const char* plan_key,
   RunScalingLoop(db.get(), plan_key, query, json_results);
 }
 
-// ----- Vectorized batch execution vs tuple-at-a-time -----
-
-double MedianQueryWallMs(Database* db, const char* query, QueryResult* out) {
-  std::vector<double> ms;
-  for (int r = 0; r < g_repetitions; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = db->Run(query);
-    const auto t1 = std::chrono::steady_clock::now();
-    MAGICDB_CHECK_OK(result.status());
-    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
-    if (r == 0) *out = std::move(*result);
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
-}
-
-/// Same plan, same rows, same counters — only the execution mode differs:
-/// tuple-at-a-time (batch_size 0) vs vectorized (1024-row batches). Run at
-/// DoP 1 on the hot-path shapes so the speedup isolates per-row
-/// interpretation overhead (virtual Next() calls, per-row cancellation and
-/// memory-governor traffic) rather than parallel scheduling effects.
-void PrintBatchVsRow(bool smoke, Json* json_results) {
-  Figure1Options opts;
-  opts.num_depts = smoke ? 100 : 2000;
-  opts.emps_per_dept = smoke ? 20 : 500;
-  opts.build_indexes = false;
-  auto db = MakeFigure1Database(opts);
-  auto* options = db->mutable_optimizer_options();
-  options->enable_nested_loops = false;
-  options->enable_index_nested_loops = false;
-  options->enable_sort_merge = false;
-
-  const struct {
-    const char* plan_key;
-    const char* query;
-  } shapes[] = {
-      {"scan_filter_project",
-       "SELECT E.did, E.sal + 1000.0 FROM Emp E WHERE E.age < 30"},
-      {"group_by_low_cardinality", kGroupByLowCardQuery},
-      {"group_by_high_cardinality", kGroupByHighCardQuery},
-      {"two_way_hash_join", kTwoWayJoinQuery},
-  };
-
-  std::cout << "=== Vectorized batch vs tuple-at-a-time, DoP 1 (Emp="
-            << opts.num_depts * opts.emps_per_dept << ") ===\n\n";
-  TablePrinter table(
-      {"plan", "row_ms(median)", "batch_ms(median)", "speedup", "rows"});
-  for (const auto& shape : shapes) {
-    db->set_exec_batch_size(0);
-    QueryResult row_result;
-    const double row_ms = MedianQueryWallMs(db.get(), shape.query,
-                                            &row_result);
-    db->set_exec_batch_size(RowBatch::kDefaultCapacity);
-    QueryResult batch_result;
-    const double batch_ms = MedianQueryWallMs(db.get(), shape.query,
-                                              &batch_result);
-    CheckIdentical(row_result, batch_result);
-    const double speedup = row_ms / std::max(1e-9, batch_ms);
-    table.AddRow({shape.plan_key, Fmt(row_ms), Fmt(batch_ms), Fmt(speedup),
-                  std::to_string(batch_result.rows.size())});
-    if (json_results != nullptr) {
-      json_results->Append(
-          Json::Object()
-              .Set("plan", shape.plan_key)
-              .Set("dop", 1)
-              .Set("batch_size",
-                   static_cast<int64_t>(RowBatch::kDefaultCapacity))
-              .Set("row_wall_ms_median", row_ms)
-              .Set("batch_wall_ms_median", batch_ms)
-              .Set("speedup", speedup)
-              .Set("rows", static_cast<int64_t>(batch_result.rows.size())));
-    }
-  }
-  table.Print();
-  std::cout << "(rows and counters verified identical between modes)\n\n";
-}
-
 // ----- Adaptive re-optimization bake-off (DP vs greedy vs adaptive) -----
 
 /// One (backend, adaptive, dop) cell of the bake-off.
@@ -444,8 +367,6 @@ void PrintScaling(bool smoke, const std::string& json_path) {
   PrintAggScalingTable(
       "Parallel scaling, GROUP BY high cardinality (partition-heavy)",
       "group_by_high_cardinality", kGroupByHighCardQuery, smoke, out);
-  Json batch_results = Json::Array();
-  PrintBatchVsRow(smoke, json_path.empty() ? nullptr : &batch_results);
   Json bakeoff_results = Json::Array();
   PrintAdaptiveBakeoff(smoke, json_path.empty() ? nullptr : &bakeoff_results);
   if (out != nullptr) {
@@ -457,7 +378,6 @@ void PrintScaling(bool smoke, const std::string& json_path) {
                    .Set("repetitions", static_cast<int64_t>(g_repetitions))
                    .Set("smoke", smoke)
                    .Set("results", std::move(results))
-                   .Set("batch_vs_row", std::move(batch_results))
                    .Set("adaptive_bakeoff", std::move(bakeoff_results));
     if (WriteJsonFile(json_path, doc)) {
       std::cout << "JSON results written to " << json_path << "\n";

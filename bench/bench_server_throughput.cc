@@ -111,7 +111,7 @@ struct RunResult {
 };
 
 RunResult RunClosedLoop(Database* db, const std::vector<QueryResult>& baseline,
-                        int dop, int64_t batch_size = -1) {
+                        int dop) {
   QueryServiceOptions so;
   so.pool_threads = 4;
   QueryService service(db, so);
@@ -128,7 +128,6 @@ RunResult RunClosedLoop(Database* db, const std::vector<QueryResult>& baseline,
       Session* session = sessions[s].get();
       ExecOptions exec;
       exec.dop = dop;
-      exec.batch_size = batch_size;
       for (int i = 0; i < g_queries_per_session; ++i) {
         const int qi = (s + i) % kNumStatements;
         auto r = session->Query(kStatements[qi], exec);
@@ -457,35 +456,6 @@ void Run(const std::string& json_path, bool smoke) {
   std::cout << "(every result verified byte-identical to Database::Run(), "
                "counters exact)\n\n";
 
-  // Batch-vs-row section: the same closed loop at DoP 1, with the
-  // per-query batch size pinned explicitly — 0 (tuple-at-a-time) vs 1024
-  // (vectorized) — isolating the vectorized pump's throughput effect from
-  // parallelism and plan differences (the plan-cache key includes the
-  // batch size, so the two modes never share a pooled plan instance).
-  std::cout << "batch vs row: same closed loop at DoP 1, explicit "
-               "batch_size 0 vs 1024\n\n";
-  TablePrinter batch_table(
-      {"batch_size", "qps", "p50_us", "p95_us", "p99_us"});
-  Json batch_results = Json::Array();
-  double row_qps = 0.0;
-  for (int64_t batch : {int64_t{0}, int64_t{1024}}) {
-    const RunResult r = RunClosedLoop(db.get(), baseline, 1, batch);
-    if (batch == 0) row_qps = r.qps;
-    batch_table.AddRow({std::to_string(batch), Fmt(r.qps), Fmt(r.p50_us),
-                        Fmt(r.p95_us), Fmt(r.p99_us)});
-    batch_results.Append(Json::Object()
-                             .Set("batch_size", batch)
-                             .Set("dop", 1)
-                             .Set("qps", r.qps)
-                             .Set("p50_us", r.p50_us)
-                             .Set("p95_us", r.p95_us)
-                             .Set("p99_us", r.p99_us)
-                             .Set("qps_vs_row", r.qps / std::max(1e-9,
-                                                                 row_qps)));
-  }
-  batch_table.Print();
-  std::cout << "(identical rows and counters in both modes)\n\n";
-
   std::cout << "streaming: " << stream_baseline->rows.size()
             << "-row scan through Session::Open / Cursor::Fetch(256), "
                "queue high-water 512 rows\n\n";
@@ -614,7 +584,6 @@ void Run(const std::string& json_path, bool smoke) {
                    .Set("queries_per_session", g_queries_per_session)
                    .Set("pool_threads", 4)
                    .Set("results", std::move(results))
-                   .Set("batch_vs_row", std::move(batch_results))
                    .Set("streaming", std::move(stream_results))
                    .Set("low_memory", std::move(lm_results))
                    .Set("overload", std::move(ov_result));

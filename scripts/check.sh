@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build gate for the concurrent subsystems (src/parallel, src/server) and
-# the vectorized execution path (MAGICDB_TEST_BATCH_SIZE sweeps rerun the
-# full suite tuple-at-a-time and at an odd batch size; the default runs
-# cover the 1024-row batch mode) and the adaptive re-optimization path
+# batch execution (MAGICDB_TEST_BATCH_SIZE sweeps rerun the full suite at
+# batch size 1, the exact-work reference, and at an odd batch size; the
+# default runs cover 1024-row batches) and the adaptive re-optimization path
 # (MAGICDB_TEST_REOPT_QERROR sweeps rerun the full suite with feedback-driven
 # plan restarts forced maximally aggressive and explicitly disabled, under
 # Release and TSAN — restarts must never change results and must be race-free
@@ -61,13 +61,13 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "${JOBS}"
 ctest --test-dir build-release --output-on-failure --timeout 120 -j "${JOBS}" "$@"
 
-# Vectorized-execution sweep: the default run above executes every query
-# in 1024-row batches; rerun the full suite with batching forced off
-# (tuple-at-a-time) and at a deliberately awkward batch size. Results must
-# be byte-identical in all three modes — the suite's identity assertions
-# do the comparing.
-echo "=== Release suite, batching forced off ==="
-MAGICDB_TEST_BATCH_SIZE=0 \
+# Batch-size sweep: the default run above executes every query in 1024-row
+# batches; rerun the full suite at batch size 1 (one row per pull: exactly
+# the work of row-at-a-time execution) and at a deliberately awkward batch
+# size. Results must be byte-identical at all three sizes — the suite's
+# identity assertions do the comparing.
+echo "=== Release suite, batch size 1 ==="
+MAGICDB_TEST_BATCH_SIZE=1 \
   ctest --test-dir build-release --output-on-failure --timeout 120 \
         -j "${JOBS}" "$@"
 
@@ -135,8 +135,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "${JOBS}"
 ctest --test-dir build-asan --output-on-failure --timeout 120 -j "${JOBS}" "$@"
 
-echo "=== ASan+UBSan suite, batching forced off ==="
-MAGICDB_TEST_BATCH_SIZE=0 \
+echo "=== ASan+UBSan suite, batch size 1 ==="
+MAGICDB_TEST_BATCH_SIZE=1 \
   ctest --test-dir build-asan --output-on-failure --timeout 120 \
         -j "${JOBS}" "$@"
 

@@ -122,10 +122,11 @@ class Status {
 }  // namespace magicdb
 
 /// Propagates a non-OK Status to the caller. Usable in any function that
-/// returns Status.
-#define MAGICDB_RETURN_IF_ERROR(expr)                 \
+/// returns Status. Variadic so the expression may contain unparenthesized
+/// commas (e.g. a lambda argument with a brace initializer).
+#define MAGICDB_RETURN_IF_ERROR(...)                  \
   do {                                                \
-    ::magicdb::Status _status = (expr);               \
+    ::magicdb::Status _status = (__VA_ARGS__);        \
     if (!_status.ok()) return _status;                \
   } while (0)
 

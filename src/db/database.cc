@@ -252,7 +252,7 @@ StatusOr<QueryStream> Database::StartQuery(
     if (restart.ok() && armed && !stream.staged) {
       // Every pipeline breaker completes inside Open(), so a trigger fires
       // before the first output row and the restart is invisible to the
-      // consumer. Later observations must never fail Next().
+      // consumer. Later observations must never fail NextBatch().
       Status open = planned.root->Open(ctx.get());
       if (open.IsReoptimizeRequested()) {
         restart = std::move(open);
@@ -299,8 +299,8 @@ StatusOr<QueryResult> Database::Run(const std::string& sql,
   start.max_reoptimizations = options.max_reoptimizations;
   ExecContext& proto = start.proto;
   proto.set_memory_budget_bytes(optimizer_options_.memory_budget_bytes);
-  proto.set_batch_size(options.batch_size < 0 ? exec_batch_size_
-                                              : options.batch_size);
+  proto.set_batch_size(options.batch_size > 0 ? options.batch_size
+                                              : exec_batch_size_);
   CancelTokenPtr token = options.cancel_token;
   if (options.timeout.count() > 0) {
     if (token == nullptr) token = std::make_shared<CancelToken>();

@@ -162,13 +162,13 @@ class Database {
 
   OptimizerOptions* mutable_optimizer_options() { return &optimizer_options_; }
 
-  /// Rows per batch for the vectorized execution path Run() uses when
-  /// ExecOptions::batch_size is negative. 0 = classic tuple-at-a-time
-  /// execution. Results and cost counters are byte-identical either way;
-  /// this only changes how operators exchange rows internally.
+  /// Rows per execution batch Run() uses when ExecOptions::batch_size is
+  /// <= 0. Setting a value <= 0 restores DefaultExecBatchSize(). Results
+  /// and cost counters are byte-identical at any batch size; this only
+  /// changes how many rows operators exchange per pull.
   int64_t exec_batch_size() const { return exec_batch_size_; }
   void set_exec_batch_size(int64_t rows) {
-    exec_batch_size_ = rows < 0 ? 0 : rows;
+    exec_batch_size_ = rows > 0 ? rows : DefaultExecBatchSize();
   }
 
   /// Executes a DDL statement (CREATE TABLE / CREATE VIEW).

@@ -5,28 +5,14 @@
 #include "src/common/failpoint.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
-#include "src/exec/filter_join_op.h"
-#include "src/exec/scan_ops.h"
 
 namespace magicdb {
 
-namespace {
-
-/// Key sources abstract where DispatchRow's group key comes from, so the
-/// hot path (the group already exists) never materializes a key Tuple:
-/// Equals compares in place, and Materialize is called at most once per
-/// dispatched row — only for a fresh group or a spill partial.
-struct TupleKeySource {
-  Tuple* key;
-  bool Equals(const Tuple& other) const {
-    return CompareTuples(*key, other) == 0;
-  }
-  Tuple Materialize() const { return std::move(*key); }
-  int64_t ByteWidth() const { return TupleByteWidth(*key); }
-};
-
-/// Batch-drain key source: reads group-key values for physical row `r`
-/// straight from the resolved operand views.
+/// DispatchRow's group key for physical row `r`, read straight from the
+/// resolved operand views, so the hot path (the group already exists) never
+/// materializes a key Tuple: Equals compares in place, and Materialize is
+/// called at most once per dispatched row — only for a fresh group or a
+/// spill partial.
 struct OperandKeySource {
   const std::vector<BatchOperand>* ops;
   size_t r;
@@ -55,8 +41,6 @@ struct OperandKeySource {
     return h;
   }
 };
-
-}  // namespace
 
 HashAggregateOp::HashAggregateOp(OpPtr child, std::vector<ExprPtr> group_by,
                                  std::vector<AggSpec> aggs, Schema schema)
@@ -91,21 +75,6 @@ Status HashAggregateOp::FoldValue(const AggSpec& spec, const Value& v,
       break;
     case AggFunc::kCountStar:
       break;
-  }
-  return Status::OK();
-}
-
-Status HashAggregateOp::Accumulate(const Tuple& row, StagedGroup* group) {
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    const AggSpec& spec = aggs_[a];
-    AggState& st = group->states[a];
-    if (spec.func == AggFunc::kCountStar) {
-      ++st.count;
-      continue;
-    }
-    ctx_->counters().exprs_evaluated += 1;
-    MAGICDB_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(row));
-    MAGICDB_RETURN_IF_ERROR(FoldValue(spec, v, &st));
   }
   return Status::OK();
 }
@@ -146,11 +115,12 @@ StatusOr<Value> HashAggregateOp::Finalize(const AggSpec& spec,
   return Status::Internal("bad aggregate function");
 }
 
-template <typename KeySrc, typename Fold>
-Status HashAggregateOp::DispatchRow(ExecContext* ctx, const KeySrc& key_src,
+template <typename Fold>
+Status HashAggregateOp::DispatchRow(ExecContext* ctx,
+                                    const OperandKeySource& key_src,
                                     uint64_t h, int64_t input_pos,
                                     int64_t input_sub, bool parallel,
-                                    bool coalesce_charges, const Fold& fold) {
+                                    const Fold& fold) {
   StagedGroup* group = nullptr;
   while (true) {
     if (agg_spill_ != nullptr && agg_spill_->IsSpilled(h)) {
@@ -179,8 +149,7 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx, const KeySrc& key_src,
     const int64_t group_bytes =
         key_src.ByteWidth() +
         static_cast<int64_t>(aggs_.size() * sizeof(AggState));
-    Status charge = coalesce_charges ? group_reserve_.Take(ctx, group_bytes)
-                                     : ctx->ChargeMemory(group_bytes);
+    Status charge = group_reserve_.Take(ctx, group_bytes);
     if (charge.ok()) {
       charged_bytes_ += group_bytes;
       chain.push_back(static_cast<int64_t>(groups_.size()));
@@ -237,106 +206,55 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   int64_t rows_seen = 0;
   int64_t input_pos = -1;
   int64_t input_sub = 0;
-  // Batch input drain: expressions (group keys + aggregate arguments)
-  // evaluate vectorized, memory charges coalesce, and cancellation is
-  // checked per batch. In parallel mode the rank tags ride in the batches —
-  // except below a Filter Join, whose position provider is inherently
-  // row-at-a-time, so that chain stays on the row drain.
-  const bool batch_input =
-      ctx->batch_size() > 0 && !(parallel && pos_filter_join_ != nullptr);
-  if (batch_input) {
-    RowBatch in(static_cast<int32_t>(ctx->batch_size()));
-    // Operand views resolve plain-column keys and arguments to zero-copy
-    // pointers into the input batch; the scratch vectors fill in only for
-    // computed expressions. Views alias `in`, so the row loop below copies
-    // key values out rather than moving them (two keys may reference the
-    // same column, and BatchRowByteWidth also reads the input row).
-    std::vector<std::vector<Value>> key_vals(group_by_.size());
-    std::vector<std::vector<uint8_t>> key_errs(group_by_.size());
-    std::vector<std::vector<Value>> agg_vals(aggs_.size());
-    std::vector<std::vector<uint8_t>> agg_errs(aggs_.size());
-    std::vector<BatchOperand> key_ops(group_by_.size());
-    std::vector<BatchOperand> agg_ops(aggs_.size());
-    bool ieof = false;
-    while (!ieof) {
-      MAGICDB_RETURN_IF_ERROR(child_->NextBatch(&in, &ieof));
-      const std::vector<int32_t>* sel =
-          in.sel_active() ? &in.selection() : nullptr;
-      const int32_t n =
-          sel ? static_cast<int32_t>(sel->size()) : in.num_rows();
-      if (n > 0) {
-        if (parallel && !in.has_ranks()) {
-          return Status::Internal(
-              "parallel aggregation requires rank-tagged batches");
-        }
-        for (size_t i = 0; i < group_by_.size(); ++i) {
-          ctx->counters().exprs_evaluated += n;
-          Status first_error;
-          ResolveBatchOperand(*group_by_[i], in, &key_vals[i], &key_errs[i],
-                              &first_error, &key_ops[i]);
-          MAGICDB_RETURN_IF_ERROR(first_error);
-        }
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          if (aggs_[a].func == AggFunc::kCountStar) continue;
-          ctx->counters().exprs_evaluated += n;
-          Status first_error;
-          ResolveBatchOperand(*aggs_[a].arg, in, &agg_vals[a], &agg_errs[a],
-                              &first_error, &agg_ops[a]);
-          MAGICDB_RETURN_IF_ERROR(first_error);
-        }
-      }
-      for (int32_t k = 0; k < n; ++k) {
-        const int32_t r = sel ? (*sel)[k] : k;
-        ++rows_seen;
-        MAGICDB_FAILPOINT("exec.aggregate.build");
-        if (parallel) {
-          const int64_t p = in.pos()[static_cast<size_t>(r)];
-          if (p == input_pos) {
-            ++input_sub;  // same driving position: next emission index
-          } else {
-            input_pos = p;
-            input_sub = 0;
-          }
-        } else {
-          input_pos = rows_seen - 1;
-          input_sub = 0;
-        }
-        input_bytes += BatchRowByteWidth(in, r);
-        // Group keys hash and compare straight from the operand views; the
-        // key Tuple materializes only when a new group is created.
-        const OperandKeySource key_src{&key_ops, static_cast<size_t>(r)};
-        ctx->counters().hash_operations += 1;
-        const uint64_t h = key_src.Hash();
-        MAGICDB_RETURN_IF_ERROR(DispatchRow(
-            ctx, key_src, h, input_pos, input_sub, parallel,
-            /*coalesce_charges=*/true,
-            [&](StagedGroup* g) { return FoldPreEvaluated(agg_ops, r, g); }));
-      }
-      // One cancellation check per batch replaces the per-1024-rows cadence
-      // of the row drain.
-      MAGICDB_RETURN_IF_ERROR(ctx->CheckCancelled());
+  // Input drain: group keys and aggregate arguments evaluate vectorized,
+  // new-group memory charges coalesce, and in parallel mode the rank tags
+  // ride in the batches. Operand views resolve plain-column keys and
+  // arguments to zero-copy pointers into the input batch; the scratch
+  // vectors fill in only for computed expressions. Views alias the batch,
+  // so the row loop below copies key values out rather than moving them
+  // (two keys may reference the same column, and BatchRowByteWidth also
+  // reads the input row).
+  std::vector<std::vector<Value>> key_vals(group_by_.size());
+  std::vector<std::vector<uint8_t>> key_errs(group_by_.size());
+  std::vector<std::vector<Value>> agg_vals(aggs_.size());
+  std::vector<std::vector<uint8_t>> agg_errs(aggs_.size());
+  std::vector<BatchOperand> key_ops(group_by_.size());
+  std::vector<BatchOperand> agg_ops(aggs_.size());
+  MAGICDB_RETURN_IF_ERROR(DrainBatches(child_.get(), ctx, [&](RowBatch* in) {
+    const std::vector<int32_t>* sel =
+        in->sel_active() ? &in->selection() : nullptr;
+    const int32_t n = in->ActiveRows();
+    if (n == 0) return Status::OK();
+    if (parallel && !in->has_ranks()) {
+      return Status::Internal(
+          "parallel aggregation requires rank-tagged batches");
     }
-    group_reserve_.ReleaseHeadroom(ctx);
-  } else {
-    while (true) {
-      Tuple row;
-      bool eof = false;
-      MAGICDB_RETURN_IF_ERROR(child_->Next(&row, &eof));
-      if (eof) break;
-      // Build-loop cancellation checkpoint, mirroring the scan's
-      // page-boundary cadence: a child pipeline whose rows are expensive
-      // (filter-join probes, wide expressions) must not push cancellation
-      // latency past one block of input rows.
-      if ((++rows_seen & 1023) == 0) {
-        MAGICDB_RETURN_IF_ERROR(ctx->CheckCancelled());
-      }
+    for (size_t i = 0; i < group_by_.size(); ++i) {
+      ctx->counters().exprs_evaluated += n;
+      Status first_error;
+      ResolveBatchOperand(*group_by_[i], *in, &key_vals[i], &key_errs[i],
+                          &first_error, &key_ops[i]);
+      MAGICDB_RETURN_IF_ERROR(first_error);
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (aggs_[a].func == AggFunc::kCountStar) continue;
+      ctx->counters().exprs_evaluated += n;
+      Status first_error;
+      ResolveBatchOperand(*aggs_[a].arg, *in, &agg_vals[a], &agg_errs[a],
+                          &first_error, &agg_ops[a]);
+      MAGICDB_RETURN_IF_ERROR(first_error);
+    }
+    for (int32_t k = 0; k < n; ++k) {
+      const int32_t r = sel ? (*sel)[static_cast<size_t>(k)] : k;
+      ++rows_seen;
       MAGICDB_FAILPOINT("exec.aggregate.build");
       if (parallel) {
-        const int64_t p = pos_filter_join_ != nullptr
-                              ? pos_filter_join_->last_probe_global_pos()
-                              : pos_scan_->last_global_row();
+        // Rank by the driving position; rows sharing one (a Filter Join
+        // re-emits its production set, a hash join fans out) take
+        // consecutive emission indexes.
+        const int64_t p = in->pos()[static_cast<size_t>(r)];
         if (p == input_pos) {
-          ++input_sub;  // same driving position: next emission index
+          ++input_sub;
         } else {
           input_pos = p;
           input_sub = 0;
@@ -348,23 +266,17 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
         input_pos = rows_seen - 1;
         input_sub = 0;
       }
-      input_bytes += TupleByteWidth(row);
-      // Compute the group key.
-      Tuple key;
-      key.reserve(group_by_.size());
-      for (const ExprPtr& g : group_by_) {
-        ctx->counters().exprs_evaluated += 1;
-        MAGICDB_ASSIGN_OR_RETURN(Value v, g->Eval(row));
-        key.push_back(std::move(v));
-      }
+      input_bytes += BatchRowByteWidth(*in, r);
+      const OperandKeySource key_src{&key_ops, static_cast<size_t>(r)};
       ctx->counters().hash_operations += 1;
-      const uint64_t h = HashTupleColumns(key, key_identity);
+      const uint64_t h = key_src.Hash();
       MAGICDB_RETURN_IF_ERROR(DispatchRow(
-          ctx, TupleKeySource{&key}, h, input_pos, input_sub, parallel,
-          /*coalesce_charges=*/false,
-          [&](StagedGroup* g) { return Accumulate(row, g); }));
+          ctx, key_src, h, input_pos, input_sub, parallel,
+          [&](StagedGroup* g) { return FoldPreEvaluated(agg_ops, r, g); }));
     }
-  }
+    return Status::OK();
+  }));
+  group_reserve_.ReleaseHeadroom(ctx);
   MAGICDB_RETURN_IF_ERROR(child_->Close());
 
   if (!parallel) {
@@ -434,76 +346,47 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   group_index_.clear();
   // Barrier with the other replicas, then merge the one partition this
   // worker owns; the merged groups (sorted by first-seen rank) are what
-  // Next() emits. The Grace spill charge is settled inside, exactly once.
+  // NextBatch() emits. The Grace spill charge is settled inside, exactly
+  // once.
   MAGICDB_RETURN_IF_ERROR(shared_->MergeOwnPartition(worker_, ctx, &groups_));
   aggregated_ = true;
   return Status::OK();
 }
 
-Status HashAggregateOp::Next(Tuple* out, bool* eof) {
-  MAGICDB_CHECK(aggregated_);
-  if (agg_spill_ != nullptr) {
-    StagedGroup g;
-    bool has_group = false;
-    MAGICDB_RETURN_IF_ERROR(agg_spill_->NextGroup(&g, &has_group, ctx_));
-    if (!has_group) {
-      *eof = true;
-      return Status::OK();
-    }
-    last_group_pos_ = g.pos;
-    last_group_sub_ = g.sub;
-    Tuple result = std::move(g.key);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      MAGICDB_ASSIGN_OR_RETURN(Value v, Finalize(aggs_[a], g.states[a]));
-      result.push_back(std::move(v));
-    }
-    ctx_->counters().tuples_processed += 1;
-    *out = std::move(result);
-    *eof = false;
-    return Status::OK();
-  }
-  if (next_group_ >= groups_.size()) {
-    *eof = true;
-    return Status::OK();
-  }
-  const StagedGroup& g = groups_[next_group_++];
-  last_group_pos_ = g.pos;
-  last_group_sub_ = g.sub;
-  Tuple result = g.key;
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    MAGICDB_ASSIGN_OR_RETURN(Value v, Finalize(aggs_[a], g.states[a]));
-    result.push_back(std::move(v));
-  }
-  ctx_->counters().tuples_processed += 1;
-  *out = std::move(result);
-  *eof = false;
-  return Status::OK();
-}
-
 Status HashAggregateOp::NextBatch(RowBatch* out, bool* eof) {
   MAGICDB_CHECK(aggregated_);
-  // The out-of-core output path streams merged groups from spill partitions
-  // one at a time; the row adapter is the natural fit there.
-  if (agg_spill_ != nullptr) return Operator::NextBatch(out, eof);
   out->ResetForWrite(schema_.num_columns());
   if (shared_ != nullptr) out->EnableRanks();
-  while (!out->full() && next_group_ < groups_.size()) {
-    const StagedGroup& g = groups_[next_group_++];
-    last_group_pos_ = g.pos;
-    last_group_sub_ = g.sub;
-    Tuple result = g.key;
+  *eof = false;
+  StagedGroup spilled;
+  while (!out->full()) {
+    // Out of core, the merged groups stream from the spill partitions.
+    const StagedGroup* g = nullptr;
+    if (agg_spill_ != nullptr) {
+      bool has_group = false;
+      MAGICDB_RETURN_IF_ERROR(
+          agg_spill_->NextGroup(&spilled, &has_group, ctx_));
+      if (has_group) g = &spilled;
+    } else if (next_group_ < groups_.size()) {
+      g = &groups_[next_group_++];
+    }
+    if (g == nullptr) {
+      *eof = true;
+      break;
+    }
+    Tuple result = g->key;
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      MAGICDB_ASSIGN_OR_RETURN(Value v, Finalize(aggs_[a], g.states[a]));
+      MAGICDB_ASSIGN_OR_RETURN(Value v, Finalize(aggs_[a], g->states[a]));
       result.push_back(std::move(v));
     }
     ctx_->counters().tuples_processed += 1;
     out->AppendTuple(std::move(result));
     if (out->has_ranks()) {
-      out->pos().push_back(g.pos);
-      out->sub().push_back(g.sub);
+      out->pos().push_back(g->pos);
+      out->sub().push_back(g->sub);
     }
   }
-  *eof = next_group_ >= groups_.size();
+  if (agg_spill_ == nullptr && next_group_ >= groups_.size()) *eof = true;
   return Status::OK();
 }
 

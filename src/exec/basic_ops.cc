@@ -17,21 +17,12 @@ Status FilterOp::Open(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Status FilterOp::Next(Tuple* out, bool* eof) {
-  while (true) {
-    MAGICDB_RETURN_IF_ERROR(child_->Next(out, eof));
-    if (*eof) return Status::OK();
-    ctx_->counters().exprs_evaluated += 1;
-    if (EvalPredicate(*predicate_, *out)) return Status::OK();
-  }
-}
-
 Status FilterOp::NextBatch(RowBatch* out, bool* eof) {
   while (true) {
     MAGICDB_RETURN_IF_ERROR(child_->NextBatch(out, eof));
     const int64_t n = out->ActiveRows();
     if (n > 0) {
-      // One predicate evaluation per live input row, as in Next().
+      // One predicate evaluation per live input row.
       ctx_->counters().exprs_evaluated += n;
       BatchEvalPredicate(*predicate_, out, &pred_vals_, &pred_errs_);
       // Gather the survivors dense: one move-gather here buys every
@@ -62,21 +53,6 @@ Status ProjectOp::Open(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Status ProjectOp::Next(Tuple* out, bool* eof) {
-  Tuple in;
-  MAGICDB_RETURN_IF_ERROR(child_->Next(&in, eof));
-  if (*eof) return Status::OK();
-  Tuple result;
-  result.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    ctx_->counters().exprs_evaluated += 1;
-    MAGICDB_ASSIGN_OR_RETURN(Value v, e->Eval(in));
-    result.push_back(std::move(v));
-  }
-  *out = std::move(result);
-  return Status::OK();
-}
-
 Status ProjectOp::NextBatch(RowBatch* out, bool* eof) {
   if (in_batch_ == nullptr || in_batch_->capacity() != out->capacity()) {
     in_batch_ = std::make_unique<RowBatch>(out->capacity());
@@ -93,9 +69,9 @@ Status ProjectOp::NextBatch(RowBatch* out, bool* eof) {
       BatchOperand op;
       ResolveBatchOperand(*exprs_[j], *in_batch_, &col_vals_, &col_errs_,
                           &first_error, &op);
-      // Projection is strict: a row error fails the query, as in Next().
-      // Only the materializing path can produce one (literals never error,
-      // and an out-of-range column ref materializes).
+      // Projection is strict: a row error fails the query. Only the
+      // materializing path can produce one (literals never error, and an
+      // out-of-range column ref materializes).
       MAGICDB_RETURN_IF_ERROR(first_error);
       if (op.lit != nullptr) {
         // Broadcast literal. Inactive slots get the value too instead of
@@ -142,19 +118,20 @@ std::string ProjectOp::Describe() const {
 // ----- DistinctOp -----
 
 DistinctOp::DistinctOp(OpPtr child)
-    : Operator(child->schema()), child_(std::move(child)) {}
+    : RowOperator(child->schema()), child_(std::move(child)) {}
 
 Status DistinctOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   seen_.clear();
+  in_.Reset();
   return child_->Open(ctx);
 }
 
-Status DistinctOp::Next(Tuple* out, bool* eof) {
+Status DistinctOp::NextRow(Tuple* out, bool* eof) {
   std::vector<int> all(schema_.num_columns());
   for (int i = 0; i < schema_.num_columns(); ++i) all[i] = i;
   while (true) {
-    MAGICDB_RETURN_IF_ERROR(child_->Next(out, eof));
+    MAGICDB_RETURN_IF_ERROR(in_.Next(child_.get(), pull_rows(), out, eof));
     if (*eof) return Status::OK();
     ctx_->counters().hash_operations += 1;
     const uint64_t h = HashTupleColumns(*out, all);
@@ -183,7 +160,7 @@ std::string DistinctOp::Describe() const { return "Distinct"; }
 // ----- SortOp -----
 
 SortOp::SortOp(OpPtr child, std::vector<SortKey> keys)
-    : Operator(child->schema()),
+    : RowOperator(child->schema()),
       child_(std::move(child)),
       keys_(std::move(keys)) {}
 
@@ -199,11 +176,10 @@ Status SortOp::Open(ExecContext* ctx) {
   std::vector<Tuple> row_keys;
   int64_t bytes = 0;
   int64_t total_rows = 0;
-  while (true) {
-    Tuple t;
-    bool eof = false;
-    MAGICDB_RETURN_IF_ERROR(child_->Next(&t, &eof));
-    if (eof) break;
+  // Charged bytes of the buffered key tuples (reset when a run spills).
+  int64_t key_bytes = 0;
+  MAGICDB_RETURN_IF_ERROR(DrainRows(child_.get(), ctx, [&](Tuple t,
+                                                           int64_t) {
     Tuple k;
     k.reserve(keys_.size());
     for (const SortKey& sk : keys_) {
@@ -232,15 +208,18 @@ Status SortOp::Open(ExecContext* ctx) {
       MAGICDB_RETURN_IF_ERROR(
           sorter_->SpillRun(&rows, &row_keys, base_seq_, &charged_bytes_, ctx));
       base_seq_ += flushed;
+      key_bytes = 0;
       // Second failure is final: even one row does not fit.
       MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
     }
     charged_bytes_ += row_bytes;
+    key_bytes += TupleByteWidth(k);
     bytes += TupleByteWidth(t);
     ++total_rows;
     rows.push_back(std::move(t));
     row_keys.push_back(std::move(k));
-  }
+    return Status::OK();
+  }));
   MAGICDB_RETURN_IF_ERROR(child_->Close());
 
   // Charge n log2 n comparisons as CPU work over the full input.
@@ -250,7 +229,7 @@ Status SortOp::Open(ExecContext* ctx) {
         std::ceil(std::log2(static_cast<double>(total_rows))));
   }
   if (sorter_ != nullptr) {
-    // Out of core: the final buffer becomes the resident run and Next()
+    // Out of core: the final buffer becomes the resident run and NextRow()
     // k-way merges. Real page I/O was charged by the spill files, so the
     // heuristic below is skipped.
     return sorter_->FinishInput(std::move(rows), std::move(row_keys),
@@ -269,6 +248,10 @@ Status SortOp::Open(ExecContext* ctx) {
   });
   sorted_.reserve(rows.size());
   for (int64_t i : order) sorted_.push_back(std::move(rows[i]));
+  // The key tuples die with this scope: stop charging for them.
+  row_keys.clear();
+  ctx->ReleaseMemory(key_bytes);
+  charged_bytes_ -= key_bytes;
 
   // External passes when the input exceeds the memory budget: one full
   // write + read of the data per predicted pass.
@@ -284,13 +267,18 @@ Status SortOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status SortOp::Next(Tuple* out, bool* eof) {
+Status SortOp::NextRow(Tuple* out, bool* eof) {
   if (sorter_ != nullptr) return sorter_->Next(out, eof, ctx_);
   if (next_ >= sorted_.size()) {
     *eof = true;
     return Status::OK();
   }
-  *out = sorted_[next_++];
+  // The row leaves the sort's buffer: hand it over and its charge with it.
+  Tuple& row = sorted_[next_++];
+  const int64_t row_bytes = TupleByteWidth(row);
+  ctx_->ReleaseMemory(row_bytes);
+  charged_bytes_ -= row_bytes;
+  *out = std::move(row);
   *eof = false;
   return Status::OK();
 }
@@ -315,69 +303,23 @@ std::string SortOp::Describe() const {
   return s + ")";
 }
 
-// ----- MaterializeOp -----
-
-MaterializeOp::MaterializeOp(OpPtr child)
-    : Operator(child->schema()), child_(std::move(child)) {}
-
-Status MaterializeOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  next_row_ = 0;
-  rows_per_page_ = RowsPerPage(schema_.TupleWidthBytes());
-  if (!spooled_) {
-    MAGICDB_RETURN_IF_ERROR(child_->Open(ctx));
-    while (true) {
-      Tuple t;
-      bool eof = false;
-      MAGICDB_RETURN_IF_ERROR(child_->Next(&t, &eof));
-      if (eof) break;
-      rows_.push_back(std::move(t));
-    }
-    MAGICDB_RETURN_IF_ERROR(child_->Close());
-    ctx->counters().pages_written +=
-        PagesForRows(static_cast<int64_t>(rows_.size()),
-                     schema_.TupleWidthBytes());
-    spooled_ = true;
-  }
-  return Status::OK();
-}
-
-Status MaterializeOp::Next(Tuple* out, bool* eof) {
-  if (next_row_ >= static_cast<int64_t>(rows_.size())) {
-    *eof = true;
-    return Status::OK();
-  }
-  if (next_row_ % rows_per_page_ == 0) {
-    ctx_->counters().pages_read += 1;
-  }
-  ctx_->counters().tuples_processed += 1;
-  *out = rows_[next_row_++];
-  *eof = false;
-  return Status::OK();
-}
-
-Status MaterializeOp::Close() { return Status::OK(); }
-
-std::string MaterializeOp::Describe() const {
-  return "Materialize(spooled=" + std::string(spooled_ ? "yes" : "no") + ")";
-}
-
 // ----- LimitOp -----
 
 LimitOp::LimitOp(OpPtr child, int64_t limit)
-    : Operator(child->schema()), child_(std::move(child)), limit_(limit) {}
+    : RowOperator(child->schema()), child_(std::move(child)), limit_(limit) {}
 
 Status LimitOp::Open(ExecContext* ctx) {
   produced_ = 0;
+  in_.Reset();
   return child_->Open(ctx);
 }
 
-Status LimitOp::Next(Tuple* out, bool* eof) {
+Status LimitOp::NextRow(Tuple* out, bool* eof) {
   if (produced_ >= limit_) {
     *eof = true;
     return Status::OK();
   }
-  MAGICDB_RETURN_IF_ERROR(child_->Next(out, eof));
+  MAGICDB_RETURN_IF_ERROR(in_.Next(child_.get(), /*max_rows=*/1, out, eof));
   if (!*eof) ++produced_;
   return Status::OK();
 }

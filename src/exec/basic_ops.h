@@ -18,10 +18,9 @@ class FilterOp final : public Operator {
   FilterOp(OpPtr child, ExprPtr predicate);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
-  /// Native batch filter: pulls the child's batch into `out` and narrows
-  /// its selection vector with a vectorized predicate pass — no copying,
-  /// no per-row virtual dispatch. Rank tags ride along untouched.
+  /// Pulls the child's batch into `out` and narrows its selection vector
+  /// with a vectorized predicate pass — no per-row virtual dispatch. Rank
+  /// tags ride along.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -44,9 +43,8 @@ class ProjectOp final : public Operator {
   ProjectOp(OpPtr child, std::vector<ExprPtr> exprs, Schema schema);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
-  /// Native batch projection: each output column is one BatchEval over the
-  /// child batch; the input's selection vector and rank tags copy through.
+  /// Each output column is one BatchEval over the child batch; the input's
+  /// selection vector and rank tags copy through.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -58,19 +56,18 @@ class ProjectOp final : public Operator {
   OpPtr child_;
   std::vector<ExprPtr> exprs_;
   ExecContext* ctx_ = nullptr;
-  // Child batch + per-column value/error scratch for the vectorized path.
+  // Child batch + per-column value/error scratch.
   std::unique_ptr<RowBatch> in_batch_;
   std::vector<Value> col_vals_;
   std::vector<uint8_t> col_errs_;
 };
 
 /// Hash-based duplicate elimination over whole tuples.
-class DistinctOp final : public Operator {
+class DistinctOp final : public RowOperator {
  public:
   explicit DistinctOp(OpPtr child);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -78,7 +75,10 @@ class DistinctOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr child_;
+  RowReader in_;
   ExecContext* ctx_ = nullptr;
   std::unordered_map<uint64_t, std::vector<Tuple>> seen_;
 };
@@ -86,10 +86,13 @@ class DistinctOp final : public Operator {
 /// Full sort on key expressions. Keys are computed once per tuple; if the
 /// input exceeds the context memory budget, the predicted external merge
 /// passes are charged (write + read of all pages per pass). The buffered
-/// input is governed memory; when it breaches the query's hard limit and
-/// spilling is enabled, the sort degrades to an external merge sort
-/// (sorted runs on disk + k-way merge) with byte-identical output.
-class SortOp final : public Operator {
+/// input is governed memory: rows and their key tuples are charged as they
+/// are buffered, the key bytes are released once an in-memory sort drops
+/// the keys, and each row's bytes are released as it is emitted. When the
+/// buffer breaches the query's hard limit and spilling is enabled, the sort
+/// degrades to an external merge sort (sorted runs on disk + k-way merge)
+/// with byte-identical output.
+class SortOp final : public RowOperator {
  public:
   struct SortKey {
     ExprPtr expr;
@@ -99,7 +102,6 @@ class SortOp final : public Operator {
   SortOp(OpPtr child, std::vector<SortKey> keys);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -107,52 +109,28 @@ class SortOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr child_;
   std::vector<SortKey> keys_;
   ExecContext* ctx_ = nullptr;
   std::vector<Tuple> sorted_;
   size_t next_ = 0;
-  // Bytes charged for the buffered rows + key tuples; released on Close.
+  // Bytes still charged for buffered rows (and, until the sort drops them,
+  // their key tuples); the remainder is released on Close.
   int64_t charged_bytes_ = 0;
   // External merge sort, engaged on a governed memory breach.
   std::unique_ptr<ExternalSorter> sorter_;
   int64_t base_seq_ = 0;
 };
 
-/// Spools the child on first Open and replays the spool on every
-/// (re-)open. Charges page writes when spooling and page reads when
-/// replaying — the executor counterpart of ProductionCost_P in Table 1.
-class MaterializeOp final : public Operator {
- public:
-  explicit MaterializeOp(OpPtr child);
-
-  Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
-  Status Close() override;
-  std::string Describe() const override;
-  std::vector<const Operator*> Children() const override {
-    return {child_.get()};
-  }
-
-  /// Spooled rows (valid after Open).
-  const std::vector<Tuple>& rows() const { return rows_; }
-
- private:
-  OpPtr child_;
-  ExecContext* ctx_ = nullptr;
-  bool spooled_ = false;
-  std::vector<Tuple> rows_;
-  int64_t next_row_ = 0;
-  int64_t rows_per_page_ = 1;
-};
-
-/// Emits at most `limit` tuples.
-class LimitOp final : public Operator {
+/// Emits at most `limit` tuples. Asks its child for one row at a time, so
+/// a LIMIT query does no work past the rows it returns.
+class LimitOp final : public RowOperator {
  public:
   LimitOp(OpPtr child, int64_t limit);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -160,7 +138,10 @@ class LimitOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr child_;
+  RowReader in_;
   int64_t limit_;
   int64_t produced_ = 0;
 };

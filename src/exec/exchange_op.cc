@@ -5,7 +5,7 @@
 namespace magicdb {
 
 ShipOp::ShipOp(OpPtr child, int from_site, int to_site)
-    : Operator(child->schema()),
+    : RowOperator(child->schema()),
       child_(std::move(child)),
       from_site_(from_site),
       to_site_(to_site) {}
@@ -14,11 +14,12 @@ Status ShipOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   bytes_in_batch_ = 0;
   opened_message_charged_ = false;
+  in_.Reset();
   return child_->Open(ctx);
 }
 
-Status ShipOp::Next(Tuple* out, bool* eof) {
-  MAGICDB_RETURN_IF_ERROR(child_->Next(out, eof));
+Status ShipOp::NextRow(Tuple* out, bool* eof) {
+  MAGICDB_RETURN_IF_ERROR(in_.Next(child_.get(), pull_rows(), out, eof));
   if (*eof) return Status::OK();
   if (from_site_ == to_site_) return Status::OK();  // no-op locally
   if (!opened_message_charged_) {

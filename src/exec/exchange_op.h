@@ -11,12 +11,11 @@ namespace magicdb {
 /// (§5.1). Data is unchanged; the operator charges one message per page of
 /// shipped bytes (batched network transfer) plus per-byte cost, the same
 /// quantities the optimizer's communication model predicts.
-class ShipOp final : public Operator {
+class ShipOp final : public RowOperator {
  public:
   ShipOp(OpPtr child, int from_site, int to_site);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -24,7 +23,10 @@ class ShipOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr child_;
+  RowReader in_;
   int from_site_;
   int to_site_;
   ExecContext* ctx_ = nullptr;

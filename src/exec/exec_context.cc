@@ -75,17 +75,22 @@ std::shared_ptr<FilterSetBinding> FilterSetBinding::Bloom(
   return b;
 }
 
-bool FilterSetBinding::MayContain(const Tuple& tuple,
+bool FilterSetBinding::MayContain(const RowBatch& batch, int32_t row,
                                   const std::vector<int>& key_indexes) const {
   MAGICDB_CHECK(static_cast<int>(key_indexes.size()) ==
                 schema_.num_columns());
-  const uint64_t h = HashTupleColumns(tuple, key_indexes);
+  const uint64_t h = HashBatchRowColumns(batch, row, key_indexes);
   if (bloom_.has_value()) return bloom_->MayContain(h);
   auto it = exact_set_.find(h);
   if (it == exact_set_.end()) return false;
-  Tuple key = ProjectTuple(tuple, key_indexes);
   for (const Tuple& k : it->second) {
-    if (CompareTuples(k, key) == 0) return true;
+    size_t i = 0;
+    while (i < k.size() &&
+           k[i].Compare(batch.column(key_indexes[i])[static_cast<size_t>(
+               row)]) == 0) {
+      ++i;
+    }
+    if (i == k.size()) return true;
   }
   return false;
 }

@@ -15,6 +15,7 @@
 #include "src/common/cost_counters.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/statusor.h"
+#include "src/exec/row_batch.h"
 #include "src/types/schema.h"
 #include "src/types/tuple.h"
 
@@ -49,9 +50,9 @@ class FilterSetBinding {
 
   int64_t NumKeys() const { return num_keys_; }
 
-  /// Membership probe over all key columns of `tuple` selected by
-  /// `key_indexes`. Bloom bindings may return false positives.
-  bool MayContain(const Tuple& tuple,
+  /// Membership probe over the key columns `key_indexes` of physical row
+  /// `row` of `batch`. Bloom bindings may return false positives.
+  bool MayContain(const RowBatch& batch, int32_t row,
                   const std::vector<int>& key_indexes) const;
 
   /// Bytes this filter set occupies (shipping / AvailCost_F accounting).
@@ -169,13 +170,14 @@ class ExecContext {
     return "filter_set_" + std::to_string(next_filter_set_id_++);
   }
 
-  /// Rows per execution batch on the vectorized path. > 0 makes drivers and
-  /// batch-capable operators pull RowBatches through Operator::NextBatch
-  /// (row-only operators participate via the built-in adapter); <= 0 keeps
-  /// the classic row-at-a-time Volcano loop. Results and merged counters
-  /// are byte-identical either way.
+  /// Rows per batch that drivers and pipeline breakers pull through
+  /// Operator::NextBatch; always >= 1. Setting a value <= 0 restores the
+  /// default, DefaultExecBatchSize(). Results and merged counters are
+  /// byte-identical at any batch size.
   int64_t batch_size() const { return batch_size_; }
-  void set_batch_size(int64_t n) { batch_size_ = n; }
+  void set_batch_size(int64_t n) {
+    batch_size_ = n > 0 ? n : DefaultExecBatchSize();
+  }
 
   /// Worker pool parallel execution should run on. Null (the default) makes
   /// ParallelExecutor spin up a dedicated pool per Run; the serving layer
@@ -256,7 +258,7 @@ class ExecContext {
   std::shared_ptr<MemoryTracker> memory_tracker_;
   std::shared_ptr<SpillManager> spill_manager_;
   int64_t memory_budget_bytes_ = 4 * 1024 * 1024;
-  int64_t batch_size_ = 0;
+  int64_t batch_size_ = DefaultExecBatchSize();
   ThreadPool* shared_pool_ = nullptr;
   std::shared_ptr<CardinalityFeedback> cardinality_feedback_;
   double reoptimize_qerror_threshold_ = 0.0;
@@ -287,11 +289,11 @@ class BatchReserve {
 
   /// Consumes `bytes` from the reservation, refilling from `ctx` as needed.
   /// Reservations count against the limit but not the peak, so the peak
-  /// stays the same tight high-water mark tuple-at-a-time execution
-  /// records. On a reservation breach the headroom is refunded and the
-  /// charge retried exactly (and chunking stays off from then on), so a
-  /// breach surfaces at precisely the cumulative byte count where the row
-  /// path would fail.
+  /// stays the same tight high-water mark exact per-row charging records.
+  /// On a reservation breach the headroom is refunded and the charge
+  /// retried exactly (and chunking stays off from then on), so a breach
+  /// surfaces at precisely the cumulative byte count where exact charging
+  /// would fail.
   Status Take(ExecContext* ctx, int64_t bytes) {
     if (!chunked_) return ctx->ChargeMemory(bytes);
     if (reserve_left_ < bytes) {

@@ -52,14 +52,14 @@ struct ExecOptions {
   /// kResourceExhausted failure even then.
   bool allow_spill = true;
 
-  /// Rows per batch for the vectorized execution path (Operator::NextBatch):
-  /// operators exchange column-oriented batches instead of single tuples,
-  /// with memory charges and cancellation checks coalesced per batch.
-  /// Results, result order, and cost counters are byte-identical to the
-  /// tuple-at-a-time path at any dop. 0 = classic tuple-at-a-time
-  /// execution; negative (the default) = the service default
-  /// (QueryServiceOptions::default_batch_size, normally 1024). The
-  /// effective value participates in the plan-cache key.
+  /// Rows per batch that drivers and pipeline breakers pull through
+  /// Operator::NextBatch, with memory charges and cancellation checks
+  /// coalesced per batch. Results, result order, and cost counters are
+  /// byte-identical at any batch size and dop; batch size 1 is the
+  /// exact-work reference. <= 0 (the default) = the embedding default
+  /// (QueryServiceOptions::default_batch_size or
+  /// Database::exec_batch_size, normally 1024). The effective value
+  /// participates in the plan-cache key.
   int64_t batch_size = -1;
 
   /// Adaptive re-optimization: q-error (max(actual/est, est/actual)) above

@@ -30,12 +30,18 @@ Status FilterProbeOp::Open(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Status FilterProbeOp::Next(Tuple* out, bool* eof) {
+Status FilterProbeOp::NextBatch(RowBatch* out, bool* eof) {
   while (true) {
-    MAGICDB_RETURN_IF_ERROR(child_->Next(out, eof));
-    if (*eof) return Status::OK();
-    ctx_->counters().hash_operations += 1;
-    if (binding_->MayContain(*out, key_indexes_)) return Status::OK();
+    MAGICDB_RETURN_IF_ERROR(child_->NextBatch(out, eof));
+    ctx_->counters().hash_operations += out->ActiveRows();
+    std::vector<int32_t> survivors;
+    out->ForEachActive([&](int32_t r) {
+      if (binding_->MayContain(*out, r, key_indexes_)) survivors.push_back(r);
+    });
+    out->SetSelection(std::move(survivors));
+    out->CompactActive();
+    // Never hand an empty non-final batch upward; keep pulling instead.
+    if (out->ActiveRows() > 0 || *eof) return Status::OK();
   }
 }
 
@@ -90,16 +96,13 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
 
   // Phase 1: materialize the production set P (= the outer, Limitation 2).
   MAGICDB_RETURN_IF_ERROR(outer_->Open(ctx));
-  while (true) {
-    Tuple t;
-    bool eof = false;
-    MAGICDB_RETURN_IF_ERROR(outer_->Next(&t, &eof));
-    if (eof) break;
+  MAGICDB_RETURN_IF_ERROR(DrainRows(outer_.get(), ctx, [&](Tuple t, int64_t) {
     const int64_t row_bytes = TupleByteWidth(t);
     MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
     charged_bytes_ += row_bytes;
     production_.push_back(std::move(t));
-  }
+    return Status::OK();
+  }));
   MAGICDB_RETURN_IF_ERROR(outer_->Close());
   const int64_t prod_width = outer_->schema().TupleWidthBytes();
   production_rows_per_page_ = RowsPerPage(prod_width);
@@ -139,55 +142,61 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
   measured_.projection = ctx->counters().TotalCost() - phase_start;
   phase_start = ctx->counters().TotalCost();
 
+  PublishFilterSet(ctx, std::move(keys));
+  measured_.avail_filter = ctx->counters().TotalCost() - phase_start;
+  phase_start = ctx->counters().TotalCost();
+
+  MAGICDB_RETURN_IF_ERROR(BuildInner(ctx, &build_));
+  measured_.filter_inner = ctx->counters().TotalCost() - phase_start;
+  return Status::OK();
+}
+
+void FilterJoinOp::PublishFilterSet(ExecContext* ctx, std::vector<Tuple> keys) {
   Schema key_schema;
   for (int i : filter_outer_keys_) {
     key_schema.AddColumn(outer_->schema().column(i));
   }
-
   std::shared_ptr<FilterSetBinding> binding;
   if (impl_ == FilterSetImpl::kBloom) {
     binding = FilterSetBinding::Bloom(key_schema, keys, bloom_bits_per_key_);
   } else {
     binding = FilterSetBinding::Exact(key_schema, std::move(keys));
   }
-
   // AvailCost_F: materialize F; ship it if the inner computes remotely.
-  ctx->counters().pages_written +=
-      PagesForRows(binding->NumKeys() > 0
-                       ? (impl_ == FilterSetImpl::kBloom ? 1 : binding->NumKeys())
-                       : 0,
-                   impl_ == FilterSetImpl::kBloom
-                       ? CostConstants::kPageSizeBytes
-                       : key_schema.TupleWidthBytes());
+  ctx->counters().pages_written += PagesForRows(
+      binding->NumKeys() > 0
+          ? (impl_ == FilterSetImpl::kBloom ? 1 : binding->NumKeys())
+          : 0,
+      impl_ == FilterSetImpl::kBloom ? CostConstants::kPageSizeBytes
+                                     : key_schema.TupleWidthBytes());
   if (ship_filter_to_site_ > 0) {
     ctx->counters().messages_sent += 1;
     ctx->counters().bytes_shipped += binding->SizeBytes();
   }
   ctx->BindFilterSet(binding_id_, std::move(binding));
-  measured_.avail_filter = ctx->counters().TotalCost() - phase_start;
-  phase_start = ctx->counters().TotalCost();
+}
 
-  // Phase 3: FilterCost_{R_k} — evaluate the restricted inner and build the
+Status FilterJoinOp::BuildInner(
+    ExecContext* ctx,
+    std::unordered_map<uint64_t, std::vector<Tuple>>* table) {
+  // FilterCost_{R_k}: evaluate the restricted inner and build the
   // final-join hash table on it (AvailCost_{R_k'} is pipelined => only hash
   // work here).
   MAGICDB_RETURN_IF_ERROR(inner_->Open(ctx));
   int64_t build_bytes = 0;
   int64_t inner_rows = 0;
-  while (true) {
-    Tuple t;
-    bool eof = false;
-    MAGICDB_RETURN_IF_ERROR(inner_->Next(&t, &eof));
-    if (eof) break;
+  MAGICDB_RETURN_IF_ERROR(DrainRows(inner_.get(), ctx, [&](Tuple t, int64_t) {
     ++inner_rows;
-    if (TupleHasNullAt(t, inner_keys_)) continue;
+    if (TupleHasNullAt(t, inner_keys_)) return Status::OK();
     MAGICDB_FAILPOINT("exec.filter_join.build");
     const int64_t row_bytes = TupleByteWidth(t);
     MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
     charged_bytes_ += row_bytes;
     ctx->counters().hash_operations += 1;
     build_bytes += row_bytes;
-    build_[HashTupleColumns(t, inner_keys_)].push_back(std::move(t));
-  }
+    (*table)[HashTupleColumns(t, inner_keys_)].push_back(std::move(t));
+    return Status::OK();
+  }));
   MAGICDB_RETURN_IF_ERROR(inner_->Close());
   if (!feedback_key_.empty()) {
     MAGICDB_RETURN_IF_ERROR(ctx->RecordCardinality(
@@ -204,7 +213,6 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
     ctx->counters().pages_written += build_pages;
     ctx->counters().pages_read += build_pages;
   }
-  measured_.filter_inner = ctx->counters().TotalCost() - phase_start;
   return Status::OK();
 }
 
@@ -236,27 +244,30 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
   // Phase 1: drain this worker's slice of the outer into P_w, staging the
   // filter keys into the hash-routed partitions as they stream by (the
   // ProjCost_F hash op is charged here, once per non-null row globally).
+  // Each row keeps the driving position its batch carries.
   MAGICDB_RETURN_IF_ERROR(outer_->Open(ctx));
-  while (true) {
-    Tuple t;
-    bool eof = false;
-    MAGICDB_RETURN_IF_ERROR(outer_->Next(&t, &eof));
-    if (eof) break;
+  MAGICDB_RETURN_IF_ERROR(DrainRows(outer_.get(), ctx, [&](Tuple t,
+                                                           int64_t pos) {
+    if (pos < 0) {
+      return Status::Internal(
+          "parallel Filter Join requires rank-tagged batches");
+    }
     const int64_t row_bytes = TupleByteWidth(t);
     MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
     charged_bytes_ += row_bytes;
-    const int64_t pos = driving_scan_->last_global_row();
     if (!TupleHasNullAt(t, filter_outer_keys_)) {
       ctx->counters().hash_operations += 1;
       Tuple key = ProjectTuple(t, filter_outer_keys_);
       // Hash before the call: argument evaluation order is unspecified, and
-      // the by-value parameter would otherwise race the move against the hash.
+      // the by-value parameter would otherwise race the move against the
+      // hash.
       const uint64_t key_hash = HashTupleColumns(key, identity);
       shared_fj_->StageKey(worker_, pos, key_hash, std::move(key));
     }
     production_pos_.push_back(pos);
     production_.push_back(std::move(t));
-  }
+    return Status::OK();
+  }));
   MAGICDB_RETURN_IF_ERROR(outer_->Close());
   const int64_t prod_width = outer_->schema().TupleWidthBytes();
   production_rows_per_page_ = RowsPerPage(prod_width);
@@ -282,74 +293,15 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
 
     std::vector<Tuple> keys = shared_fj_->TakeOrderedKeys();
     last_filter_set_size_ = static_cast<int64_t>(keys.size());
-
-    Schema key_schema;
-    for (int i : filter_outer_keys_) {
-      key_schema.AddColumn(outer_->schema().column(i));
-    }
-    std::shared_ptr<FilterSetBinding> binding;
-    if (impl_ == FilterSetImpl::kBloom) {
-      binding = FilterSetBinding::Bloom(key_schema, keys, bloom_bits_per_key_);
-    } else {
-      binding = FilterSetBinding::Exact(key_schema, std::move(keys));
-    }
-    // AvailCost_F: materialize F; ship it if the inner computes remotely.
-    ctx->counters().pages_written += PagesForRows(
-        binding->NumKeys() > 0
-            ? (impl_ == FilterSetImpl::kBloom ? 1 : binding->NumKeys())
-            : 0,
-        impl_ == FilterSetImpl::kBloom ? CostConstants::kPageSizeBytes
-                                       : key_schema.TupleWidthBytes());
-    if (ship_filter_to_site_ > 0) {
-      ctx->counters().messages_sent += 1;
-      ctx->counters().bytes_shipped += binding->SizeBytes();
-    }
-    ctx->BindFilterSet(binding_id_, std::move(binding));
+    PublishFilterSet(ctx, std::move(keys));
     measured_.avail_filter = ctx->counters().TotalCost() - phase_start;
     phase_start = ctx->counters().TotalCost();
 
     // Phase 3: restricted inner, built into the shared final-join table.
-    auto* shared_build = shared_fj_->mutable_inner_build();
-    Status inner_status = inner_->Open(ctx);
-    int64_t build_bytes = 0;
-    int64_t inner_rows = 0;
-    while (inner_status.ok()) {
-      Tuple t;
-      bool eof = false;
-      inner_status = inner_->Next(&t, &eof);
-      if (!inner_status.ok() || eof) break;
-      ++inner_rows;
-      if (TupleHasNullAt(t, inner_keys_)) continue;
-      inner_status = MAGICDB_FAILPOINT_EVAL("exec.filter_join.build");
-      if (!inner_status.ok()) break;
-      const int64_t row_bytes = TupleByteWidth(t);
-      inner_status = ctx->ChargeMemory(row_bytes);
-      if (!inner_status.ok()) break;
-      charged_bytes_ += row_bytes;
-      ctx->counters().hash_operations += 1;
-      build_bytes += row_bytes;
-      (*shared_build)[HashTupleColumns(t, inner_keys_)].push_back(
-          std::move(t));
-    }
-    if (inner_status.ok()) inner_status = inner_->Close();
+    Status inner_status = BuildInner(ctx, shared_fj_->mutable_inner_build());
     if (!inner_status.ok()) {
       shared_fj_->Abort(inner_status);
       return inner_status;
-    }
-    // Coordinator-only observation (the inner runs exactly once, here), so
-    // the ledger entry matches sequential execution at any DoP.
-    if (!feedback_key_.empty()) {
-      MAGICDB_RETURN_IF_ERROR(ctx->RecordCardinality(
-          feedback_key_, "filter_join_build", feedback_est_rows_,
-          static_cast<double>(inner_rows), /*exact=*/false,
-          /*can_trigger=*/false));
-    }
-    if (build_bytes > ctx->memory_budget_bytes()) {
-      const int64_t build_pages =
-          (build_bytes + CostConstants::kPageSizeBytes - 1) /
-          CostConstants::kPageSizeBytes;
-      ctx->counters().pages_written += build_pages;
-      ctx->counters().pages_read += build_pages;
     }
     measured_.filter_inner = ctx->counters().TotalCost() - phase_start;
     phase_start = ctx->counters().TotalCost();
@@ -358,28 +310,23 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
     // otherwise overcharge).
     ctx->counters().pages_read += PagesForRows(total_rows, prod_width);
     measured_.final_join += ctx->counters().TotalCost() - phase_start;
-    return shared_fj_->InnerBarrier();
   }
   return shared_fj_->InnerBarrier();
 }
 
-Status FilterJoinOp::Next(Tuple* out, bool* eof) {
-  // Phase 4: FinalJoinCost — probe the R_k' hash table with P. Each Next
-  // call's charges are attributed to the final-join phase.
-  const double next_start = ctx_->counters().TotalCost();
-  struct PhaseGuard {
-    FilterJoinMeasured* measured;
-    ExecContext* ctx;
-    double start;
-    ~PhaseGuard() {
-      measured->final_join += ctx->counters().TotalCost() - start;
-    }
-  } guard{&measured_, ctx_, next_start};
-  while (true) {
+Status FilterJoinOp::NextBatch(RowBatch* out, bool* eof) {
+  // Each call's charges are attributed to the final-join phase.
+  const double start = ctx_->counters().TotalCost();
+  out->ResetForWrite(schema_.num_columns());
+  if (shared_fj_ != nullptr) out->EnableRanks();
+  *eof = false;
+  const auto& table =
+      shared_fj_ != nullptr ? shared_fj_->inner_build() : build_;
+  while (!out->full()) {
     if (!have_outer_) {
       if (outer_pos_ >= production_.size()) {
         *eof = true;
-        return Status::OK();
+        break;
       }
       if (shared_fj_ == nullptr &&
           static_cast<int64_t>(outer_pos_) % production_rows_per_page_ == 0) {
@@ -388,23 +335,20 @@ Status FilterJoinOp::Next(Tuple* out, bool* eof) {
         // rounding would overcharge), so workers skip the per-row charge.
         ctx_->counters().pages_read += 1;
       }
-      current_outer_ = production_[outer_pos_++];
+      // Each production row is probed once: move it out of the spool.
+      current_outer_ = std::move(production_[outer_pos_++]);
       ctx_->counters().tuples_processed += 1;
       have_outer_ = true;
-      if (TupleHasNullAt(current_outer_, outer_keys_)) {
-        current_bucket_ = nullptr;
-        bucket_pos_ = 0;
-        continue;
-      }
-      ctx_->counters().hash_operations += 1;
-      const auto& table =
-          shared_fj_ != nullptr ? shared_fj_->inner_build() : build_;
-      auto it = table.find(HashTupleColumns(current_outer_, outer_keys_));
-      current_bucket_ = it == table.end() ? nullptr : &it->second;
+      current_bucket_ = nullptr;
       bucket_pos_ = 0;
+      if (!TupleHasNullAt(current_outer_, outer_keys_)) {
+        ctx_->counters().hash_operations += 1;
+        auto it = table.find(HashTupleColumns(current_outer_, outer_keys_));
+        if (it != table.end()) current_bucket_ = &it->second;
+      }
     }
     while (current_bucket_ != nullptr &&
-           bucket_pos_ < current_bucket_->size()) {
+           bucket_pos_ < current_bucket_->size() && !out->full()) {
       const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
       if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
                               inner_keys_) != 0) {
@@ -415,12 +359,18 @@ Status FilterJoinOp::Next(Tuple* out, bool* eof) {
         ctx_->counters().exprs_evaluated += 1;
         if (!EvalPredicate(*residual_, joined)) continue;
       }
-      *out = std::move(joined);
-      *eof = false;
-      return Status::OK();
+      out->AppendTuple(std::move(joined));
+      if (out->has_ranks()) {
+        out->pos().push_back(production_pos_[outer_pos_ - 1]);
+        out->sub().push_back(0);
+      }
     }
-    have_outer_ = false;
+    if (current_bucket_ == nullptr || bucket_pos_ >= current_bucket_->size()) {
+      have_outer_ = false;
+    }
   }
+  measured_.final_join += ctx_->counters().TotalCost() - start;
+  return Status::OK();
 }
 
 Status FilterJoinOp::Close() {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/exec/operator.h"
-#include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
 #include "src/parallel/partitioned_build.h"
 
@@ -47,7 +46,9 @@ class FilterProbeOp final : public Operator {
                 std::vector<int> key_indexes);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
+  /// Pulls the child's batch into `out`, probes the filter set once per
+  /// live row, and compacts the survivors, like FilterOp.
+  Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -90,7 +91,10 @@ class FilterJoinOp final : public Operator {
                std::vector<int> filter_key_positions = {});
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
+  /// Phase 4 (FinalJoinCost): probes the R_k' hash table with P, resuming
+  /// mid-bucket across calls. In parallel mode every row is rank-tagged
+  /// with the driving position of its production row.
+  Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -117,25 +121,24 @@ class FilterJoinOp final : public Operator {
   /// Parallel execution: this replica contributes its morsel-driven slice
   /// of the production set, the filter set is built partitioned across
   /// workers, the restricted inner runs once on worker 0, and the final
-  /// join probes in parallel. `driving_scan` is the morsel-driven scan at
-  /// the bottom of this replica's outer chain (source of global row
-  /// positions). Call before Open.
-  void EnableParallel(std::shared_ptr<SharedFilterJoin> shared, int worker,
-                      SeqScanOp* driving_scan) {
+  /// join probes in parallel. The outer's batches must carry the driving
+  /// positions (rank tags) of a morsel-driven scan. Call before Open.
+  void EnableParallel(std::shared_ptr<SharedFilterJoin> shared, int worker) {
     shared_fj_ = std::move(shared);
     worker_ = worker;
-    driving_scan_ = driving_scan;
-  }
-
-  /// Global driving-row position of the production tuple currently being
-  /// probed (parallel mode; gather-merge sort key).
-  int64_t last_probe_global_pos() const {
-    return outer_pos_ == 0 ? -1
-                           : production_pos_[outer_pos_ - 1];
   }
 
  private:
   Status OpenParallel(ExecContext* ctx);
+  /// Builds F over the distinct filter keys, charges AvailCost_F
+  /// (materialize, and ship to a remote inner site) and binds it.
+  void PublishFilterSet(ExecContext* ctx, std::vector<Tuple> keys);
+  /// Phase 3: evaluates the restricted inner into `table` (the final-join
+  /// hash table), records its cardinality, and charges the Grace pass when
+  /// R_k' exceeds the memory budget.
+  Status BuildInner(
+      ExecContext* ctx,
+      std::unordered_map<uint64_t, std::vector<Tuple>>* table);
 
   OpPtr outer_;
   OpPtr inner_;
@@ -169,7 +172,6 @@ class FilterJoinOp final : public Operator {
   // Parallel-mode wiring; null / unused in sequential mode.
   std::shared_ptr<SharedFilterJoin> shared_fj_;
   int worker_ = 0;
-  SeqScanOp* driving_scan_ = nullptr;
   std::vector<int64_t> production_pos_;  // global pos per production_ row
 };
 

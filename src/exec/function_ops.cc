@@ -18,7 +18,7 @@ FunctionProbeJoinOp::FunctionProbeJoinOp(OpPtr outer,
                                          const TableFunction* function,
                                          std::vector<int> outer_arg_indexes,
                                          ExprPtr residual, bool memoize)
-    : Operator(outer->schema().Concat(
+    : RowOperator(outer->schema().Concat(
           function->RelationSchema().WithQualifier(function->name()))),
       outer_(std::move(outer)),
       function_(function),
@@ -35,15 +35,17 @@ Status FunctionProbeJoinOp::Open(ExecContext* ctx) {
   have_outer_ = false;
   cache_hits_ = 0;
   result_pos_ = 0;
+  outer_in_.Reset();
   return outer_->Open(ctx);
 }
 
-Status FunctionProbeJoinOp::Next(Tuple* out, bool* eof) {
+Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
   const std::vector<int> arg_identity = Identity(outer_arg_indexes_.size());
   while (true) {
     if (!have_outer_) {
       bool outer_eof = false;
-      MAGICDB_RETURN_IF_ERROR(outer_->Next(&current_outer_, &outer_eof));
+      MAGICDB_RETURN_IF_ERROR(outer_in_.Next(outer_.get(), pull_rows(),
+                                             &current_outer_, &outer_eof));
       if (outer_eof) {
         *eof = true;
         return Status::OK();
@@ -113,7 +115,7 @@ std::string FunctionProbeJoinOp::Describe() const {
 // ----- FunctionCallOp -----
 
 FunctionCallOp::FunctionCallOp(OpPtr args_child, const TableFunction* function)
-    : Operator(function->RelationSchema().WithQualifier(function->name())),
+    : RowOperator(function->RelationSchema().WithQualifier(function->name())),
       args_child_(std::move(args_child)),
       function_(function) {
   MAGICDB_CHECK(args_child_->schema().num_columns() ==
@@ -125,10 +127,11 @@ Status FunctionCallOp::Open(ExecContext* ctx) {
   current_rows_.clear();
   pos_ = 0;
   child_eof_ = false;
+  args_in_.Reset();
   return args_child_->Open(ctx);
 }
 
-Status FunctionCallOp::Next(Tuple* out, bool* eof) {
+Status FunctionCallOp::NextRow(Tuple* out, bool* eof) {
   while (true) {
     if (pos_ < current_rows_.size()) {
       ctx_->counters().tuples_processed += 1;
@@ -142,7 +145,8 @@ Status FunctionCallOp::Next(Tuple* out, bool* eof) {
     }
     Tuple args;
     bool eof_child = false;
-    MAGICDB_RETURN_IF_ERROR(args_child_->Next(&args, &eof_child));
+    MAGICDB_RETURN_IF_ERROR(
+        args_in_.Next(args_child_.get(), pull_rows(), &args, &eof_child));
     if (eof_child) {
       child_eof_ = true;
       continue;

@@ -17,14 +17,13 @@ namespace magicdb {
 /// of re-invoking ("function caching / memoing").
 ///
 /// Output schema: outer ++ function relation (args ++ results).
-class FunctionProbeJoinOp final : public Operator {
+class FunctionProbeJoinOp final : public RowOperator {
  public:
   FunctionProbeJoinOp(OpPtr outer, const TableFunction* function,
                       std::vector<int> outer_arg_indexes, ExprPtr residual,
                       bool memoize);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -34,7 +33,10 @@ class FunctionProbeJoinOp final : public Operator {
   int64_t cache_hits() const { return cache_hits_; }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr outer_;
+  RowReader outer_in_;
   const TableFunction* function_;
   std::vector<int> outer_arg_indexes_;
   ExprPtr residual_;
@@ -54,12 +56,11 @@ class FunctionProbeJoinOp final : public Operator {
 /// *argument* tuples (typically the distinct filter set of a Filter Join on
 /// a user-defined relation — "consecutive procedure calls" in Figure 6).
 /// Emits args ++ results rows; the planner joins them back to the outer.
-class FunctionCallOp final : public Operator {
+class FunctionCallOp final : public RowOperator {
  public:
   FunctionCallOp(OpPtr args_child, const TableFunction* function);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -67,7 +68,10 @@ class FunctionCallOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr args_child_;
+  RowReader args_in_;
   const TableFunction* function_;
   ExecContext* ctx_ = nullptr;
   std::vector<Tuple> current_rows_;

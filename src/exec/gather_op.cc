@@ -8,7 +8,7 @@
 namespace magicdb {
 
 GatherOp::GatherOp(Schema schema, std::vector<GatherRun> runs)
-    : Operator(std::move(schema)), runs_(std::move(runs)) {
+    : RowOperator(std::move(schema)), runs_(std::move(runs)) {
   for (const auto& run : runs_) {
     for (size_t i = 1; i < run.rows.size(); ++i) {
       MAGICDB_CHECK(run.rows[i - 1].pos < run.rows[i].pos ||
@@ -68,7 +68,7 @@ Status GatherOp::Open(ExecContext* /*ctx*/) {
   return Status::OK();
 }
 
-Status GatherOp::Next(Tuple* out, bool* eof) {
+Status GatherOp::NextRow(Tuple* out, bool* eof) {
   // Pick the run whose head has the smallest (pos, sub) rank; full ties
   // (possible only when several output rows share one rank, all within one
   // worker's run) resolve to the lowest run index, and within a run FIFO

@@ -48,7 +48,7 @@ struct GatherRun {
 /// of its own and charges nothing to the cost counters — the rows it
 /// forwards were fully paid for by the workers that produced them (spilled
 /// gather files are created with charging disabled for the same reason).
-class GatherOp final : public Operator {
+class GatherOp final : public RowOperator {
  public:
   /// Each run must be sorted ascending by (pos, sub); a spilled prefix must
   /// precede its in-memory tail in rank order. Takes ownership.
@@ -58,11 +58,12 @@ class GatherOp final : public Operator {
   GatherOp(Schema schema, std::vector<std::vector<GatherRow>> runs);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   /// Merge cursor over one run: while `file_has`, (pos, sub, row) hold the
   /// decoded head record of the spilled prefix; afterwards `mem` indexes
   /// the in-memory tail.

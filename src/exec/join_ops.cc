@@ -12,7 +12,7 @@ namespace magicdb {
 
 NestedLoopsJoinOp::NestedLoopsJoinOp(OpPtr outer, OpPtr inner,
                                      ExprPtr predicate)
-    : Operator(outer->schema().Concat(inner->schema())),
+    : RowOperator(outer->schema().Concat(inner->schema())),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       predicate_(std::move(predicate)) {}
@@ -21,14 +21,16 @@ Status NestedLoopsJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   have_outer_ = false;
   inner_open_ = false;
+  outer_in_.Reset();
   return outer_->Open(ctx);
 }
 
-Status NestedLoopsJoinOp::Next(Tuple* out, bool* eof) {
+Status NestedLoopsJoinOp::NextRow(Tuple* out, bool* eof) {
   while (true) {
     if (!have_outer_) {
       bool outer_eof = false;
-      MAGICDB_RETURN_IF_ERROR(outer_->Next(&current_outer_, &outer_eof));
+      MAGICDB_RETURN_IF_ERROR(outer_in_.Next(outer_.get(), pull_rows(),
+                                             &current_outer_, &outer_eof));
       if (outer_eof) {
         *eof = true;
         return Status::OK();
@@ -38,11 +40,13 @@ Status NestedLoopsJoinOp::Next(Tuple* out, bool* eof) {
         MAGICDB_RETURN_IF_ERROR(inner_->Close());
       }
       MAGICDB_RETURN_IF_ERROR(inner_->Open(ctx_));
+      inner_in_.Reset();
       inner_open_ = true;
     }
     Tuple inner_tuple;
     bool inner_eof = false;
-    MAGICDB_RETURN_IF_ERROR(inner_->Next(&inner_tuple, &inner_eof));
+    MAGICDB_RETURN_IF_ERROR(
+        inner_in_.Next(inner_.get(), pull_rows(), &inner_tuple, &inner_eof));
     if (inner_eof) {
       have_outer_ = false;
       continue;
@@ -78,7 +82,7 @@ IndexNestedLoopsJoinOp::IndexNestedLoopsJoinOp(
     OpPtr outer, const Table* inner_table, const HashIndex* index,
     std::vector<int> outer_key_indexes, ExprPtr residual, bool remote_probe,
     const std::string& inner_alias)
-    : Operator(outer->schema().Concat(
+    : RowOperator(outer->schema().Concat(
           inner_alias.empty() ? inner_table->schema()
                               : inner_table->schema().WithQualifier(
                                     inner_alias))),
@@ -97,14 +101,16 @@ Status IndexNestedLoopsJoinOp::Open(ExecContext* ctx) {
   have_outer_ = false;
   current_matches_.clear();
   match_pos_ = 0;
+  outer_in_.Reset();
   return outer_->Open(ctx);
 }
 
-Status IndexNestedLoopsJoinOp::Next(Tuple* out, bool* eof) {
+Status IndexNestedLoopsJoinOp::NextRow(Tuple* out, bool* eof) {
   while (true) {
     if (!have_outer_) {
       bool outer_eof = false;
-      MAGICDB_RETURN_IF_ERROR(outer_->Next(&current_outer_, &outer_eof));
+      MAGICDB_RETURN_IF_ERROR(outer_in_.Next(outer_.get(), pull_rows(),
+                                             &current_outer_, &outer_eof));
       if (outer_eof) {
         *eof = true;
         return Status::OK();
@@ -174,7 +180,7 @@ HashJoinOp::HashJoinOp(OpPtr outer, OpPtr inner,
 }
 
 Status HashJoinOp::AddBuildTuple(Tuple t, int64_t stage_pos,
-                                 int64_t* build_bytes, bool coalesce_charges) {
+                                 int64_t* build_bytes) {
   if (TupleHasNullAt(t, inner_keys_)) return Status::OK();  // never joins
   MAGICDB_FAILPOINT("exec.hash_join.build");
   ctx_->counters().hash_operations += 1;
@@ -187,8 +193,7 @@ Status HashJoinOp::AddBuildTuple(Tuple t, int64_t stage_pos,
   // Retained build row: governed memory, whether staged into the shared
   // partitioned build or kept in this replica's private table.
   const int64_t row_bytes = TupleByteWidth(t);
-  Status charge = coalesce_charges ? build_reserve_.Take(ctx_, row_bytes)
-                                   : ctx_->ChargeMemory(row_bytes);
+  Status charge = build_reserve_.Take(ctx_, row_bytes);
   if (!charge.ok()) {
     // A governed breach turns into out-of-core execution when a spill
     // area is attached (sequential mode only; parallel replicas fail the
@@ -227,7 +232,6 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   charged_bytes_ = 0;
   grace_.reset();
   probe_spilled_ = false;
-  probe_rows_seen_ = 0;
   build_reserve_ = BatchReserve();
   probe_batch_exhausted_ = true;
   probe_eof_ = false;
@@ -241,50 +245,16 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   // Build-input rows drained by this replica (before the NULL-key skip, so
   // the total matches the scan-output cardinality the optimizer estimated).
   int64_t build_rows = 0;
-  if (ctx->batch_size() > 0) {
-    // Vectorized build drain: one memory reservation and one cancellation
-    // check per batch instead of per row.
-    RowBatch in(static_cast<int32_t>(ctx->batch_size()));
-    bool ieof = false;
-    while (!ieof) {
-      MAGICDB_RETURN_IF_ERROR(inner_->NextBatch(&in, &ieof));
-      if (shared_build_ != nullptr && in.ActiveRows() > 0 && !in.has_ranks()) {
-        return Status::Internal(
-            "shared hash-join build requires rank-tagged batches");
-      }
-      const std::vector<int32_t>* sel =
-          in.sel_active() ? &in.selection() : nullptr;
-      const int32_t n =
-          sel ? static_cast<int32_t>(sel->size()) : in.num_rows();
-      Tuple t;
-      build_rows += n;
-      for (int32_t k = 0; k < n; ++k) {
-        const int32_t r = sel ? (*sel)[k] : k;
-        in.MoveRowToTuple(r, &t);
-        const int64_t stage_pos =
-            shared_build_ != nullptr ? in.pos()[static_cast<size_t>(r)] : 0;
-        MAGICDB_RETURN_IF_ERROR(AddBuildTuple(std::move(t), stage_pos,
-                                              &build_bytes,
-                                              /*coalesce_charges=*/true));
-      }
-      MAGICDB_RETURN_IF_ERROR(ctx->CheckCancelled());
+  MAGICDB_RETURN_IF_ERROR(DrainRows(inner_.get(), ctx, [&](Tuple t,
+                                                           int64_t pos) {
+    if (shared_build_ != nullptr && pos < 0) {
+      return Status::Internal(
+          "shared hash-join build requires rank-tagged batches");
     }
-    build_reserve_.ReleaseHeadroom(ctx);
-  } else {
-    while (true) {
-      Tuple t;
-      bool eof = false;
-      MAGICDB_RETURN_IF_ERROR(inner_->Next(&t, &eof));
-      if (eof) break;
-      ++build_rows;
-      const int64_t stage_pos = shared_build_ != nullptr
-                                    ? shared_inner_scan_->last_global_row()
-                                    : 0;
-      MAGICDB_RETURN_IF_ERROR(AddBuildTuple(std::move(t), stage_pos,
-                                            &build_bytes,
-                                            /*coalesce_charges=*/false));
-    }
-  }
+    ++build_rows;
+    return AddBuildTuple(std::move(t), pos, &build_bytes);
+  }));
+  build_reserve_.ReleaseHeadroom(ctx);
   MAGICDB_RETURN_IF_ERROR(inner_->Close());
   // Cardinality feedback: record the observed build-input total and decide
   // the re-optimization trigger before any probe output is produced (every
@@ -316,7 +286,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   }
   // Build side over budget: charge the Grace partitioning passes the spill
   // subsystem would take to shrink each partition under budget. The build
-  // input pays now; the probe input pays as it streams (see Next).
+  // input pays now; the probe input pays as it streams (see NextBatch).
   if (build_bytes > ctx->memory_budget_bytes()) {
     spilled_ = true;
     spill_passes_ = SpillPasses(static_cast<double>(build_bytes),
@@ -332,96 +302,33 @@ Status HashJoinOp::Open(ExecContext* ctx) {
 }
 
 Status HashJoinOp::DrainProbeToSpill() {
-  while (true) {
-    Tuple t;
-    bool outer_eof = false;
-    MAGICDB_RETURN_IF_ERROR(outer_->Next(&t, &outer_eof));
-    if (outer_eof) break;
-    if (++probe_rows_seen_ % 1024 == 0) {
-      MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
-    }
-    if (TupleHasNullAt(t, outer_keys_)) continue;  // NULL keys never join
+  MAGICDB_RETURN_IF_ERROR(DrainRows(outer_.get(), ctx_, [&](Tuple t,
+                                                            int64_t) {
+    if (TupleHasNullAt(t, outer_keys_)) return Status::OK();  // never joins
     ctx_->counters().hash_operations += 1;
     const uint64_t hash = HashTupleColumns(t, outer_keys_);
-    MAGICDB_RETURN_IF_ERROR(grace_->AddProbeRow(hash, t, ctx_));
-  }
+    return grace_->AddProbeRow(hash, t, ctx_);
+  }));
   return grace_->FinishProbe(ctx_);
 }
 
-Status HashJoinOp::Next(Tuple* out, bool* eof) {
+Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
+  out->ResetForWrite(schema_.num_columns());
+  *eof = false;
   if (grace_ != nullptr) {
+    // Out of core: drain the probe side into its partitions once, then
+    // stream the merged partition joins.
     if (!probe_spilled_) {
       MAGICDB_RETURN_IF_ERROR(DrainProbeToSpill());
       probe_spilled_ = true;
     }
-    return grace_->NextOutput(out, eof, ctx_);
-  }
-  while (true) {
-    if (!have_outer_) {
-      bool outer_eof = false;
-      MAGICDB_RETURN_IF_ERROR(outer_->Next(&current_outer_, &outer_eof));
-      if (outer_eof) {
-        *eof = true;
-        return Status::OK();
-      }
-      have_outer_ = true;
-      if (spilled_) {
-        if (shared_build_ != nullptr) {
-          // Global byte stream: exact floor semantics at any DoP.
-          shared_build_->ChargeProbeBytes(ctx_,
-                                          TupleByteWidth(current_outer_));
-        } else {
-          probe_bytes_pending_ += TupleByteWidth(current_outer_);
-          while (probe_bytes_pending_ >= CostConstants::kPageSizeBytes) {
-            probe_bytes_pending_ -= CostConstants::kPageSizeBytes;
-            ctx_->counters().pages_written += spill_passes_;
-            ctx_->counters().pages_read += spill_passes_;
-          }
-        }
-      }
-      if (TupleHasNullAt(current_outer_, outer_keys_)) {
-        current_bucket_ = nullptr;  // NULL keys never join
-        bucket_pos_ = 0;
-        continue;
-      }
-      ctx_->counters().hash_operations += 1;
-      const uint64_t hash = HashTupleColumns(current_outer_, outer_keys_);
-      if (shared_build_ != nullptr) {
-        current_bucket_ = shared_build_->Probe(hash);
-      } else {
-        auto it = build_.find(hash);
-        current_bucket_ = it == build_.end() ? nullptr : &it->second;
-      }
-      bucket_pos_ = 0;
+    Tuple t;
+    while (!out->full() && !*eof) {
+      MAGICDB_RETURN_IF_ERROR(grace_->NextOutput(&t, eof, ctx_));
+      if (!*eof) out->AppendTuple(std::move(t));
     }
-    while (current_bucket_ != nullptr &&
-           bucket_pos_ < current_bucket_->size()) {
-      const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
-      // Verify key equality (hash collisions).
-      if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
-                              inner_keys_) != 0) {
-        continue;
-      }
-      ctx_->counters().tuples_processed += 1;
-      Tuple joined = ConcatTuples(current_outer_, inner_row);
-      if (residual_) {
-        ctx_->counters().exprs_evaluated += 1;
-        if (!EvalPredicate(*residual_, joined)) continue;
-      }
-      *out = std::move(joined);
-      *eof = false;
-      return Status::OK();
-    }
-    have_outer_ = false;
+    return Status::OK();
   }
-}
-
-Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
-  // The Grace (out-of-core) path already materializes output rows one at a
-  // time from spill partitions; the row adapter is the natural fit there.
-  if (grace_ != nullptr) return Operator::NextBatch(out, eof);
-  out->ResetForWrite(schema_.num_columns());
-  *eof = false;
   if (probe_batch_ == nullptr || probe_batch_->capacity() != out->capacity()) {
     probe_batch_ = std::make_unique<RowBatch>(out->capacity());
   }
@@ -436,9 +343,9 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
       probe_batch_exhausted_ = false;
       probe_sel_idx_ = 0;
       have_outer_ = false;
-      // Up-front vectorized pass: spill byte charges (row order, identical
-      // floor semantics to Next), NULL-key screening, and key hashing for
-      // every active row of the batch.
+      // Up-front vectorized pass: spill byte charges (in row order, so the
+      // page floors match at any batch size), NULL-key screening, and key
+      // hashing for every active row of the batch.
       const int32_t nrows = probe_batch_->num_rows();
       probe_hashes_.assign(static_cast<size_t>(nrows), 0);
       probe_has_key_.assign(static_cast<size_t>(nrows), 0);
@@ -563,7 +470,7 @@ SortMergeJoinOp::SortMergeJoinOp(OpPtr outer, OpPtr inner,
                                  std::vector<int> outer_key_indexes,
                                  std::vector<int> inner_key_indexes,
                                  ExprPtr residual, bool outer_presorted)
-    : Operator(outer->schema().Concat(inner->schema())),
+    : RowOperator(outer->schema().Concat(inner->schema())),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       outer_keys_(std::move(outer_key_indexes)),
@@ -579,14 +486,10 @@ Status SortMergeJoinOp::DrainSorted(Operator* child,
                                     ExecContext* ctx, std::vector<Tuple>* out,
                                     bool presorted) {
   MAGICDB_RETURN_IF_ERROR(child->Open(ctx));
-  while (true) {
-    Tuple t;
-    bool eof = false;
-    MAGICDB_RETURN_IF_ERROR(child->Next(&t, &eof));
-    if (eof) break;
-    if (TupleHasNullAt(t, keys)) continue;  // NULL keys never join
-    out->push_back(std::move(t));
-  }
+  MAGICDB_RETURN_IF_ERROR(DrainRows(child, ctx, [&](Tuple t, int64_t) {
+    if (!TupleHasNullAt(t, keys)) out->push_back(std::move(t));
+    return Status::OK();  // NULL keys never join
+  }));
   MAGICDB_RETURN_IF_ERROR(child->Close());
   if (presorted) {
     // Trust but verify: a misdeclared order is a planner bug.
@@ -654,7 +557,7 @@ Status SortMergeJoinOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status SortMergeJoinOp::Next(Tuple* out, bool* eof) {
+Status SortMergeJoinOp::NextRow(Tuple* out, bool* eof) {
   while (in_group_) {
     if (rpos_ >= rg_end_) {
       rpos_ = ri_;

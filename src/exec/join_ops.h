@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/exec/operator.h"
-#include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
 #include "src/parallel/partitioned_build.h"
 #include "src/spill/grace_hash_join.h"
@@ -20,14 +19,13 @@ namespace magicdb {
 /// re-opened and rescanned. Works for arbitrary predicates (including
 /// non-equijoins such as E.sal > V.avgsal). Output schema is
 /// outer ++ inner.
-class NestedLoopsJoinOp final : public Operator {
+class NestedLoopsJoinOp final : public RowOperator {
  public:
   /// `predicate` is over the concatenated schema; may be null (cross
   /// product).
   NestedLoopsJoinOp(OpPtr outer, OpPtr inner, ExprPtr predicate);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -35,8 +33,12 @@ class NestedLoopsJoinOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr outer_;
   OpPtr inner_;
+  RowReader outer_in_;
+  RowReader inner_in_;
   ExprPtr predicate_;
   ExecContext* ctx_ = nullptr;
   Tuple current_outer_;
@@ -47,7 +49,7 @@ class NestedLoopsJoinOp final : public Operator {
 /// Index nested loops: probes a stored table's index once per outer tuple.
 /// Models the classic repeated-probe strategy; with `remote_probe` set, each
 /// probe additionally pays a message round trip (System R* "fetch matches").
-class IndexNestedLoopsJoinOp final : public Operator {
+class IndexNestedLoopsJoinOp final : public RowOperator {
  public:
   /// `index` must belong to `inner_table` and cover exactly the columns the
   /// probe key binds. `outer_key_indexes` selects the probe key from the
@@ -59,7 +61,6 @@ class IndexNestedLoopsJoinOp final : public Operator {
                          const std::string& inner_alias = "");
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -67,7 +68,10 @@ class IndexNestedLoopsJoinOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   OpPtr outer_;
+  RowReader outer_in_;
   const Table* inner_table_;
   const HashIndex* index_;
   std::vector<int> outer_key_indexes_;
@@ -88,12 +92,11 @@ class HashJoinOp final : public Operator {
              std::vector<int> inner_key_indexes, ExprPtr residual);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
-  /// Native batch probe: hashes a batch of outer keys, probes, and emits
-  /// matched rows until the output batch fills (mid-bucket state is saved
-  /// across calls). Emission order — and therefore every counter total —
-  /// is identical to Next(). The Grace (spilled) path goes through the
-  /// row adapter. Outer rank tags (parallel mode) propagate to matches.
+  /// Hashes a batch of outer keys, probes, and emits matched rows until the
+  /// output batch fills (mid-bucket state is saved across calls). The
+  /// probe batch is no larger than the output batch. Outer rank tags
+  /// (parallel mode) propagate to matches. Out of core, the batch fills
+  /// from the Grace join's merged output instead.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -102,16 +105,15 @@ class HashJoinOp final : public Operator {
   }
 
   /// Parallel execution: route this replica's build rows into a shared
-  /// partitioned build instead of a private hash table. `inner_scan` is
-  /// the morsel-driven scan at the bottom of this replica's inner chain;
-  /// its last_global_row() gives each staged row the scan position the
-  /// partition owner sorts by (determinism of bucket order). Call before
-  /// Open; the parallel executor wires every replica identically.
-  void EnableSharedBuild(std::shared_ptr<SharedHashBuild> shared, int worker,
-                         SeqScanOp* inner_scan) {
+  /// partitioned build instead of a private hash table. The build batches
+  /// must carry rank tags (a morsel-driven scan at the bottom of the inner
+  /// chain): each staged row keeps its scan position, which the partition
+  /// owner sorts by (determinism of bucket order). Call before Open; the
+  /// parallel executor wires every replica identically.
+  void EnableSharedBuild(std::shared_ptr<SharedHashBuild> shared,
+                         int worker) {
     shared_build_ = std::move(shared);
     worker_ = worker;
-    shared_inner_scan_ = inner_scan;
   }
 
   /// Cardinality-feedback annotation from the optimizer: the build input's
@@ -132,13 +134,11 @@ class HashJoinOp final : public Operator {
   /// (tagging rows with their probe sequence) and runs the partition joins.
   Status DrainProbeToSpill();
 
-  /// Shared per-row build step for both the row and batch drains: NULL-key
-  /// skip, failpoint, hash, memory charge (coalesced through build_reserve_
-  /// when `coalesce_charges`), grace engagement on breach, and staging or
-  /// private-table insert. `stage_pos` is the scan position tag for shared
-  /// builds (ignored otherwise).
-  Status AddBuildTuple(Tuple t, int64_t stage_pos, int64_t* build_bytes,
-                       bool coalesce_charges);
+  /// Per-row build step: NULL-key skip, failpoint, hash, memory charge
+  /// (coalesced through build_reserve_), grace engagement on breach, and
+  /// staging or private-table insert. `stage_pos` is the scan position tag
+  /// for shared builds (ignored otherwise).
+  Status AddBuildTuple(Tuple t, int64_t stage_pos, int64_t* build_bytes);
 
   OpPtr outer_;
   OpPtr inner_;
@@ -167,18 +167,16 @@ class HashJoinOp final : public Operator {
   // I/O is charged by the spill files instead.
   std::unique_ptr<GraceHashJoin> grace_;
   bool probe_spilled_ = false;
-  int64_t probe_rows_seen_ = 0;
   // Parallel (shared partitioned) build wiring; null in sequential mode.
   std::shared_ptr<SharedHashBuild> shared_build_;
   int worker_ = 0;
-  SeqScanOp* shared_inner_scan_ = nullptr;
   // Cardinality-feedback annotation (AnnotateBuildCardinality); key empty =
   // not annotated.
   std::string feedback_key_;
   double feedback_est_rows_ = 0.0;
   bool feedback_can_trigger_ = false;
-  // Vectorized path: coalesced build-side memory charges, the owned outer
-  // batch the probe resumes from, and per-batch key-hash scratch.
+  // Coalesced build-side memory charges, the owned outer batch the probe
+  // resumes from, and per-batch key-hash scratch.
   BatchReserve build_reserve_;
   std::unique_ptr<RowBatch> probe_batch_;
   bool probe_batch_exhausted_ = true;
@@ -193,14 +191,13 @@ class HashJoinOp final : public Operator {
 /// With `outer_presorted` the outer is trusted to arrive sorted on its key
 /// columns (an "interesting order" from a previous sort-merge join) and is
 /// only drained, not re-sorted.
-class SortMergeJoinOp final : public Operator {
+class SortMergeJoinOp final : public RowOperator {
  public:
   SortMergeJoinOp(OpPtr outer, OpPtr inner, std::vector<int> outer_key_indexes,
                   std::vector<int> inner_key_indexes, ExprPtr residual,
                   bool outer_presorted = false);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -208,6 +205,8 @@ class SortMergeJoinOp final : public Operator {
   }
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   Status DrainSorted(Operator* child, const std::vector<int>& keys,
                      ExecContext* ctx, std::vector<Tuple>* out,
                      bool presorted);

@@ -20,19 +20,46 @@ std::string Operator::TreeString() const {
   return os.str();
 }
 
-Status Operator::NextBatch(RowBatch* out, bool* eof) {
+Status RowOperator::NextBatch(RowBatch* out, bool* eof) {
   out->ResetForWrite(schema_.num_columns());
+  pull_rows_ = out->capacity();
   *eof = false;
   Tuple t;
-  bool row_eof = false;
   while (!out->full()) {
-    MAGICDB_RETURN_IF_ERROR(Next(&t, &row_eof));
+    bool row_eof = false;
+    MAGICDB_RETURN_IF_ERROR(NextRow(&t, &row_eof));
     if (row_eof) {
       *eof = true;
       break;
     }
     out->AppendTuple(std::move(t));
   }
+  return Status::OK();
+}
+
+void RowReader::Reset() {
+  batch_.ResetForWrite(batch_.num_cols());
+  next_ = 0;
+  child_eof_ = false;
+}
+
+Status RowReader::Next(Operator* child, int32_t max_rows, Tuple* out,
+                       bool* eof) {
+  while (next_ >= batch_.ActiveRows()) {
+    if (child_eof_) {
+      *eof = true;
+      return Status::OK();
+    }
+    if (batch_.capacity() != max_rows) batch_ = RowBatch(max_rows);
+    MAGICDB_RETURN_IF_ERROR(child->NextBatch(&batch_, &child_eof_));
+    next_ = 0;
+  }
+  const int32_t r = batch_.sel_active()
+                        ? batch_.selection()[static_cast<size_t>(next_)]
+                        : next_;
+  ++next_;
+  batch_.MoveRowToTuple(r, out);
+  *eof = false;
   return Status::OK();
 }
 
@@ -44,30 +71,10 @@ StatusOr<std::vector<Tuple>> ExecuteToVector(Operator* root,
 
 StatusOr<std::vector<Tuple>> DrainToVector(Operator* root, ExecContext* ctx) {
   std::vector<Tuple> rows;
-  if (ctx->batch_size() > 0) {
-    RowBatch batch(static_cast<int32_t>(ctx->batch_size()));
-    while (true) {
-      bool eof = false;
-      MAGICDB_RETURN_IF_ERROR(root->NextBatch(&batch, &eof));
-      batch.MoveActiveToTuples(&rows);
-      // One cancellation checkpoint per batch (vs per 1024 rows below).
-      MAGICDB_RETURN_IF_ERROR(ctx->CheckCancelled());
-      if (eof) break;
-    }
-  } else {
-    while (true) {
-      Tuple t;
-      bool eof = false;
-      MAGICDB_RETURN_IF_ERROR(root->Next(&t, &eof));
-      if (eof) break;
-      rows.push_back(std::move(t));
-      // Cancellation checkpoint for plans whose output loop dominates (the
-      // scan-level checkpoints cover the blocking build phases).
-      if ((rows.size() & 1023) == 0) {
-        MAGICDB_RETURN_IF_ERROR(ctx->CheckCancelled());
-      }
-    }
-  }
+  MAGICDB_RETURN_IF_ERROR(DrainBatches(root, ctx, [&](RowBatch* batch) {
+    batch->MoveActiveToTuples(&rows);
+    return Status::OK();
+  }));
   MAGICDB_RETURN_IF_ERROR(root->Close());
   return rows;
 }

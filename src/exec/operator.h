@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/statusor.h"
@@ -15,7 +16,7 @@ namespace magicdb {
 
 /// Volcano-style physical operator. Lifecycle:
 ///
-///   Open(ctx) -> Next()* -> Close()
+///   Open(ctx) -> NextBatch()* -> Close()
 ///
 /// Open resets the operator so a parent (e.g. nested-loops join) can rescan
 /// by re-opening. Operators charge the work they perform to
@@ -31,23 +32,20 @@ class Operator {
   /// Prepares (or re-prepares) the operator for a scan.
   virtual Status Open(ExecContext* ctx) = 0;
 
-  /// Produces the next tuple. Sets *eof=true (and leaves *out untouched) at
-  /// end of stream.
-  virtual Status Next(Tuple* out, bool* eof) = 0;
-
-  /// Vectorized pull: fills `out` (reset to this operator's column count,
+  /// The one pull: fills `out` (reset to this operator's column count,
   /// capacity preserved) with up to out->capacity() rows. Contract:
   ///
   ///   - the final batch may carry rows together with *eof = true;
   ///   - a batch with zero live rows and *eof = false is never returned
   ///     (operators loop internally instead of bouncing empty batches);
-  ///   - row values, order, and counter charges are identical to draining
-  ///     the same operator through Next().
-  ///
-  /// The base implementation adapts any row-only operator by looping
-  /// Next() into the batch, which is what makes mixed batch/row trees
-  /// legal: a batch-native parent can always pull from a row-only child.
-  virtual Status NextBatch(RowBatch* out, bool* eof);
+  ///   - a streaming operator asks a child for at most out->capacity()
+  ///     rows per pull, so a consumer that stops early (LIMIT asks for one
+  ///     row at a time) causes no work past the rows it consumed. Pipeline
+  ///     breakers are the exception: they drain their whole input at
+  ///     ctx->batch_size() (DrainBatches);
+  ///   - row values, order, and counter charges do not depend on the batch
+  ///     capacity; batch size 1 is the exact-work reference.
+  virtual Status NextBatch(RowBatch* out, bool* eof) = 0;
 
   virtual Status Close() = 0;
 
@@ -68,14 +66,92 @@ class Operator {
 
 using OpPtr = std::unique_ptr<Operator>;
 
+/// Base of the operators whose work is naturally one row at a time (Sort,
+/// Distinct, Limit, the loop and sort-merge joins, FilterSetScan,
+/// OrderedIndexScan, the function operators, Ship, Gather): they implement
+/// NextRow, and NextBatch fills the batch by looping it. NextBatch is
+/// final, so such an operator has exactly one pull implementation.
+class RowOperator : public Operator {
+ public:
+  using Operator::Operator;
+
+  Status NextBatch(RowBatch* out, bool* eof) final;
+
+ protected:
+  /// Produces the next row. Sets *eof=true (and leaves *out untouched) at
+  /// end of stream.
+  virtual Status NextRow(Tuple* out, bool* eof) = 0;
+
+  /// Capacity of the batch the current NextBatch call fills: the most rows
+  /// a streaming child read (RowReader::Next) may ask for.
+  int32_t pull_rows() const { return pull_rows_; }
+
+ private:
+  int32_t pull_rows_ = 1;
+};
+
+/// Row-at-a-time view of a child operator, for RowOperator
+/// implementations: rows are served from an owned batch, refilled through
+/// the child's NextBatch. Owners Reset() the reader whenever they
+/// (re-)open the child.
+class RowReader {
+ public:
+  void Reset();
+
+  /// Moves the child's next row into *out, pulling a batch of at most
+  /// `max_rows` rows once the buffered ones are used up. Sets *eof=true at
+  /// end of stream.
+  Status Next(Operator* child, int32_t max_rows, Tuple* out, bool* eof);
+
+ private:
+  RowBatch batch_{1};
+  int32_t next_ = 0;  // index into the batch's live rows
+  bool child_eof_ = false;
+};
+
+/// The one drain of every pipeline breaker: pulls the opened `child` to end
+/// of stream in batches of ctx->batch_size() rows and calls
+/// `consume(RowBatch*)` on each (possibly empty, for the final batch), with
+/// a cancellation checkpoint per batch. Neither opens nor closes `child`.
+template <typename Consume>
+Status DrainBatches(Operator* child, ExecContext* ctx, Consume&& consume) {
+  RowBatch batch(static_cast<int32_t>(ctx->batch_size()));
+  bool eof = false;
+  while (!eof) {
+    MAGICDB_RETURN_IF_ERROR(child->NextBatch(&batch, &eof));
+    MAGICDB_RETURN_IF_ERROR(consume(&batch));
+    MAGICDB_RETURN_IF_ERROR(ctx->CheckCancelled());
+  }
+  return Status::OK();
+}
+
+/// DrainBatches one row at a time: moves every live row out of its batch
+/// and calls `consume(Tuple&& row, int64_t pos)`, where `pos` is the row's
+/// rank position (the parallel gather key), or -1 when the batch carries no
+/// rank tags.
+template <typename Consume>
+Status DrainRows(Operator* child, ExecContext* ctx, Consume&& consume) {
+  Tuple t;
+  return DrainBatches(child, ctx, [&](RowBatch* batch) -> Status {
+    const std::vector<int32_t>* sel =
+        batch->sel_active() ? &batch->selection() : nullptr;
+    const int32_t n = batch->ActiveRows();
+    for (int32_t k = 0; k < n; ++k) {
+      const size_t r = static_cast<size_t>(sel ? (*sel)[k] : k);
+      batch->MoveRowToTuple(static_cast<int32_t>(r), &t);
+      MAGICDB_RETURN_IF_ERROR(
+          consume(std::move(t), batch->has_ranks() ? batch->pos()[r] : -1));
+    }
+    return Status::OK();
+  });
+}
+
 /// Runs `root` to completion under `ctx` and returns all produced tuples:
 /// Open() followed by DrainToVector().
 StatusOr<std::vector<Tuple>> ExecuteToVector(Operator* root, ExecContext* ctx);
 
-/// Drains an already-opened `root` under `ctx`, closes it, and returns all
-/// produced tuples. When ctx->batch_size() > 0 the drain pulls batches
-/// through NextBatch (with one cancellation checkpoint per batch);
-/// otherwise it loops Next().
+/// Drains an already-opened `root` under `ctx` (DrainBatches), closes it,
+/// and returns all produced tuples.
 StatusOr<std::vector<Tuple>> DrainToVector(Operator* root, ExecContext* ctx);
 
 }  // namespace magicdb

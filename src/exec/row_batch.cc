@@ -74,7 +74,7 @@ int64_t DefaultExecBatchSize() {
   static const int64_t size = [] {
     if (const char* env = std::getenv("MAGICDB_TEST_BATCH_SIZE")) {
       const int64_t v = std::strtoll(env, nullptr, 10);
-      return v < 0 ? int64_t{0} : v;
+      if (v >= 1) return v;
     }
     return int64_t{RowBatch::kDefaultCapacity};
   }();

@@ -10,8 +10,8 @@
 
 namespace magicdb {
 
-/// Column-oriented batch of rows flowing through the vectorized execution
-/// path (Operator::NextBatch). Layout:
+/// Column-oriented batch of rows, the unit operators exchange through
+/// Operator::NextBatch. Layout:
 ///
 ///   - `num_cols` column vectors of Value, all `num_rows` long — the
 ///     physical rows of the batch;
@@ -59,8 +59,9 @@ class RowBatch {
     return columns_[static_cast<size_t>(c)];
   }
 
-  /// Appends one row by moving the tuple's values column-wise (the
-  /// row->batch adapter path). The tuple must have num_cols() values.
+  /// Appends one row by moving the tuple's values column-wise (how
+  /// row-at-a-time operators fill their batches). The tuple must have
+  /// num_cols() values.
   void AppendTuple(Tuple&& t) {
     for (size_t c = 0; c < columns_.size(); ++c) {
       columns_[c].push_back(std::move(t[c]));
@@ -144,18 +145,18 @@ class RowBatch {
 
 /// Row-wise helpers over batch columns, mirroring their Tuple counterparts
 /// (TupleByteWidth / TupleHasNullAt / HashTupleColumns) value-for-value so
-/// batch operators charge and hash exactly like the row path.
+/// batch loops charge and hash exactly like per-tuple code.
 int64_t BatchRowByteWidth(const RowBatch& batch, int32_t row);
 bool BatchRowHasNullAt(const RowBatch& batch, int32_t row,
                        const std::vector<int>& indexes);
 uint64_t HashBatchRowColumns(const RowBatch& batch, int32_t row,
                              const std::vector<int>& indexes);
 
-/// Process-wide default batch size for the vectorized execution path:
-/// RowBatch::kDefaultCapacity unless the MAGICDB_TEST_BATCH_SIZE environment
-/// variable overrides it (clamped to >= 0; 0 forces tuple-at-a-time
-/// execution). check.sh sets the variable to run the full test suite under
-/// both execution modes.
+/// Process-wide default execution batch size: RowBatch::kDefaultCapacity
+/// unless the MAGICDB_TEST_BATCH_SIZE environment variable overrides it (a
+/// value below 1 falls back to kDefaultCapacity). check.sh sets the
+/// variable to rerun the full test suite at batch size 1, the exact-work
+/// reference, and at an odd size.
 int64_t DefaultExecBatchSize();
 
 }  // namespace magicdb

@@ -15,42 +15,7 @@ Status SeqScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   next_row_ = 0;
   have_morsel_ = false;
-  last_global_row_ = -1;
   rows_per_page_ = RowsPerPage(table_->schema().TupleWidthBytes());
-  return Status::OK();
-}
-
-Status SeqScanOp::Next(Tuple* out, bool* eof) {
-  if (morsels_ != nullptr) {
-    while (!have_morsel_ || next_row_ >= morsel_.end) {
-      // Morsel claims are the scan's cancellation checkpoint in parallel
-      // mode: a cancelled worker stops claiming work and unwinds before
-      // its next barrier, letting the abort path release its peers.
-      MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
-      if (!morsels_->Next(&morsel_)) {
-        *eof = true;
-        return Status::OK();
-      }
-      have_morsel_ = true;
-      next_row_ = morsel_.begin;
-    }
-    // Morsels are page-aligned, so the boundary test below stays exact.
-  } else if (next_row_ >= table_->NumRows()) {
-    *eof = true;
-    return Status::OK();
-  }
-  if (next_row_ % rows_per_page_ == 0) {
-    MAGICDB_FAILPOINT("storage.page_read");
-    ctx_->counters().pages_read += 1;
-    // Page boundaries are the sequential checkpoint: every blocking loop
-    // (hash build, aggregation, sort input) bottoms out at a scan, so a
-    // cancelled query unwinds within one page of rows.
-    MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
-  }
-  ctx_->counters().tuples_processed += 1;
-  last_global_row_ = next_row_;
-  *out = table_->row(next_row_++);
-  *eof = false;
   return Status::OK();
 }
 
@@ -63,7 +28,9 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* eof) {
     int64_t chunk_end;
     if (morsels_ != nullptr) {
       if (!have_morsel_ || next_row_ >= morsel_.end) {
-        // Morsel claims keep their cancellation checkpoint (see Next).
+        // Morsel claims are the scan's cancellation checkpoint in parallel
+        // mode: a cancelled worker stops claiming work and unwinds before
+        // its next barrier, letting the abort path release its peers.
         MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
         if (!morsels_->Next(&morsel_)) {
           *eof = true;
@@ -82,8 +49,9 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* eof) {
     }
     const int64_t room = out->capacity() - out->num_rows();
     const int64_t chunk = std::min(room, chunk_end - next_row_);
-    // Page charges for every boundary in [next_row_, next_row_ + chunk) —
-    // identical totals to the per-row boundary test in Next().
+    // One page charge for every page boundary in
+    // [next_row_, next_row_ + chunk). Morsels are page-aligned, so the
+    // totals match a front-to-back scan at any DoP.
     const int64_t first_boundary =
         ((next_row_ + rows_per_page_ - 1) / rows_per_page_) * rows_per_page_;
     for (int64_t b = first_boundary; b < next_row_ + chunk;
@@ -109,9 +77,9 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* eof) {
     out->set_num_rows(out->num_rows() + static_cast<int32_t>(chunk));
     ctx_->counters().tuples_processed += chunk;
     next_row_ += chunk;
-    last_global_row_ = next_row_ - 1;
   }
-  // One cancellation check per batch replaces the per-page check in Next().
+  // One cancellation check per batch: every blocking loop bottoms out at a
+  // scan, so a cancelled query unwinds within one batch of rows.
   return ctx_->CheckCancelled();
 }
 
@@ -125,8 +93,8 @@ std::string SeqScanOp::Describe() const {
 OrderedIndexScanOp::OrderedIndexScanOp(const Table* table,
                                        const OrderedIndex* index,
                                        const std::string& alias)
-    : Operator(alias.empty() ? table->schema()
-                             : table->schema().WithQualifier(alias)),
+    : RowOperator(alias.empty() ? table->schema()
+                                : table->schema().WithQualifier(alias)),
       table_(table),
       index_(index) {}
 
@@ -139,7 +107,7 @@ Status OrderedIndexScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status OrderedIndexScanOp::Next(Tuple* out, bool* eof) {
+Status OrderedIndexScanOp::NextRow(Tuple* out, bool* eof) {
   if (next_ >= static_cast<int64_t>(row_order_.size())) {
     *eof = true;
     return Status::OK();
@@ -163,7 +131,7 @@ std::string OrderedIndexScanOp::Describe() const {
 }
 
 FilterSetScanOp::FilterSetScanOp(std::string binding_id, Schema schema)
-    : Operator(std::move(schema)), binding_id_(std::move(binding_id)) {}
+    : RowOperator(std::move(schema)), binding_id_(std::move(binding_id)) {}
 
 Status FilterSetScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
@@ -178,7 +146,7 @@ Status FilterSetScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status FilterSetScanOp::Next(Tuple* out, bool* eof) {
+Status FilterSetScanOp::NextRow(Tuple* out, bool* eof) {
   if (next_row_ >= binding_->NumKeys()) {
     *eof = true;
     return Status::OK();
@@ -196,70 +164,6 @@ Status FilterSetScanOp::Close() { return Status::OK(); }
 
 std::string FilterSetScanOp::Describe() const {
   return "FilterSetScan(" + binding_id_ + ")";
-}
-
-VectorScanOp::VectorScanOp(const std::vector<Tuple>* rows, Schema schema,
-                           bool charge_pages)
-    : Operator(std::move(schema)), rows_(rows), charge_pages_(charge_pages) {}
-
-Status VectorScanOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  next_row_ = 0;
-  rows_per_page_ = RowsPerPage(schema_.TupleWidthBytes());
-  return Status::OK();
-}
-
-Status VectorScanOp::Next(Tuple* out, bool* eof) {
-  if (next_row_ >= static_cast<int64_t>(rows_->size())) {
-    *eof = true;
-    return Status::OK();
-  }
-  if (next_row_ % rows_per_page_ == 0) {
-    if (charge_pages_) ctx_->counters().pages_read += 1;
-    MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
-  }
-  ctx_->counters().tuples_processed += 1;
-  *out = (*rows_)[next_row_++];
-  *eof = false;
-  return Status::OK();
-}
-
-Status VectorScanOp::NextBatch(RowBatch* out, bool* eof) {
-  const int num_cols = schema_.num_columns();
-  out->ResetForWrite(num_cols);
-  const int64_t total = static_cast<int64_t>(rows_->size());
-  if (next_row_ >= total) {
-    *eof = true;
-    return ctx_->CheckCancelled();
-  }
-  const int64_t chunk =
-      std::min(static_cast<int64_t>(out->capacity()), total - next_row_);
-  if (charge_pages_) {
-    const int64_t first_boundary =
-        ((next_row_ + rows_per_page_ - 1) / rows_per_page_) * rows_per_page_;
-    for (int64_t b = first_boundary; b < next_row_ + chunk;
-         b += rows_per_page_) {
-      ctx_->counters().pages_read += 1;
-    }
-  }
-  for (int64_t i = 0; i < chunk; ++i) {
-    const Tuple& row = (*rows_)[static_cast<size_t>(next_row_ + i)];
-    for (int c = 0; c < num_cols; ++c) {
-      out->column(c).push_back(row[static_cast<size_t>(c)]);
-    }
-  }
-  out->set_num_rows(static_cast<int32_t>(chunk));
-  ctx_->counters().tuples_processed += chunk;
-  next_row_ += chunk;
-  *eof = next_row_ >= total;
-  // One cancellation check per batch replaces the page-boundary check.
-  return ctx_->CheckCancelled();
-}
-
-Status VectorScanOp::Close() { return Status::OK(); }
-
-std::string VectorScanOp::Describe() const {
-  return "VectorScan(rows=" + std::to_string(rows_->size()) + ")";
 }
 
 }  // namespace magicdb

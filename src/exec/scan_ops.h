@@ -26,10 +26,10 @@ class SeqScanOp final : public Operator {
   SeqScanOp(const Table* table, const std::string& alias = "");
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
-  /// Native batch scan: column-wise page copies with one cancellation
-  /// check per batch (morsel claims keep their own checkpoint). In morsel
-  /// mode the batch carries (pos, sub) = (global row, 0) rank tags.
+  /// Column-wise page copies with one cancellation check per batch (morsel
+  /// claims keep their own checkpoint). In morsel mode the batch carries
+  /// (pos, sub) = (global row, 0) rank tags, which the gather merge uses to
+  /// restore sequential output order across workers.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -44,11 +44,6 @@ class SeqScanOp final : public Operator {
     morsels_ = std::move(source);
   }
 
-  /// Global position (row index in the table) of the most recently
-  /// returned row. The gather merge uses this to restore sequential output
-  /// order across workers; only meaningful in morsel mode.
-  int64_t last_global_row() const { return last_global_row_; }
-
  private:
   const Table* table_;
   ExecContext* ctx_ = nullptr;
@@ -57,24 +52,24 @@ class SeqScanOp final : public Operator {
   std::shared_ptr<MorselSource> morsels_;
   Morsel morsel_;
   bool have_morsel_ = false;
-  int64_t last_global_row_ = -1;
 };
 
 /// Scans a stored table in the key order of one of its ordered indexes —
 /// an access path that *provides* an interesting order (a downstream
 /// sort-merge join can skip its sort). Charged like a clustered index
 /// traversal: the tree height at open plus the table's pages.
-class OrderedIndexScanOp final : public Operator {
+class OrderedIndexScanOp final : public RowOperator {
  public:
   OrderedIndexScanOp(const Table* table, const OrderedIndex* index,
                      const std::string& alias = "");
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   const Table* table_;
   const OrderedIndex* index_;
   ExecContext* ctx_ = nullptr;
@@ -86,43 +81,20 @@ class OrderedIndexScanOp final : public Operator {
 /// Scans the distinct key tuples of a bound (exact) filter set — the
 /// "Filter" relation in the magic rewrite of Figure 2. Bloom bindings
 /// cannot be scanned; Open fails for them.
-class FilterSetScanOp final : public Operator {
+class FilterSetScanOp final : public RowOperator {
  public:
   FilterSetScanOp(std::string binding_id, Schema schema);
 
   Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
 
  private:
+  Status NextRow(Tuple* out, bool* eof) override;
+
   std::string binding_id_;
   ExecContext* ctx_ = nullptr;
   std::shared_ptr<FilterSetBinding> binding_;
-  int64_t next_row_ = 0;
-  int64_t rows_per_page_ = 1;
-};
-
-/// Scans an in-memory vector of tuples (used for pre-materialized inputs in
-/// tests and as the production-set scan inside FilterJoinOp). Charges page
-/// reads like a spooled temporary.
-class VectorScanOp final : public Operator {
- public:
-  /// Does not own `rows`; caller keeps them alive across the scan.
-  VectorScanOp(const std::vector<Tuple>* rows, Schema schema,
-               bool charge_pages = true);
-
-  Status Open(ExecContext* ctx) override;
-  Status Next(Tuple* out, bool* eof) override;
-  /// Native batch scan over the vector (per-batch cancellation check).
-  Status NextBatch(RowBatch* out, bool* eof) override;
-  Status Close() override;
-  std::string Describe() const override;
-
- private:
-  const std::vector<Tuple>* rows_;
-  bool charge_pages_;
-  ExecContext* ctx_ = nullptr;
   int64_t next_row_ = 0;
   int64_t rows_per_page_ = 1;
 };

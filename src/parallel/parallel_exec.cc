@@ -133,15 +133,13 @@ Status FlushGatherRows(GatherRun* run, ExecContext* ctx,
   return Status::OK();
 }
 
-/// Opens, drains, and closes one replica, tagging every output row with the
-/// sequential-order rank the gather merge sorts by: the aggregate's group
-/// first-seen (pos, sub) when the pipeline aggregates, else the global
-/// driving-scan position.
-Status RunPipeline(Operator* root, const ReplicaShape& shape,
-                   ExecContext* ctx, GatherRun* run) {
+/// Opens, drains, and closes one replica, staging every output row under
+/// the rank tag its batch carries: the aggregate's group first-seen
+/// (pos, sub) when the pipeline aggregates, else the global driving-scan
+/// position of the row's production row.
+Status RunPipeline(Operator* root, ExecContext* ctx, GatherRun* run) {
   MAGICDB_RETURN_IF_ERROR(root->Open(ctx));
   int64_t staged_charged = 0;
-  int64_t rows_staged = 0;
   std::string scratch;
   // Releases the staged-row charges on an error unwind; a successful drain
   // keeps them charged until the gather stream is consumed.
@@ -175,65 +173,25 @@ Status RunPipeline(Operator* root, const ReplicaShape& shape,
     run->staged_rows += 1;
     return Status::OK();
   };
-  // Vectorized drain: rank tags ride in the batches (scan position from the
-  // morsel scan, group first-seen rank from the aggregate), so no per-row
-  // position-provider query is needed. A Filter Join's position provider is
-  // inherently row-at-a-time, so those pipelines stay on the row drain.
-  if (ctx->batch_size() > 0 && shape.filter_join == nullptr) {
-    RowBatch batch(static_cast<int32_t>(ctx->batch_size()));
-    bool eof = false;
-    while (!eof) {
-      Status st = root->NextBatch(&batch, &eof);
-      if (!st.ok()) return fail(std::move(st));
-      const std::vector<int32_t>* sel =
-          batch.sel_active() ? &batch.selection() : nullptr;
-      const int32_t n =
-          sel ? static_cast<int32_t>(sel->size()) : batch.num_rows();
-      if (n > 0 && !batch.has_ranks()) {
-        return fail(
-            Status::Internal("parallel pipeline batch lacks rank tags"));
-      }
-      Tuple t;
-      for (int32_t k = 0; k < n; ++k) {
-        const int32_t r = sel ? (*sel)[k] : k;
-        batch.MoveRowToTuple(r, &t);
-        Status ss = stage(std::move(t), batch.pos()[static_cast<size_t>(r)],
-                          batch.sub()[static_cast<size_t>(r)]);
-        if (!ss.ok()) return fail(std::move(ss));
-      }
-      // Per-batch cancellation checkpoint replaces the per-1024-rows one.
-      ctx->NoteProgress(n + 1);
-      Status cc = ctx->CheckCancelled();
-      if (!cc.ok()) return fail(std::move(cc));
+  Status st = DrainBatches(root, ctx, [&](RowBatch* batch) {
+    const std::vector<int32_t>* sel =
+        batch->sel_active() ? &batch->selection() : nullptr;
+    const int32_t n = batch->ActiveRows();
+    if (n > 0 && !batch->has_ranks()) {
+      return Status::Internal("parallel pipeline batch lacks rank tags");
     }
-  } else {
-    while (true) {
-      Tuple t;
-      bool eof = false;
-      Status st = root->Next(&t, &eof);
-      if (!st.ok()) return fail(std::move(st));
-      if (eof) break;
-      int64_t pos = 0;
-      int64_t sub = 0;
-      if (shape.aggregate != nullptr) {
-        pos = shape.aggregate->last_group_pos();
-        sub = shape.aggregate->last_group_sub();
-      } else if (shape.filter_join != nullptr) {
-        pos = shape.filter_join->last_probe_global_pos();
-      } else {
-        pos = shape.driving_scan->last_global_row();
-      }
-      Status ss = stage(std::move(t), pos, sub);
-      if (!ss.ok()) return fail(std::move(ss));
-      // Morsel-loop cancellation checkpoint (the driving scan also checks at
-      // every morsel claim; this covers probe-heavy plans between claims).
-      if ((++rows_staged & 1023) == 0) {
-        ctx->NoteProgress(1024);
-        Status cc = ctx->CheckCancelled();
-        if (!cc.ok()) return fail(std::move(cc));
-      }
+    Tuple t;
+    for (int32_t k = 0; k < n; ++k) {
+      const int32_t r = sel ? (*sel)[static_cast<size_t>(k)] : k;
+      batch->MoveRowToTuple(r, &t);
+      MAGICDB_RETURN_IF_ERROR(stage(std::move(t),
+                                    batch->pos()[static_cast<size_t>(r)],
+                                    batch->sub()[static_cast<size_t>(r)]));
     }
-  }
+    ctx->NoteProgress(n + 1);
+    return Status::OK();
+  });
+  if (!st.ok()) return fail(std::move(st));
   if (run->spilled != nullptr) {
     // Once a run has spilled, flush its in-memory tail too and drop the
     // staged charges: a spilled run must not pin staged rows against the
@@ -370,17 +328,13 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
     shapes[w].driving_scan->AttachMorselSource(driving_source);
     for (size_t j = 0; j < shapes[w].hash_joins.size(); ++j) {
       shapes[w].hash_inner_scans[j]->AttachMorselSource(inner_sources[j]);
-      shapes[w].hash_joins[j]->EnableSharedBuild(shared_builds[j], w,
-                                                 shapes[w].hash_inner_scans[j]);
+      shapes[w].hash_joins[j]->EnableSharedBuild(shared_builds[j], w);
     }
     if (shared_fj != nullptr) {
-      shapes[w].filter_join->EnableParallel(shared_fj, w,
-                                            shapes[w].driving_scan);
+      shapes[w].filter_join->EnableParallel(shared_fj, w);
     }
     if (shared_agg != nullptr) {
-      shapes[w].aggregate->EnableParallel(shared_agg, w,
-                                          shapes[w].driving_scan,
-                                          shapes[w].filter_join);
+      shapes[w].aggregate->EnableParallel(shared_agg, w);
     }
   }
 
@@ -404,8 +358,7 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
       return fp;
     }
     contexts[w].InheritConfig(proto);
-    Status st = RunPipeline(replicas[w].get(), shapes[w], &contexts[w],
-                            &runs[w]);
+    Status st = RunPipeline(replicas[w].get(), &contexts[w], &runs[w]);
     if (!st.ok()) abort_all(st);
     return st;
   };

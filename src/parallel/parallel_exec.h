@@ -41,7 +41,7 @@ struct ParallelRunResult {
 /// A parallel execution staged for streaming: the outcome of
 /// ParallelExecutor::RunStaged. When the gang ran (`staged` == true) the
 /// workers have already produced and rank-tagged every output row;
-/// `stream_root` is a GatherOp whose Open/Next/Close drains the
+/// `stream_root` is a GatherOp whose Open/NextBatch/Close drains the
 /// deterministic merge incrementally — pumping it performs no query work
 /// and must charge nothing, and `counters`/`filter_join_*` are final. When
 /// the plan fell back (`staged` == false) nothing has executed yet:

@@ -90,8 +90,8 @@ int PriorityIndex(SessionPriority priority) {
 struct StreamProducer {
   std::shared_ptr<CursorState> cursor;
   QueryStream stream;
-  /// Vectorized pump: the reusable batch the quantum loop pulls into when
-  /// the batch size is positive (lazily allocated on the first quantum).
+  /// The reusable batch the quantum loop pulls into (lazily allocated on
+  /// the first quantum).
   std::unique_ptr<RowBatch> row_batch;
   /// Return `stream.root` to the plan cache on clean end of stream.
   bool check_in = false;
@@ -192,7 +192,7 @@ QueryService::QueryService(Database* db, const QueryServiceOptions& options)
       options_.spill_dir = env;
     }
   }
-  if (options_.default_batch_size < 0) {
+  if (options_.default_batch_size <= 0) {
     options_.default_batch_size = DefaultExecBatchSize();
   }
   // Same env-hook convention as the limits above: the shed high-water mark
@@ -677,31 +677,21 @@ void QueryService::PumpQuantum(const std::shared_ptr<StreamProducer>& p) {
       stream.opened = status.ok();
     }
     if (status.ok()) {
-      if (stream.ctx->batch_size() > 0) {
-        // Vectorized pump. The pump batch is capped at the scheduler
-        // quantum, and another batch is pulled only while a full one still
-        // fits, so one quantum never delivers more rows than the
-        // tuple-at-a-time pump would — the cursor's peak-buffered-rows
-        // bound stays batch-size independent.
-        const int64_t cap = std::min<int64_t>(
-            stream.ctx->batch_size(), options_.scheduler_quantum_rows);
-        if (p->row_batch == nullptr) {
-          p->row_batch = std::make_unique<RowBatch>(static_cast<int32_t>(cap));
-        }
-        while (static_cast<int64_t>(batch.size()) + cap <=
-               options_.scheduler_quantum_rows) {
-          status = stream.root->NextBatch(p->row_batch.get(), &eof);
-          if (!status.ok()) break;
-          p->row_batch->MoveActiveToTuples(&batch);
-          if (eof) break;
-        }
-      } else {
-        for (int64_t i = 0; i < options_.scheduler_quantum_rows; ++i) {
-          Tuple t;
-          status = stream.root->Next(&t, &eof);
-          if (!status.ok() || eof) break;
-          batch.push_back(std::move(t));
-        }
+      // The pump batch is capped at the scheduler quantum, and another
+      // batch is pulled only while a full one still fits, so one quantum
+      // never delivers more than scheduler_quantum_rows rows — the cursor's
+      // peak-buffered-rows bound stays batch-size independent.
+      const int64_t cap = std::min<int64_t>(stream.ctx->batch_size(),
+                                            options_.scheduler_quantum_rows);
+      if (p->row_batch == nullptr) {
+        p->row_batch = std::make_unique<RowBatch>(static_cast<int32_t>(cap));
+      }
+      while (static_cast<int64_t>(batch.size()) + cap <=
+             options_.scheduler_quantum_rows) {
+        status = stream.root->NextBatch(p->row_batch.get(), &eof);
+        if (!status.ok()) break;
+        p->row_batch->MoveActiveToTuples(&batch);
+        if (eof) break;
       }
     }
     if (status.ok() && eof) {
@@ -845,10 +835,10 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     const int64_t epoch = db_->catalog()->ddl_epoch();
     // The effective batch size keys the cache alongside the optimizer
     // options: a pooled instance must never resume with mid-stream batch
-    // state from a different execution mode.
-    const int64_t effective_batch = exec.batch_size < 0
-                                        ? options_.default_batch_size
-                                        : exec.batch_size;
+    // state sized for a different batch size.
+    const int64_t effective_batch = exec.batch_size > 0
+                                        ? exec.batch_size
+                                        : options_.default_batch_size;
     // Cross-query cardinality feedback: plans are built against a snapshot
     // of the database's feedback store, and the store's version keys the
     // cache — a persisting query bumping it invalidates every plan built

@@ -76,12 +76,12 @@ struct QueryServiceOptions {
   /// SpillConfig default.
   int64_t spill_batch_bytes = 0;
 
-  /// Default rows-per-batch of the vectorized execution path, applied to
-  /// queries that leave ExecOptions::batch_size negative. 0 runs every
-  /// query tuple-at-a-time. Negative (the default) resolves to 1024 at
-  /// construction — or to the MAGICDB_TEST_BATCH_SIZE environment variable
-  /// when set, so a build-script sweep can force batching on or off for
-  /// every service in the process without touching call sites.
+  /// Default rows per execution batch, applied to queries that leave
+  /// ExecOptions::batch_size <= 0. A value <= 0 (the default) resolves at
+  /// construction to DefaultExecBatchSize(): 1024, or the
+  /// MAGICDB_TEST_BATCH_SIZE environment variable when set, so a
+  /// build-script sweep can change the batch size of every service in the
+  /// process without touching call sites.
   int64_t default_batch_size = -1;
 
   /// Weighted-fair admission: relative capacity shares of the three

@@ -1,10 +1,13 @@
-// Tests for the vectorized batch execution path: RowBatch mechanics,
-// chunked memory reservation, selection-vector edge cases, mixed
-// batch/row operator trees, and the headline guarantee — results, result
-// order, and cost counters byte-identical to tuple-at-a-time execution
-// at any DoP and any batch size, with and without spilling.
+// Tests for batch execution: RowBatch mechanics, chunked memory
+// reservation, selection-vector edge cases, row-at-a-time operators over
+// batch children, LIMIT doing no work past its rows, and the headline
+// guarantee — results, result order, and cost counters byte-identical to
+// batch size 1 (the exact-work reference) at any DoP and any batch size,
+// with and without spilling.
 
 #include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "src/db/database.h"
 #include "src/exec/basic_ops.h"
 #include "src/exec/exec_context.h"
+#include "src/exec/filter_join_op.h"
+#include "src/exec/join_ops.h"
 #include "src/exec/row_batch.h"
 #include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
@@ -155,7 +160,7 @@ TEST(BatchReserveTest, BreachSurfacesAtRowModeByteCount) {
   BatchReserve reserve;
   // The 16 KiB chunk reservation fails immediately, so every Take falls
   // back to exact charging: the third 100-byte charge is the first one a
-  // 250-byte limit cannot hold — exactly where row mode fails.
+  // 250-byte limit cannot hold — exactly where per-row charging fails.
   MAGICDB_CHECK_OK(reserve.Take(&ctx, 100));
   MAGICDB_CHECK_OK(reserve.Take(&ctx, 100));
   Status breach = reserve.Take(&ctx, 100);
@@ -198,7 +203,7 @@ TEST(BatchEdgeCaseTest, EmptyInputProducesEmptyBatchStream) {
   for (int64_t batch : {1, 7, 1024}) {
     CostCounters batch_counters, row_counters;
     auto vec = RunFilter(t.get(), batch, 100, &batch_counters);
-    auto row = RunFilter(t.get(), 0, 100, &row_counters);
+    auto row = RunFilter(t.get(), 1, 100, &row_counters);
     ASSERT_TRUE(vec.ok() && row.ok());
     EXPECT_TRUE(vec->empty());
     EXPECT_EQ(batch_counters.exprs_evaluated, row_counters.exprs_evaluated);
@@ -210,7 +215,7 @@ TEST(BatchEdgeCaseTest, AllRowsFilteredStillTerminates) {
   for (int64_t batch : {1, 7, 1024}) {
     CostCounters batch_counters, row_counters;
     auto vec = RunFilter(t.get(), batch, -1, &batch_counters);  // none pass
-    auto row = RunFilter(t.get(), 0, -1, &row_counters);
+    auto row = RunFilter(t.get(), 1, -1, &row_counters);
     ASSERT_TRUE(vec.ok() && row.ok());
     EXPECT_TRUE(vec->empty());
     EXPECT_EQ(batch_counters.exprs_evaluated, 100);
@@ -224,7 +229,7 @@ TEST(BatchEdgeCaseTest, NullHeavyPredicateMatchesRowMode) {
   for (int64_t batch : {1, 7, 1024}) {
     CostCounters batch_counters, row_counters;
     auto vec = RunFilter(t.get(), batch, 50, &batch_counters);
-    auto row = RunFilter(t.get(), 0, 50, &row_counters);
+    auto row = RunFilter(t.get(), 1, 50, &row_counters);
     ASSERT_TRUE(vec.ok() && row.ok());
     ASSERT_EQ(vec->size(), row->size());
     for (size_t i = 0; i < vec->size(); ++i) {
@@ -236,9 +241,9 @@ TEST(BatchEdgeCaseTest, NullHeavyPredicateMatchesRowMode) {
 }
 
 TEST(BatchEdgeCaseTest, RowOnlySortOverBatchFilterAdapts) {
-  // SortOp has no native batch implementation: it drains its child through
-  // the base-class row adapter while the child itself runs vectorized, and
-  // its own output is re-batched by ExecuteToVector — a mixed tree.
+  // SortOp is a row-at-a-time operator: it drains its batch child through
+  // the shared breaker drain, and its own rows are batched by the
+  // RowOperator base for ExecuteToVector — a mixed tree.
   auto t = EdgeTable(200, /*null_every=*/7);
   auto run = [&](int64_t batch_size) {
     ExecContext ctx;
@@ -255,9 +260,9 @@ TEST(BatchEdgeCaseTest, RowOnlySortOverBatchFilterAdapts) {
     MAGICDB_CHECK_OK(rows.status());
     return std::make_pair(*rows, ctx.counters());
   };
-  auto [row_rows, row_counters] = run(0);
+  auto [row_rows, row_counters] = run(1);
   ASSERT_FALSE(row_rows.empty());
-  for (int64_t batch : {1, 7, 1024}) {
+  for (int64_t batch : {7, 1024}) {
     auto [vec_rows, vec_counters] = run(batch);
     ASSERT_EQ(vec_rows.size(), row_rows.size());
     for (size_t i = 0; i < vec_rows.size(); ++i) {
@@ -334,28 +339,51 @@ const char* const kSweepQueries[] = {
     // GROUP BY aggregation over a join.
     "SELECT E.did, COUNT(*), AVG(E.sal) FROM Emp E, Dept D "
     "WHERE E.did = D.did GROUP BY E.did",
-    // Filter Join (magic) + final ORDER BY through the row-only SortOp.
+    // Filter Join (magic) + final ORDER BY through the row-at-a-time
+    // SortOp.
     "SELECT E.did AS d, E.sal AS s, V.avgcomp FROM Emp E, Dept D, DepComp V "
     "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
     "ORDER BY d, s",
+    // A Filter Join without ORDER BY (the selective Dept filter makes magic
+    // pay): at dop 4 its probe output reaches the gather merge through
+    // rank-tagged batches.
+    "SELECT E.did, E.sal, V.avgcomp FROM Emp E, Dept D, DepComp V "
+    "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
+    "AND D.budget > 100000",
+    // GROUP BY over that Filter Join: the parallel aggregate ranks its
+    // groups by the Filter Join's rank tags.
+    "SELECT E.did, COUNT(*), MAX(E.sal) FROM Emp E, Dept D, DepComp V "
+    "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
+    "AND D.budget > 100000 GROUP BY E.did",
 };
+
+// The sweep queries from this index on must run as a parallel Filter Join
+// pipeline at dop 4.
+constexpr size_t kFirstParallelFilterJoinQuery = 4;
 
 TEST(BatchIdentitySweepTest, DopTimesBatchSizeGridIsByteIdentical) {
   Database db;
   MakeWorkload(&db);
-  for (const char* query : kSweepQueries) {
+  for (size_t q = 0; q < std::size(kSweepQueries); ++q) {
+    const char* query = kSweepQueries[q];
     SCOPED_TRACE(query);
-    // Row-mode sequential execution is the reference.
-    db.set_exec_batch_size(0);
+    const bool parallel_filter_join = q >= kFirstParallelFilterJoinQuery;
+    // Sequential execution at batch size 1 is the reference.
+    db.set_exec_batch_size(1);
     auto reference = db.Run(query);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (int dop : {1, 4}) {
-      for (int64_t batch : {0, 1, 7, 1024}) {
+      for (int64_t batch : {1, 7, 1024}) {
         SCOPED_TRACE("dop=" + std::to_string(dop) +
                      " batch=" + std::to_string(batch));
         db.set_exec_batch_size(batch);
         auto result = db.Run(query, {.dop = dop});
         ASSERT_TRUE(result.ok()) << result.status().ToString();
+        if (parallel_filter_join && dop == 4) {
+          EXPECT_EQ(result->used_dop, 4) << result->parallel_fallback_reason;
+          EXPECT_NE(result->explain.find("FilterJoin"), std::string::npos)
+              << result->explain;
+        }
         ExpectRowsIdentical(result->rows, reference->rows);
         ExpectCountersEqual(result->counters, reference->counters);
       }
@@ -378,13 +406,13 @@ TEST(BatchIdentitySweepTest, SpillUnderTinyLimitIsByteIdentical) {
   const char* query =
       "SELECT E.did, COUNT(*), AVG(E.sal) FROM Emp E, Dept D "
       "WHERE E.did = D.did GROUP BY E.did";
-  ExecOptions row_exec;
-  row_exec.batch_size = 0;
-  auto reference = session->Query(query, row_exec);
+  ExecOptions one_row_exec;
+  one_row_exec.batch_size = 1;
+  auto reference = session->Query(query, one_row_exec);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_FALSE(reference->rows.empty());
   for (int64_t limit : {int64_t{16} * 1024, int64_t{0}}) {
-    for (int64_t batch : {0, 7, 1024}) {
+    for (int64_t batch : {1, 7, 1024}) {
       SCOPED_TRACE("limit=" + std::to_string(limit) +
                    " batch=" + std::to_string(batch));
       ExecOptions exec;
@@ -405,10 +433,10 @@ TEST(BatchIdentitySweepTest, PlanCacheKeysBatchSizesSeparately) {
   const char* query = "SELECT E.eid FROM Emp E WHERE E.age < 30";
   // Alternating batch sizes on one session must each execute correctly:
   // the effective batch size is part of the plan-cache key, so a tree
-  // opened for one mode is never resumed in the other.
+  // opened at one batch size is never resumed at another.
   std::vector<Tuple> reference;
   for (int round = 0; round < 2; ++round) {
-    for (int64_t batch : {0, 1024, 7}) {
+    for (int64_t batch : {1, 1024, 7}) {
       SCOPED_TRACE("round=" + std::to_string(round) +
                    " batch=" + std::to_string(batch));
       ExecOptions exec;
@@ -417,6 +445,79 @@ TEST(BatchIdentitySweepTest, PlanCacheKeysBatchSizesSeparately) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       if (reference.empty()) reference = result->rows;
       ExpectRowsIdentical(result->rows, reference);
+    }
+  }
+}
+
+// ----- LIMIT does no work past its rows -----
+
+// LimitOp asks its child for one row at a time, and no streaming operator
+// asks a child for more rows than it was asked for, so a LIMIT query does
+// the same work — and charges the same counters — at any batch size. A
+// design that fetched ahead (a full batch below the LIMIT) would charge
+// the extra scan, probe and filter work at batch 7 and 1024.
+TEST(BatchLimitTest, LimitWorkIsBatchSizeInvariant) {
+  Table r("r", Schema({{"r", "k", DataType::kInt64},
+                       {"r", "x", DataType::kInt64}}));
+  Table s("s", Schema({{"s", "k", DataType::kInt64},
+                       {"s", "y", DataType::kInt64}}));
+  for (int i = 0; i < 3000; ++i) {
+    MAGICDB_CHECK_OK(r.Insert({Value::Int64(i % 50), Value::Int64(i)}));
+  }
+  for (int i = 0; i < 400; ++i) {  // eight s rows per key
+    MAGICDB_CHECK_OK(s.Insert({Value::Int64(i % 50), Value::Int64(i * 10)}));
+  }
+  const HashIndex* s_index = s.CreateHashIndex({0});
+  // r.x >= 1000: the first 1000 rows of r fail the filter.
+  auto filtered_r = [&]() -> OpPtr {
+    return std::make_unique<FilterOp>(
+        std::make_unique<SeqScanOp>(&r),
+        MakeComparison(CompareOp::kGe, MakeColumnRef(1, DataType::kInt64),
+                       MakeLiteral(Value::Int64(1000))));
+  };
+  auto probe_s = [&](OpPtr outer) -> OpPtr {
+    return std::make_unique<IndexNestedLoopsJoinOp>(
+        std::move(outer), &s, s_index, std::vector<int>{0}, nullptr);
+  };
+  const std::vector<std::pair<std::string, std::function<OpPtr()>>> shapes = {
+      {"filtered scan", filtered_r},
+      {"hash join",
+       [&]() -> OpPtr {
+         return std::make_unique<HashJoinOp>(
+             filtered_r(), std::make_unique<SeqScanOp>(&s),
+             std::vector<int>{0}, std::vector<int>{0}, nullptr);
+       }},
+      // Eight inner matches per outer row.
+      {"index nested loops", [&] { return probe_s(filtered_r()); }},
+      {"filter join under index nested loops",
+       [&] {
+         const std::string binding = "fs_limit";
+         auto inner = std::make_unique<FilterProbeOp>(
+             std::make_unique<SeqScanOp>(&s), binding, std::vector<int>{0});
+         return probe_s(std::make_unique<FilterJoinOp>(
+             filtered_r(), std::move(inner), binding, std::vector<int>{0},
+             std::vector<int>{0}, nullptr, FilterSetImpl::kExact));
+       }},
+  };
+  for (const auto& [name, make] : shapes) {
+    for (int64_t limit : {1, 13}) {
+      SCOPED_TRACE(name + " LIMIT " + std::to_string(limit));
+      auto run = [&](int64_t batch) {
+        ExecContext ctx;
+        ctx.set_batch_size(batch);
+        LimitOp op(make(), limit);
+        auto rows = ExecuteToVector(&op, &ctx);
+        MAGICDB_CHECK_OK(rows.status());
+        return std::make_pair(*rows, ctx.counters());
+      };
+      auto [ref_rows, ref_counters] = run(1);
+      ASSERT_EQ(ref_rows.size(), static_cast<size_t>(limit));
+      for (int64_t batch : {7, 1024}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch));
+        auto [rows, counters] = run(batch);
+        ExpectRowsIdentical(rows, ref_rows);
+        ExpectCountersEqual(counters, ref_counters);
+      }
     }
   }
 }

@@ -70,16 +70,6 @@ TEST(SeqScanTest, ReopenRescans) {
   EXPECT_EQ(ctx.counters().pages_read, 2);  // two full scans
 }
 
-TEST(VectorScanTest, ScansWithoutOwnership) {
-  std::vector<Tuple> rows = {{Value::Int64(1)}, {Value::Int64(2)}};
-  Schema s({{"v", "x", DataType::kInt64}});
-  ExecContext ctx;
-  VectorScanOp scan(&rows, s);
-  auto out = ExecuteToVector(&scan, &ctx);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 2u);
-}
-
 TEST(FilterOpTest, FiltersByPredicate) {
   auto t = MakeTable(10);
   ExecContext ctx;
@@ -181,21 +171,6 @@ TEST(SortOpTest, ExternalPassChargedWhenOverBudget) {
   SortOp op(std::make_unique<SeqScanOp>(t.get()), keys);
   ASSERT_TRUE(ExecuteToVector(&op, &ctx).ok());
   EXPECT_GT(ctx.counters().pages_written, 0);
-}
-
-TEST(MaterializeOpTest, SpoolsOnceReplaysManyTimes) {
-  auto t = MakeTable(4);
-  ExecContext ctx;
-  MaterializeOp op(std::make_unique<SeqScanOp>(t.get()));
-  ASSERT_TRUE(ExecuteToVector(&op, &ctx).ok());
-  const int64_t writes_after_first = ctx.counters().pages_written;
-  EXPECT_GT(writes_after_first, 0);
-  auto again = ExecuteToVector(&op, &ctx);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->size(), 4u);
-  // No extra writes, only reads, and no rescan of the base table.
-  EXPECT_EQ(ctx.counters().pages_written, writes_after_first);
-  EXPECT_EQ(ctx.counters().pages_read, 3);  // 1 base scan + 2 spool reads
 }
 
 TEST(LimitOpTest, CutsOffOutput) {

@@ -142,12 +142,6 @@ TEST(ExecEmptyInputTest, EveryOperatorHandlesEmptyChild) {
     EXPECT_TRUE(rows->empty());
   }
   {
-    MaterializeOp op(std::make_unique<SeqScanOp>(&empty));
-    auto rows = ExecuteToVector(&op, &ctx);
-    ASSERT_TRUE(rows.ok());
-    EXPECT_TRUE(rows->empty());
-  }
-  {
     auto s = SmallTable(3);
     SortMergeJoinOp op(std::make_unique<SeqScanOp>(&empty),
                        std::make_unique<SeqScanOp>(s.get()), {0}, {0},

@@ -458,15 +458,15 @@ TEST(AggStateTest, Int64PromotionIdenticalUnderMergeOrder) {
 
 // Source operator that never checks the cancellation token, isolating the
 // aggregate build loop's own checkpoint.
-class UncheckedSourceOp final : public Operator {
+class UncheckedSourceOp final : public RowOperator {
  public:
   UncheckedSourceOp(Schema schema, int64_t rows)
-      : Operator(std::move(schema)), rows_(rows) {}
+      : RowOperator(std::move(schema)), rows_(rows) {}
   Status Open(ExecContext* /*ctx*/) override {
     next_ = 0;
     return Status::OK();
   }
-  Status Next(Tuple* out, bool* eof) override {
+  Status NextRow(Tuple* out, bool* eof) override {
     if (next_ >= rows_) {
       *eof = true;
       return Status::OK();

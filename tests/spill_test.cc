@@ -420,6 +420,40 @@ TEST(SpillExecutionTest, LimitExactlyAtPeakSucceedsWithoutSpilling) {
   EXPECT_EQ(below.code(), StatusCode::kResourceExhausted);
 }
 
+// A finished in-memory sort holds only its rows: it releases the key
+// tuples when it drops them and each row's bytes as the row is emitted, so
+// the rows move into the result queue instead of being counted twice. A
+// limit between rows+keys and rows+keys plus one scheduler quantum of
+// queued rows therefore completes, without spilling.
+TEST(SpillExecutionTest, SortReleasesKeysAndEmittedRows) {
+  Database db;
+  MakeSpillWorkload(&db);
+  const std::string dir = MakeSpillDir();
+  QueryServiceOptions so;  // the default 1024-row scheduler quantum
+  so.pool_threads = 2;
+  so.spill_dir = dir;
+  QueryService service(&db, so);
+  std::unique_ptr<Session> session = service.CreateSession();
+  ExecOptions ungoverned;
+  ungoverned.memory_limit_bytes = -1;
+  auto reference = session->Query(kSpillSortQuery, ungoverned);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->rows.size(), 4000u);
+  int64_t row_bytes = 0;
+  for (const Tuple& t : reference->rows) row_bytes += TupleByteWidth(t);
+  // The sort keys (v, k) are the projected row's own values, so the key
+  // tuples weigh exactly as much as the rows.
+  const int64_t rows_and_keys = 2 * row_bytes;
+  const int64_t quantum_bytes =
+      so.scheduler_quantum_rows * row_bytes /
+      static_cast<int64_t>(reference->rows.size());
+  ExecOptions exec;
+  exec.memory_limit_bytes = rows_and_keys + quantum_bytes / 2;
+  auto result = session->Query(kSpillSortQuery, exec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectRowsIdentical(result->rows, reference->rows);
+}
+
 TEST(SpillExecutionTest, ZeroRowInputsSucceedUnderMinimalLimit) {
   Database db;
   MakeSpillWorkload(&db);
