@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Macro-benchmark snapshot: runs the two `--json` benches from a Release
-# build and merges their documents into one canonical BENCH_<pr>.json at
-# the repo root, so perf (closed-loop QPS/p95, streaming TTFR/TTLR,
-# parallel speedups, and spill vs. in-memory throughput under a small
-# memory limit) can be tracked across PRs.
+# build and merges their documents into one MACRO_<pr>.json at the repo
+# root (closed-loop QPS/p95, streaming TTFR/TTLR, parallel speedups, and
+# spill vs. in-memory throughput under a small memory limit). BENCH_7 to
+# BENCH_10 came from this script; BENCH_<pr>.json is now the perfbench
+# snapshot that scripts/bench_snapshot.py writes.
 #
 # Usage: scripts/bench_macro.sh <pr-number> [--smoke]
-#   scripts/bench_macro.sh 7            # full run, writes BENCH_7.json
+#   scripts/bench_macro.sh 7            # full run, writes MACRO_7.json
 #   scripts/bench_macro.sh 7 --smoke    # quick CI-sized run
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,7 +38,7 @@ echo "=== bench_parallel_scaling (${MODE}) ==="
 ./build-release/bench/bench_parallel_scaling "${EXTRA[@]}" \
     --json "${TMP}/parallel_scaling.json"
 
-OUT="BENCH_${PR}.json"
+OUT="MACRO_${PR}.json"
 python3 - "${PR}" "${MODE}" "${TMP}" "${OUT}" <<'PYEOF'
 import json
 import subprocess

@@ -50,9 +50,21 @@
 # must shed instead of queueing unboundedly, Query()'s retry loop must
 # absorb the rejections, and survivors must stay byte-identical with zero
 # leaked tickets, gang slots, cursors, or disk-budget bytes.
+#
+# Before anything builds, a source guard: every build side, distinct set,
+# filter set and group index goes through HashTable<T> in
+# src/common/hash_table.h, so a hand-rolled unordered_map<uint64_t, ...>
+# table under src/ fails the check.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "=== Source guard: one hash table ==="
+if grep -rn "unordered_map<uint64_t" src/; then
+  echo "error: hand-rolled unordered_map<uint64_t, ...> table under src/" \
+       "(above); build it on HashTable<T> from src/common/hash_table.h" >&2
+  exit 1
+fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 

@@ -151,6 +151,22 @@ struct CostCounters {
   void AssertNonNegative() const;
 };
 
+/// Charges the Grace partitioning passes an operator's budget heuristic
+/// predicts for `bytes` of hashed state: when it exceeds `budget_bytes`,
+/// every page of it is written and read once per SpillPasses pass. Returns
+/// the pass count, 0 when the state fits.
+inline int64_t ChargeSpillPasses(int64_t bytes, int64_t budget_bytes,
+                                 CostCounters* counters) {
+  if (bytes <= budget_bytes) return 0;
+  const int64_t passes = SpillPasses(static_cast<double>(bytes),
+                                     static_cast<double>(budget_bytes));
+  const int64_t pages = (bytes + CostConstants::kPageSizeBytes - 1) /
+                        CostConstants::kPageSizeBytes;
+  counters->pages_written += pages * passes;
+  counters->pages_read += pages * passes;
+  return passes;
+}
+
 }  // namespace magicdb
 
 #endif  // MAGICDB_COMMON_COST_COUNTERS_H_

@@ -34,7 +34,7 @@ struct OperandKeySource {
     for (const BatchOperand& op : *ops) w += op.at(r).ByteWidth();
     return w;
   }
-  /// Same fold as HashTupleColumns over the materialized key.
+  /// Same fold as HashTuple over the materialized key.
   uint64_t Hash() const {
     uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (const BatchOperand& op : *ops) h = HashCombine(h, op.at(r).Hash());
@@ -127,22 +127,16 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx,
       // This hash partition has been evicted: fold the row into a one-row
       // partial state and append it to the partition file; it is combined
       // during re-aggregation at end of input.
-      StagedGroup partial;
-      partial.pos = input_pos;
-      partial.sub = input_sub;
-      partial.hash = h;
-      partial.key = key_src.Materialize();
-      partial.states.resize(aggs_.size());
+      StagedGroup partial{.pos = input_pos,
+                          .sub = input_sub,
+                          .hash = h,
+                          .key = key_src.Materialize(),
+                          .states = std::vector<AggState>(aggs_.size())};
       MAGICDB_RETURN_IF_ERROR(fold(&partial));
       return agg_spill_->AddPartial(partial, ctx);
     }
-    std::vector<int64_t>& chain = group_index_[h];
-    for (int64_t gi : chain) {
-      if (key_src.Equals(groups_[gi].key)) {
-        group = &groups_[gi];
-        break;
-      }
-    }
+    group = groups_.Find(
+        h, [&](const StagedGroup& g) { return key_src.Equals(g.key); });
     if (group != nullptr) break;
     // New group: governed memory — the key tuple plus one AggState per
     // aggregate, retained until the groups are finalized.
@@ -152,15 +146,12 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx,
     Status charge = group_reserve_.Take(ctx, group_bytes);
     if (charge.ok()) {
       charged_bytes_ += group_bytes;
-      chain.push_back(static_cast<int64_t>(groups_.size()));
-      StagedGroup fresh;
-      fresh.pos = input_pos;
-      fresh.sub = input_sub;
-      fresh.hash = h;
-      fresh.key = key_src.Materialize();
-      fresh.states.resize(aggs_.size());
-      groups_.push_back(std::move(fresh));
-      group = &groups_.back();
+      group = &groups_.Append(
+          h, StagedGroup{.pos = input_pos,
+                         .sub = input_sub,
+                         .hash = h,
+                         .key = key_src.Materialize(),
+                         .states = std::vector<AggState>(aggs_.size())});
       break;
     }
     // A governed breach turns into victim-partition eviction when a spill
@@ -178,18 +169,17 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx,
     // Every partition already evicted and one group still does not fit:
     // eviction cannot help any further.
     if (agg_spill_->AllSpilled()) return charge;
-    // Evicting rebuilds groups_/group_index_, so retry the lookup (the
-    // victim may or may not be this row's partition).
-    MAGICDB_RETURN_IF_ERROR(agg_spill_->EvictNextPartition(
-        &groups_, &group_index_, &charged_bytes_, ctx));
+    // Evicting rebuilds groups_, so retry the lookup (the victim may or
+    // may not be this row's partition).
+    MAGICDB_RETURN_IF_ERROR(
+        agg_spill_->EvictNextPartition(&groups_, &charged_bytes_, ctx));
   }
   return fold(group);
 }
 
 Status HashAggregateOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  groups_.clear();
-  group_index_.clear();
+  groups_.Clear();
   next_group_ = 0;
   aggregated_ = false;
   charged_bytes_ = 0;
@@ -198,10 +188,6 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   const bool parallel = shared_ != nullptr;
 
   MAGICDB_RETURN_IF_ERROR(child_->Open(ctx));
-  std::vector<int> key_identity(group_by_.size());
-  for (size_t i = 0; i < group_by_.size(); ++i) {
-    key_identity[i] = static_cast<int>(i);
-  }
   int64_t input_bytes = 0;
   int64_t rows_seen = 0;
   int64_t input_pos = -1;
@@ -289,32 +275,24 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
       // merge still emits global first-seen order. Real page I/O was
       // charged by the spill files, so the heuristic below is skipped.
       while (!agg_spill_->AllSpilled()) {
-        MAGICDB_RETURN_IF_ERROR(agg_spill_->EvictNextPartition(
-            &groups_, &group_index_, &charged_bytes_, ctx));
+        MAGICDB_RETURN_IF_ERROR(
+            agg_spill_->EvictNextPartition(&groups_, &charged_bytes_, ctx));
       }
       MAGICDB_RETURN_IF_ERROR(agg_spill_->FinishInput(ctx));
-      MAGICDB_RETURN_IF_ERROR(agg_spill_->BuildOutput(std::move(groups_), ctx));
-      groups_.clear();
-      group_index_.clear();
+      MAGICDB_RETURN_IF_ERROR(
+          agg_spill_->BuildOutput(groups_.TakeValues(), ctx));
       aggregated_ = true;
       return Status::OK();
     }
     // Input over the memory budget: charge the predicted Grace partitioning
     // passes, mirroring the hash-join spill model.
-    if (input_bytes > ctx->memory_budget_bytes()) {
-      const int64_t passes =
-          SpillPasses(static_cast<double>(input_bytes),
-                      static_cast<double>(ctx->memory_budget_bytes()));
-      const int64_t pages = (input_bytes + CostConstants::kPageSizeBytes - 1) /
-                            CostConstants::kPageSizeBytes;
-      ctx->counters().pages_written += pages * passes;
-      ctx->counters().pages_read += pages * passes;
-    }
+    ChargeSpillPasses(input_bytes, ctx->memory_budget_bytes(),
+                      &ctx->counters());
     // Scalar aggregate over empty input still yields one row.
     if (group_by_.empty() && groups_.empty()) {
-      StagedGroup scalar;
-      scalar.states.resize(aggs_.size());
-      groups_.push_back(std::move(scalar));
+      groups_.Append(0, StagedGroup{.key = {},
+                                    .states = std::vector<AggState>(
+                                        aggs_.size())});
     }
     if (!feedback_key_.empty()) {
       MAGICDB_RETURN_IF_ERROR(ctx->RecordCardinality(
@@ -332,18 +310,17 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   // first-seen rank, so a worker that did see input decides the group's
   // position — and with no input anywhere, the single row still emerges.
   if (group_by_.empty() && groups_.empty()) {
-    StagedGroup scalar;
-    scalar.pos = std::numeric_limits<int64_t>::max();
-    scalar.hash = HashTupleColumns(Tuple{}, key_identity);
-    scalar.states.resize(aggs_.size());
-    groups_.push_back(std::move(scalar));
+    const uint64_t h = HashTuple(Tuple{});
+    groups_.Append(h, StagedGroup{.pos = std::numeric_limits<int64_t>::max(),
+                                  .hash = h,
+                                  .key = {},
+                                  .states = std::vector<AggState>(
+                                      aggs_.size())});
   }
   shared_->AddInputBytes(input_bytes);
-  for (StagedGroup& g : groups_) {
+  for (StagedGroup& g : groups_.TakeValues()) {
     shared_->Stage(worker_, std::move(g));
   }
-  groups_.clear();
-  group_index_.clear();
   // Barrier with the other replicas, then merge the one partition this
   // worker owns; the merged groups (sorted by first-seen rank) are what
   // NextBatch() emits. The Grace spill charge is settled inside, exactly
@@ -391,8 +368,7 @@ Status HashAggregateOp::NextBatch(RowBatch* out, bool* eof) {
 }
 
 Status HashAggregateOp::Close() {
-  groups_.clear();
-  group_index_.clear();
+  groups_.Clear();
   agg_spill_.reset();
   if (ctx_ != nullptr) {
     group_reserve_.ReleaseHeadroom(ctx_);

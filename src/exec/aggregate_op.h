@@ -5,10 +5,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/agg_state.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
@@ -101,10 +101,10 @@ class HashAggregateOp final : public Operator {
   std::vector<ExprPtr> group_by_;
   std::vector<AggSpec> aggs_;
   ExecContext* ctx_ = nullptr;
-  // Sequential: first-seen order. Parallel: this worker's merged partition,
-  // sorted by first-seen input rank.
-  std::vector<StagedGroup> groups_;
-  std::unordered_map<uint64_t, std::vector<int64_t>> group_index_;
+  // The group table, keyed by group-key hash. Sequential: first-seen order.
+  // Parallel: this worker's merged partition, sorted by first-seen input
+  // rank.
+  HashTable<StagedGroup> groups_;
   size_t next_group_ = 0;
   bool aggregated_ = false;
   // Bytes charged to the query memory tracker for retained groups (keys +

@@ -122,36 +122,26 @@ DistinctOp::DistinctOp(OpPtr child)
 
 Status DistinctOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  seen_.clear();
+  seen_.Clear();
   in_.Reset();
   return child_->Open(ctx);
 }
 
 Status DistinctOp::NextRow(Tuple* out, bool* eof) {
-  std::vector<int> all(schema_.num_columns());
-  for (int i = 0; i < schema_.num_columns(); ++i) all[i] = i;
   while (true) {
     MAGICDB_RETURN_IF_ERROR(in_.Next(child_.get(), pull_rows(), out, eof));
     if (*eof) return Status::OK();
     ctx_->counters().hash_operations += 1;
-    const uint64_t h = HashTupleColumns(*out, all);
-    std::vector<Tuple>& chain = seen_[h];
-    bool duplicate = false;
-    for (const Tuple& t : chain) {
-      if (CompareTuples(t, *out) == 0) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      chain.push_back(*out);
-      return Status::OK();
-    }
+    const bool fresh = seen_.FindOrInsert(
+        HashTuple(*out),
+        [&](const Tuple& t) { return CompareTuples(t, *out) == 0; },
+        [&] { return *out; }).second;
+    if (fresh) return Status::OK();
   }
 }
 
 Status DistinctOp::Close() {
-  seen_.clear();
+  seen_.Clear();
   return child_->Close();
 }
 

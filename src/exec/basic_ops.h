@@ -3,9 +3,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
 #include "src/spill/external_sorter.h"
@@ -80,7 +80,7 @@ class DistinctOp final : public RowOperator {
   OpPtr child_;
   RowReader in_;
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<Tuple>> seen_;
+  HashTable<Tuple> seen_;
 };
 
 /// Full sort on key expressions. Keys are computed once per tuple; if the

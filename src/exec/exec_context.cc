@@ -35,24 +35,14 @@ Status ExecContext::RecordCardinality(const std::string& key,
   return Status::OK();
 }
 
-namespace {
-std::vector<int> IdentityIndexes(size_t n) {
-  std::vector<int> idx(n);
-  for (size_t i = 0; i < n; ++i) idx[i] = static_cast<int>(i);
-  return idx;
-}
-}  // namespace
-
 std::shared_ptr<FilterSetBinding> FilterSetBinding::Exact(
     Schema schema, std::vector<Tuple> keys) {
   auto b = std::make_shared<FilterSetBinding>();
   b->schema_ = std::move(schema);
-  b->keys_ = std::move(keys);
-  b->num_keys_ = static_cast<int64_t>(b->keys_.size());
-  const std::vector<int> all = IdentityIndexes(
-      static_cast<size_t>(b->schema_.num_columns()));
-  for (const Tuple& k : b->keys_) {
-    b->exact_set_[HashTupleColumns(k, all)].push_back(k);
+  b->num_keys_ = static_cast<int64_t>(keys.size());
+  for (Tuple& k : keys) {
+    const uint64_t h = HashTuple(k);
+    b->exact_set_.Append(h, std::move(k));
   }
   return b;
 }
@@ -67,11 +57,7 @@ std::shared_ptr<FilterSetBinding> FilterSetBinding::Bloom(
                                               std::max<size_t>(1, keys.size())));
   const int hashes = std::max(1, static_cast<int>(bits_per_key * 0.69));
   b->bloom_.emplace(bits, hashes);
-  const std::vector<int> all =
-      IdentityIndexes(static_cast<size_t>(b->schema_.num_columns()));
-  for (const Tuple& k : keys) {
-    b->bloom_->Add(HashTupleColumns(k, all));
-  }
+  for (const Tuple& k : keys) b->bloom_->Add(HashTuple(k));
   return b;
 }
 
@@ -81,24 +67,21 @@ bool FilterSetBinding::MayContain(const RowBatch& batch, int32_t row,
                 schema_.num_columns());
   const uint64_t h = HashBatchRowColumns(batch, row, key_indexes);
   if (bloom_.has_value()) return bloom_->MayContain(h);
-  auto it = exact_set_.find(h);
-  if (it == exact_set_.end()) return false;
-  for (const Tuple& k : it->second) {
-    size_t i = 0;
-    while (i < k.size() &&
-           k[i].Compare(batch.column(key_indexes[i])[static_cast<size_t>(
-               row)]) == 0) {
-      ++i;
+  return exact_set_.Find(h, [&](const Tuple& k) {
+    for (size_t i = 0; i < k.size(); ++i) {
+      if (k[i].Compare(batch.column(key_indexes[i])[static_cast<size_t>(
+              row)]) != 0) {
+        return false;
+      }
     }
-    if (i == k.size()) return true;
-  }
-  return false;
+    return true;
+  }) != nullptr;
 }
 
 int64_t FilterSetBinding::SizeBytes() const {
   if (bloom_.has_value()) return bloom_->SizeBytes();
   int64_t bytes = 0;
-  for (const Tuple& k : keys_) bytes += TupleByteWidth(k);
+  for (const Tuple& k : keys()) bytes += TupleByteWidth(k);
   return bytes;
 }
 

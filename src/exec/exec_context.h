@@ -7,12 +7,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/bloom/bloom_filter.h"
 #include "src/common/cancellation.h"
 #include "src/common/cost_counters.h"
+#include "src/common/hash_table.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/statusor.h"
 #include "src/exec/row_batch.h"
@@ -27,8 +27,9 @@ class ThreadPool;
 
 /// A materialized magic filter set, produced by a FilterJoinOp and consumed
 /// inside the rewritten inner plan (FilterSetScanOp / FilterProbeOp). The
-/// exact implementation keeps the distinct key tuples plus a hash set; the
-/// lossy implementation keeps a Bloom filter (§3.3 Limitation 3).
+/// exact implementation keeps the distinct key tuples in a hash table, in
+/// first-seen order; the lossy implementation keeps a Bloom filter (§3.3
+/// Limitation 3).
 class FilterSetBinding {
  public:
   /// Exact filter set over `keys` (distinct key tuples, schema `schema`).
@@ -46,7 +47,7 @@ class FilterSetBinding {
 
   /// Distinct key tuples; empty for Bloom bindings (lossy sets cannot be
   /// enumerated).
-  const std::vector<Tuple>& keys() const { return keys_; }
+  const std::vector<Tuple>& keys() const { return exact_set_.values(); }
 
   int64_t NumKeys() const { return num_keys_; }
 
@@ -60,8 +61,7 @@ class FilterSetBinding {
 
  private:
   Schema schema_;
-  std::vector<Tuple> keys_;
-  std::unordered_map<uint64_t, std::vector<Tuple>> exact_set_;
+  HashTable<Tuple> exact_set_;
   std::optional<BloomFilter> bloom_;
   int64_t num_keys_ = 0;
 };

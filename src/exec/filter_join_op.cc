@@ -85,11 +85,9 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
   if (shared_fj_ != nullptr) return OpenParallel(ctx);
   ctx_ = ctx;
   production_.clear();
-  build_.clear();
+  build_.Clear();
   outer_pos_ = 0;
-  have_outer_ = false;
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
+  probe_entry_ = HashTable<Tuple>::kEnd;
   measured_ = FilterJoinMeasured();
   charged_bytes_ = 0;
   double phase_start = ctx->counters().TotalCost();
@@ -114,35 +112,23 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
   phase_start = ctx->counters().TotalCost();
 
   // Phase 2: ProjCost_F — distinct-project the filter key columns into F
-  // (a subset of the join keys when a partial SIPS was chosen).
-  std::unordered_map<uint64_t, std::vector<Tuple>> distinct;
-  std::vector<Tuple> keys;
-  std::vector<int> identity(filter_outer_keys_.size());
-  for (size_t i = 0; i < identity.size(); ++i) {
-    identity[i] = static_cast<int>(i);
-  }
+  // (a subset of the join keys when a partial SIPS was chosen). The
+  // table's rows are F's keys in first-seen order.
+  HashTable<Tuple> distinct;
   for (const Tuple& row : production_) {
     if (TupleHasNullAt(row, filter_outer_keys_)) continue;
     ctx->counters().hash_operations += 1;
     Tuple key = ProjectTuple(row, filter_outer_keys_);
-    std::vector<Tuple>& chain = distinct[HashTupleColumns(key, identity)];
-    bool dup = false;
-    for (const Tuple& k : chain) {
-      if (CompareTuples(k, key) == 0) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      chain.push_back(key);
-      keys.push_back(std::move(key));
-    }
+    distinct.FindOrInsert(
+        HashTuple(key),
+        [&](const Tuple& k) { return CompareTuples(k, key) == 0; },
+        [&] { return std::move(key); });
   }
-  last_filter_set_size_ = static_cast<int64_t>(keys.size());
+  last_filter_set_size_ = static_cast<int64_t>(distinct.size());
   measured_.projection = ctx->counters().TotalCost() - phase_start;
   phase_start = ctx->counters().TotalCost();
 
-  PublishFilterSet(ctx, std::move(keys));
+  PublishFilterSet(ctx, distinct.TakeValues());
   measured_.avail_filter = ctx->counters().TotalCost() - phase_start;
   phase_start = ctx->counters().TotalCost();
 
@@ -176,9 +162,7 @@ void FilterJoinOp::PublishFilterSet(ExecContext* ctx, std::vector<Tuple> keys) {
   ctx->BindFilterSet(binding_id_, std::move(binding));
 }
 
-Status FilterJoinOp::BuildInner(
-    ExecContext* ctx,
-    std::unordered_map<uint64_t, std::vector<Tuple>>* table) {
+Status FilterJoinOp::BuildInner(ExecContext* ctx, HashTable<Tuple>* table) {
   // FilterCost_{R_k}: evaluate the restricted inner and build the
   // final-join hash table on it (AvailCost_{R_k'} is pipelined => only hash
   // work here).
@@ -194,7 +178,8 @@ Status FilterJoinOp::BuildInner(
     charged_bytes_ += row_bytes;
     ctx->counters().hash_operations += 1;
     build_bytes += row_bytes;
-    (*table)[HashTupleColumns(t, inner_keys_)].push_back(std::move(t));
+    const uint64_t hash = HashTupleColumns(t, inner_keys_);
+    table->Append(hash, std::move(t));
     return Status::OK();
   }));
   MAGICDB_RETURN_IF_ERROR(inner_->Close());
@@ -226,20 +211,13 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
   ctx_ = ctx;
   production_.clear();
   production_pos_.clear();
-  build_.clear();
+  build_.Clear();
   outer_pos_ = 0;
-  have_outer_ = false;
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
+  probe_entry_ = HashTable<Tuple>::kEnd;
   measured_ = FilterJoinMeasured();
   last_filter_set_size_ = 0;
   charged_bytes_ = 0;
   double phase_start = ctx->counters().TotalCost();
-
-  std::vector<int> identity(filter_outer_keys_.size());
-  for (size_t i = 0; i < identity.size(); ++i) {
-    identity[i] = static_cast<int>(i);
-  }
 
   // Phase 1: drain this worker's slice of the outer into P_w, staging the
   // filter keys into the hash-routed partitions as they stream by (the
@@ -261,7 +239,7 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
       // Hash before the call: argument evaluation order is unspecified, and
       // the by-value parameter would otherwise race the move against the
       // hash.
-      const uint64_t key_hash = HashTupleColumns(key, identity);
+      const uint64_t key_hash = HashTuple(key);
       shared_fj_->StageKey(worker_, pos, key_hash, std::move(key));
     }
     production_pos_.push_back(pos);
@@ -323,7 +301,7 @@ Status FilterJoinOp::NextBatch(RowBatch* out, bool* eof) {
   const auto& table =
       shared_fj_ != nullptr ? shared_fj_->inner_build() : build_;
   while (!out->full()) {
-    if (!have_outer_) {
+    if (probe_entry_ == HashTable<Tuple>::kEnd) {
       if (outer_pos_ >= production_.size()) {
         *eof = true;
         break;
@@ -338,18 +316,15 @@ Status FilterJoinOp::NextBatch(RowBatch* out, bool* eof) {
       // Each production row is probed once: move it out of the spool.
       current_outer_ = std::move(production_[outer_pos_++]);
       ctx_->counters().tuples_processed += 1;
-      have_outer_ = true;
-      current_bucket_ = nullptr;
-      bucket_pos_ = 0;
       if (!TupleHasNullAt(current_outer_, outer_keys_)) {
         ctx_->counters().hash_operations += 1;
-        auto it = table.find(HashTupleColumns(current_outer_, outer_keys_));
-        if (it != table.end()) current_bucket_ = &it->second;
+        probe_entry_ =
+            table.First(HashTupleColumns(current_outer_, outer_keys_));
       }
     }
-    while (current_bucket_ != nullptr &&
-           bucket_pos_ < current_bucket_->size() && !out->full()) {
-      const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
+    while (probe_entry_ != HashTable<Tuple>::kEnd && !out->full()) {
+      const Tuple& inner_row = table[probe_entry_];
+      probe_entry_ = table.Next(probe_entry_);
       if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
                               inner_keys_) != 0) {
         continue;
@@ -365,9 +340,6 @@ Status FilterJoinOp::NextBatch(RowBatch* out, bool* eof) {
         out->sub().push_back(0);
       }
     }
-    if (current_bucket_ == nullptr || bucket_pos_ >= current_bucket_->size()) {
-      have_outer_ = false;
-    }
   }
   measured_.final_join += ctx_->counters().TotalCost() - start;
   return Status::OK();
@@ -381,7 +353,7 @@ Status FilterJoinOp::Close() {
   }
   production_.clear();
   production_pos_.clear();
-  build_.clear();
+  build_.Clear();
   return Status::OK();
 }
 

@@ -4,9 +4,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
 #include "src/parallel/partitioned_build.h"
@@ -136,9 +136,7 @@ class FilterJoinOp final : public Operator {
   /// Phase 3: evaluates the restricted inner into `table` (the final-join
   /// hash table), records its cardinality, and charges the Grace pass when
   /// R_k' exceeds the memory budget.
-  Status BuildInner(
-      ExecContext* ctx,
-      std::unordered_map<uint64_t, std::vector<Tuple>>* table);
+  Status BuildInner(ExecContext* ctx, HashTable<Tuple>* table);
 
   OpPtr outer_;
   OpPtr inner_;
@@ -153,11 +151,11 @@ class FilterJoinOp final : public Operator {
 
   ExecContext* ctx_ = nullptr;
   std::vector<Tuple> production_;  // materialized P
-  std::unordered_map<uint64_t, std::vector<Tuple>> build_;  // on R_k'
+  HashTable<Tuple> build_;  // on R_k'
   size_t outer_pos_ = 0;
-  const std::vector<Tuple>* current_bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
-  bool have_outer_ = false;
+  // Walk over the R_k' entries under the current production row's hash;
+  // kEnd when the next production row is due.
+  uint32_t probe_entry_ = HashTable<Tuple>::kEnd;
   Tuple current_outer_;
   int64_t last_filter_set_size_ = 0;
   int64_t production_rows_per_page_ = 1;

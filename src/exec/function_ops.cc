@@ -4,14 +4,6 @@
 
 namespace magicdb {
 
-namespace {
-std::vector<int> Identity(size_t n) {
-  std::vector<int> v(n);
-  for (size_t i = 0; i < n; ++i) v[i] = static_cast<int>(i);
-  return v;
-}
-}  // namespace
-
 // ----- FunctionProbeJoinOp -----
 
 FunctionProbeJoinOp::FunctionProbeJoinOp(OpPtr outer,
@@ -31,7 +23,7 @@ FunctionProbeJoinOp::FunctionProbeJoinOp(OpPtr outer,
 
 Status FunctionProbeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  memo_.clear();
+  memo_.Clear();
   have_outer_ = false;
   cache_hits_ = 0;
   result_pos_ = 0;
@@ -40,7 +32,6 @@ Status FunctionProbeJoinOp::Open(ExecContext* ctx) {
 }
 
 Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
-  const std::vector<int> arg_identity = Identity(outer_arg_indexes_.size());
   while (true) {
     if (!have_outer_) {
       bool outer_eof = false;
@@ -55,24 +46,18 @@ Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
       current_results_.clear();
       result_pos_ = 0;
 
-      const std::vector<Tuple>* cached = nullptr;
+      const std::pair<Tuple, std::vector<Tuple>>* cached = nullptr;
       uint64_t h = 0;
       if (memoize_) {
         ctx_->counters().hash_operations += 1;
-        h = HashTupleColumns(args, arg_identity);
-        auto it = memo_.find(h);
-        if (it != memo_.end()) {
-          for (const auto& [key, rows] : it->second) {
-            if (CompareTuples(key, args) == 0) {
-              cached = &rows;
-              break;
-            }
-          }
-        }
+        h = HashTuple(args);
+        cached = memo_.Find(h, [&](const auto& entry) {
+          return CompareTuples(entry.first, args) == 0;
+        });
       }
       if (cached != nullptr) {
         ++cache_hits_;
-        current_results_ = *cached;
+        current_results_ = cached->second;
       } else {
         ctx_->counters().function_invocations += 1;
         std::vector<Tuple> results;
@@ -82,7 +67,7 @@ Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
           current_results_.push_back(ConcatTuples(args, r));
         }
         if (memoize_) {
-          memo_[h].emplace_back(std::move(args), current_results_);
+          memo_.Append(h, {std::move(args), current_results_});
         }
       }
     }
@@ -103,7 +88,7 @@ Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
 }
 
 Status FunctionProbeJoinOp::Close() {
-  memo_.clear();
+  memo_.Clear();
   return outer_->Close();
 }
 

@@ -2,9 +2,10 @@
 #define MAGICDB_EXEC_FUNCTION_OPS_H_
 
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
 #include "src/udr/table_function.h"
@@ -43,8 +44,8 @@ class FunctionProbeJoinOp final : public RowOperator {
   bool memoize_;
 
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<std::pair<Tuple, std::vector<Tuple>>>>
-      memo_;
+  // Argument tuple -> the function rows it produced.
+  HashTable<std::pair<Tuple, std::vector<Tuple>>> memo_;
   Tuple current_outer_;
   std::vector<Tuple> current_results_;  // function rows (args ++ results)
   size_t result_pos_ = 0;

@@ -216,18 +216,15 @@ Status HashJoinOp::AddBuildTuple(Tuple t, int64_t stage_pos,
     return Status::OK();
   }
   *build_bytes += row_bytes;
-  build_[hash].push_back(std::move(t));
+  build_.Append(hash, std::move(t));
   return Status::OK();
 }
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  build_.clear();
-  have_outer_ = false;
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
-  spilled_ = false;
-  spill_passes_ = 1;
+  build_.Clear();
+  probe_entry_ = HashTable<Tuple>::kEnd;
+  spill_passes_ = 0;
   probe_bytes_pending_ = 0;
   charged_bytes_ = 0;
   grace_.reset();
@@ -280,23 +277,15 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     // Barrier + partition assembly; global spill accounting happens inside
     // (charged once, not once per replica).
     MAGICDB_RETURN_IF_ERROR(shared_build_->FinishStaging(worker_, ctx));
-    spilled_ = shared_build_->spilled();
+    spill_passes_ = shared_build_->spill_passes();
     MAGICDB_RETURN_IF_ERROR(record_build(shared_build_->total_build_rows()));
     return outer_->Open(ctx);
   }
   // Build side over budget: charge the Grace partitioning passes the spill
   // subsystem would take to shrink each partition under budget. The build
   // input pays now; the probe input pays as it streams (see NextBatch).
-  if (build_bytes > ctx->memory_budget_bytes()) {
-    spilled_ = true;
-    spill_passes_ = SpillPasses(static_cast<double>(build_bytes),
-                                static_cast<double>(ctx->memory_budget_bytes()));
-    const int64_t build_pages =
-        (build_bytes + CostConstants::kPageSizeBytes - 1) /
-        CostConstants::kPageSizeBytes;
-    ctx->counters().pages_written += build_pages * spill_passes_;
-    ctx->counters().pages_read += build_pages * spill_passes_;
-  }
+  spill_passes_ = ChargeSpillPasses(build_bytes, ctx->memory_budget_bytes(),
+                                    &ctx->counters());
   MAGICDB_RETURN_IF_ERROR(record_build(build_rows));
   return outer_->Open(ctx);
 }
@@ -329,20 +318,20 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
     }
     return Status::OK();
   }
-  if (probe_batch_ == nullptr || probe_batch_->capacity() != out->capacity()) {
-    probe_batch_ = std::make_unique<RowBatch>(out->capacity());
-  }
   while (true) {
     if (probe_batch_exhausted_) {
       if (probe_eof_) {
         *eof = true;
         return Status::OK();
       }
+      if (probe_batch_ == nullptr ||
+          probe_batch_->capacity() != out->capacity()) {
+        probe_batch_ = std::make_unique<RowBatch>(out->capacity());
+      }
       MAGICDB_RETURN_IF_ERROR(
           outer_->NextBatch(probe_batch_.get(), &probe_eof_));
       probe_batch_exhausted_ = false;
       probe_sel_idx_ = 0;
-      have_outer_ = false;
       // Up-front vectorized pass: spill byte charges (in row order, so the
       // page floors match at any batch size), NULL-key screening, and key
       // hashing for every active row of the batch.
@@ -350,7 +339,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
       probe_hashes_.assign(static_cast<size_t>(nrows), 0);
       probe_has_key_.assign(static_cast<size_t>(nrows), 0);
       probe_batch_->ForEachActive([&](int32_t r) {
-        if (spilled_) {
+        if (spill_passes_ > 0) {
           const int64_t row_bytes = BatchRowByteWidth(*probe_batch_, r);
           if (shared_build_ != nullptr) {
             shared_build_->ChargeProbeBytes(ctx_, row_bytes);
@@ -381,29 +370,26 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
         sel ? static_cast<int32_t>(sel->size()) : probe_batch_->num_rows();
     while (probe_sel_idx_ < active) {
       const int32_t r = sel ? (*sel)[probe_sel_idx_] : probe_sel_idx_;
-      if (!have_outer_) {
+      if (probe_entry_ == HashTable<Tuple>::kEnd) {
         if (!probe_has_key_[static_cast<size_t>(r)]) {
           ++probe_sel_idx_;
           continue;  // NULL keys never join
         }
         const uint64_t hash = probe_hashes_[static_cast<size_t>(r)];
-        if (shared_build_ != nullptr) {
-          current_bucket_ = shared_build_->Probe(hash);
-        } else {
-          auto it = build_.find(hash);
-          current_bucket_ = it == build_.end() ? nullptr : &it->second;
-        }
-        if (current_bucket_ == nullptr || current_bucket_->empty()) {
+        probe_table_ = shared_build_ != nullptr
+                           ? &shared_build_->Partition(hash)
+                           : &build_;
+        probe_entry_ = probe_table_->First(hash);
+        if (probe_entry_ == HashTable<Tuple>::kEnd) {
           ++probe_sel_idx_;
           continue;
         }
         probe_batch_->MoveRowToTuple(r, &current_outer_);
-        have_outer_ = true;
-        bucket_pos_ = 0;
       }
-      while (bucket_pos_ < current_bucket_->size()) {
+      while (probe_entry_ != HashTable<Tuple>::kEnd) {
         if (out->full()) return Status::OK();  // resume mid-bucket next call
-        const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
+        const Tuple& inner_row = (*probe_table_)[probe_entry_];
+        probe_entry_ = probe_table_->Next(probe_entry_);
         // Verify key equality (hash collisions).
         if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
                                 inner_keys_) != 0) {
@@ -423,7 +409,6 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
           out->sub().push_back(0);
         }
       }
-      have_outer_ = false;
       ++probe_sel_idx_;
     }
     probe_batch_exhausted_ = true;
@@ -438,7 +423,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
 }
 
 Status HashJoinOp::Close() {
-  build_.clear();
+  build_.Clear();
   grace_.reset();
   if (ctx_ != nullptr) {
     build_reserve_.ReleaseHeadroom(ctx_);

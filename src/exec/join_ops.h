@@ -3,9 +3,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
 #include "src/parallel/partitioned_build.h"
@@ -93,10 +93,12 @@ class HashJoinOp final : public Operator {
 
   Status Open(ExecContext* ctx) override;
   /// Hashes a batch of outer keys, probes, and emits matched rows until the
-  /// output batch fills (mid-bucket state is saved across calls). The
-  /// probe batch is no larger than the output batch. Outer rank tags
-  /// (parallel mode) propagate to matches. Out of core, the batch fills
-  /// from the Grace join's merged output instead.
+  /// output batch fills (mid-bucket state is saved across calls). Each
+  /// probe batch is sized to the output batch it is pulled for; when the
+  /// consumer's batch size changes mid-batch, the rows already pulled are
+  /// still probed. Outer rank tags (parallel mode) propagate to matches.
+  /// Out of core, the batch fills from the Grace join's merged output
+  /// instead.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -146,16 +148,17 @@ class HashJoinOp final : public Operator {
   std::vector<int> inner_keys_;
   ExprPtr residual_;
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<Tuple>> build_;
+  HashTable<Tuple> build_;
   Tuple current_outer_;
-  const std::vector<Tuple>* current_bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
-  bool have_outer_ = false;
+  // Walk over the build entries under the current outer row's hash, in the
+  // private table or in the shared build's partition; kEnd when the next
+  // outer row is due.
+  const HashTable<Tuple>* probe_table_ = nullptr;
+  uint32_t probe_entry_ = HashTable<Tuple>::kEnd;
   // Grace partitioning accounting: when the build side exceeds the memory
   // budget, both inputs pay the predicted number of write+read partitioning
-  // passes (SpillPasses of the build size over the budget).
-  bool spilled_ = false;
-  int64_t spill_passes_ = 1;
+  // passes (SpillPasses of the build size over the budget); 0 when it fits.
+  int64_t spill_passes_ = 0;
   int64_t probe_bytes_pending_ = 0;
   // Bytes this replica charged to the query memory tracker for retained
   // build rows (local table or shared staging); released on Close.

@@ -1,6 +1,5 @@
 #include "src/parallel/partitioned_aggregate.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/cost_counters.h"
@@ -14,13 +13,10 @@ SharedAggregate::SharedAggregate(int num_workers, int64_t memory_budget_bytes)
     : num_workers_(num_workers),
       memory_budget_bytes_(memory_budget_bytes),
       staging_(num_workers),
-      staged_barrier_(num_workers) {
-  for (auto& per_worker : staging_) per_worker.resize(num_workers);
-}
+      staged_barrier_(num_workers) {}
 
 void SharedAggregate::Stage(int worker, StagedGroup group) {
-  const int partition = static_cast<int>(group.hash % num_workers_);
-  staging_[worker][partition].push_back(std::move(group));
+  staging_.Stage(worker, std::move(group));
 }
 
 void SharedAggregate::AddInputBytes(int64_t bytes) {
@@ -28,7 +24,7 @@ void SharedAggregate::AddInputBytes(int64_t bytes) {
 }
 
 Status SharedAggregate::MergeOwnPartition(int worker, ExecContext* ctx,
-                                          std::vector<StagedGroup>* merged) {
+                                          HashTable<StagedGroup>* merged) {
   // Injected merge fault fires before the barrier: the failing worker
   // unwinds through worker_fn's abort path, which aborts every barrier and
   // releases the peers — arriving first and then failing would strand them.
@@ -37,38 +33,16 @@ Status SharedAggregate::MergeOwnPartition(int worker, ExecContext* ctx,
   // `worker` is read by this worker only, so one barrier suffices.
   MAGICDB_RETURN_IF_ERROR(staged_barrier_.ArriveAndWait());
 
-  std::vector<StagedGroup> staged;
-  for (int w = 0; w < num_workers_; ++w) {
-    auto& src = staging_[w][worker];
-    staged.insert(staged.end(), std::make_move_iterator(src.begin()),
-                  std::make_move_iterator(src.end()));
-    src.clear();
-    src.shrink_to_fit();
-  }
   // Sequential first-seen order within the partition: ascending first-seen
   // input rank. Combining equal keys in this order also fixes the double
   // summation order deterministically at every DoP.
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedGroup& a, const StagedGroup& b) {
-              return a.pos != b.pos ? a.pos < b.pos : a.sub < b.sub;
-            });
-  merged->clear();
-  merged->reserve(staged.size());
-  std::unordered_map<uint64_t, std::vector<size_t>> index;
-  for (StagedGroup& g : staged) {
-    std::vector<size_t>& chain = index[g.hash];
-    StagedGroup* into = nullptr;
-    for (size_t gi : chain) {
-      if (CompareTuples((*merged)[gi].key, g.key) == 0) {
-        into = &(*merged)[gi];
-        break;
-      }
-    }
-    if (into == nullptr) {
-      chain.push_back(merged->size());
-      merged->push_back(std::move(g));
-      continue;
-    }
+  merged->Clear();
+  for (StagedGroup& g : staging_.Gather(worker)) {
+    auto [into, fresh] = merged->FindOrInsert(
+        g.hash,
+        [&](const StagedGroup& m) { return CompareTuples(m.key, g.key) == 0; },
+        [&] { return std::move(g); });
+    if (fresh) continue;
     MAGICDB_CHECK(into->states.size() == g.states.size());
     for (size_t a = 0; a < g.states.size(); ++a) {
       into->states[a].CombineFrom(g.states[a]);
@@ -79,18 +53,8 @@ Status SharedAggregate::MergeOwnPartition(int worker, ExecContext* ctx,
     // Grace partitioning-pass decision on the *global* input size, charged
     // exactly once (attribution to worker 0 is arbitrary; merged totals
     // are what the single-writer counter contract guarantees).
-    const int64_t input_bytes =
-        total_input_bytes_.load(std::memory_order_relaxed);
-    if (input_bytes > memory_budget_bytes_) {
-      const int64_t passes =
-          SpillPasses(static_cast<double>(input_bytes),
-                      static_cast<double>(memory_budget_bytes_));
-      const int64_t pages =
-          (input_bytes + CostConstants::kPageSizeBytes - 1) /
-          CostConstants::kPageSizeBytes;
-      ctx->counters().pages_written += pages * passes;
-      ctx->counters().pages_read += pages * passes;
-    }
+    ChargeSpillPasses(total_input_bytes_.load(std::memory_order_relaxed),
+                      memory_budget_bytes_, &ctx->counters());
   }
   return Status::OK();
 }

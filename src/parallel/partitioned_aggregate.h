@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/status.h"
 #include "src/exec/agg_state.h"
 #include "src/parallel/partitioned_build.h"
@@ -33,6 +34,10 @@ struct StagedGroup {
   Tuple key;
   std::vector<AggState> states;
 };
+
+inline bool RankLess(const StagedGroup& a, const StagedGroup& b) {
+  return a.pos != b.pos ? a.pos < b.pos : a.sub < b.sub;
+}
 
 /// Shared state of one two-phase parallel hash aggregation
 /// (HashAggregateOp::EnableParallel). Protocol, executed identically by all
@@ -84,7 +89,7 @@ class SharedAggregate {
   /// combined in that order. Worker 0 charges `ctx` the partitioning pass
   /// if the global input exceeded the memory budget.
   Status MergeOwnPartition(int worker, ExecContext* ctx,
-                           std::vector<StagedGroup>* merged);
+                           HashTable<StagedGroup>* merged);
 
   /// Releases every barrier waiter with `status` (worker failure path).
   void Abort(Status status);
@@ -92,8 +97,8 @@ class SharedAggregate {
  private:
   const int num_workers_;
   const int64_t memory_budget_bytes_;
-  // staging_[worker][partition]: partial groups routed by key hash.
-  std::vector<std::vector<std::vector<StagedGroup>>> staging_;
+  // Partial groups routed by key hash.
+  PartitionStaging<StagedGroup> staging_;
   std::atomic<int64_t> total_input_bytes_{0};
   CancellableBarrier staged_barrier_;
 };

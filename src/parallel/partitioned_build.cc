@@ -1,7 +1,5 @@
 #include "src/parallel/partitioned_build.h"
 
-#include <algorithm>
-
 #include "src/common/cost_counters.h"
 #include "src/common/logging.h"
 #include "src/exec/exec_context.h"
@@ -45,64 +43,33 @@ SharedHashBuild::SharedHashBuild(int num_workers, int64_t memory_budget_bytes)
       staging_(num_workers),
       partitions_(num_workers),
       staged_barrier_(num_workers),
-      built_barrier_(num_workers) {
-  for (auto& per_worker : staging_) per_worker.resize(num_workers);
-}
+      built_barrier_(num_workers) {}
 
 void SharedHashBuild::Stage(int worker, int64_t pos, uint64_t hash,
                             Tuple row) {
-  const int partition = static_cast<int>(hash % num_workers_);
   total_build_bytes_.fetch_add(TupleByteWidth(row),
                                std::memory_order_relaxed);
-  staging_[worker][partition].push_back({pos, hash, std::move(row)});
+  staging_.Stage(worker, {pos, hash, std::move(row)});
 }
 
 Status SharedHashBuild::FinishStaging(int worker, ExecContext* ctx) {
   MAGICDB_RETURN_IF_ERROR(staged_barrier_.ArriveAndWait());
-  // Build the owned partition: gather this partition's staged rows from
-  // every worker, restore sequential scan order, insert. No counters are
+  // Build the owned partition in sequential scan order. No counters are
   // charged here — the hash work was charged when the rows were staged.
-  std::vector<StagedRow> rows;
-  for (int w = 0; w < num_workers_; ++w) {
-    auto& src = staging_[w][worker];
-    rows.insert(rows.end(), std::make_move_iterator(src.begin()),
-                std::make_move_iterator(src.end()));
-    src.clear();
-    src.shrink_to_fit();
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const StagedRow& a, const StagedRow& b) { return a.pos < b.pos; });
-  auto& table = partitions_[worker];
-  for (StagedRow& r : rows) {
-    table[r.hash].push_back(std::move(r.row));
+  HashTable<Tuple>& table = partitions_[worker];
+  for (StagedRow& r : staging_.Gather(worker)) {
+    table.Append(r.hash, std::move(r.row));
   }
   if (worker == 0) {
     // Grace spill decision on the *global* build size, charged exactly once
     // (attribution to worker 0 is arbitrary; merged totals are what the
     // single-writer counter contract guarantees).
-    const int64_t build_bytes =
-        total_build_bytes_.load(std::memory_order_relaxed);
-    if (build_bytes > memory_budget_bytes_) {
-      spilled_ = true;
-      spill_passes_.store(
-          SpillPasses(static_cast<double>(build_bytes),
-                      static_cast<double>(memory_budget_bytes_)),
-          std::memory_order_relaxed);
-      const int64_t build_pages =
-          (build_bytes + CostConstants::kPageSizeBytes - 1) /
-          CostConstants::kPageSizeBytes;
-      const int64_t passes = spill_passes_.load(std::memory_order_relaxed);
-      ctx->counters().pages_written += build_pages * passes;
-      ctx->counters().pages_read += build_pages * passes;
-    }
+    spill_passes_.store(
+        ChargeSpillPasses(total_build_bytes_.load(std::memory_order_relaxed),
+                          memory_budget_bytes_, &ctx->counters()),
+        std::memory_order_relaxed);
   }
   return built_barrier_.ArriveAndWait();
-}
-
-const std::vector<Tuple>* SharedHashBuild::Probe(uint64_t hash) const {
-  const auto& table = partitions_[hash % num_workers_];
-  auto it = table.find(hash);
-  return it == table.end() ? nullptr : &it->second;
 }
 
 void SharedHashBuild::ChargeProbeBytes(ExecContext* ctx, int64_t bytes) {
@@ -131,14 +98,11 @@ SharedFilterJoin::SharedFilterJoin(int num_workers)
       deduped_(num_workers),
       staged_barrier_(num_workers),
       deduped_barrier_(num_workers),
-      inner_barrier_(num_workers) {
-  for (auto& per_worker : staging_) per_worker.resize(num_workers);
-}
+      inner_barrier_(num_workers) {}
 
 void SharedFilterJoin::StageKey(int worker, int64_t pos, uint64_t hash,
                                 Tuple key) {
-  const int partition = static_cast<int>(hash % num_workers_);
-  staging_[worker][partition].push_back({pos, hash, std::move(key)});
+  staging_.Stage(worker, {pos, hash, std::move(key)});
 }
 
 void SharedFilterJoin::AddProductionRows(int64_t rows, int64_t bytes) {
@@ -151,34 +115,16 @@ Status SharedFilterJoin::StagingDone() {
 }
 
 Status SharedFilterJoin::DedupPartition(int worker) {
-  std::vector<StagedRow> rows;
-  for (int w = 0; w < num_workers_; ++w) {
-    auto& src = staging_[w][worker];
-    rows.insert(rows.end(), std::make_move_iterator(src.begin()),
-                std::make_move_iterator(src.end()));
-    src.clear();
-    src.shrink_to_fit();
-  }
   // First occurrence wins, in sequential production order — identical to
   // the order a single-threaded distinct projection emits keys.
-  std::sort(rows.begin(), rows.end(),
-            [](const StagedRow& a, const StagedRow& b) { return a.pos < b.pos; });
-  std::unordered_map<uint64_t, std::vector<const Tuple*>> seen;
-  std::vector<StagedRow>& out = deduped_[worker];
-  out.reserve(rows.size());  // pointers into `out` must stay stable below
-  for (StagedRow& r : rows) {
-    std::vector<const Tuple*>& chain = seen[r.hash];
-    bool dup = false;
-    for (const Tuple* k : chain) {
-      if (CompareTuples(*k, r.row) == 0) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    out.push_back(std::move(r));
-    chain.push_back(&out.back().row);
+  HashTable<StagedRow> seen;
+  for (StagedRow& r : staging_.Gather(worker)) {
+    seen.FindOrInsert(
+        r.hash,
+        [&](const StagedRow& k) { return CompareTuples(k.row, r.row) == 0; },
+        [&] { return std::move(r); });
   }
+  deduped_[worker] = seen.TakeValues();
   return deduped_barrier_.ArriveAndWait();
 }
 
@@ -189,8 +135,7 @@ std::vector<Tuple> SharedFilterJoin::TakeOrderedKeys() {
                std::make_move_iterator(partition.end()));
     partition.clear();
   }
-  std::sort(all.begin(), all.end(),
-            [](const StagedRow& a, const StagedRow& b) { return a.pos < b.pos; });
+  SortByRank(&all);
   std::vector<Tuple> keys;
   keys.reserve(all.size());
   for (StagedRow& r : all) keys.push_back(std::move(r.row));

@@ -1,15 +1,17 @@
 #ifndef MAGICDB_PARALLEL_PARTITIONED_BUILD_H_
 #define MAGICDB_PARALLEL_PARTITIONED_BUILD_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/status.h"
 #include "src/types/tuple.h"
 
@@ -51,6 +53,50 @@ struct StagedRow {
   Tuple row;
 };
 
+inline bool RankLess(const StagedRow& a, const StagedRow& b) {
+  return a.pos < b.pos;
+}
+
+/// Sorts staged rows (StagedRow or StagedGroup) by RankLess, back into the
+/// sequential input order.
+template <typename Row>
+void SortByRank(std::vector<Row>* rows) {
+  std::sort(rows->begin(), rows->end(),
+            [](const Row& a, const Row& b) { return RankLess(a, b); });
+}
+
+/// The staging area of a partitioned parallel build. Each worker stages a
+/// row into the partition its `hash` selects, in a buffer of its own, so
+/// staging takes no lock. After a barrier, the owner of a partition gathers
+/// it from every worker and sorts it back into the sequential input order
+/// (SortByRank).
+template <typename Row>
+class PartitionStaging {
+ public:
+  explicit PartitionStaging(int num_workers)
+      : buffers_(num_workers, std::vector<std::vector<Row>>(num_workers)) {}
+
+  void Stage(int worker, Row row) {
+    buffers_[worker][row.hash % buffers_.size()].push_back(std::move(row));
+  }
+
+  /// Moves `partition`'s rows out of every worker's buffer, in rank order.
+  std::vector<Row> Gather(int partition) {
+    std::vector<Row> rows;
+    for (std::vector<std::vector<Row>>& per_worker : buffers_) {
+      std::vector<Row>& src = per_worker[partition];
+      rows.insert(rows.end(), std::make_move_iterator(src.begin()),
+                  std::make_move_iterator(src.end()));
+      src = std::vector<Row>();
+    }
+    SortByRank(&rows);
+    return rows;
+  }
+
+ private:
+  std::vector<std::vector<std::vector<Row>>> buffers_;  // [worker][partition]
+};
+
 /// Shared state of one partitioned parallel hash-join build
 /// (HashJoinOp::EnableSharedBuild). Protocol, executed identically by all
 /// `num_workers` pipeline replicas:
@@ -81,11 +127,17 @@ class SharedHashBuild {
   /// global spill accounting (worker 0 charges `ctx`), barrier again.
   Status FinishStaging(int worker, ExecContext* ctx);
 
-  /// Phase 3: bucket lookup for a probe key hash; nullptr when empty.
-  /// Only valid after FinishStaging returned OK.
-  const std::vector<Tuple>* Probe(uint64_t hash) const;
+  /// Phase 3: the partition table that holds a probe key hash's build
+  /// rows. Only valid after FinishStaging returned OK.
+  const HashTable<Tuple>& Partition(uint64_t hash) const {
+    return partitions_[hash % num_workers_];
+  }
 
-  bool spilled() const { return spilled_; }
+  /// Grace partitioning passes charged for the global build; 0 when it
+  /// fit the budget. Valid after FinishStaging.
+  int64_t spill_passes() const {
+    return spill_passes_.load(std::memory_order_relaxed);
+  }
 
   /// Cardinality feedback: each worker contributes its drained build-input
   /// slice *before* the FinishStaging barrier; afterwards every worker
@@ -109,18 +161,16 @@ class SharedHashBuild {
  private:
   const int num_workers_;
   const int64_t memory_budget_bytes_;
-  // staging_[worker][partition]
-  std::vector<std::vector<std::vector<StagedRow>>> staging_;
-  // partitions_[partition]: hash -> bucket, built by the owning worker.
-  std::vector<std::unordered_map<uint64_t, std::vector<Tuple>>> partitions_;
+  PartitionStaging<StagedRow> staging_;
+  // partitions_[partition]: built by the owning worker.
+  std::vector<HashTable<Tuple>> partitions_;
   std::atomic<int64_t> total_build_bytes_{0};
   std::atomic<int64_t> total_build_rows_{0};
   std::atomic<int64_t> probe_bytes_{0};
-  bool spilled_ = false;
   // Predicted Grace partitioning passes; probe-side page charges are
   // multiplied by it (set once behind the staging barrier, read by every
   // prober).
-  std::atomic<int64_t> spill_passes_{1};
+  std::atomic<int64_t> spill_passes_{0};
   CancellableBarrier staged_barrier_;
   CancellableBarrier built_barrier_;
 };
@@ -162,12 +212,8 @@ class SharedFilterJoin {
   /// object owns it so that no worker's Close can free it while another
   /// worker is still probing. The coordinator fills it (single writer),
   /// then everyone meets at InnerBarrier; afterwards it is read-only.
-  std::unordered_map<uint64_t, std::vector<Tuple>>* mutable_inner_build() {
-    return &inner_build_;
-  }
-  const std::unordered_map<uint64_t, std::vector<Tuple>>& inner_build() const {
-    return inner_build_;
-  }
+  HashTable<Tuple>* mutable_inner_build() { return &inner_build_; }
+  const HashTable<Tuple>& inner_build() const { return inner_build_; }
 
   /// Coordinator arrives after filling the inner build; workers arrive to
   /// wait for it.
@@ -177,13 +223,13 @@ class SharedFilterJoin {
 
  private:
   const int num_workers_;
-  // staging_[worker][partition]: candidate keys routed by hash.
-  std::vector<std::vector<std::vector<StagedRow>>> staging_;
+  // Candidate keys routed by hash.
+  PartitionStaging<StagedRow> staging_;
   // deduped_[partition]: surviving (first-occurrence) keys.
   std::vector<std::vector<StagedRow>> deduped_;
   std::atomic<int64_t> total_production_rows_{0};
   std::atomic<int64_t> total_production_bytes_{0};
-  std::unordered_map<uint64_t, std::vector<Tuple>> inner_build_;
+  HashTable<Tuple> inner_build_;
   CancellableBarrier staged_barrier_;
   CancellableBarrier deduped_barrier_;
   CancellableBarrier inner_barrier_;

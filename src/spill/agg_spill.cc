@@ -1,19 +1,10 @@
 #include "src/spill/agg_spill.h"
 
-#include <algorithm>
-
 #include "src/common/logging.h"
 #include "src/exec/exec_context.h"
 #include "src/spill/row_serde.h"
 
 namespace magicdb {
-
-namespace {
-bool RankLess(const StagedGroup& a, const StagedGroup& b) {
-  if (a.pos != b.pos) return a.pos < b.pos;
-  return a.sub < b.sub;
-}
-}  // namespace
 
 AggSpill::AggSpill(std::shared_ptr<SpillManager> mgr, size_t num_states)
     : mgr_(std::move(mgr)), num_states_(num_states) {}
@@ -27,10 +18,9 @@ Status AggSpill::Start(ExecContext* /*ctx*/) {
   return Status::OK();
 }
 
-Status AggSpill::EvictNextPartition(
-    std::vector<StagedGroup>* groups,
-    std::unordered_map<uint64_t, std::vector<int64_t>>* index,
-    int64_t* charged_bytes, ExecContext* ctx) {
+Status AggSpill::EvictNextPartition(HashTable<StagedGroup>* groups,
+                                    int64_t* charged_bytes,
+                                    ExecContext* ctx) {
   MAGICDB_CHECK(!AllSpilled());
   // Pick victims and release their accounting first. The first eviction
   // keeps taking partitions until the freed bytes cover the partition
@@ -43,7 +33,7 @@ Status AggSpill::EvictNextPartition(
   do {
     const int victim = next_victim_++;
     spilled_[victim] = true;
-    for (const StagedGroup& g : *groups) {
+    for (const StagedGroup& g : groups->values()) {
       if (partitions_->PartitionFor(g.hash) == victim) {
         released += GroupBytes(g);
       }
@@ -55,22 +45,15 @@ Status AggSpill::EvictNextPartition(
     MAGICDB_RETURN_IF_ERROR(partitions_->Reserve(ctx));
     reserved_ = true;
   }
-  std::vector<StagedGroup> kept;
-  kept.reserve(groups->size());
-  for (StagedGroup& g : *groups) {
+  for (StagedGroup& g : groups->TakeValues()) {
     const int p = partitions_->PartitionFor(g.hash);
     if (spilled_[p]) {
       scratch_.clear();
       spill::AppendStagedGroup(&scratch_, g);
       MAGICDB_RETURN_IF_ERROR(partitions_->AddTo(p, scratch_, ctx));
     } else {
-      kept.push_back(std::move(g));
+      groups->Append(g.hash, std::move(g));
     }
-  }
-  groups->swap(kept);
-  index->clear();
-  for (size_t i = 0; i < groups->size(); ++i) {
-    (*index)[(*groups)[i].hash].push_back(static_cast<int64_t>(i));
   }
   return Status::OK();
 }
@@ -123,8 +106,7 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
   MAGICDB_RETURN_IF_ERROR(
       task_reservation.Acquire(ctx, 2 * mgr_->config().batch_bytes));
 
-  std::vector<StagedGroup> groups;
-  std::unordered_map<uint64_t, std::vector<int64_t>> index;
+  HashTable<StagedGroup> groups;
   int64_t charged = 0;
   MAGICDB_RETURN_IF_ERROR(task.file->Rewind());
   int64_t loop = 0;
@@ -148,13 +130,9 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
                                 std::to_string(num_states_));
     }
     if (!status.ok()) break;
-    StagedGroup* group = nullptr;
-    for (int64_t gi : index[partial.hash]) {
-      if (CompareTuples(groups[gi].key, partial.key) == 0) {
-        group = &groups[gi];
-        break;
-      }
-    }
+    StagedGroup* group = groups.Find(partial.hash, [&](const StagedGroup& g) {
+      return CompareTuples(g.key, partial.key) == 0;
+    });
     if (group == nullptr) {
       const int64_t group_bytes = GroupBytes(partial);
       status = ctx->ChargeMemory(group_bytes);
@@ -164,8 +142,7 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
         return Repartition(std::move(task), stack, ctx);
       }
       charged += group_bytes;
-      index[partial.hash].push_back(static_cast<int64_t>(groups.size()));
-      groups.push_back(std::move(partial));
+      groups.Append(partial.hash, std::move(partial));
       continue;
     }
     // Combine the partial into the existing group, keeping the minimum
@@ -182,10 +159,11 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
     ctx->ReleaseMemory(charged);
     return status;
   }
-  std::sort(groups.begin(), groups.end(), RankLess);
-  if (!groups.empty()) {
+  std::vector<StagedGroup> run = groups.TakeValues();
+  SortByRank(&run);
+  if (!run.empty()) {
     auto out = std::make_unique<SpillFile>(mgr_.get(), "agg-out");
-    for (const StagedGroup& g : groups) {
+    for (const StagedGroup& g : run) {
       scratch_.clear();
       spill::AppendStagedGroup(&scratch_, g);
       status = out->Append(scratch_, ctx);

@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/statusor.h"
 #include "src/parallel/partitioned_aggregate.h"
 #include "src/spill/spill_file.h"
@@ -62,13 +62,11 @@ class AggSpill {
            static_cast<int64_t>(num_states_ * sizeof(AggState));
   }
 
-  /// Evicts the next victim partition: moves its groups from
-  /// `groups`/`index` to the partition file, releasing their bytes from the
-  /// tracker and from `*charged_bytes`.
-  Status EvictNextPartition(
-      std::vector<StagedGroup>* groups,
-      std::unordered_map<uint64_t, std::vector<int64_t>>* index,
-      int64_t* charged_bytes, ExecContext* ctx);
+  /// Evicts the next victim partition: moves its groups from `groups` to
+  /// the partition file, releasing their bytes from the tracker and from
+  /// `*charged_bytes`. The groups that stay keep their order.
+  Status EvictNextPartition(HashTable<StagedGroup>* groups,
+                            int64_t* charged_bytes, ExecContext* ctx);
 
   /// Appends one partial-state record for a row routed to a spilled
   /// partition.

@@ -15,9 +15,9 @@ GraceHashJoin::GraceHashJoin(std::shared_ptr<SpillManager> mgr,
       inner_keys_(std::move(inner_keys)),
       residual_(residual) {}
 
-Status GraceHashJoin::BeginBuildSpill(
-    ExecContext* ctx, std::unordered_map<uint64_t, std::vector<Tuple>>* table,
-    int64_t* charged_bytes) {
+Status GraceHashJoin::BeginBuildSpill(ExecContext* ctx,
+                                      HashTable<Tuple>* table,
+                                      int64_t* charged_bytes) {
   // The tracker is full at the instant the build breaches, so hand the
   // table's charge back before reserving the partition write buffers: the
   // rows are leaving memory as the dump below proceeds, and the buffers
@@ -27,17 +27,12 @@ Status GraceHashJoin::BeginBuildSpill(
   build_set_ =
       std::make_unique<SpillPartitionSet>(mgr_.get(), "join-build", 0);
   MAGICDB_RETURN_IF_ERROR(build_set_->Reserve(ctx));
-  // Bucket-by-bucket dump: rows of one hash stay in arrival order, which is
+  // Arrival-order dump: rows of one hash stay in arrival order, which is
   // what makes each rebuilt bucket identical to its in-memory counterpart.
-  for (const auto& [hash, bucket] : *table) {
-    for (const Tuple& row : bucket) {
-      scratch_.clear();
-      spill::AppendU64(&scratch_, hash);
-      spill::AppendTuple(&scratch_, row);
-      MAGICDB_RETURN_IF_ERROR(build_set_->Add(hash, scratch_, ctx));
-    }
+  for (size_t e = 0; e < table->size(); ++e) {
+    MAGICDB_RETURN_IF_ERROR(AddBuildRow(table->hash(e), (*table)[e], ctx));
   }
-  table->clear();
+  table->Clear();
   return Status::OK();
 }
 
@@ -114,7 +109,7 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
       task_reservation.Acquire(ctx, 3 * mgr_->config().batch_bytes));
 
   // Load the build partition into a charged in-memory table.
-  std::unordered_map<uint64_t, std::vector<Tuple>> table;
+  HashTable<Tuple> table;
   int64_t charged = 0;
   MAGICDB_RETURN_IF_ERROR(task.build->Rewind());
   int64_t loop = 0;
@@ -135,12 +130,12 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
     Status charge = ctx->ChargeMemory(row_bytes);
     if (!charge.ok()) {
       ctx->ReleaseMemory(charged);
-      table.clear();
+      table.Clear();
       if (charge.code() != StatusCode::kResourceExhausted) return charge;
       return Repartition(std::move(task), stack, ctx);
     }
     charged += row_bytes;
-    table[hash].push_back(std::move(row));
+    table.Append(hash, std::move(row));
   }
 
   // Stream the probe partition against the loaded table, emitting matches
@@ -165,9 +160,9 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
     if (status.ok()) status = reader.ReadI64(&seq);
     if (status.ok()) status = reader.ReadTuple(&row);
     if (!status.ok()) break;
-    auto it = table.find(hash);
-    if (it == table.end()) continue;
-    for (const Tuple& build_row : it->second) {
+    for (uint32_t e = table.First(hash); e != HashTable<Tuple>::kEnd;
+         e = table.Next(e)) {
+      const Tuple& build_row = table[e];
       if (CompareTupleColumns(row, build_row, outer_keys_, inner_keys_) != 0) {
         continue;  // hash collision
       }

@@ -7,7 +7,7 @@
 ///
 /// Protocol (driven by HashJoinOp):
 ///   1. BeginBuildSpill() — the moment the in-memory build table breaches,
-///      its rows are dumped bucket-by-bucket into a fanout-way partition
+///      its rows are dumped in arrival order into a fanout-way partition
 ///      set and their memory is released; every later build row goes
 ///      straight to its partition (AddBuildRow).
 ///   2. FinishBuild() seals the build partitions.
@@ -23,7 +23,7 @@
 ///      recursion bound.
 ///   5. NextOutput() merges the output runs by probe sequence number.
 ///
-/// Determinism: rows of one hash bucket are dumped and reloaded in their
+/// Determinism: rows of one hash are dumped and reloaded in their
 /// original arrival order, so each rebuilt bucket matches the in-memory
 /// bucket exactly; each probe row lives in exactly one leaf partition, so
 /// its matches land contiguously in one run; merging runs by the strictly
@@ -33,9 +33,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/statusor.h"
 #include "src/spill/spill_file.h"
 #include "src/spill/spill_manager.h"
@@ -54,10 +54,8 @@ class GraceHashJoin {
 
   /// Dumps the breached in-memory build table to partitions, releasing its
   /// `*charged_bytes` from the tracker and clearing the table.
-  Status BeginBuildSpill(
-      ExecContext* ctx,
-      std::unordered_map<uint64_t, std::vector<Tuple>>* table,
-      int64_t* charged_bytes);
+  Status BeginBuildSpill(ExecContext* ctx, HashTable<Tuple>* table,
+                         int64_t* charged_bytes);
 
   Status AddBuildRow(uint64_t hash, const Tuple& row, ExecContext* ctx);
   Status FinishBuild(ExecContext* ctx);

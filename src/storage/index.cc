@@ -9,29 +9,19 @@ namespace magicdb {
 void HashIndex::Insert(const Tuple& row, int64_t row_id) {
   Tuple key = ProjectTuple(row, columns_);
   const uint64_t h = HashTupleColumns(row, columns_);
-  std::vector<Entry>& chain = buckets_[h];
-  for (Entry& e : chain) {
-    if (CompareTuples(e.key, key) == 0) {
-      e.row_ids.push_back(row_id);
-      ++num_entries_;
-      return;
-    }
-  }
-  chain.push_back(Entry{std::move(key), {row_id}});
+  Entry* entry = entries_.FindOrInsert(
+      h, [&](const Entry& e) { return CompareTuples(e.key, key) == 0; },
+      [&] { return Entry{std::move(key), {}}; }).first;
+  entry->row_ids.push_back(row_id);
   ++num_entries_;
 }
 
 std::vector<int64_t> HashIndex::Lookup(const Tuple& key) const {
   MAGICDB_CHECK(key.size() == columns_.size());
-  std::vector<int> identity(key.size());
-  for (size_t i = 0; i < key.size(); ++i) identity[i] = static_cast<int>(i);
-  const uint64_t h = HashTupleColumns(key, identity);
-  auto it = buckets_.find(h);
-  if (it == buckets_.end()) return {};
-  for (const Entry& e : it->second) {
-    if (CompareTuples(e.key, key) == 0) return e.row_ids;
-  }
-  return {};
+  const Entry* entry = entries_.Find(
+      HashTuple(key),
+      [&](const Entry& e) { return CompareTuples(e.key, key) == 0; });
+  return entry == nullptr ? std::vector<int64_t>() : entry->row_ids;
 }
 
 void OrderedIndex::Insert(const Tuple& row, int64_t row_id) {

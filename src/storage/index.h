@@ -3,15 +3,16 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/types/tuple.h"
 
 namespace magicdb {
 
-/// Equality index: key columns -> row ids. Backed by a chained hash table;
-/// collisions are resolved by comparing key values, so lookups are exact.
+/// Equality index: key columns -> row ids. Backed by a HashTable of distinct
+/// keys; collisions are resolved by comparing key values, so lookups are
+/// exact.
 class HashIndex {
  public:
   explicit HashIndex(std::vector<int> columns)
@@ -34,7 +35,7 @@ class HashIndex {
   };
 
   std::vector<int> columns_;
-  std::unordered_map<uint64_t, std::vector<Entry>> buckets_;
+  HashTable<Entry> entries_;
   int64_t num_entries_ = 0;
 };
 

@@ -35,6 +35,12 @@ uint64_t HashTupleColumns(const Tuple& tuple,
   return h;
 }
 
+uint64_t HashTuple(const Tuple& tuple) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const Value& v : tuple) h = HashCombine(h, v.Hash());
+  return h;
+}
+
 int CompareTupleColumns(const Tuple& a, const Tuple& b,
                         const std::vector<int>& a_indexes,
                         const std::vector<int>& b_indexes) {

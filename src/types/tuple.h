@@ -22,6 +22,9 @@ Tuple ProjectTuple(const Tuple& tuple, const std::vector<int>& indexes);
 /// Hash of selected columns; consistent with column-wise Value equality.
 uint64_t HashTupleColumns(const Tuple& tuple, const std::vector<int>& indexes);
 
+/// Hash of every column: HashTupleColumns over all of `tuple`'s indexes.
+uint64_t HashTuple(const Tuple& tuple);
+
 /// Lexicographic comparison on selected columns. Returns <0, 0, >0.
 int CompareTupleColumns(const Tuple& a, const Tuple& b,
                         const std::vector<int>& a_indexes,

@@ -344,6 +344,10 @@ const char* const kSweepQueries[] = {
     "SELECT E.did AS d, E.sal AS s, V.avgcomp FROM Emp E, Dept D, DepComp V "
     "WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgcomp "
     "ORDER BY d, s",
+    // 840 groups over an 840-row join build: the group table, the build
+    // table and the partitioned merge grow through many steps.
+    "SELECT E.eid, COUNT(*), MAX(B.amount) FROM Emp E, Bonus B "
+    "WHERE E.eid = B.eid GROUP BY E.eid",
     // A Filter Join without ORDER BY (the selective Dept filter makes magic
     // pay): at dop 4 its probe output reaches the gather merge through
     // rank-tagged batches.
@@ -359,7 +363,7 @@ const char* const kSweepQueries[] = {
 
 // The sweep queries from this index on must run as a parallel Filter Join
 // pipeline at dop 4.
-constexpr size_t kFirstParallelFilterJoinQuery = 4;
+constexpr size_t kFirstParallelFilterJoinQuery = 5;
 
 TEST(BatchIdentitySweepTest, DopTimesBatchSizeGridIsByteIdentical) {
   Database db;
@@ -447,6 +451,41 @@ TEST(BatchIdentitySweepTest, PlanCacheKeysBatchSizesSeparately) {
       ExpectRowsIdentical(result->rows, reference);
     }
   }
+}
+
+// A consumer may change its pull size between calls (RowReader::Next takes
+// a per-call row count). The hash join must go on probing the outer rows it
+// already pulled, mid-batch and mid-bucket, instead of dropping them.
+TEST(BatchEdgeCaseTest, HashJoinKeepsProbeRowsWhenPullSizeChanges) {
+  Table r("r", Schema({{"r", "k", DataType::kInt64},
+                       {"r", "x", DataType::kInt64}}));
+  Table s("s", Schema({{"s", "k", DataType::kInt64},
+                       {"s", "y", DataType::kInt64}}));
+  for (int i = 0; i < 300; ++i) {
+    MAGICDB_CHECK_OK(r.Insert({Value::Int64(i % 50), Value::Int64(i)}));
+  }
+  for (int i = 0; i < 400; ++i) {  // eight s rows per key
+    MAGICDB_CHECK_OK(s.Insert({Value::Int64(i % 50), Value::Int64(i * 10)}));
+  }
+  auto drain = [&](const std::function<int32_t(int)>& capacity_of_call) {
+    HashJoinOp join(std::make_unique<SeqScanOp>(&r),
+                    std::make_unique<SeqScanOp>(&s), std::vector<int>{0},
+                    std::vector<int>{0}, nullptr);
+    ExecContext ctx;
+    MAGICDB_CHECK_OK(join.Open(&ctx));
+    std::vector<Tuple> rows;
+    bool eof = false;
+    for (int call = 0; !eof; ++call) {
+      RowBatch out(capacity_of_call(call));
+      MAGICDB_CHECK_OK(join.NextBatch(&out, &eof));
+      out.MoveActiveToTuples(&rows);
+    }
+    MAGICDB_CHECK_OK(join.Close());
+    return rows;
+  };
+  const std::vector<Tuple> fixed = drain([](int) { return 7; });
+  ASSERT_EQ(fixed.size(), 300u * 8);
+  ExpectRowsIdentical(drain([](int call) { return 7 - call % 7; }), fixed);
 }
 
 // ----- LIMIT does no work past its rows -----
