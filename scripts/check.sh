@@ -51,10 +51,13 @@
 # absorb the rejections, and survivors must stay byte-identical with zero
 # leaked tickets, gang slots, cursors, or disk-budget bytes.
 #
-# Before anything builds, a source guard: every build side, distinct set,
+# Before anything builds, two source guards: every build side, distinct set,
 # filter set and group index goes through HashTable<T> in
 # src/common/hash_table.h, so a hand-rolled unordered_map<uint64_t, ...>
-# table under src/ fails the check.
+# table under src/ fails the check; and every spilled record is read through
+# the sorted-run module (src/spill/sorted_runs.h: RunMerge, ForEachRecord)
+# or the partitioner beside SpillPartitionSet, so a SpillFile::NextRecord
+# call anywhere else under src/ fails it too.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,6 +66,17 @@ echo "=== Source guard: one hash table ==="
 if grep -rn "unordered_map<uint64_t" src/; then
   echo "error: hand-rolled unordered_map<uint64_t, ...> table under src/" \
        "(above); build it on HashTable<T> from src/common/hash_table.h" >&2
+  exit 1
+fi
+
+echo "=== Source guard: one run merge ==="
+if grep -rn "NextRecord(" src/ | grep -v \
+     -e "^src/spill/spill_file\.\(h\|cc\):" \
+     -e "^src/spill/sorted_runs\.h:" \
+     -e "^src/spill/spill_partition_set\.\(h\|cc\):"; then
+  echo "error: spill records read outside the sorted-run module (above);" \
+       "merge runs with RunMerge and scan files with ForEachRecord from" \
+       "src/spill/sorted_runs.h" >&2
   exit 1
 fi
 

@@ -164,7 +164,6 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx,
     if (agg_spill_ == nullptr) {
       agg_spill_ =
           std::make_unique<AggSpill>(ctx->spill_manager(), aggs_.size());
-      MAGICDB_RETURN_IF_ERROR(agg_spill_->Start(ctx));
     }
     // Every partition already evicted and one group still does not fit:
     // eviction cannot help any further.
@@ -278,9 +277,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
         MAGICDB_RETURN_IF_ERROR(
             agg_spill_->EvictNextPartition(&groups_, &charged_bytes_, ctx));
       }
-      MAGICDB_RETURN_IF_ERROR(agg_spill_->FinishInput(ctx));
-      MAGICDB_RETURN_IF_ERROR(
-          agg_spill_->BuildOutput(groups_.TakeValues(), ctx));
+      MAGICDB_RETURN_IF_ERROR(agg_spill_->BuildOutput(ctx));
       aggregated_ = true;
       return Status::OK();
     }
@@ -341,8 +338,7 @@ Status HashAggregateOp::NextBatch(RowBatch* out, bool* eof) {
     const StagedGroup* g = nullptr;
     if (agg_spill_ != nullptr) {
       bool has_group = false;
-      MAGICDB_RETURN_IF_ERROR(
-          agg_spill_->NextGroup(&spilled, &has_group, ctx_));
+      MAGICDB_RETURN_IF_ERROR(agg_spill_->NextGroup(&spilled, &has_group));
       if (has_group) g = &spilled;
     } else if (next_group_ < groups_.size()) {
       g = &groups_[next_group_++];

@@ -219,11 +219,13 @@ Status SortOp::Open(ExecContext* ctx) {
         std::ceil(std::log2(static_cast<double>(total_rows))));
   }
   if (sorter_ != nullptr) {
-    // Out of core: the final buffer becomes the resident run and NextRow()
-    // k-way merges. Real page I/O was charged by the spill files, so the
-    // heuristic below is skipped.
-    return sorter_->FinishInput(std::move(rows), std::move(row_keys),
-                                base_seq_, ctx);
+    // Out of core: the final buffer spills as one more run, so no buffered
+    // row stays charged while NextRow() k-way merges and the result sink
+    // charges its batches. Real page I/O was charged by the spill files, so
+    // the heuristic below is skipped.
+    MAGICDB_RETURN_IF_ERROR(
+        sorter_->SpillRun(&rows, &row_keys, base_seq_, &charged_bytes_, ctx));
+    return sorter_->FinishInput(ctx);
   }
 
   const int64_t n = static_cast<int64_t>(rows.size());
@@ -258,7 +260,7 @@ Status SortOp::Open(ExecContext* ctx) {
 }
 
 Status SortOp::NextRow(Tuple* out, bool* eof) {
-  if (sorter_ != nullptr) return sorter_->Next(out, eof, ctx_);
+  if (sorter_ != nullptr) return sorter_->Next(out, eof);
   if (next_ >= sorted_.size()) {
     *eof = true;
     return Status::OK();

@@ -4,10 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/exec/operator.h"
-#include "src/spill/spill_file.h"
+#include "src/spill/sorted_runs.h"
 
 namespace magicdb {
 
@@ -27,35 +28,32 @@ struct GatherRow {
   Tuple row;
 };
 
-/// One worker's output run, possibly disk-backed: under memory pressure the
-/// worker flushes its accumulated rows to `spilled` (already rank-ordered —
-/// flushes preserve arrival order) and keeps only the unflushed tail in
-/// `rows`. Every rank in the file precedes every rank in the tail.
-struct GatherRun {
-  std::unique_ptr<SpillFile> spilled;  // may be null: fully in memory
-  std::vector<GatherRow> rows;
-  /// Total rows staged into this run (spilled prefix included); the
-  /// parallel executor sums these into its staged-gather cardinality
-  /// observation.
-  int64_t staged_rows = 0;
+/// Spill-record codec of a gather run: (pos, sub, row), ordered by rank.
+struct GatherCodec {
+  using Row = GatherRow;
+  void Encode(const GatherRow& r, std::string* out) const;
+  Status Decode(std::string_view record, GatherRow* r) const;
+  bool Less(const GatherRow& a, const GatherRow& b) const {
+    return a.pos != b.pos ? a.pos < b.pos : a.sub < b.sub;
+  }
 };
 
 /// Deterministic merge of the per-worker output runs of a parallel
 /// pipeline. A k-way merge on the (pos, sub) rank reproduces exactly
 /// the row order a single-threaded execution emits, so results are
 /// byte-identical at any degree of parallelism — whether a run lives in
-/// memory or starts with a spilled prefix. GatherOp performs no query work
-/// of its own and charges nothing to the cost counters — the rows it
-/// forwards were fully paid for by the workers that produced them (spilled
-/// gather files are created with charging disabled for the same reason).
+/// memory or was spilled. Full ties (possible only when several output rows
+/// share one rank, all within one worker's run) resolve to the lowest run
+/// index, and rows within a run keep their order — both match sequential
+/// emission order. GatherOp performs no query work of its own and charges
+/// nothing to the cost counters — the rows it forwards were fully paid for
+/// by the workers that produced them (spilled gather files are created with
+/// charging disabled, and the merge reads them with no context).
 class GatherOp final : public RowOperator {
  public:
-  /// Each run must be sorted ascending by (pos, sub); a spilled prefix must
-  /// precede its in-memory tail in rank order. Takes ownership.
-  GatherOp(Schema schema, std::vector<GatherRun> runs);
-
-  /// All-in-memory convenience form.
-  GatherOp(Schema schema, std::vector<std::vector<GatherRow>> runs);
+  /// Each run must be sorted ascending by (pos, sub): a worker spills its
+  /// staged rows in arrival order, which is rank order. Takes ownership.
+  GatherOp(Schema schema, std::vector<SortedRun<GatherRow>> runs);
 
   Status Open(ExecContext* ctx) override;
   Status Close() override;
@@ -64,23 +62,7 @@ class GatherOp final : public RowOperator {
  private:
   Status NextRow(Tuple* out, bool* eof) override;
 
-  /// Merge cursor over one run: while `file_has`, (pos, sub, row) hold the
-  /// decoded head record of the spilled prefix; afterwards `mem` indexes
-  /// the in-memory tail.
-  struct Cursor {
-    bool file_has = false;
-    int64_t pos = 0;
-    int64_t sub = 0;
-    Tuple row;
-    size_t mem = 0;
-  };
-
-  Status AdvanceFile(size_t r);
-  /// Fills pos/sub of run `r`'s current head; false when exhausted.
-  bool Head(size_t r, int64_t* pos, int64_t* sub) const;
-
-  std::vector<GatherRun> runs_;
-  std::vector<Cursor> cursor_;
+  RunMerge<GatherCodec> merge_;
 };
 
 }  // namespace magicdb

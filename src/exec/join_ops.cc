@@ -313,7 +313,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
     }
     Tuple t;
     while (!out->full() && !*eof) {
-      MAGICDB_RETURN_IF_ERROR(grace_->NextOutput(&t, eof, ctx_));
+      MAGICDB_RETURN_IF_ERROR(grace_->NextOutput(&t, eof));
       if (!*eof) out->AppendTuple(std::move(t));
     }
     return Status::OK();

@@ -14,8 +14,7 @@
 #include "src/parallel/partitioned_aggregate.h"
 #include "src/parallel/partitioned_build.h"
 #include "src/parallel/thread_pool.h"
-#include "src/spill/row_serde.h"
-#include "src/spill/spill_manager.h"
+#include "src/spill/sorted_runs.h"
 
 namespace magicdb {
 
@@ -112,35 +111,27 @@ std::shared_ptr<MorselSource> MakeSourceFor(const SeqScanOp* scan) {
       t->NumRows(), RowsPerPage(t->schema().TupleWidthBytes()));
 }
 
-/// Flushes the run's accumulated in-memory rows to its gather spill file
-/// (created on first use, charging disabled: gather staging is bookkeeping,
-/// not query work). Arrival order is rank order, so the file stays sorted.
-Status FlushGatherRows(GatherRun* run, ExecContext* ctx,
-                       std::string* scratch) {
-  if (run->spilled == nullptr) {
-    run->spilled = std::make_unique<SpillFile>(ctx->spill_manager().get(),
-                                               "gather",
-                                               /*charge_cost=*/false);
-  }
-  for (const GatherRow& r : run->rows) {
-    scratch->clear();
-    spill::AppendI64(scratch, r.pos);
-    spill::AppendI64(scratch, r.sub);
-    spill::AppendTuple(scratch, r.row);
-    MAGICDB_RETURN_IF_ERROR(run->spilled->Append(*scratch, ctx));
-  }
-  run->rows.clear();
-  return Status::OK();
-}
-
 /// Opens, drains, and closes one replica, staging every output row under
 /// the rank tag its batch carries: the aggregate's group first-seen
 /// (pos, sub) when the pipeline aggregates, else the global driving-scan
 /// position of the row's production row.
-Status RunPipeline(Operator* root, ExecContext* ctx, GatherRun* run) {
+Status RunPipeline(Operator* root, ExecContext* ctx,
+                   SortedRun<GatherRow>* run) {
   MAGICDB_RETURN_IF_ERROR(root->Open(ctx));
   int64_t staged_charged = 0;
-  std::string scratch;
+  // The worker's gather spill file, created on the first flush with charging
+  // disabled: gather staging is bookkeeping, not query work.
+  RunWriter<GatherCodec> spill(ctx->spill_manager().get(), "gather",
+                               GatherCodec(), /*charge_cost=*/false);
+  // Moves the staged rows to the spill file. Arrival order is rank order,
+  // so the file stays sorted.
+  auto flush = [&]() -> Status {
+    for (const GatherRow& r : run->rows) {
+      MAGICDB_RETURN_IF_ERROR(spill.Append(r, ctx));
+    }
+    run->rows.clear();
+    return Status::OK();
+  };
   // Releases the staged-row charges on an error unwind; a successful drain
   // keeps them charged until the gather stream is consumed.
   auto fail = [&](Status st) {
@@ -162,7 +153,7 @@ Status RunPipeline(Operator* root, ExecContext* ctx, GatherRun* run) {
         }
         // Flush the staged rows to this worker's gather spill file and
         // release their memory; the tail restarts empty.
-        MAGICDB_RETURN_IF_ERROR(FlushGatherRows(run, ctx, &scratch));
+        MAGICDB_RETURN_IF_ERROR(flush());
         ctx->ReleaseMemory(staged_charged);
         staged_charged = 0;
         MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
@@ -170,7 +161,6 @@ Status RunPipeline(Operator* root, ExecContext* ctx, GatherRun* run) {
       staged_charged += row_bytes;
     }
     run->rows.push_back({pos, sub, std::move(t)});
-    run->staged_rows += 1;
     return Status::OK();
   };
   Status st = DrainBatches(root, ctx, [&](RowBatch* batch) {
@@ -192,20 +182,21 @@ Status RunPipeline(Operator* root, ExecContext* ctx, GatherRun* run) {
     return Status::OK();
   });
   if (!st.ok()) return fail(std::move(st));
-  if (run->spilled != nullptr) {
+  if (spill.started()) {
     // Once a run has spilled, flush its in-memory tail too and drop the
     // staged charges: a spilled run must not pin staged rows against the
     // tracker while the gather stream drains, because the result sink
     // charges its queued batches against the same limit during streaming.
-    Status fs = FlushGatherRows(run, ctx, &scratch);
+    Status fs = flush();
     if (!fs.ok()) return fail(std::move(fs));
     ctx->ReleaseMemory(staged_charged);
     staged_charged = 0;
-    Status fin = run->spilled->FinishWrite(ctx);
-    if (!fin.ok()) return fail(std::move(fin));
+    StatusOr<std::unique_ptr<SpillFile>> file = spill.FinishWrite(ctx);
+    if (!file.ok()) return fail(file.status());
+    run->file = std::move(*file);
     // Informational: lets the service see that this query spilled (page
-    // I/O is deliberately not charged — see FlushGatherRows).
-    ctx->counters().spill_bytes_written += run->spilled->bytes();
+    // I/O is deliberately not charged — see `spill` above).
+    ctx->counters().spill_bytes_written += run->file->bytes();
   }
   Status cs = root->Close();
   if (!cs.ok()) return fail(std::move(cs));
@@ -347,7 +338,7 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
   };
 
   std::vector<ExecContext> contexts(dop_);
-  std::vector<GatherRun> runs(dop_);
+  std::vector<SortedRun<GatherRow>> runs(dop_);
   const auto worker_fn = [&](int w) -> Status {
     // Gang-startup fault site. It lives here rather than in
     // ThreadPool::RunGang so a fired injection still runs the abort path:
@@ -402,7 +393,7 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
   // for diagnostics.
   if (proto.cardinality_feedback() != nullptr) {
     int64_t staged_rows = 0;
-    for (const GatherRun& r : runs) staged_rows += r.staged_rows;
+    for (const SortedRun<GatherRow>& r : runs) staged_rows += r.size();
     (void)contexts[0].RecordCardinality(
         "gather:" + shapes[0].driving_scan->Describe(), "staged_gather",
         /*estimated=*/0.0, static_cast<double>(staged_rows), /*exact=*/true,

@@ -12,17 +12,17 @@
 ///     Rows that later route to a spilled partition (IsSpilled) bypass the
 ///     table: the operator folds them into a one-row partial state and
 ///     AddPartial()s it. Repeated breaches evict further partitions.
-///   - Groups of never-spilled partitions stay in memory and are complete
-///     at end of input — they form the resident run.
+///   - At end of input the operator evicts every remaining partition, so
+///     no group stays resident.
 ///   - BuildOutput() re-aggregates the spilled partitions one at a time:
 ///     partials of one partition are combined (AggState::CombineFrom, exact
 ///     for every supported aggregate) into a charged table, keeping the
-///     minimum first-seen rank; a partition that still breaches recurses at
-///     depth+1. Each re-aggregated partition is written out as one run
-///     sorted by first-seen rank.
-///   - NextGroup() merges the resident run and the output runs by
-///     first-seen rank (pos, sub) — exactly the insertion order a fully
-///     in-memory aggregation emits, so results are byte-identical.
+///     minimum first-seen rank; a partition that still breaches is split by
+///     the SpillPartitioner at depth+1. Each re-aggregated partition is
+///     written out as one run sorted by first-seen rank.
+///   - NextGroup() merges the output runs by first-seen rank (pos, sub) —
+///     exactly the insertion order a fully in-memory aggregation emits, so
+///     results are byte-identical.
 ///
 /// Ranks are unique across groups (one input row creates at most one
 /// group), so the merge has no ties and needs no further tiebreak.
@@ -30,12 +30,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/hash_table.h"
 #include "src/common/statusor.h"
 #include "src/parallel/partitioned_aggregate.h"
-#include "src/spill/spill_file.h"
+#include "src/spill/sorted_runs.h"
 #include "src/spill/spill_manager.h"
 #include "src/spill/spill_partition_set.h"
 
@@ -47,12 +48,12 @@ class AggSpill {
  public:
   AggSpill(std::shared_ptr<SpillManager> mgr, size_t num_states);
 
-  Status Start(ExecContext* ctx);
-
   bool IsSpilled(uint64_t hash) const {
-    return spilled_[partitions_->PartitionFor(hash)];
+    return spilled_[partitions_.input(0).PartitionFor(hash)];
   }
-  bool AllSpilled() const { return next_victim_ >= partitions_->fanout(); }
+  bool AllSpilled() const {
+    return next_victim_ >= partitions_.input(0).fanout();
+  }
 
   /// Bytes one group retains: its key tuple plus one AggState per
   /// aggregate. Shared with HashAggregateOp's charging so eviction releases
@@ -72,46 +73,36 @@ class AggSpill {
   /// partition.
   Status AddPartial(const StagedGroup& g, ExecContext* ctx);
 
-  /// Seals the partition files after the last input row.
-  Status FinishInput(ExecContext* ctx);
+  /// Seals the partition files and re-aggregates them; afterwards
+  /// NextGroup streams the merged result. Call once every partition is
+  /// spilled.
+  Status BuildOutput(ExecContext* ctx);
 
-  /// Re-aggregates the spilled partitions and takes ownership of the
-  /// resident (never-spilled, rank-ordered) groups; afterwards NextGroup
-  /// streams the merged result. The resident groups' memory remains
-  /// charged by the operator.
-  Status BuildOutput(std::vector<StagedGroup> resident, ExecContext* ctx);
-
-  Status NextGroup(StagedGroup* out, bool* has_group, ExecContext* ctx);
+  Status NextGroup(StagedGroup* out, bool* has_group);
 
  private:
-  struct Task {
-    std::unique_ptr<SpillFile> file;
-    int depth = 0;
-  };
-  struct RunCursor {
-    std::unique_ptr<SpillFile> file;
-    bool has = false;
-    StagedGroup group;
+  struct Codec {
+    using Row = StagedGroup;
+    void Encode(const StagedGroup& g, std::string* out) const;
+    Status Decode(std::string_view record, StagedGroup* g) const;
+    bool Less(const StagedGroup& a, const StagedGroup& b) const {
+      return RankLess(a, b);
+    }
   };
 
-  Status ProcessTask(Task task, std::vector<Task>* stack, ExecContext* ctx);
-  Status Repartition(Task task, std::vector<Task>* stack, ExecContext* ctx);
-  Status AdvanceRun(RunCursor* run, ExecContext* ctx);
+  Status Reaggregate(const SpillPartitioner::Leaf& leaf, bool* split,
+                     ExecContext* ctx);
 
   const std::shared_ptr<SpillManager> mgr_;
   const size_t num_states_;
-  std::unique_ptr<SpillPartitionSet> partitions_;
+  SpillPartitioner partitions_;
   std::vector<bool> spilled_;
   int next_victim_ = 0;
   /// Write-buffer reservation held, acquired on the first eviction (after
   /// the victims' charge is released — see EvictNextPartition).
   bool reserved_ = false;
 
-  std::vector<StagedGroup> resident_;
-  size_t resident_pos_ = 0;
-  std::vector<RunCursor> outputs_;
-  SpillReservation merge_reservation_;
-  bool merge_ready_ = false;
+  RunMerge<Codec> merge_;
   std::string scratch_;
 };
 

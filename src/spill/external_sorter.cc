@@ -8,30 +8,33 @@
 
 namespace magicdb {
 
-ExternalSorter::ExternalSorter(std::shared_ptr<SpillManager> mgr,
-                               std::vector<bool> ascending)
-    : mgr_(std::move(mgr)), ascending_(std::move(ascending)) {}
+void ExternalSorter::Codec::Encode(const SortRow& r, std::string* out) const {
+  spill::AppendI64(out, r.seq);
+  spill::AppendTuple(out, r.key);
+  spill::AppendTuple(out, r.row);
+}
 
-int ExternalSorter::CompareKeys(const Tuple& a, const Tuple& b) const {
-  for (size_t k = 0; k < ascending_.size(); ++k) {
+Status ExternalSorter::Codec::Decode(std::string_view record,
+                                     SortRow* r) const {
+  spill::RecordReader reader(record.data(), record.size());
+  MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&r->seq));
+  MAGICDB_RETURN_IF_ERROR(reader.ReadTuple(&r->key));
+  return reader.ReadTuple(&r->row);
+}
+
+int ExternalSorter::Codec::CompareKeys(const Tuple& a, const Tuple& b) const {
+  for (size_t k = 0; k < ascending.size(); ++k) {
     const int c = a[k].Compare(b[k]);
-    if (c != 0) return ascending_[k] ? c : -c;
+    if (c != 0) return ascending[k] ? c : -c;
   }
   return 0;
 }
 
-void ExternalSorter::SortIndexes(const std::vector<Tuple>& keys,
-                                 std::vector<int64_t>* order) const {
-  order->resize(keys.size());
-  for (size_t i = 0; i < order->size(); ++i) {
-    (*order)[i] = static_cast<int64_t>(i);
-  }
-  std::sort(order->begin(), order->end(), [&](int64_t a, int64_t b) {
-    const int c = CompareKeys(keys[a], keys[b]);
-    if (c != 0) return c < 0;
-    return a < b;  // stable tiebreak: input order
-  });
-}
+ExternalSorter::ExternalSorter(std::shared_ptr<SpillManager> mgr,
+                               std::vector<bool> ascending)
+    : mgr_(std::move(mgr)),
+      codec_{std::move(ascending)},
+      merge_(codec_) {}
 
 Status ExternalSorter::SpillRun(std::vector<Tuple>* rows,
                                 std::vector<Tuple>* keys, int64_t base_seq,
@@ -46,98 +49,37 @@ Status ExternalSorter::SpillRun(std::vector<Tuple>* rows,
   SpillReservation run_reservation;
   MAGICDB_RETURN_IF_ERROR(
       run_reservation.Acquire(ctx, mgr_->config().batch_bytes));
-  std::vector<int64_t> order;
-  SortIndexes(*keys, &order);
-  auto file = std::make_unique<SpillFile>(mgr_.get(), "sort-run");
+  std::vector<int64_t> order(keys->size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    const int c = codec_.CompareKeys((*keys)[a], (*keys)[b]);
+    if (c != 0) return c < 0;
+    return a < b;  // stable tiebreak: input order
+  });
+  RunWriter<Codec> writer(mgr_.get(), "sort-run", codec_);
   for (int64_t i : order) {
-    scratch_.clear();
-    spill::AppendI64(&scratch_, base_seq + i);
-    spill::AppendTuple(&scratch_, (*keys)[i]);
-    spill::AppendTuple(&scratch_, (*rows)[i]);
-    MAGICDB_RETURN_IF_ERROR(file->Append(scratch_, ctx));
+    MAGICDB_RETURN_IF_ERROR(writer.Append(
+        {base_seq + i, std::move((*keys)[i]), std::move((*rows)[i])}, ctx));
   }
-  MAGICDB_RETURN_IF_ERROR(file->FinishWrite(ctx));
-  RunCursor run;
-  run.file = std::move(file);
-  runs_.push_back(std::move(run));
+  MAGICDB_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> file,
+                           writer.FinishWrite(ctx));
+  merge_.Add({std::move(file), {}});
   rows->clear();
   keys->clear();
   return Status::OK();
 }
 
-Status ExternalSorter::FinishInput(std::vector<Tuple> rows,
-                                   std::vector<Tuple> keys, int64_t base_seq,
-                                   ExecContext* ctx) {
-  std::vector<int64_t> order;
-  SortIndexes(keys, &order);
-  mem_rows_.reserve(rows.size());
-  mem_keys_.reserve(keys.size());
-  mem_seqs_.reserve(order.size());
-  for (int64_t i : order) {
-    mem_rows_.push_back(std::move(rows[i]));
-    mem_keys_.push_back(std::move(keys[i]));
-    mem_seqs_.push_back(base_seq + i);
-  }
-  mem_pos_ = 0;
-  MAGICDB_RETURN_IF_ERROR(merge_reservation_.Acquire(
-      ctx, static_cast<int64_t>(runs_.size()) * mgr_->config().batch_bytes));
-  for (RunCursor& run : runs_) {
-    MAGICDB_RETURN_IF_ERROR(run.file->Rewind());
-    MAGICDB_RETURN_IF_ERROR(AdvanceRun(&run, ctx));
-  }
-  merge_ready_ = true;
-  return Status::OK();
+Status ExternalSorter::FinishInput(ExecContext* ctx) {
+  return merge_.Open(ctx);
 }
 
-Status ExternalSorter::AdvanceRun(RunCursor* run, ExecContext* ctx) {
-  std::string_view record;
+Status ExternalSorter::Next(Tuple* out, bool* eof) {
+  SortRow row;
   bool has = false;
-  MAGICDB_RETURN_IF_ERROR(run->file->NextRecord(&record, &has, ctx));
-  if (!has) {
-    run->has = false;
-    return Status::OK();
-  }
-  spill::RecordReader reader(record.data(), record.size());
-  MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&run->seq));
-  MAGICDB_RETURN_IF_ERROR(reader.ReadTuple(&run->key));
-  MAGICDB_RETURN_IF_ERROR(reader.ReadTuple(&run->row));
-  run->has = true;
+  MAGICDB_RETURN_IF_ERROR(merge_.Next(&row, &has));
+  *eof = !has;
+  if (has) *out = std::move(row.row);
   return Status::OK();
-}
-
-Status ExternalSorter::Next(Tuple* out, bool* eof, ExecContext* ctx) {
-  MAGICDB_CHECK(merge_ready_);
-  RunCursor* best = nullptr;
-  for (RunCursor& run : runs_) {
-    if (!run.has) continue;
-    if (best == nullptr) {
-      best = &run;
-      continue;
-    }
-    const int c = CompareKeys(run.key, best->key);
-    if (c < 0 || (c == 0 && run.seq < best->seq)) best = &run;
-  }
-  const bool mem_left = mem_pos_ < mem_rows_.size();
-  if (mem_left) {
-    bool take_mem = best == nullptr;
-    if (!take_mem) {
-      const int c = CompareKeys(mem_keys_[mem_pos_], best->key);
-      take_mem = c < 0 || (c == 0 && mem_seqs_[mem_pos_] < best->seq);
-    }
-    if (take_mem) {
-      *out = std::move(mem_rows_[mem_pos_++]);
-      *eof = false;
-      return Status::OK();
-    }
-  }
-  if (best == nullptr) {
-    *eof = true;
-    merge_reservation_.Release();
-    return Status::OK();
-  }
-  *out = std::move(best->row);
-  *eof = false;
-  return AdvanceRun(best, ctx);
 }
 
 }  // namespace magicdb

@@ -7,20 +7,21 @@
 /// Run formation: each time the buffer breaches, SpillRun() sorts it by
 /// (sort keys, input sequence) and writes one sorted run of
 /// (seq, key tuple, row) records — the computed key tuples travel with the
-/// rows so merging never re-evaluates sort expressions. The final buffer
-/// stays in memory as the resident run (FinishInput). Next() k-way merges
-/// all runs by (keys under their asc/desc flags, then input sequence) —
-/// the same comparator, including the stable input-order tiebreak, the
-/// in-memory sort uses, so spilled output is byte-identical to in-memory
-/// output.
+/// rows so merging never re-evaluates sort expressions. At end of input the
+/// final buffer spills as one more run, so nothing stays charged through
+/// the merge. Next() k-way merges all runs by (keys under their asc/desc
+/// flags, then input sequence) — the same comparator, including the stable
+/// input-order tiebreak, the in-memory sort uses, so spilled output is
+/// byte-identical to in-memory output.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/statusor.h"
-#include "src/spill/spill_file.h"
+#include "src/spill/sorted_runs.h"
 #include "src/spill/spill_manager.h"
 #include "src/types/tuple.h"
 
@@ -39,44 +40,36 @@ class ExternalSorter {
   Status SpillRun(std::vector<Tuple>* rows, std::vector<Tuple>* keys,
                   int64_t base_seq, int64_t* charged_bytes, ExecContext* ctx);
 
-  /// Registers the final buffer as the resident run (sorted in place, its
-  /// memory stays charged by the operator) and prepares the merge.
-  Status FinishInput(std::vector<Tuple> rows, std::vector<Tuple> keys,
-                     int64_t base_seq, ExecContext* ctx);
+  /// Prepares the merge of every spilled run.
+  Status FinishInput(ExecContext* ctx);
 
-  Status Next(Tuple* out, bool* eof, ExecContext* ctx);
-
-  int64_t file_runs() const { return static_cast<int64_t>(runs_.size()); }
+  Status Next(Tuple* out, bool* eof);
 
  private:
-  struct RunCursor {
-    std::unique_ptr<SpillFile> file;
-    bool has = false;
+  struct SortRow {
     int64_t seq = 0;
     Tuple key;
     Tuple row;
   };
+  struct Codec {
+    using Row = SortRow;
+    std::vector<bool> ascending;
 
-  /// (keys under asc flags, seq) — the in-memory comparator with the
-  /// stable tiebreak made explicit.
-  int CompareKeys(const Tuple& a, const Tuple& b) const;
-  void SortIndexes(const std::vector<Tuple>& keys,
-                   std::vector<int64_t>* order) const;
-  Status AdvanceRun(RunCursor* run, ExecContext* ctx);
+    void Encode(const SortRow& r, std::string* out) const;
+    Status Decode(std::string_view record, SortRow* r) const;
+    /// Keys under their asc/desc flags.
+    int CompareKeys(const Tuple& a, const Tuple& b) const;
+    /// (keys, seq): the in-memory comparator with the stable tiebreak made
+    /// explicit.
+    bool Less(const SortRow& a, const SortRow& b) const {
+      const int c = CompareKeys(a.key, b.key);
+      return c != 0 ? c < 0 : a.seq < b.seq;
+    }
+  };
 
   const std::shared_ptr<SpillManager> mgr_;
-  const std::vector<bool> ascending_;
-
-  std::vector<RunCursor> runs_;
-  // Resident run, already sorted; seqs_ carries the input sequence for the
-  // cross-run tiebreak.
-  std::vector<Tuple> mem_rows_;
-  std::vector<Tuple> mem_keys_;
-  std::vector<int64_t> mem_seqs_;
-  size_t mem_pos_ = 0;
-  SpillReservation merge_reservation_;
-  bool merge_ready_ = false;
-  std::string scratch_;
+  const Codec codec_;
+  RunMerge<Codec> merge_;
 };
 
 }  // namespace magicdb

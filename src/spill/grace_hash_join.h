@@ -13,13 +13,13 @@
 ///   2. FinishBuild() seals the build partitions.
 ///   3. The probe input is drained through AddProbeRow(): rows are tagged
 ///      with their probe sequence number and routed by the same hash to the
-///      matching partition (rows whose build partition is empty are
-///      dropped — they cannot join).
+///      matching partition (the partitioner drops rows whose build
+///      partition is empty — they cannot join).
 ///   4. FinishProbe() joins the partition pairs one at a time: load one
 ///      build partition into a charged in-memory table, stream its probe
 ///      partition, write matches as (seq, joined row) to an output run. A
-///      build partition that itself breaches the limit is recursively
-///      re-partitioned at depth+1 (both files), up to the configured
+///      build partition that itself breaches the limit is split by the
+///      SpillPartitioner at depth+1 (both files), up to the configured
 ///      recursion bound.
 ///   5. NextOutput() merges the output runs by probe sequence number.
 ///
@@ -33,11 +33,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/hash_table.h"
 #include "src/common/statusor.h"
-#include "src/spill/spill_file.h"
+#include "src/spill/sorted_runs.h"
 #include "src/spill/spill_manager.h"
 #include "src/spill/spill_partition_set.h"
 #include "src/types/tuple.h"
@@ -66,37 +67,32 @@ class GraceHashJoin {
   /// NextOutput streams the merged result.
   Status FinishProbe(ExecContext* ctx);
 
-  Status NextOutput(Tuple* out, bool* eof, ExecContext* ctx);
+  Status NextOutput(Tuple* out, bool* eof);
 
  private:
-  struct Task {
-    std::unique_ptr<SpillFile> build;
-    std::unique_ptr<SpillFile> probe;
-    int depth = 0;
-  };
-  /// One sealed output run plus its merge cursor.
-  struct RunCursor {
-    std::unique_ptr<SpillFile> file;
-    bool has = false;
+  /// One joined row of an output run, tagged with its probe sequence.
+  struct OutRow {
     int64_t seq = 0;
     Tuple row;
   };
+  struct OutCodec {
+    using Row = OutRow;
+    void Encode(const OutRow& r, std::string* out) const;
+    Status Decode(std::string_view record, OutRow* r) const;
+    bool Less(const OutRow& a, const OutRow& b) const { return a.seq < b.seq; }
+  };
 
-  Status ProcessTask(Task task, std::vector<Task>* stack, ExecContext* ctx);
-  Status Repartition(Task task, std::vector<Task>* stack, ExecContext* ctx);
-  Status AdvanceRun(RunCursor* run, ExecContext* ctx);
+  Status JoinLeaf(const SpillPartitioner::Leaf& leaf, bool* split,
+                  ExecContext* ctx);
 
   const std::shared_ptr<SpillManager> mgr_;
   const std::vector<int> outer_keys_;
   const std::vector<int> inner_keys_;
   const Expr* const residual_;
 
-  std::unique_ptr<SpillPartitionSet> build_set_;
-  std::unique_ptr<SpillPartitionSet> probe_set_;
+  SpillPartitioner partitions_;  // input 0: build, input 1: probe
   int64_t probe_seq_ = 0;
-  std::vector<RunCursor> outputs_;
-  SpillReservation merge_reservation_;
-  bool merge_ready_ = false;
+  RunMerge<OutCodec> merge_;
   std::string scratch_;
 };
 

@@ -72,9 +72,9 @@ void AppendAggState(std::string* out, const AggState& st) {
 }
 
 void AppendStagedGroup(std::string* out, const StagedGroup& g) {
+  AppendU64(out, g.hash);
   AppendI64(out, g.pos);
   AppendI64(out, g.sub);
-  AppendU64(out, g.hash);
   AppendTuple(out, g.key);
   AppendU32(out, static_cast<uint32_t>(g.states.size()));
   for (const AggState& st : g.states) AppendAggState(out, st);
@@ -188,9 +188,9 @@ Status RecordReader::ReadAggState(AggState* st) {
 }
 
 Status RecordReader::ReadStagedGroup(StagedGroup* g) {
+  MAGICDB_RETURN_IF_ERROR(ReadU64(&g->hash));
   MAGICDB_RETURN_IF_ERROR(ReadI64(&g->pos));
   MAGICDB_RETURN_IF_ERROR(ReadI64(&g->sub));
-  MAGICDB_RETURN_IF_ERROR(ReadU64(&g->hash));
   MAGICDB_RETURN_IF_ERROR(ReadTuple(&g->key));
   uint32_t n = 0;
   MAGICDB_RETURN_IF_ERROR(ReadU32(&n));

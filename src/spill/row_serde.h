@@ -38,8 +38,9 @@ void AppendValue(std::string* out, const Value& v);
 void AppendTuple(std::string* out, const Tuple& t);
 void AppendAggState(std::string* out, const AggState& st);
 
-/// Serializes a partial-aggregate group: first-seen rank, key hash, key
-/// tuple, and one AggState per aggregate.
+/// Serializes a partial-aggregate group: key hash (first, like every
+/// partitioned spill record), first-seen rank, key tuple, and one AggState
+/// per aggregate.
 void AppendStagedGroup(std::string* out, const StagedGroup& g);
 
 /// Sequential reader over one serialized record (a contiguous byte range).

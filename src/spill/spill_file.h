@@ -62,7 +62,6 @@ class SpillFile {
 
   int64_t records() const { return records_; }
   int64_t bytes() const { return bytes_written_; }
-  const std::string& path() const { return path_; }
 
  private:
   Status FlushFrame(ExecContext* ctx);

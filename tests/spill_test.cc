@@ -22,10 +22,13 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/db/database.h"
+#include "src/exec/exec_context.h"
 #include "src/server/query_service.h"
 #include "src/server/session.h"
 #include "src/spill/row_serde.h"
+#include "src/spill/sorted_runs.h"
 #include "src/spill/spill_manager.h"
+#include "src/spill/spill_partition_set.h"
 #include "tests/test_util.h"
 
 namespace magicdb {
@@ -128,14 +131,195 @@ TEST(SpillPartitionTest, RouterRedistributesAcrossDepths) {
   }
 }
 
-// ----- shared workload -----
-
 std::string MakeSpillDir() {
   char templ[] = "/tmp/magicdb-spill-test-XXXXXX";
   const char* dir = mkdtemp(templ);
   MAGICDB_CHECK(dir != nullptr);
   return dir;
 }
+
+// ----- sorted runs and the partitioner -----
+
+// Rows ordered by `key` alone, so equal keys expose how the merge breaks
+// ties; `tag` names each row.
+struct KeyTag {
+  int64_t key = 0;
+  int64_t tag = 0;
+};
+
+struct KeyTagCodec {
+  using Row = KeyTag;
+  void Encode(const KeyTag& r, std::string* out) const {
+    spill::AppendI64(out, r.key);
+    spill::AppendI64(out, r.tag);
+  }
+  Status Decode(std::string_view record, KeyTag* r) const {
+    spill::RecordReader reader(record.data(), record.size());
+    MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&r->key));
+    return reader.ReadI64(&r->tag);
+  }
+  bool Less(const KeyTag& a, const KeyTag& b) const { return a.key < b.key; }
+};
+
+// The smallest spill batch: 256-byte frames, so a set reserves 8 x 256.
+std::shared_ptr<SpillManager> MakeTestSpillManager() {
+  SpillConfig config;
+  config.dir = MakeSpillDir();
+  config.batch_bytes = 256;
+  return std::make_shared<SpillManager>(config);
+}
+
+SortedRun<KeyTag> FileRun(SpillManager* mgr, const std::vector<KeyTag>& rows,
+                          ExecContext* ctx) {
+  RunWriter<KeyTagCodec> writer(mgr, "test-run");
+  for (const KeyTag& r : rows) MAGICDB_CHECK_OK(writer.Append(r, ctx));
+  StatusOr<std::unique_ptr<SpillFile>> file = writer.FinishWrite(ctx);
+  MAGICDB_CHECK(file.ok());
+  return {std::move(*file), {}};
+}
+
+std::vector<int64_t> DrainTags(RunMerge<KeyTagCodec>* merge) {
+  std::vector<int64_t> tags;
+  while (true) {
+    KeyTag row;
+    bool has = false;
+    MAGICDB_CHECK_OK(merge->Next(&row, &has));
+    if (!has) return tags;
+    tags.push_back(row.tag);
+  }
+}
+
+TEST(SortedRunsTest, MergeBreaksTiesByRunIndexThenFifo) {
+  auto mgr = MakeTestSpillManager();
+  RunMerge<KeyTagCodec> merge;
+  merge.Add(FileRun(mgr.get(), {{1, 10}, {3, 11}, {3, 12}, {5, 13}}, nullptr));
+  merge.Add({nullptr, {{0, 20}, {3, 21}, {5, 22}}});
+  merge.Add({});
+  ASSERT_TRUE(merge.Open(nullptr).ok());
+  EXPECT_EQ(DrainTags(&merge),
+            (std::vector<int64_t>{20, 10, 11, 12, 21, 13, 22}));
+}
+
+TEST(SortedRunsTest, OpenReservesOneFramePerFileRun) {
+  auto mgr = MakeTestSpillManager();
+  auto tracker = std::make_shared<MemoryTracker>(0);
+  ExecContext ctx;
+  ctx.set_memory_tracker(tracker);
+  ctx.set_spill_manager(mgr);
+  RunMerge<KeyTagCodec> merge;
+  merge.Add(FileRun(mgr.get(), {{1, 1}, {4, 4}}, nullptr));
+  merge.Add({nullptr, {{2, 2}}});
+  merge.Add(FileRun(mgr.get(), {{3, 3}}, nullptr));
+  ASSERT_TRUE(merge.Open(&ctx).ok());
+  EXPECT_EQ(tracker->used_bytes(), 2 * 256);
+  EXPECT_EQ(DrainTags(&merge), (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(tracker->used_bytes(), 0);
+  EXPECT_GT(ctx.counters().spill_bytes_read, 0);
+}
+
+TEST(SortedRunsTest, NullContextMergeChargesNothing) {
+  auto mgr = MakeTestSpillManager();
+  auto tracker = std::make_shared<MemoryTracker>(0);
+  ExecContext ctx;
+  ctx.set_memory_tracker(tracker);
+  ctx.set_spill_manager(mgr);
+  RunMerge<KeyTagCodec> merge;
+  merge.Add(FileRun(mgr.get(), {{1, 1}, {3, 3}}, &ctx));
+  merge.Add({nullptr, {{2, 2}}});
+  const CostCounters written = ctx.counters();
+  ASSERT_GT(written.spill_bytes_written, 0);
+  ASSERT_TRUE(merge.Open(nullptr).ok());
+  EXPECT_EQ(DrainTags(&merge), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_GT(mgr->bytes_read(), 0);
+  EXPECT_EQ(tracker->peak_bytes(), 0);
+  EXPECT_EQ(ctx.counters().pages_read, written.pages_read);
+  EXPECT_EQ(ctx.counters().spill_bytes_read, written.spill_bytes_read);
+  EXPECT_EQ(ctx.counters().TotalCost(), written.TotalCost());
+}
+
+// A partitioned record: its hash first, then a tag.
+std::string HashRecord(uint64_t hash, int64_t tag) {
+  std::string record;
+  spill::AppendU64(&record, hash);
+  spill::AppendI64(&record, tag);
+  return record;
+}
+
+TEST(SpillPartitionTest, LaterInputsDropRecordsOfDeadPartitions) {
+  auto mgr = MakeTestSpillManager();
+  ExecContext ctx;
+  SpillPartitioner parts(mgr.get(), {"in0", "in1"});
+  ASSERT_TRUE(parts.input(0).Reserve(&ctx).ok());
+  ASSERT_TRUE(parts.input(1).Reserve(&ctx).ok());
+  // Input 0 fills one partition; input 1 also sends records to another.
+  const int live = parts.input(0).PartitionFor(1);
+  std::vector<uint64_t> live_hashes, dead_hashes;
+  for (uint64_t h = 1; live_hashes.size() < 2 || dead_hashes.size() < 3; ++h) {
+    (parts.input(0).PartitionFor(h) == live ? live_hashes : dead_hashes)
+        .push_back(h);
+  }
+  for (uint64_t h : live_hashes) {
+    ASSERT_TRUE(parts.Add(0, h, HashRecord(h, 0), &ctx).ok());
+  }
+  for (uint64_t h : live_hashes) {
+    ASSERT_TRUE(parts.Add(1, h, HashRecord(h, 1), &ctx).ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        parts.Add(1, dead_hashes[i], HashRecord(dead_hashes[i], 1), &ctx).ok());
+  }
+  for (int p = 0; p < parts.input(1).fanout(); ++p) {
+    EXPECT_EQ(parts.input(1).records(p), p == live ? 2 : 0)
+        << "partition " << p;
+  }
+
+  int leaves = 0;
+  ASSERT_TRUE(parts
+                  .Run(&ctx,
+                       [&](const SpillPartitioner::Leaf& leaf, bool*) {
+                         ++leaves;
+                         EXPECT_EQ(leaf.depth, 0);
+                         EXPECT_EQ(leaf.files[0]->records(), 2);
+                         EXPECT_EQ(leaf.files[1]->records(), 2);
+                         return Status::OK();
+                       })
+                  .ok());
+  EXPECT_EQ(leaves, 1);
+}
+
+TEST(SpillPartitionTest, SplitReservesAfterTheLeafReleases) {
+  auto mgr = MakeTestSpillManager();
+  const int64_t set_bytes = 8 * 256;
+  const int64_t leaf_bytes = 1024;
+  // Room for a set's write buffers or a leaf's frames, not for both.
+  auto tracker = std::make_shared<MemoryTracker>(set_bytes + leaf_bytes / 2);
+  ExecContext ctx;
+  ctx.set_memory_tracker(tracker);
+  SpillPartitioner parts(mgr.get(), {"in0"});
+  ASSERT_TRUE(parts.input(0).Reserve(&ctx).ok());
+  for (uint64_t h = 0; h < 64; ++h) {
+    ASSERT_TRUE(parts.Add(0, h * 0x9e3779b97f4a7c15ULL, HashRecord(h, 0), &ctx)
+                    .ok());
+  }
+  int64_t depth1_records = 0;
+  Status st = parts.Run(&ctx, [&](const SpillPartitioner::Leaf& leaf,
+                                  bool* split) {
+    SpillReservation frames;
+    MAGICDB_RETURN_IF_ERROR(frames.Acquire(&ctx, leaf_bytes));
+    if (leaf.depth == 0) {
+      *split = true;
+    } else {
+      depth1_records += leaf.files[0]->records();
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(depth1_records, 64);
+  EXPECT_EQ(tracker->peak_bytes(), set_bytes);
+  EXPECT_EQ(tracker->used_bytes(), 0);
+}
+
+// ----- shared workload -----
 
 void MakeSpillWorkload(Database* db_out) {
   Database& db = *db_out;
@@ -452,6 +636,30 @@ TEST(SpillExecutionTest, SortReleasesKeysAndEmittedRows) {
   auto result = session->Query(kSpillSortQuery, exec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectRowsIdentical(result->rows, reference->rows);
+}
+
+// Once the sort has spilled, its last buffer spills too: nothing it
+// buffered stays charged through the merge, where the result sink charges
+// its first batch against the same limit.
+TEST(SpillExecutionTest, SpilledSortHoldsNoBufferThroughTheMerge) {
+  Database db;
+  MakeSpillWorkload(&db);
+  const std::string dir = MakeSpillDir();
+  QueryService service(&db, SpillServiceOptions(dir));
+  std::unique_ptr<Session> session = service.CreateSession();
+  ExecOptions ungoverned;
+  ungoverned.memory_limit_bytes = -1;
+  auto reference = session->Query(kSpillSortQuery, ungoverned);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (int64_t kib : {16, 32, 64}) {
+    SCOPED_TRACE(std::to_string(kib) + " KiB");
+    ExecOptions exec;
+    exec.memory_limit_bytes = kib * 1024;
+    auto result = session->Query(kSpillSortQuery, exec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectRowsIdentical(result->rows, reference->rows);
+    EXPECT_GT(result->counters.spill_bytes_written, 0);
+  }
 }
 
 TEST(SpillExecutionTest, ZeroRowInputsSucceedUnderMinimalLimit) {
