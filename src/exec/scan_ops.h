@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/exec/operator.h"
+#include "src/expr/expr.h"
 #include "src/parallel/morsel.h"
 #include "src/storage/table.h"
 
@@ -15,6 +16,17 @@ namespace magicdb {
 /// crossed plus CPU per tuple. The table's schema may be re-qualified with
 /// an alias ("Emp E").
 ///
+/// An optional predicate (over the table's columns) filters inside the
+/// scan. Its top-level bounds (ExtractColumnRanges) on INT and DOUBLE
+/// columns are checked against the table's zone map at every page start: a
+/// page where some bounded column holds no non-NULL value, or whose
+/// [min, max] lies outside the bound, is skipped and charges nothing (a
+/// page holding a NaN in the column is never skipped on it). A page that
+/// is read copies the predicate's columns, evaluates the whole predicate
+/// and copies the other columns for the survivors only; it charges what
+/// FilterOp over an unfiltered scan charges for those rows (a page read,
+/// a tuple and an expression evaluation per row).
+///
 /// With a MorselSource attached (parallel execution), the scan claims
 /// page-aligned morsels from the shared source instead of walking the table
 /// front to back: the plan replicas of all workers collectively produce
@@ -23,13 +35,17 @@ namespace magicdb {
 class SeqScanOp final : public Operator {
  public:
   /// `alias` empty keeps the table's own qualifier.
-  SeqScanOp(const Table* table, const std::string& alias = "");
+  SeqScanOp(const Table* table, const std::string& alias = "",
+            ExprPtr predicate = nullptr);
 
   Status Open(ExecContext* ctx) override;
-  /// Column-wise page copies with one cancellation check per batch (morsel
-  /// claims keep their own checkpoint). In morsel mode the batch carries
-  /// (pos, sub) = (global row, 0) rank tags, which the gather merge uses to
-  /// restore sequential output order across workers.
+  /// Column-wise page copies with a cancellation check at least once per
+  /// 1,024 rows read or skipped, and once per batch (morsel claims keep
+  /// their own checkpoint). With a predicate it fills one batch's worth of
+  /// rows from the pages it reads, keeps the survivors, and like FilterOp
+  /// never returns an empty batch that is not the last. In morsel mode the
+  /// batch carries (pos, sub) = (global row, 0) rank tags, which the gather
+  /// merge uses to restore sequential output order across workers.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -45,13 +61,25 @@ class SeqScanOp final : public Operator {
   }
 
  private:
+  /// Fills `out` with up to a batch of rows from the pages the zones do
+  /// not rule out, copying only `read_cols_`.
+  Status ReadRows(RowBatch* out, bool* eof);
+  /// True when the zone map proves no row of `page` satisfies the bounds.
+  bool SkipPage(int64_t page) const;
+
   const Table* table_;
+  ExprPtr predicate_;
+  std::vector<ColumnRange> bounds_;  // on zone-mapped columns only
+  std::vector<int> read_cols_;       // copied for every row read
+  std::vector<int> survivor_cols_;   // copied for survivors only
   ExecContext* ctx_ = nullptr;
   int64_t next_row_ = 0;
-  int64_t rows_per_page_ = 1;
   std::shared_ptr<MorselSource> morsels_;
   Morsel morsel_;
   bool have_morsel_ = false;
+  // Scratch for the vectorized predicate pass, reused across batches.
+  std::vector<Value> pred_vals_;
+  std::vector<uint8_t> pred_errs_;
 };
 
 /// Scans a stored table in the key order of one of its ordered indexes —

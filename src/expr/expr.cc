@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -570,6 +571,92 @@ void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
     }
   }
   out->push_back(expr);
+}
+
+bool MatchColumnComparison(const Expr& expr, ColumnComparison* out) {
+  if (expr.kind() != ExprKind::kComparison) return false;
+  const auto& cmp = static_cast<const ComparisonExpr&>(expr);
+  const Expr* col = cmp.left().get();
+  const Expr* lit = cmp.right().get();
+  CompareOp op = cmp.op();
+  if (col->kind() == ExprKind::kLiteral &&
+      lit->kind() == ExprKind::kColumnRef) {
+    std::swap(col, lit);
+    switch (op) {
+      case CompareOp::kLt:
+        op = CompareOp::kGt;
+        break;
+      case CompareOp::kLe:
+        op = CompareOp::kGe;
+        break;
+      case CompareOp::kGt:
+        op = CompareOp::kLt;
+        break;
+      case CompareOp::kGe:
+        op = CompareOp::kLe;
+        break;
+      default:
+        break;
+    }
+  }
+  if (col->kind() != ExprKind::kColumnRef ||
+      lit->kind() != ExprKind::kLiteral) {
+    return false;
+  }
+  out->column = static_cast<const ColumnRefExpr*>(col)->index();
+  out->op = op;
+  out->literal = &static_cast<const LiteralExpr*>(lit)->value();
+  return true;
+}
+
+std::vector<ColumnRange> ExtractColumnRanges(
+    const std::vector<ExprPtr>& conjuncts) {
+  std::vector<ColumnRange> ranges;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    ColumnComparison cmp;
+    if (!conjuncts[i] || !MatchColumnComparison(*conjuncts[i], &cmp) ||
+        cmp.op == CompareOp::kNe) {
+      continue;
+    }
+    const Value& lit = *cmp.literal;
+    if (lit.type() != DataType::kInt64 &&
+        (lit.type() != DataType::kDouble || std::isnan(lit.AsDouble()))) {
+      continue;
+    }
+    auto it = std::find_if(ranges.begin(), ranges.end(),
+                           [&](const ColumnRange& r) {
+                             return r.column == cmp.column;
+                           });
+    if (it == ranges.end()) {
+      it = ranges.insert(ranges.end(), ColumnRange{});
+      it->column = cmp.column;
+    }
+    ColumnRange& r = *it;
+    if (cmp.op != CompareOp::kLt && cmp.op != CompareOp::kLe) {
+      // =, > or >=: a lower bound.
+      const bool inclusive = cmp.op != CompareOp::kGt;
+      const int c = r.lo.is_null() ? 1 : lit.Compare(r.lo);
+      if (c > 0) {
+        r.lo = lit;
+        r.lo_inclusive = inclusive;
+      } else if (c == 0) {
+        r.lo_inclusive = r.lo_inclusive && inclusive;
+      }
+    }
+    if (cmp.op != CompareOp::kGt && cmp.op != CompareOp::kGe) {
+      // =, < or <=: an upper bound.
+      const bool inclusive = cmp.op != CompareOp::kLt;
+      const int c = r.hi.is_null() ? -1 : lit.Compare(r.hi);
+      if (c < 0) {
+        r.hi = lit;
+        r.hi_inclusive = inclusive;
+      } else if (c == 0) {
+        r.hi_inclusive = r.hi_inclusive && inclusive;
+      }
+    }
+    r.conjuncts.push_back(i);
+  }
+  return ranges;
 }
 
 void ResolveBatchOperand(const Expr& expr, const RowBatch& batch,

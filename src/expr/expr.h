@@ -257,6 +257,40 @@ ExprPtr ConjoinAll(const std::vector<ExprPtr>& conjuncts);
 /// Splits an expression into top-level AND conjuncts.
 void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out);
 
+/// A comparison of one column with a literal, read with the column on the
+/// left: `5 < col` reads as `col > 5`.
+struct ColumnComparison {
+  int column = -1;
+  CompareOp op = CompareOp::kEq;
+  const Value* literal = nullptr;  // points into the matched expression
+};
+
+/// Matches `col op literal` and `literal op col`; false for anything else.
+bool MatchColumnComparison(const Expr& expr, ColumnComparison* out);
+
+/// The interval the top-level conjuncts bound one column to. Only
+/// `col op literal` and `literal op col` with op in {=, <, <=, >, >=} and a
+/// numeric, non-NULL, non-NaN literal bound a column; `<>`, OR, arithmetic,
+/// strings and column-to-column comparisons bound nothing. Of several
+/// bounds on one side, the tightest under Value::Compare wins (exclusive
+/// over inclusive at equal values). A NULL `lo` or `hi` leaves that side
+/// open.
+struct ColumnRange {
+  int column = -1;
+  Value lo;
+  bool lo_inclusive = false;
+  Value hi;
+  bool hi_inclusive = false;
+  /// Positions in the conjunct list of the conjuncts folded in.
+  std::vector<size_t> conjuncts;
+};
+
+/// One range per bounded column, in order of first appearance. The scan's
+/// page skipping, the optimizer's range selectivity and its page cost all
+/// read the bounds through this one extraction.
+std::vector<ColumnRange> ExtractColumnRanges(
+    const std::vector<ExprPtr>& conjuncts);
+
 /// Resolved batch-mode input of a subexpression: either a zero-copy view of
 /// a batch column (ColumnRefExpr with an in-range index), a single broadcast
 /// value (LiteralExpr), or the caller's scratch vectors filled through

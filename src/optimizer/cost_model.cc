@@ -14,10 +14,12 @@ double Estimate::PagesForRowsD(double rows, int64_t width_bytes) {
 
 namespace costs {
 
-double SeqScan(double rows, int64_t width_bytes, int dop) {
+double SeqScan(double rows, int64_t width_bytes, int dop,
+               double read_fraction) {
   const double d = dop > 1 ? static_cast<double>(dop) : 1.0;
-  return Estimate::PagesForRowsD(rows, width_bytes) +
-         CostConstants::kCpuTupleCost * rows / d;
+  return std::ceil(read_fraction *
+                   Estimate::PagesForRowsD(rows, width_bytes)) +
+         CostConstants::kCpuTupleCost * read_fraction * rows / d;
 }
 
 double MaterializeWrite(double rows, int64_t width_bytes) {

@@ -26,12 +26,16 @@ struct Estimate {
 /// predicted and measured costs are comparable component by component.
 namespace costs {
 
-/// Full scan of a stored table. `dop` > 1 models morsel-driven parallel
+/// Scan of a stored table that reads a fraction `read_fraction` of its
+/// pages and rows (1 = a full scan; less when the zone map skips pages):
+/// ceil(read_fraction * pages) page reads plus per-tuple CPU on
+/// read_fraction * rows. `dop` > 1 models morsel-driven parallel
 /// execution: the per-tuple CPU term divides by the degree of parallelism
 /// (workers scan disjoint morsels concurrently) while the page term is
 /// unchanged — the same pages are read regardless of who reads them, and
 /// the counters measure totals, not elapsed time.
-double SeqScan(double rows, int64_t width_bytes, int dop = 1);
+double SeqScan(double rows, int64_t width_bytes, int dop = 1,
+               double read_fraction = 1.0);
 
 /// Spooling `rows` tuples to a temporary (page writes).
 double MaterializeWrite(double rows, int64_t width_bytes);

@@ -43,6 +43,10 @@ struct Planned {
   std::vector<int> order_cols;
   BuildFn build;
   Schema schema;
+  /// Set when the plan is a bare scan of a local base table (PlanRelScan),
+  /// so a filter directly above can move into the scan.
+  const CatalogEntry* scan_entry = nullptr;
+  std::string scan_alias;
 };
 
 /// How one join-block input is accessed.
@@ -227,6 +231,23 @@ class Optimizer::Impl {
   double ConjunctSelectivity(const ExprPtr& conjunct,
                              const std::vector<double>& distinct,
                              const TableStats* stats, double rows) const;
+
+  /// Selectivity of a base table's local conjuncts: a column that several
+  /// range conjuncts bound is estimated once, as one histogram interval
+  /// (ExtractColumnRanges); every other conjunct keeps its
+  /// ConjunctSelectivity, so a column with a single conjunct keeps its
+  /// estimate bit for bit.
+  double LocalSelectivity(const std::vector<ExprPtr>& preds,
+                          const std::vector<double>& distinct,
+                          const TableStats* stats, double rows) const;
+
+  /// Fraction f of a base table's pages and rows a SeqScanOp filtering on
+  /// `preds` reads: the minimum over bounded columns c of
+  /// min(1, s_c + zone_span_c), where s_c is the range selectivity of the
+  /// column's interval. 1 without bounds or stats.
+  double ReadFraction(const std::vector<ExprPtr>& preds,
+                      const std::vector<double>& distinct,
+                      const TableStats* stats, double rows) const;
 
   /// Fresh binding id for a magic filter set.
   std::string NextBindingId(const std::string& hint);

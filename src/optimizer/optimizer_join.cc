@@ -236,10 +236,8 @@ StatusOr<JoinGraph> Optimizer::Impl::BuildJoinGraph(const NaryJoinNode& join,
                   ? static_cast<double>(stats->columns[c].num_distinct)
                   : in.base_rows;
         }
-        double sel = 1.0;
-        for (const ExprPtr& p : in.local_preds) {
-          sel *= ConjunctSelectivity(p, in.base_distinct, stats, in.base_rows);
-        }
+        double sel = LocalSelectivity(in.local_preds, in.base_distinct, stats,
+                                      in.base_rows);
         // An observed cardinality for this exact (table, local predicates)
         // stream overrides the stats estimate; the derived selectivity and
         // the distinct counts below follow the corrected row count.
@@ -254,11 +252,15 @@ StatusOr<JoinGraph> Optimizer::Impl::BuildJoinGraph(const NaryJoinNode& join,
         in.planned.schema = in.schema;
         in.planned.est.rows = in.base_rows * sel;
         in.planned.est.width_bytes = in.schema.TupleWidthBytes();
+        // The scan evaluates the local conjuncts itself and reads only the
+        // pages its zones do not rule out.
+        const double read_fraction = ReadFraction(
+            in.local_preds, in.base_distinct, stats, in.base_rows);
         in.planned.est.cost =
             costs::SeqScan(in.base_rows, in.planned.est.width_bytes,
-                           options_->degree_of_parallelism);
+                           options_->degree_of_parallelism, read_fraction);
         if (!in.local_preds.empty()) {
-          in.planned.est.cost += costs::ExprEval(in.base_rows);
+          in.planned.est.cost += costs::ExprEval(read_fraction * in.base_rows);
         }
         in.planned.distinct.resize(ncols);
         for (int c = 0; c < ncols; ++c) {
@@ -281,10 +283,7 @@ StatusOr<JoinGraph> Optimizer::Impl::BuildJoinGraph(const NaryJoinNode& join,
         const bool remote = in.access == AccessKind::kRemoteTable;
         in.planned.build = [table, alias, local, remote,
                             site]() -> StatusOr<OpPtr> {
-          OpPtr op = std::make_unique<SeqScanOp>(table, alias);
-          if (local) {
-            op = std::make_unique<FilterOp>(std::move(op), local);
-          }
+          OpPtr op = std::make_unique<SeqScanOp>(table, alias, local);
           if (remote) {
             op = std::make_unique<ShipOp>(std::move(op), site, kLocalSite);
           }

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/exec/aggregate_op.h"
@@ -218,6 +219,8 @@ StatusOr<Planned> Optimizer::Impl::PlanRelScan(const LogicalPtr& node,
         p.build = [table, alias]() -> StatusOr<OpPtr> {
           return OpPtr(std::make_unique<SeqScanOp>(table, alias));
         };
+        p.scan_entry = entry;
+        p.scan_alias = alias;
       }
       return p;
     }
@@ -263,6 +266,23 @@ StatusOr<Planned> Optimizer::Impl::PlanFilter(const LogicalPtr& node,
   p.distinct = ScaleDistinct(child.distinct, child.est.rows, p.est.rows);
   p.order_cols = child.order_cols;  // filters preserve order
   ExprPtr pred = filter->predicate();
+  if (child.scan_entry != nullptr) {
+    // Directly over a base scan, the predicate runs inside SeqScanOp,
+    // which reads only the pages its zones do not rule out.
+    const CatalogEntry* entry = child.scan_entry;
+    const double f = ReadFraction(
+        conjuncts, child.distinct,
+        entry->stats_valid ? &entry->stats : nullptr, child.est.rows);
+    p.est.cost = costs::SeqScan(child.est.rows, child.est.width_bytes,
+                                options_->degree_of_parallelism, f) +
+                 costs::ExprEval(f * child.est.rows);
+    const Table* table = entry->table;
+    const std::string alias = child.scan_alias;
+    p.build = [table, alias, pred]() -> StatusOr<OpPtr> {
+      return OpPtr(std::make_unique<SeqScanOp>(table, alias, pred));
+    };
+    return p;
+  }
   BuildFn child_build = child.build;
   p.build = [child_build, pred]() -> StatusOr<OpPtr> {
     MAGICDB_ASSIGN_OR_RETURN(OpPtr c, child_build());
@@ -525,35 +545,11 @@ double Optimizer::Impl::ConjunctSelectivity(const ExprPtr& conjunct,
   const Expr* e = conjunct.get();
   switch (e->kind()) {
     case ExprKind::kComparison: {
-      const auto* cmp = static_cast<const ComparisonExpr*>(e);
-      const Expr* l = cmp->left().get();
-      const Expr* r = cmp->right().get();
-      // Normalize literal-to-the-right.
-      CompareOp op = cmp->op();
-      if (l->kind() == ExprKind::kLiteral &&
-          r->kind() == ExprKind::kColumnRef) {
-        std::swap(l, r);
-        switch (op) {
-          case CompareOp::kLt:
-            op = CompareOp::kGt;
-            break;
-          case CompareOp::kLe:
-            op = CompareOp::kGe;
-            break;
-          case CompareOp::kGt:
-            op = CompareOp::kLt;
-            break;
-          case CompareOp::kGe:
-            op = CompareOp::kLe;
-            break;
-          default:
-            break;
-        }
-      }
-      if (l->kind() == ExprKind::kColumnRef &&
-          r->kind() == ExprKind::kLiteral) {
-        const int col = static_cast<const ColumnRefExpr*>(l)->index();
-        const Value& lit = static_cast<const LiteralExpr*>(r)->value();
+      ColumnComparison cc;
+      if (MatchColumnComparison(*e, &cc)) {
+        const int col = cc.column;
+        const CompareOp op = cc.op;
+        const Value& lit = *cc.literal;
         const ColumnStats* cs =
             (stats != nullptr && col < static_cast<int>(stats->columns.size()))
                 ? &stats->columns[col]
@@ -589,6 +585,9 @@ double Optimizer::Impl::ConjunctSelectivity(const ExprPtr& conjunct,
         if (op == CompareOp::kNe) return 1.0 - 1.0 / std::max(1.0, d);
         return 1.0 / 3.0;
       }
+      const auto* cmp = static_cast<const ComparisonExpr*>(e);
+      const Expr* l = cmp->left().get();
+      const Expr* r = cmp->right().get();
       if (l->kind() == ExprKind::kColumnRef &&
           r->kind() == ExprKind::kColumnRef) {
         const int cl = static_cast<const ColumnRefExpr*>(l)->index();
@@ -597,7 +596,9 @@ double Optimizer::Impl::ConjunctSelectivity(const ExprPtr& conjunct,
             cl < static_cast<int>(distinct.size()) ? distinct[cl] : rows;
         const double dr =
             cr < static_cast<int>(distinct.size()) ? distinct[cr] : rows;
-        if (op == CompareOp::kEq) return 1.0 / std::max({1.0, dl, dr});
+        if (cmp->op() == CompareOp::kEq) {
+          return 1.0 / std::max({1.0, dl, dr});
+        }
         return 1.0 / 3.0;
       }
       return 1.0 / 3.0;
@@ -626,6 +627,77 @@ double Optimizer::Impl::ConjunctSelectivity(const ExprPtr& conjunct,
     default:
       return 1.0 / 3.0;
   }
+}
+
+namespace {
+
+/// The histogram of a numeric column of `stats`, or nullptr.
+const ColumnStats* NumericStats(const TableStats* stats, int col) {
+  if (stats == nullptr || col < 0 ||
+      col >= static_cast<int>(stats->columns.size())) {
+    return nullptr;
+  }
+  const ColumnStats& cs = stats->columns[static_cast<size_t>(col)];
+  return cs.numeric && !cs.histogram.empty() ? &cs : nullptr;
+}
+
+/// One estimate for every conjunct folded into `r`.
+double RangeFraction(const EquiDepthHistogram& h, const ColumnRange& r) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return h.FractionBetween(r.lo.is_null() ? -kInf : *r.lo.AsNumeric(),
+                           r.hi.is_null() ? kInf : *r.hi.AsNumeric(),
+                           r.lo_inclusive, r.hi_inclusive);
+}
+
+}  // namespace
+
+double Optimizer::Impl::LocalSelectivity(const std::vector<ExprPtr>& preds,
+                                         const std::vector<double>& distinct,
+                                         const TableStats* stats,
+                                         double rows) const {
+  // A column bounded by several conjuncts is estimated once, as one
+  // interval, at the position of its first conjunct; its other conjuncts
+  // add nothing. Every other conjunct keeps its own estimate, multiplied
+  // in predicate order.
+  std::vector<const ColumnRange*> first_of(preds.size(), nullptr);
+  std::vector<bool> folded(preds.size(), false);
+  std::vector<ColumnRange> ranges;
+  if (stats != nullptr) ranges = ExtractColumnRanges(preds);
+  for (const ColumnRange& r : ranges) {
+    if (r.conjuncts.size() < 2 || NumericStats(stats, r.column) == nullptr) {
+      continue;
+    }
+    first_of[r.conjuncts[0]] = &r;
+    for (size_t i : r.conjuncts) folded[i] = true;
+  }
+  double sel = 1.0;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (first_of[i] != nullptr) {
+      sel *= RangeFraction(NumericStats(stats, first_of[i]->column)->histogram,
+                           *first_of[i]);
+    } else if (!folded[i]) {
+      sel *= ConjunctSelectivity(preds[i], distinct, stats, rows);
+    }
+  }
+  return sel;
+}
+
+double Optimizer::Impl::ReadFraction(const std::vector<ExprPtr>& preds,
+                                     const std::vector<double>& distinct,
+                                     const TableStats* stats,
+                                     double rows) const {
+  if (stats == nullptr) return 1.0;
+  double f = 1.0;
+  for (const ColumnRange& r : ExtractColumnRanges(preds)) {
+    const ColumnStats* cs = NumericStats(stats, r.column);
+    if (cs == nullptr) continue;
+    const double s =
+        r.conjuncts.size() == 1
+            ? ConjunctSelectivity(preds[r.conjuncts[0]], distinct, stats, rows)
+            : RangeFraction(cs->histogram, r);
+    f = std::min(f, std::min(1.0, s + cs->zone_span));
+  }
+  return f;
 }
 
 }  // namespace magicdb

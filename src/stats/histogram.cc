@@ -57,12 +57,15 @@ double EquiDepthHistogram::FractionBelow(double x) const {
   return static_cast<double>(below) / static_cast<double>(total_count_);
 }
 
-double EquiDepthHistogram::FractionBetween(double lo, double hi) const {
+double EquiDepthHistogram::FractionBetween(double lo, double hi,
+                                           bool lo_inclusive,
+                                           bool hi_inclusive) const {
   if (empty() || hi < lo) return 0.0;
-  // [lo, hi] inclusive: fraction below (hi + epsilon side) handled via
-  // FractionBelow(hi) + FractionEqual(hi).
-  double f = FractionBelow(hi) - FractionBelow(lo) + FractionEqual(hi);
-  return std::clamp(f, 0.0, 1.0);
+  const double below_hi =
+      FractionBelow(hi) + (hi_inclusive ? FractionEqual(hi) : 0.0);
+  const double below_lo =
+      FractionBelow(lo) + (lo_inclusive ? 0.0 : FractionEqual(lo));
+  return std::clamp(below_hi - below_lo, 0.0, 1.0);
 }
 
 double EquiDepthHistogram::FractionEqual(double x) const {

@@ -27,8 +27,12 @@ class EquiDepthHistogram {
   /// within a bucket).
   double FractionBelow(double x) const;
 
-  /// Estimated fraction of rows with lo <= value <= hi.
-  double FractionBetween(double lo, double hi) const;
+  /// Estimated fraction of rows between `lo` and `hi`, each end included
+  /// or not: FractionBelow(hi) - FractionBelow(lo), with FractionEqual
+  /// added for an included `hi` and taken off for an excluded `lo`, the
+  /// way the single-bound estimates count them. An infinite end is open.
+  double FractionBetween(double lo, double hi, bool lo_inclusive = true,
+                         bool hi_inclusive = true) const;
 
   /// Estimated fraction of rows equal to x (bucket depth spread over the
   /// bucket's distinct span).

@@ -1,10 +1,40 @@
 #include "src/stats/table_stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
 
 namespace magicdb {
+
+namespace {
+
+double ZoneSpan(const std::vector<ZoneEntry>& zones) {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool any = false;
+  for (const ZoneEntry& z : zones) {
+    if (z.min.is_null()) continue;
+    const double zmin = *z.min.AsNumeric();
+    const double zmax = *z.max.AsNumeric();
+    lo = any ? std::min(lo, zmin) : zmin;
+    hi = any ? std::max(hi, zmax) : zmax;
+    any = true;
+  }
+  const double width = hi - lo;
+  if (!any || !std::isfinite(width)) return 1.0;
+  double sum = 0.0;
+  for (const ZoneEntry& z : zones) {
+    if (z.has_nan) {
+      sum += 1.0;
+    } else if (!z.min.is_null() && width > 0.0) {
+      sum += (*z.max.AsNumeric() - *z.min.AsNumeric()) / width;
+    }
+  }
+  return sum / static_cast<double>(zones.size());
+}
+
+}  // namespace
 
 TableStats TableStats::Analyze(const Table& table, int histogram_buckets) {
   TableStats stats;
@@ -45,6 +75,7 @@ TableStats TableStats::Analyze(const Table& table, int histogram_buckets) {
           EquiDepthHistogram::Build(numeric_values, histogram_buckets);
       cs.min = cs.histogram.min();
       cs.max = cs.histogram.max();
+      if (!table.zones(c).empty()) cs.zone_span = ZoneSpan(table.zones(c));
     }
   }
   return stats;

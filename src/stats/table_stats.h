@@ -20,6 +20,12 @@ struct ColumnStats {
   double min = 0.0;
   double max = 0.0;
   EquiDepthHistogram histogram;  // numeric columns only
+  /// Zone span: the mean over pages of (page max - page min) /
+  /// (column max - column min), read from the table's zone map. 0 means
+  /// every page holds one value, 1 that every page spans the column (and
+  /// what a column without a zone map gets). A page holding a NaN counts 1,
+  /// a page holding no value 0.
+  double zone_span = 1.0;
 };
 
 /// Statistics for one relation: cardinality plus per-column detail. The

@@ -1,9 +1,17 @@
 #include "src/storage/table.h"
 
+#include <cmath>
+
 #include "src/common/logging.h"
 #include "src/storage/index.h"
 
 namespace magicdb {
+
+Table::Table(std::string name, Schema schema)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      rows_per_page_(RowsPerPage(schema_.TupleWidthBytes())),
+      zones_(static_cast<size_t>(schema_.num_columns())) {}
 
 int64_t Table::NumPages() const {
   return PagesForRows(NumRows(), schema_.TupleWidthBytes());
@@ -15,6 +23,21 @@ bool ValueMatchesColumn(const Value& v, DataType column_type) {
   if (v.type() == column_type) return true;
   // Integer literals are accepted into double columns.
   return column_type == DataType::kDouble && v.type() == DataType::kInt64;
+}
+
+void ExtendZone(ZoneEntry* zone, const Value& v) {
+  if (v.is_null()) return;
+  zone->has_value = true;
+  if (v.type() == DataType::kDouble && std::isnan(v.AsDouble())) {
+    zone->has_nan = true;
+  } else if (zone->min.is_null()) {
+    zone->min = v;
+    zone->max = v;
+  } else if (v.Compare(zone->min) < 0) {
+    zone->min = v;
+  } else if (v.Compare(zone->max) > 0) {
+    zone->max = v;
+  }
 }
 }  // namespace
 
@@ -38,6 +61,14 @@ Status Table::Insert(Tuple row) {
     }
   }
   const int64_t row_id = NumRows();
+  const auto page = static_cast<size_t>(row_id / rows_per_page_);
+  for (int i = 0; i < schema_.num_columns(); ++i) {
+    const DataType type = schema_.column(i).type;
+    if (type != DataType::kInt64 && type != DataType::kDouble) continue;
+    std::vector<ZoneEntry>& zones = zones_[static_cast<size_t>(i)];
+    if (zones.size() == page) zones.emplace_back();
+    ExtendZone(&zones.back(), row[i]);
+  }
   for (auto& idx : hash_indexes_) idx->Insert(row, row_id);
   for (auto& idx : ordered_indexes_) idx->Insert(row, row_id);
   rows_.push_back(std::move(row));

@@ -14,14 +14,28 @@
 
 namespace magicdb {
 
+/// Zone of one INT or DOUBLE column on one page: a small materialized
+/// aggregate (Moerkotte, VLDB 1998) from which a scan can prove that no row
+/// of the page satisfies a range or equality bound on the column.
+struct ZoneEntry {
+  /// Least and greatest non-NULL, non-NaN value under Value::Compare; both
+  /// NULL while the page holds no such value.
+  Value min;
+  Value max;
+  /// Some value on the page is non-NULL (a NaN counts).
+  bool has_value = false;
+  /// Some value on the page is NaN, which Value::Compare does not order.
+  bool has_nan = false;
+};
+
 /// Heap table: an in-memory row store with page-granular cost accounting.
 /// Rows live in insertion order; NumPages() is the size the page-cost model
 /// charges for a full scan. Indexes built on the table are maintained on
-/// insert.
+/// insert, and so is the zone map: one ZoneEntry per page for every INT and
+/// DOUBLE column.
 class Table {
  public:
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  Table(std::string name, Schema schema);
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -34,6 +48,17 @@ class Table {
   /// Pages this table occupies: ceil(rows * tuple_width / page_size),
   /// minimum 1 for a non-empty table.
   int64_t NumPages() const;
+
+  /// Rows per page: page p holds rows [p * rows_per_page(),
+  /// (p + 1) * rows_per_page()), the grid pages_read charges and
+  /// MorselSource aligns to.
+  int64_t rows_per_page() const { return rows_per_page_; }
+
+  /// The zone map of column `c`: one entry per page, extended by Insert.
+  /// Empty unless the column is INT or DOUBLE.
+  const std::vector<ZoneEntry>& zones(int c) const {
+    return zones_[static_cast<size_t>(c)];
+  }
 
   /// Appends a row. The row must match the schema arity; each value must be
   /// NULL or of the column type (int64 accepted for double columns).
@@ -61,7 +86,9 @@ class Table {
  private:
   std::string name_;
   Schema schema_;
+  int64_t rows_per_page_;
   std::vector<Tuple> rows_;
+  std::vector<std::vector<ZoneEntry>> zones_;  // per column, per page
   std::vector<std::unique_ptr<HashIndex>> hash_indexes_;
   std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
 };

@@ -330,6 +330,10 @@ void MakeWorkload(Database* db_out) {
   opts->enable_sort_merge = false;
 }
 
+const char* const kRangeJoinQuery =
+    "SELECT E.eid, E.sal, D.budget FROM Emp E, Dept D "
+    "WHERE E.did = D.did AND E.did >= 60 AND 75 > E.did";
+
 const char* const kSweepQueries[] = {
     // Scan -> filter -> project (pure pipeline).
     "SELECT E.eid, E.sal + 1000 FROM Emp E WHERE E.age < 30",
@@ -348,6 +352,14 @@ const char* const kSweepQueries[] = {
     // table and the partitioned merge grow through many steps.
     "SELECT E.eid, COUNT(*), MAX(B.amount) FROM Emp E, Bonus B "
     "WHERE E.eid = B.eid GROUP BY E.eid",
+    // Clustered ranges on E.did (Emp is loaded in did order, 128 rows per
+    // page): the scan skips every page outside the range, and morsels see
+    // the same skips at dop 4. A range scan, a range hash join and a range
+    // GROUP BY.
+    "SELECT E.eid, E.did, E.sal FROM Emp E WHERE E.did >= 30 AND E.did < 50",
+    kRangeJoinQuery,
+    "SELECT E.did, COUNT(*), MAX(E.sal) FROM Emp E "
+    "WHERE E.did >= 10 AND E.did <= 40 GROUP BY E.did",
     // A Filter Join without ORDER BY (the selective Dept filter makes magic
     // pay): at dop 4 its probe output reaches the gather merge through
     // rank-tagged batches.
@@ -363,7 +375,7 @@ const char* const kSweepQueries[] = {
 
 // The sweep queries from this index on must run as a parallel Filter Join
 // pipeline at dop 4.
-constexpr size_t kFirstParallelFilterJoinQuery = 5;
+constexpr size_t kFirstParallelFilterJoinQuery = 8;
 
 TEST(BatchIdentitySweepTest, DopTimesBatchSizeGridIsByteIdentical) {
   Database db;
@@ -407,25 +419,42 @@ TEST(BatchIdentitySweepTest, SpillUnderTinyLimitIsByteIdentical) {
   so.spill_batch_bytes = 1024;
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();
-  const char* query =
-      "SELECT E.did, COUNT(*), AVG(E.sal) FROM Emp E, Dept D "
-      "WHERE E.did = D.did GROUP BY E.did";
-  ExecOptions one_row_exec;
-  one_row_exec.batch_size = 1;
-  auto reference = session->Query(query, one_row_exec);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_FALSE(reference->rows.empty());
-  for (int64_t limit : {int64_t{16} * 1024, int64_t{0}}) {
-    for (int64_t batch : {1, 7, 1024}) {
-      SCOPED_TRACE("limit=" + std::to_string(limit) +
-                   " batch=" + std::to_string(batch));
-      ExecOptions exec;
-      exec.memory_limit_bytes = limit;
-      exec.batch_size = batch;
-      auto result = session->Query(query, exec);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectRowsIdentical(result->rows, reference->rows);
+  for (const char* query :
+       {"SELECT E.did, COUNT(*), AVG(E.sal) FROM Emp E, Dept D "
+        "WHERE E.did = D.did GROUP BY E.did",
+        kRangeJoinQuery}) {
+    SCOPED_TRACE(query);
+    ExecOptions one_row_exec;
+    one_row_exec.batch_size = 1;
+    auto reference = session->Query(query, one_row_exec);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_FALSE(reference->rows.empty());
+    for (int64_t limit : {int64_t{16} * 1024, int64_t{0}}) {
+      for (int64_t batch : {1, 7, 1024}) {
+        SCOPED_TRACE("limit=" + std::to_string(limit) +
+                     " batch=" + std::to_string(batch));
+        ExecOptions exec;
+        exec.memory_limit_bytes = limit;
+        exec.batch_size = batch;
+        auto result = session->Query(query, exec);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectRowsIdentical(result->rows, reference->rows);
+      }
     }
+  }
+}
+
+// The optimizer moves every base table's conjuncts into SeqScanOp, so no
+// plan of the sweep has a Filter directly over a scan.
+TEST(BatchIdentitySweepTest, BaseTableFiltersRunInsideTheScan) {
+  Database db;
+  MakeWorkload(&db);
+  for (const char* query : kSweepQueries) {
+    SCOPED_TRACE(query);
+    auto planned = db.PlanSelect(query, *db.mutable_optimizer_options());
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(testutil::FilterOverSeqScan(*planned->root), "")
+        << planned->explain;
   }
 }
 

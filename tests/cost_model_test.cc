@@ -30,6 +30,16 @@ TEST(CostsTest, SeqScanComposesPagesAndCpu) {
   EXPECT_DOUBLE_EQ(c, 6.0 + 1000 * CostConstants::kCpuTupleCost);
 }
 
+TEST(CostsTest, SeqScanPricesTheFractionItReads) {
+  EXPECT_DOUBLE_EQ(costs::SeqScan(1000, 24, 1, 1.0), costs::SeqScan(1000, 24));
+  // ceil(0.5 x 6) pages, half the rows.
+  EXPECT_DOUBLE_EQ(costs::SeqScan(1000, 24, 1, 0.5),
+                   3.0 + 500 * CostConstants::kCpuTupleCost);
+  // A part of a page is a page.
+  EXPECT_DOUBLE_EQ(costs::SeqScan(1000, 24, 1, 0.1),
+                   1.0 + 100 * CostConstants::kCpuTupleCost);
+}
+
 TEST(CostsTest, MaterializeAndSpoolAreSymmetricOnPages) {
   EXPECT_DOUBLE_EQ(costs::MaterializeWrite(1000, 24), 6.0);
   EXPECT_DOUBLE_EQ(costs::SpoolRead(1000, 24),

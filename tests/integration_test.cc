@@ -17,6 +17,14 @@ namespace {
 
 using testutil::SameMultiset;
 
+// Plans `query` under the database's current options. The optimizer moves
+// a base table's conjuncts into SeqScanOp, so no Filter sits on a scan.
+void ExpectNoFilterOverScan(Database* db, const std::string& query) {
+  auto planned = db->PlanSelect(query, *db->mutable_optimizer_options());
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(testutil::FilterOverSeqScan(*planned->root), "")
+      << planned->explain;
+}
 
 TEST(IntegrationTest, ExpensiveViewAllModesAgreeAndMagicWins) {
   Database db;
@@ -59,11 +67,13 @@ TEST(IntegrationTest, ExpensiveViewAllModesAgreeAndMagicWins) {
 
   auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
+  ExpectNoFilterOverScan(&db, query);
 
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
   auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
+  ExpectNoFilterOverScan(&db, query);
 
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
   // Selective workload: the cost-based plan must win clearly.
@@ -103,10 +113,12 @@ TEST(IntegrationTest, RemoteViewSemiJoinThroughSQL) {
 
   auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
+  ExpectNoFilterOverScan(&db, query);
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
   auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
+  ExpectNoFilterOverScan(&db, query);
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
   // The semi-join ships far fewer bytes than fetching the whole relation.
   EXPECT_LT(magic->counters.bytes_shipped, plain->counters.bytes_shipped);
@@ -136,6 +148,8 @@ TEST(IntegrationTest, FunctionJoinThroughSQL) {
   auto result =
       db.Run("SELECT T.tag, F.cube FROM T, cube F WHERE T.v = F.a");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectNoFilterOverScan(&db,
+                         "SELECT T.tag, F.cube FROM T, cube F WHERE T.v = F.a");
   ASSERT_EQ(result->rows.size(), 200u);
   for (const Tuple& r : result->rows) {
     // tag encodes i; recompute v from nothing — just check the cube column
@@ -180,10 +194,12 @@ TEST(IntegrationTest, TwoViewsInOneQuery) {
 
   auto magic = db.Run(query);
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
+  ExpectNoFilterOverScan(&db, query);
   db.mutable_optimizer_options()->magic_mode =
       OptimizerOptions::MagicMode::kNever;
   auto plain = db.Run(query);
   ASSERT_TRUE(plain.ok());
+  ExpectNoFilterOverScan(&db, query);
   EXPECT_TRUE(SameMultiset(magic->rows, plain->rows));
   // Sanity: every returned employee is the top earner of their department.
   for (const Tuple& r : magic->rows) {
@@ -206,6 +222,8 @@ TEST(IntegrationTest, ViewOverViewComposition) {
   auto result = db.Run(
       "SELECT T.v, B.s FROM T, BigSums B WHERE T.g = B.g AND T.v < 10");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectNoFilterOverScan(
+      &db, "SELECT T.v, B.s FROM T, BigSums B WHERE T.g = B.g AND T.v < 10");
   // Sums per group g: sum of {g, g+6, ..., g+54} = 10g + 270... groups with
   // s > 250 are all of them except... compute: group g total = 10*g + (0+6+...+54)=270.
   // s = 270 + 10g > 250 for all g. So rows with v < 10: 10 rows.
@@ -245,12 +263,14 @@ TEST(IntegrationTest, InterestingOrderReusedBySecondSortMerge) {
       "SELECT A.p, B.p, C.p FROM A, B, C WHERE A.k = B.k AND B.k = C.k";
   auto smj_only = db.Run(query);
   ASSERT_TRUE(smj_only.ok()) << smj_only.status().ToString();
+  ExpectNoFilterOverScan(&db, query);
   EXPECT_NE(smj_only->explain.find("outer presorted"), std::string::npos)
       << smj_only->explain;
 
   *db.mutable_optimizer_options() = OptimizerOptions();
   auto free_choice = db.Run(query);
   ASSERT_TRUE(free_choice.ok());
+  ExpectNoFilterOverScan(&db, query);
   EXPECT_TRUE(SameMultiset(smj_only->rows, free_choice->rows));
 }
 
@@ -271,9 +291,11 @@ TEST(IntegrationTest, InterestingOrdersToggleDoesNotChangeResults) {
   const char* query = "SELECT A.p, B.q FROM A, B WHERE A.k = B.k";
   auto with_orders = db.Run(query);
   ASSERT_TRUE(with_orders.ok());
+  ExpectNoFilterOverScan(&db, query);
   db.mutable_optimizer_options()->interesting_orders = false;
   auto without = db.Run(query);
   ASSERT_TRUE(without.ok());
+  ExpectNoFilterOverScan(&db, query);
   EXPECT_TRUE(SameMultiset(with_orders->rows, without->rows));
 }
 
@@ -302,9 +324,11 @@ TEST(IntegrationTest, PrefixProductionAblationKeepsResults) {
       "E.did = V.did AND E.sal > V.a AND D.budget > 100000";
   auto default_plan = db.Run(query);
   ASSERT_TRUE(default_plan.ok());
+  ExpectNoFilterOverScan(&db, query);
   db.mutable_optimizer_options()->explore_prefix_production_sets = true;
   auto prefix_plan = db.Run(query);
   ASSERT_TRUE(prefix_plan.ok());
+  ExpectNoFilterOverScan(&db, query);
   EXPECT_TRUE(SameMultiset(default_plan->rows, prefix_plan->rows));
   // The ablation explores at least as much (usually more).
   EXPECT_GE(prefix_plan->optimizer_stats.filter_joins_costed,
@@ -323,6 +347,10 @@ TEST(IntegrationTest, HavingOverViewJoin) {
       "SELECT region, SUM(amt) AS total, COUNT(*) AS n FROM Sales "
       "GROUP BY region HAVING SUM(amt) > 500 ORDER BY total DESC");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectNoFilterOverScan(
+      &db,
+      "SELECT region, SUM(amt) AS total, COUNT(*) AS n FROM Sales "
+      "GROUP BY region HAVING SUM(amt) > 500 ORDER BY total DESC");
   // Region r sums 10r + (0+10+..+90) = 450 + 10r; > 500 for r >= 6.
   EXPECT_EQ(result->rows.size(), 4u);
   EXPECT_EQ(result->rows[0][0], Value::Int64(9));  // largest total first

@@ -2,8 +2,11 @@
 #define MAGICDB_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/exec/basic_ops.h"
+#include "src/exec/scan_ops.h"
 #include "src/types/tuple.h"
 
 namespace magicdb::testutil {
@@ -27,6 +30,22 @@ inline bool SameMultiset(std::vector<Tuple> a, std::vector<Tuple> b) {
     if (CompareTuples(a[i], b[i]) != 0) return false;
   }
   return true;
+}
+
+/// Describes the first FilterOp in the tree under `root` whose child is a
+/// SeqScanOp, or returns "" when there is none. The optimizer moves a base
+/// table's conjuncts into the scan, so no plan it builds has one.
+inline std::string FilterOverSeqScan(const Operator& root) {
+  const std::vector<const Operator*> children = root.Children();
+  if (dynamic_cast<const FilterOp*>(&root) != nullptr &&
+      dynamic_cast<const SeqScanOp*>(children[0]) != nullptr) {
+    return root.Describe() + " over " + children[0]->Describe();
+  }
+  for (const Operator* child : children) {
+    std::string found = FilterOverSeqScan(*child);
+    if (!found.empty()) return found;
+  }
+  return "";
 }
 
 }  // namespace magicdb::testutil
