@@ -51,13 +51,16 @@
 # absorb the rejections, and survivors must stay byte-identical with zero
 # leaked tickets, gang slots, cursors, or disk-budget bytes.
 #
-# Before anything builds, two source guards: every build side, distinct set,
-# filter set and group index goes through HashTable<T> in
+# Before anything builds, three source guards: every build side, distinct
+# set, filter set and group index goes through HashTable<T> in
 # src/common/hash_table.h, so a hand-rolled unordered_map<uint64_t, ...>
-# table under src/ fails the check; and every spilled record is read through
+# table under src/ fails the check; every spilled record is read through
 # the sorted-run module (src/spill/sorted_runs.h: RunMerge, ForEachRecord)
 # or the partitioner beside SpillPartitionSet, so a SpillFile::NextRecord
-# call anywhere else under src/ fails it too.
+# call anywhere else under src/ fails it too; and batches are dense and
+# Expr::BatchEval is the one evaluator, so a row evaluator (Eval(const
+# Tuple, EvalPredicate() or a selection vector (SetSelection, sel_active,
+# ActiveRows, ForEachActive) under src/ fails it as well.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -77,6 +80,15 @@ if grep -rn "NextRecord(" src/ | grep -v \
   echo "error: spill records read outside the sorted-run module (above);" \
        "merge runs with RunMerge and scan files with ForEachRecord from" \
        "src/spill/sorted_runs.h" >&2
+  exit 1
+fi
+
+echo "=== Source guard: dense batches, one evaluator ==="
+if grep -rn -e "Eval(const Tuple" -e "\bEvalPredicate(" -e "SetSelection(" \
+     -e "sel_active(" -e "ActiveRows(" -e "ForEachActive(" src/; then
+  echo "error: row-at-a-time evaluation or a selection vector under src/" \
+       "(above); evaluate through Expr::BatchEval / BatchEvalPredicate and" \
+       "keep filtered rows with RowBatch::KeepRows" >&2
   exit 1
 fi
 

@@ -8,7 +8,7 @@
 
 namespace magicdb {
 
-/// DispatchRow's group key for physical row `r`, read straight from the
+/// DispatchRow's group key for row `r`, read straight from the
 /// resolved operand views, so the hot path (the group already exists) never
 /// materializes a key Tuple: Equals compares in place, and Materialize is
 /// called at most once per dispatched row — only for a fresh group or a
@@ -206,9 +206,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   std::vector<BatchOperand> key_ops(group_by_.size());
   std::vector<BatchOperand> agg_ops(aggs_.size());
   MAGICDB_RETURN_IF_ERROR(DrainBatches(child_.get(), ctx, [&](RowBatch* in) {
-    const std::vector<int32_t>* sel =
-        in->sel_active() ? &in->selection() : nullptr;
-    const int32_t n = in->ActiveRows();
+    const int32_t n = in->num_rows();
     if (n == 0) return Status::OK();
     if (parallel && !in->has_ranks()) {
       return Status::Internal(
@@ -229,8 +227,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
                           &first_error, &agg_ops[a]);
       MAGICDB_RETURN_IF_ERROR(first_error);
     }
-    for (int32_t k = 0; k < n; ++k) {
-      const int32_t r = sel ? (*sel)[static_cast<size_t>(k)] : k;
+    for (int32_t r = 0; r < n; ++r) {
       ++rows_seen;
       MAGICDB_FAILPOINT("exec.aggregate.build");
       if (parallel) {

@@ -10,7 +10,7 @@ namespace magicdb {
 FilterOp::FilterOp(OpPtr child, ExprPtr predicate)
     : Operator(child->schema()),
       child_(std::move(child)),
-      predicate_(std::move(predicate)) {}
+      filter_(std::move(predicate)) {}
 
 Status FilterOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
@@ -18,27 +18,14 @@ Status FilterOp::Open(ExecContext* ctx) {
 }
 
 Status FilterOp::NextBatch(RowBatch* out, bool* eof) {
-  while (true) {
-    MAGICDB_RETURN_IF_ERROR(child_->NextBatch(out, eof));
-    const int64_t n = out->ActiveRows();
-    if (n > 0) {
-      // One predicate evaluation per live input row.
-      ctx_->counters().exprs_evaluated += n;
-      BatchEvalPredicate(*predicate_, out, &pred_vals_, &pred_errs_);
-      // Gather the survivors dense: one move-gather here buys every
-      // downstream operator full-active bulk loops instead of
-      // selection-indexed ones.
-      out->CompactActive();
-    }
-    // Never hand an empty non-final batch upward; keep pulling instead.
-    if (out->ActiveRows() > 0 || *eof) return Status::OK();
-  }
+  return filter_.FillAndKeep(ctx_, out, eof,
+                             [&] { return child_->NextBatch(out, eof); });
 }
 
 Status FilterOp::Close() { return child_->Close(); }
 
 std::string FilterOp::Describe() const {
-  return "Filter(" + predicate_->ToString() + ")";
+  return "Filter(" + filter_.predicate()->ToString() + ")";
 }
 
 // ----- ProjectOp -----
@@ -59,43 +46,28 @@ Status ProjectOp::NextBatch(RowBatch* out, bool* eof) {
   }
   MAGICDB_RETURN_IF_ERROR(child_->NextBatch(in_batch_.get(), eof));
   out->ResetForWrite(static_cast<int>(exprs_.size()));
-  const int64_t n = in_batch_->ActiveRows();
-  if (n > 0) {
-    const size_t rows = static_cast<size_t>(in_batch_->num_rows());
-    for (size_t j = 0; j < exprs_.size(); ++j) {
-      ctx_->counters().exprs_evaluated += n;
-      std::vector<Value>& dst = out->column(static_cast<int>(j));
-      Status first_error;
-      BatchOperand op;
-      ResolveBatchOperand(*exprs_[j], *in_batch_, &col_vals_, &col_errs_,
-                          &first_error, &op);
-      // Projection is strict: a row error fails the query. Only the
-      // materializing path can produce one (literals never error, and an
-      // out-of-range column ref materializes).
-      MAGICDB_RETURN_IF_ERROR(first_error);
-      if (op.lit != nullptr) {
-        // Broadcast literal. Inactive slots get the value too instead of
-        // NULL, which is unobservable: they are outside the selection.
-        dst.assign(rows, *op.lit);
-      } else if (op.col == &col_vals_) {
-        dst.swap(col_vals_);  // materialized scratch: steal, don't copy
-      } else {
-        // Column view: one bulk copy replaces the per-row kernel.
-        dst.assign(op.col->begin(),
-                   op.col->begin() + static_cast<ptrdiff_t>(rows));
-      }
-    }
-  } else {
-    // BatchEval never ran; shape the (empty or fully-filtered) columns.
-    for (size_t j = 0; j < exprs_.size(); ++j) {
-      out->column(static_cast<int>(j))
-          .assign(static_cast<size_t>(in_batch_->num_rows()), Value());
+  const int32_t n = in_batch_->num_rows();
+  for (size_t j = 0; j < exprs_.size(); ++j) {
+    ctx_->counters().exprs_evaluated += n;
+    std::vector<Value>& dst = out->column(static_cast<int>(j));
+    Status first_error;
+    BatchOperand op;
+    ResolveBatchOperand(*exprs_[j], *in_batch_, &col_vals_, &col_errs_,
+                        &first_error, &op);
+    // Projection is strict: a row error fails the query. Only the
+    // materializing path can produce one (literals never error, and an
+    // out-of-range column ref materializes).
+    MAGICDB_RETURN_IF_ERROR(first_error);
+    if (op.lit != nullptr) {
+      dst.assign(static_cast<size_t>(n), *op.lit);  // broadcast literal
+    } else if (op.col == &col_vals_) {
+      dst.swap(col_vals_);  // materialized scratch: steal, don't copy
+    } else {
+      // Column view: one bulk copy replaces the per-row kernel.
+      dst.assign(op.col->begin(), op.col->begin() + n);
     }
   }
-  out->set_num_rows(in_batch_->num_rows());
-  if (in_batch_->sel_active()) {
-    out->SetSelection(std::vector<int32_t>(in_batch_->selection()));
-  }
+  out->set_num_rows(n);
   if (in_batch_->has_ranks()) {
     out->EnableRanks();
     out->pos() = in_batch_->pos();
@@ -123,6 +95,7 @@ DistinctOp::DistinctOp(OpPtr child)
 Status DistinctOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   seen_.Clear();
+  charged_bytes_ = 0;
   in_.Reset();
   return child_->Open(ctx);
 }
@@ -136,12 +109,23 @@ Status DistinctOp::NextRow(Tuple* out, bool* eof) {
         HashTuple(*out),
         [&](const Tuple& t) { return CompareTuples(t, *out) == 0; },
         [&] { return *out; }).second;
-    if (fresh) return Status::OK();
+    if (fresh) {
+      // The retained copy is governed memory; DISTINCT has no spill path,
+      // so a breach fails the query.
+      const int64_t row_bytes = TupleByteWidth(*out);
+      MAGICDB_RETURN_IF_ERROR(ctx_->ChargeMemory(row_bytes));
+      charged_bytes_ += row_bytes;
+      return Status::OK();
+    }
   }
 }
 
 Status DistinctOp::Close() {
   seen_.Clear();
+  if (ctx_ != nullptr) {
+    ctx_->ReleaseMemory(charged_bytes_);
+    charged_bytes_ = 0;
+  }
   return child_->Close();
 }
 
@@ -168,46 +152,62 @@ Status SortOp::Open(ExecContext* ctx) {
   int64_t total_rows = 0;
   // Charged bytes of the buffered key tuples (reset when a run spills).
   int64_t key_bytes = 0;
-  MAGICDB_RETURN_IF_ERROR(DrainRows(child_.get(), ctx, [&](Tuple t,
-                                                           int64_t) {
-    Tuple k;
-    k.reserve(keys_.size());
-    for (const SortKey& sk : keys_) {
-      ctx->counters().exprs_evaluated += 1;
-      MAGICDB_ASSIGN_OR_RETURN(Value v, sk.expr->Eval(t));
-      k.push_back(std::move(v));
+  // Each key is evaluated over a whole drained batch; plain column keys
+  // resolve to views of the batch, so the key values are copied out of a
+  // row before the row itself is moved out.
+  std::vector<std::vector<Value>> key_vals(keys_.size());
+  std::vector<std::vector<uint8_t>> key_errs(keys_.size());
+  std::vector<BatchOperand> key_ops(keys_.size());
+  MAGICDB_RETURN_IF_ERROR(DrainBatches(child_.get(), ctx, [&](RowBatch* in)
+                                                              -> Status {
+    const int32_t n = in->num_rows();
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      ctx->counters().exprs_evaluated += n;
+      Status first_error;
+      ResolveBatchOperand(*keys_[i].expr, *in, &key_vals[i], &key_errs[i],
+                          &first_error, &key_ops[i]);
+      MAGICDB_RETURN_IF_ERROR(first_error);
     }
-    // Buffered row + its computed key tuple: governed memory.
-    const int64_t row_bytes = TupleByteWidth(t) + TupleByteWidth(k);
-    Status charge = ctx->ChargeMemory(row_bytes);
-    if (!charge.ok()) {
-      // A governed breach turns into external merge sort when a spill area
-      // is attached: flush the buffer as one sorted run and retry.
-      if (charge.code() != StatusCode::kResourceExhausted ||
-          !ctx->spill_enabled()) {
-        return charge;
+    for (int32_t r = 0; r < n; ++r) {
+      Tuple k;
+      k.reserve(keys_.size());
+      for (const BatchOperand& op : key_ops) {
+        k.push_back(op.at(static_cast<size_t>(r)));
       }
-      if (sorter_ == nullptr) {
-        std::vector<bool> ascending;
-        ascending.reserve(keys_.size());
-        for (const SortKey& sk : keys_) ascending.push_back(sk.ascending);
-        sorter_ = std::make_unique<ExternalSorter>(ctx->spill_manager(),
-                                                   std::move(ascending));
+      Tuple t;
+      in->MoveRowToTuple(r, &t);
+      // Buffered row + its computed key tuple: governed memory.
+      const int64_t row_bytes = TupleByteWidth(t) + TupleByteWidth(k);
+      Status charge = ctx->ChargeMemory(row_bytes);
+      if (!charge.ok()) {
+        // A governed breach turns into external merge sort when a spill
+        // area is attached: flush the buffer as one sorted run and retry.
+        if (charge.code() != StatusCode::kResourceExhausted ||
+            !ctx->spill_enabled()) {
+          return charge;
+        }
+        if (sorter_ == nullptr) {
+          std::vector<bool> ascending;
+          ascending.reserve(keys_.size());
+          for (const SortKey& sk : keys_) ascending.push_back(sk.ascending);
+          sorter_ = std::make_unique<ExternalSorter>(ctx->spill_manager(),
+                                                     std::move(ascending));
+        }
+        const int64_t flushed = static_cast<int64_t>(rows.size());
+        MAGICDB_RETURN_IF_ERROR(sorter_->SpillRun(&rows, &row_keys, base_seq_,
+                                                  &charged_bytes_, ctx));
+        base_seq_ += flushed;
+        key_bytes = 0;
+        // Second failure is final: even one row does not fit.
+        MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
       }
-      const int64_t flushed = static_cast<int64_t>(rows.size());
-      MAGICDB_RETURN_IF_ERROR(
-          sorter_->SpillRun(&rows, &row_keys, base_seq_, &charged_bytes_, ctx));
-      base_seq_ += flushed;
-      key_bytes = 0;
-      // Second failure is final: even one row does not fit.
-      MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
+      charged_bytes_ += row_bytes;
+      key_bytes += TupleByteWidth(k);
+      bytes += TupleByteWidth(t);
+      ++total_rows;
+      rows.push_back(std::move(t));
+      row_keys.push_back(std::move(k));
     }
-    charged_bytes_ += row_bytes;
-    key_bytes += TupleByteWidth(k);
-    bytes += TupleByteWidth(t);
-    ++total_rows;
-    rows.push_back(std::move(t));
-    row_keys.push_back(std::move(k));
     return Status::OK();
   }));
   MAGICDB_RETURN_IF_ERROR(child_->Close());

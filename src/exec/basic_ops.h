@@ -18,9 +18,8 @@ class FilterOp final : public Operator {
   FilterOp(OpPtr child, ExprPtr predicate);
 
   Status Open(ExecContext* ctx) override;
-  /// Pulls the child's batch into `out` and narrows its selection vector
-  /// with a vectorized predicate pass — no per-row virtual dispatch. Rank
-  /// tags ride along.
+  /// Pulls the child's batch into `out` and keeps the rows a vectorized
+  /// predicate pass accepts, gathered dense with their rank tags.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -30,11 +29,8 @@ class FilterOp final : public Operator {
 
  private:
   OpPtr child_;
-  ExprPtr predicate_;
+  BatchFilter filter_;
   ExecContext* ctx_ = nullptr;
-  // Scratch for the vectorized predicate pass, reused across batches.
-  std::vector<Value> pred_vals_;
-  std::vector<uint8_t> pred_errs_;
 };
 
 /// Computes output columns from expressions over the child tuple.
@@ -44,7 +40,7 @@ class ProjectOp final : public Operator {
 
   Status Open(ExecContext* ctx) override;
   /// Each output column is one BatchEval over the child batch; the input's
-  /// selection vector and rank tags copy through.
+  /// rank tags copy through.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -62,7 +58,10 @@ class ProjectOp final : public Operator {
   std::vector<uint8_t> col_errs_;
 };
 
-/// Hash-based duplicate elimination over whole tuples.
+/// Hash-based duplicate elimination over whole tuples. The retained
+/// distinct rows are governed memory, charged as they are kept and released
+/// at Close; with no spill path, a breach fails the query with
+/// kResourceExhausted.
 class DistinctOp final : public RowOperator {
  public:
   explicit DistinctOp(OpPtr child);
@@ -79,13 +78,14 @@ class DistinctOp final : public RowOperator {
 
   OpPtr child_;
   RowReader in_;
-  ExecContext* ctx_ = nullptr;
   HashTable<Tuple> seen_;
+  int64_t charged_bytes_ = 0;
 };
 
-/// Full sort on key expressions. Keys are computed once per tuple; if the
-/// input exceeds the context memory budget, the predicted external merge
-/// passes are charged (write + read of all pages per pass). The buffered
+/// Full sort on key expressions. Each key is evaluated once per row, by one
+/// BatchEval over each drained batch; if the input exceeds the context
+/// memory budget, the predicted external merge passes are charged (write +
+/// read of all pages per pass). The buffered
 /// input is governed memory: rows and their key tuples are charged as they
 /// are buffered, the key bytes are released once an in-memory sort drops
 /// the keys, and each row's bytes are released as it is emitted. When the
@@ -113,7 +113,6 @@ class SortOp final : public RowOperator {
 
   OpPtr child_;
   std::vector<SortKey> keys_;
-  ExecContext* ctx_ = nullptr;
   std::vector<Tuple> sorted_;
   size_t next_ = 0;
   // Bytes still charged for buffered rows (and, until the sort drops them,

@@ -29,7 +29,6 @@ class ShipOp final : public RowOperator {
   RowReader in_;
   int from_site_;
   int to_site_;
-  ExecContext* ctx_ = nullptr;
   int64_t bytes_in_batch_ = 0;
   bool opened_message_charged_ = false;
 };

@@ -51,7 +51,7 @@ class FilterSetBinding {
 
   int64_t NumKeys() const { return num_keys_; }
 
-  /// Membership probe over the key columns `key_indexes` of physical row
+  /// Membership probe over the key columns `key_indexes` of row
   /// `row` of `batch`. Bloom bindings may return false positives.
   bool MayContain(const RowBatch& batch, int32_t row,
                   const std::vector<int>& key_indexes) const;
@@ -165,11 +165,6 @@ class ExecContext {
     return it->second;
   }
 
-  /// Returns a process-unique id for a new filter-set binding.
-  std::string NextFilterSetId() {
-    return "filter_set_" + std::to_string(next_filter_set_id_++);
-  }
-
   /// Rows per batch that drivers and pipeline breakers pull through
   /// Operator::NextBatch; always >= 1. Setting a value <= 0 restores the
   /// default, DefaultExecBatchSize(). Results and merged counters are
@@ -264,7 +259,6 @@ class ExecContext {
   double reoptimize_qerror_threshold_ = 0.0;
   std::shared_ptr<std::atomic<int64_t>> progress_heartbeat_;
   std::map<std::string, std::shared_ptr<FilterSetBinding>> filter_sets_;
-  int64_t next_filter_set_id_ = 0;
 };
 
 /// Coalesces MemoryTracker charges for a tight batch loop: instead of one

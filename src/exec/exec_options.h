@@ -38,9 +38,10 @@ struct ExecOptions {
 
   /// Memory limit (bytes) for this query's retained execution state: hash
   /// and filter-join build tables, spooled production sets, aggregate
-  /// groups, staged parallel rows, and the unfetched result queue. A query
-  /// that would exceed it fails with StatusCode::kResourceExhausted instead
-  /// of growing unbounded. 0 = the service default
+  /// groups, sort buffers, DISTINCT's retained rows, the sort-merge join's
+  /// buffered inputs, staged parallel rows, and the unfetched result queue.
+  /// A query that would exceed it fails with StatusCode::kResourceExhausted
+  /// instead of growing unbounded. 0 = the service default
   /// (QueryServiceOptions::query_memory_limit_bytes); negative = explicitly
   /// ungoverned regardless of the service default.
   int64_t memory_limit_bytes = 0;

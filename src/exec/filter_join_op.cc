@@ -33,15 +33,16 @@ Status FilterProbeOp::Open(ExecContext* ctx) {
 Status FilterProbeOp::NextBatch(RowBatch* out, bool* eof) {
   while (true) {
     MAGICDB_RETURN_IF_ERROR(child_->NextBatch(out, eof));
-    ctx_->counters().hash_operations += out->ActiveRows();
-    std::vector<int32_t> survivors;
-    out->ForEachActive([&](int32_t r) {
-      if (binding_->MayContain(*out, r, key_indexes_)) survivors.push_back(r);
-    });
-    out->SetSelection(std::move(survivors));
-    out->CompactActive();
+    const int32_t n = out->num_rows();
+    ctx_->counters().hash_operations += n;
+    std::vector<uint8_t> keep;
+    keep.reserve(static_cast<size_t>(n));
+    for (int32_t r = 0; r < n; ++r) {
+      keep.push_back(binding_->MayContain(*out, r, key_indexes_));
+    }
+    out->KeepRows(keep);
     // Never hand an empty non-final batch upward; keep pulling instead.
-    if (out->ActiveRows() > 0 || *eof) return Status::OK();
+    if (out->num_rows() > 0 || *eof) return Status::OK();
   }
 }
 
@@ -293,11 +294,19 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
 }
 
 Status FilterJoinOp::NextBatch(RowBatch* out, bool* eof) {
-  // Each call's charges are attributed to the final-join phase.
+  // Each call's charges, the residual's included, are attributed to the
+  // final-join phase.
   const double start = ctx_->counters().TotalCost();
+  *eof = false;
+  MAGICDB_RETURN_IF_ERROR(
+      residual_.FillAndKeep(ctx_, out, eof, [&] { return Probe(out, eof); }));
+  measured_.final_join += ctx_->counters().TotalCost() - start;
+  return Status::OK();
+}
+
+Status FilterJoinOp::Probe(RowBatch* out, bool* eof) {
   out->ResetForWrite(schema_.num_columns());
   if (shared_fj_ != nullptr) out->EnableRanks();
-  *eof = false;
   const auto& table =
       shared_fj_ != nullptr ? shared_fj_->inner_build() : build_;
   while (!out->full()) {
@@ -329,19 +338,13 @@ Status FilterJoinOp::NextBatch(RowBatch* out, bool* eof) {
                               inner_keys_) != 0) {
         continue;
       }
-      Tuple joined = ConcatTuples(current_outer_, inner_row);
-      if (residual_) {
-        ctx_->counters().exprs_evaluated += 1;
-        if (!EvalPredicate(*residual_, joined)) continue;
-      }
-      out->AppendTuple(std::move(joined));
+      out->AppendTuple(ConcatTuples(current_outer_, inner_row));
       if (out->has_ranks()) {
         out->pos().push_back(production_pos_[outer_pos_ - 1]);
         out->sub().push_back(0);
       }
     }
   }
-  measured_.final_join += ctx_->counters().TotalCost() - start;
   return Status::OK();
 }
 

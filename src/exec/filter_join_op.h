@@ -47,7 +47,7 @@ class FilterProbeOp final : public Operator {
 
   Status Open(ExecContext* ctx) override;
   /// Pulls the child's batch into `out`, probes the filter set once per
-  /// live row, and compacts the survivors, like FilterOp.
+  /// row, and keeps the survivors dense, like FilterOp.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -92,8 +92,9 @@ class FilterJoinOp final : public Operator {
 
   Status Open(ExecContext* ctx) override;
   /// Phase 4 (FinalJoinCost): probes the R_k' hash table with P, resuming
-  /// mid-bucket across calls. In parallel mode every row is rank-tagged
-  /// with the driving position of its production row.
+  /// mid-bucket across calls, and keeps the matches that satisfy the
+  /// residual, refilling while none does. In parallel mode every row is
+  /// rank-tagged with the driving position of its production row.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -137,13 +138,16 @@ class FilterJoinOp final : public Operator {
   /// hash table), records its cardinality, and charges the Grace pass when
   /// R_k' exceeds the memory budget.
   Status BuildInner(ExecContext* ctx, HashTable<Tuple>* table);
+  /// Fills `out` with the matches of the production rows, before the
+  /// residual, until it is full or P is exhausted.
+  Status Probe(RowBatch* out, bool* eof);
 
   OpPtr outer_;
   OpPtr inner_;
   std::string binding_id_;
   std::vector<int> outer_keys_;
   std::vector<int> inner_keys_;
-  ExprPtr residual_;
+  BatchFilter residual_;
   FilterSetImpl impl_;
   int ship_filter_to_site_;
   double bloom_bits_per_key_;

@@ -10,12 +10,12 @@ FunctionProbeJoinOp::FunctionProbeJoinOp(OpPtr outer,
                                          const TableFunction* function,
                                          std::vector<int> outer_arg_indexes,
                                          ExprPtr residual, bool memoize)
-    : RowOperator(outer->schema().Concat(
-          function->RelationSchema().WithQualifier(function->name()))),
+    : RowOperator(outer->schema().Concat(function->RelationSchema()
+                                             .WithQualifier(function->name())),
+                  std::move(residual)),
       outer_(std::move(outer)),
       function_(function),
       outer_arg_indexes_(std::move(outer_arg_indexes)),
-      residual_(std::move(residual)),
       memoize_(memoize) {
   MAGICDB_CHECK(static_cast<int>(outer_arg_indexes_.size()) ==
                 function_->arg_schema().num_columns());
@@ -42,9 +42,11 @@ Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
         return Status::OK();
       }
       have_outer_ = true;
-      Tuple args = ProjectTuple(current_outer_, outer_arg_indexes_);
       current_results_.clear();
       result_pos_ = 0;
+      // A NULL argument equals no argument value: the row never joins.
+      if (TupleHasNullAt(current_outer_, outer_arg_indexes_)) continue;
+      Tuple args = ProjectTuple(current_outer_, outer_arg_indexes_);
 
       const std::pair<Tuple, std::vector<Tuple>>* cached = nullptr;
       uint64_t h = 0;
@@ -71,15 +73,9 @@ Status FunctionProbeJoinOp::NextRow(Tuple* out, bool* eof) {
         }
       }
     }
-    while (result_pos_ < current_results_.size()) {
-      const Tuple& fn_row = current_results_[result_pos_++];
+    if (result_pos_ < current_results_.size()) {
       ctx_->counters().tuples_processed += 1;
-      Tuple joined = ConcatTuples(current_outer_, fn_row);
-      if (residual_) {
-        ctx_->counters().exprs_evaluated += 1;
-        if (!EvalPredicate(*residual_, joined)) continue;
-      }
-      *out = std::move(joined);
+      *out = ConcatTuples(current_outer_, current_results_[result_pos_++]);
       *eof = false;
       return Status::OK();
     }

@@ -40,10 +40,8 @@ class FunctionProbeJoinOp final : public RowOperator {
   RowReader outer_in_;
   const TableFunction* function_;
   std::vector<int> outer_arg_indexes_;
-  ExprPtr residual_;
   bool memoize_;
 
-  ExecContext* ctx_ = nullptr;
   // Argument tuple -> the function rows it produced.
   HashTable<std::pair<Tuple, std::vector<Tuple>>> memo_;
   Tuple current_outer_;
@@ -74,7 +72,6 @@ class FunctionCallOp final : public RowOperator {
   OpPtr args_child_;
   RowReader args_in_;
   const TableFunction* function_;
-  ExecContext* ctx_ = nullptr;
   std::vector<Tuple> current_rows_;
   size_t pos_ = 0;
   bool child_eof_ = false;

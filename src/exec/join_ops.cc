@@ -12,10 +12,10 @@ namespace magicdb {
 
 NestedLoopsJoinOp::NestedLoopsJoinOp(OpPtr outer, OpPtr inner,
                                      ExprPtr predicate)
-    : RowOperator(outer->schema().Concat(inner->schema())),
+    : RowOperator(outer->schema().Concat(inner->schema()),
+                  std::move(predicate)),
       outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      predicate_(std::move(predicate)) {}
+      inner_(std::move(inner)) {}
 
 Status NestedLoopsJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
@@ -51,13 +51,8 @@ Status NestedLoopsJoinOp::NextRow(Tuple* out, bool* eof) {
       have_outer_ = false;
       continue;
     }
-    Tuple joined = ConcatTuples(current_outer_, inner_tuple);
     ctx_->counters().tuples_processed += 1;
-    if (predicate_) {
-      ctx_->counters().exprs_evaluated += 1;
-      if (!EvalPredicate(*predicate_, joined)) continue;
-    }
-    *out = std::move(joined);
+    *out = ConcatTuples(current_outer_, inner_tuple);
     *eof = false;
     return Status::OK();
   }
@@ -73,7 +68,7 @@ Status NestedLoopsJoinOp::Close() {
 
 std::string NestedLoopsJoinOp::Describe() const {
   return "NestedLoopsJoin(" +
-         (predicate_ ? predicate_->ToString() : std::string("true")) + ")";
+         (residual() ? residual()->ToString() : std::string("true")) + ")";
 }
 
 // ----- IndexNestedLoopsJoinOp -----
@@ -83,14 +78,14 @@ IndexNestedLoopsJoinOp::IndexNestedLoopsJoinOp(
     std::vector<int> outer_key_indexes, ExprPtr residual, bool remote_probe,
     const std::string& inner_alias)
     : RowOperator(outer->schema().Concat(
-          inner_alias.empty() ? inner_table->schema()
-                              : inner_table->schema().WithQualifier(
-                                    inner_alias))),
+                      inner_alias.empty()
+                          ? inner_table->schema()
+                          : inner_table->schema().WithQualifier(inner_alias)),
+                  std::move(residual)),
       outer_(std::move(outer)),
       inner_table_(inner_table),
       index_(index),
       outer_key_indexes_(std::move(outer_key_indexes)),
-      residual_(std::move(residual)),
       remote_probe_(remote_probe) {
   MAGICDB_CHECK(index_ != nullptr);
   MAGICDB_CHECK(index_->columns().size() == outer_key_indexes_.size());
@@ -134,7 +129,7 @@ Status IndexNestedLoopsJoinOp::NextRow(Tuple* out, bool* eof) {
       current_matches_ = index_->Lookup(key);
       match_pos_ = 0;
     }
-    while (match_pos_ < current_matches_.size()) {
+    if (match_pos_ < current_matches_.size()) {
       const Tuple& inner_row =
           inner_table_->row(current_matches_[match_pos_++]);
       // Unclustered index: each matching row costs one page fetch.
@@ -143,12 +138,7 @@ Status IndexNestedLoopsJoinOp::NextRow(Tuple* out, bool* eof) {
       if (remote_probe_) {
         ctx_->counters().bytes_shipped += TupleByteWidth(inner_row);
       }
-      Tuple joined = ConcatTuples(current_outer_, inner_row);
-      if (residual_) {
-        ctx_->counters().exprs_evaluated += 1;
-        if (!EvalPredicate(*residual_, joined)) continue;
-      }
-      *out = std::move(joined);
+      *out = ConcatTuples(current_outer_, inner_row);
       *eof = false;
       return Status::OK();
     }
@@ -204,7 +194,7 @@ Status HashJoinOp::AddBuildTuple(Tuple t, int64_t stage_pos,
     }
     grace_ = std::make_unique<GraceHashJoin>(ctx_->spill_manager(),
                                              outer_keys_, inner_keys_,
-                                             residual_.get());
+                                             residual_.predicate());
     MAGICDB_RETURN_IF_ERROR(
         grace_->BeginBuildSpill(ctx_, &build_, &charged_bytes_));
     *build_bytes = 0;
@@ -232,7 +222,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   build_reserve_ = BatchReserve();
   probe_batch_exhausted_ = true;
   probe_eof_ = false;
-  probe_sel_idx_ = 0;
+  probe_row_ = 0;
   // Build phase over the inner child. In shared (parallel) mode this
   // replica drains only its morsel-driven slice of the build input and
   // stages rows into the partitioned build; FinishStaging synchronizes
@@ -302,22 +292,29 @@ Status HashJoinOp::DrainProbeToSpill() {
 }
 
 Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
-  out->ResetForWrite(schema_.num_columns());
   *eof = false;
-  if (grace_ != nullptr) {
-    // Out of core: drain the probe side into its partitions once, then
-    // stream the merged partition joins.
-    if (!probe_spilled_) {
-      MAGICDB_RETURN_IF_ERROR(DrainProbeToSpill());
-      probe_spilled_ = true;
-    }
-    Tuple t;
-    while (!out->full() && !*eof) {
-      MAGICDB_RETURN_IF_ERROR(grace_->NextOutput(&t, eof));
-      if (!*eof) out->AppendTuple(std::move(t));
-    }
-    return Status::OK();
+  if (grace_ == nullptr) {
+    return residual_.FillAndKeep(ctx_, out, eof,
+                                 [&] { return Probe(out, eof); });
   }
+  // Out of core: drain the probe side into its partitions once, then
+  // stream the merged partition joins, whose leaf joins applied the
+  // residual before writing their runs.
+  if (!probe_spilled_) {
+    MAGICDB_RETURN_IF_ERROR(DrainProbeToSpill());
+    probe_spilled_ = true;
+  }
+  out->ResetForWrite(schema_.num_columns());
+  Tuple t;
+  while (!out->full() && !*eof) {
+    MAGICDB_RETURN_IF_ERROR(grace_->NextOutput(&t, eof));
+    if (!*eof) out->AppendTuple(std::move(t));
+  }
+  return Status::OK();
+}
+
+Status HashJoinOp::Probe(RowBatch* out, bool* eof) {
+  out->ResetForWrite(schema_.num_columns());
   while (true) {
     if (probe_batch_exhausted_) {
       if (probe_eof_) {
@@ -331,14 +328,14 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
       MAGICDB_RETURN_IF_ERROR(
           outer_->NextBatch(probe_batch_.get(), &probe_eof_));
       probe_batch_exhausted_ = false;
-      probe_sel_idx_ = 0;
+      probe_row_ = 0;
       // Up-front vectorized pass: spill byte charges (in row order, so the
       // page floors match at any batch size), NULL-key screening, and key
-      // hashing for every active row of the batch.
+      // hashing for every row of the batch.
       const int32_t nrows = probe_batch_->num_rows();
       probe_hashes_.assign(static_cast<size_t>(nrows), 0);
       probe_has_key_.assign(static_cast<size_t>(nrows), 0);
-      probe_batch_->ForEachActive([&](int32_t r) {
+      for (int32_t r = 0; r < nrows; ++r) {
         if (spill_passes_ > 0) {
           const int64_t row_bytes = BatchRowByteWidth(*probe_batch_, r);
           if (shared_build_ != nullptr) {
@@ -358,33 +355,23 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
           probe_hashes_[static_cast<size_t>(r)] =
               HashBatchRowColumns(*probe_batch_, r, outer_keys_);
         }
-      });
+      }
     }
     // Rank-tag the output whenever the probe side carries ranks — checked on
     // every call because `out` arrives freshly reset even on mid-batch
     // resumes.
     if (probe_batch_->has_ranks()) out->EnableRanks();
-    const std::vector<int32_t>* sel =
-        probe_batch_->sel_active() ? &probe_batch_->selection() : nullptr;
-    const int32_t active =
-        sel ? static_cast<int32_t>(sel->size()) : probe_batch_->num_rows();
-    while (probe_sel_idx_ < active) {
-      const int32_t r = sel ? (*sel)[probe_sel_idx_] : probe_sel_idx_;
+    for (; probe_row_ < probe_batch_->num_rows(); ++probe_row_) {
+      const size_t r = static_cast<size_t>(probe_row_);
       if (probe_entry_ == HashTable<Tuple>::kEnd) {
-        if (!probe_has_key_[static_cast<size_t>(r)]) {
-          ++probe_sel_idx_;
-          continue;  // NULL keys never join
-        }
-        const uint64_t hash = probe_hashes_[static_cast<size_t>(r)];
+        if (!probe_has_key_[r]) continue;  // NULL keys never join
+        const uint64_t hash = probe_hashes_[r];
         probe_table_ = shared_build_ != nullptr
                            ? &shared_build_->Partition(hash)
                            : &build_;
         probe_entry_ = probe_table_->First(hash);
-        if (probe_entry_ == HashTable<Tuple>::kEnd) {
-          ++probe_sel_idx_;
-          continue;
-        }
-        probe_batch_->MoveRowToTuple(r, &current_outer_);
+        if (probe_entry_ == HashTable<Tuple>::kEnd) continue;
+        probe_batch_->MoveRowToTuple(probe_row_, &current_outer_);
       }
       while (probe_entry_ != HashTable<Tuple>::kEnd) {
         if (out->full()) return Status::OK();  // resume mid-bucket next call
@@ -396,20 +383,14 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
           continue;
         }
         ctx_->counters().tuples_processed += 1;
-        Tuple joined = ConcatTuples(current_outer_, inner_row);
-        if (residual_) {
-          ctx_->counters().exprs_evaluated += 1;
-          if (!EvalPredicate(*residual_, joined)) continue;
-        }
-        out->AppendTuple(std::move(joined));
+        out->AppendTuple(ConcatTuples(current_outer_, inner_row));
         if (out->has_ranks()) {
           // Matches inherit the outer row's scan position; the gather stage
           // derives sub-ranks from runs of equal positions.
-          out->pos().push_back(probe_batch_->pos()[static_cast<size_t>(r)]);
+          out->pos().push_back(probe_batch_->pos()[r]);
           out->sub().push_back(0);
         }
       }
-      ++probe_sel_idx_;
     }
     probe_batch_exhausted_ = true;
     if (probe_eof_) {
@@ -445,7 +426,9 @@ std::string HashJoinOp::Describe() const {
     s += std::to_string(inner_keys_[i]);
   }
   s += "]";
-  if (residual_) s += ", residual=" + residual_->ToString();
+  if (residual_.predicate()) {
+    s += ", residual=" + residual_.predicate()->ToString();
+  }
   return s + ")";
 }
 
@@ -455,12 +438,12 @@ SortMergeJoinOp::SortMergeJoinOp(OpPtr outer, OpPtr inner,
                                  std::vector<int> outer_key_indexes,
                                  std::vector<int> inner_key_indexes,
                                  ExprPtr residual, bool outer_presorted)
-    : RowOperator(outer->schema().Concat(inner->schema())),
+    : RowOperator(outer->schema().Concat(inner->schema()),
+                  std::move(residual)),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       outer_keys_(std::move(outer_key_indexes)),
       inner_keys_(std::move(inner_key_indexes)),
-      residual_(std::move(residual)),
       outer_presorted_(outer_presorted) {
   MAGICDB_CHECK(outer_keys_.size() == inner_keys_.size());
   MAGICDB_CHECK(!outer_keys_.empty());
@@ -472,8 +455,14 @@ Status SortMergeJoinOp::DrainSorted(Operator* child,
                                     bool presorted) {
   MAGICDB_RETURN_IF_ERROR(child->Open(ctx));
   MAGICDB_RETURN_IF_ERROR(DrainRows(child, ctx, [&](Tuple t, int64_t) {
-    if (!TupleHasNullAt(t, keys)) out->push_back(std::move(t));
-    return Status::OK();  // NULL keys never join
+    if (TupleHasNullAt(t, keys)) return Status::OK();  // never joins
+    // Buffered row: governed memory. The join has no spill path, so a
+    // breach fails the query.
+    const int64_t row_bytes = TupleByteWidth(t);
+    MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
+    charged_bytes_ += row_bytes;
+    out->push_back(std::move(t));
+    return Status::OK();
   }));
   MAGICDB_RETURN_IF_ERROR(child->Close());
   if (presorted) {
@@ -532,6 +521,7 @@ Status SortMergeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   left_.clear();
   right_.clear();
+  charged_bytes_ = 0;
   li_ = ri_ = lg_end_ = rg_end_ = lpos_ = rpos_ = 0;
   in_group_ = false;
   MAGICDB_RETURN_IF_ERROR(DrainSorted(outer_.get(), outer_keys_, ctx, &left_,
@@ -554,15 +544,8 @@ Status SortMergeJoinOp::NextRow(Tuple* out, bool* eof) {
       AdvanceGroups();
       continue;
     }
-    const Tuple& l = left_[lpos_];
-    const Tuple& r = right_[rpos_++];
     ctx_->counters().tuples_processed += 1;
-    Tuple joined = ConcatTuples(l, r);
-    if (residual_) {
-      ctx_->counters().exprs_evaluated += 1;
-      if (!EvalPredicate(*residual_, joined)) continue;
-    }
-    *out = std::move(joined);
+    *out = ConcatTuples(left_[lpos_], right_[rpos_++]);
     *eof = false;
     return Status::OK();
   }
@@ -573,6 +556,10 @@ Status SortMergeJoinOp::NextRow(Tuple* out, bool* eof) {
 Status SortMergeJoinOp::Close() {
   left_.clear();
   right_.clear();
+  if (ctx_ != nullptr) {
+    ctx_->ReleaseMemory(charged_bytes_);
+    charged_bytes_ = 0;
+  }
   return Status::OK();
 }
 

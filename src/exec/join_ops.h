@@ -39,8 +39,6 @@ class NestedLoopsJoinOp final : public RowOperator {
   OpPtr inner_;
   RowReader outer_in_;
   RowReader inner_in_;
-  ExprPtr predicate_;
-  ExecContext* ctx_ = nullptr;
   Tuple current_outer_;
   bool have_outer_ = false;
   bool inner_open_ = false;
@@ -75,9 +73,7 @@ class IndexNestedLoopsJoinOp final : public RowOperator {
   const Table* inner_table_;
   const HashIndex* index_;
   std::vector<int> outer_key_indexes_;
-  ExprPtr residual_;
   bool remote_probe_;
-  ExecContext* ctx_ = nullptr;
   Tuple current_outer_;
   std::vector<int64_t> current_matches_;
   size_t match_pos_ = 0;
@@ -92,8 +88,9 @@ class HashJoinOp final : public Operator {
              std::vector<int> inner_key_indexes, ExprPtr residual);
 
   Status Open(ExecContext* ctx) override;
-  /// Hashes a batch of outer keys, probes, and emits matched rows until the
-  /// output batch fills (mid-bucket state is saved across calls). Each
+  /// Hashes a batch of outer keys, probes, and fills the output batch with
+  /// matched rows (mid-bucket state is saved across calls), then keeps
+  /// those that satisfy the residual, refilling while none does. Each
   /// probe batch is sized to the output batch it is pulled for; when the
   /// consumer's batch size changes mid-batch, the rows already pulled are
   /// still probed. Outer rank tags (parallel mode) propagate to matches.
@@ -136,6 +133,10 @@ class HashJoinOp final : public Operator {
   /// (tagging rows with their probe sequence) and runs the partition joins.
   Status DrainProbeToSpill();
 
+  /// In-memory probe: fills `out` with the matches of the probe rows,
+  /// before the residual, until it is full or the outer is exhausted.
+  Status Probe(RowBatch* out, bool* eof);
+
   /// Per-row build step: NULL-key skip, failpoint, hash, memory charge
   /// (coalesced through build_reserve_), grace engagement on breach, and
   /// staging or private-table insert. `stage_pos` is the scan position tag
@@ -146,7 +147,7 @@ class HashJoinOp final : public Operator {
   OpPtr inner_;
   std::vector<int> outer_keys_;
   std::vector<int> inner_keys_;
-  ExprPtr residual_;
+  BatchFilter residual_;
   ExecContext* ctx_ = nullptr;
   HashTable<Tuple> build_;
   Tuple current_outer_;
@@ -184,7 +185,7 @@ class HashJoinOp final : public Operator {
   std::unique_ptr<RowBatch> probe_batch_;
   bool probe_batch_exhausted_ = true;
   bool probe_eof_ = false;
-  int32_t probe_sel_idx_ = 0;
+  int32_t probe_row_ = 0;
   std::vector<uint64_t> probe_hashes_;
   std::vector<uint8_t> probe_has_key_;
 };
@@ -193,7 +194,9 @@ class HashJoinOp final : public Operator {
 /// their keys, and merged; duplicate key groups produce the cross product.
 /// With `outer_presorted` the outer is trusted to arrive sorted on its key
 /// columns (an "interesting order" from a previous sort-merge join) and is
-/// only drained, not re-sorted.
+/// only drained, not re-sorted. The buffered rows are governed memory,
+/// charged as they are drained and released at Close; with no spill path,
+/// a breach fails the query with kResourceExhausted.
 class SortMergeJoinOp final : public RowOperator {
  public:
   SortMergeJoinOp(OpPtr outer, OpPtr inner, std::vector<int> outer_key_indexes,
@@ -219,10 +222,10 @@ class SortMergeJoinOp final : public RowOperator {
   OpPtr inner_;
   std::vector<int> outer_keys_;
   std::vector<int> inner_keys_;
-  ExprPtr residual_;
-  ExecContext* ctx_ = nullptr;
   std::vector<Tuple> left_;
   std::vector<Tuple> right_;
+  // Bytes charged for the buffered rows of both inputs; released on Close.
+  int64_t charged_bytes_ = 0;
   size_t li_ = 0, ri_ = 0;        // current group starts
   size_t lg_end_ = 0, rg_end_ = 0;  // current group ends (exclusive)
   size_t lpos_ = 0, rpos_ = 0;      // cursor within the group cross product

@@ -21,20 +21,17 @@ std::string Operator::TreeString() const {
 }
 
 Status RowOperator::NextBatch(RowBatch* out, bool* eof) {
-  out->ResetForWrite(schema_.num_columns());
   pull_rows_ = out->capacity();
   *eof = false;
   Tuple t;
-  while (!out->full()) {
-    bool row_eof = false;
-    MAGICDB_RETURN_IF_ERROR(NextRow(&t, &row_eof));
-    if (row_eof) {
-      *eof = true;
-      break;
+  return residual_.FillAndKeep(ctx_, out, eof, [&]() -> Status {
+    out->ResetForWrite(schema_.num_columns());
+    while (!out->full() && !*eof) {
+      MAGICDB_RETURN_IF_ERROR(NextRow(&t, eof));
+      if (!*eof) out->AppendTuple(std::move(t));
     }
-    out->AppendTuple(std::move(t));
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 void RowReader::Reset() {
@@ -45,7 +42,7 @@ void RowReader::Reset() {
 
 Status RowReader::Next(Operator* child, int32_t max_rows, Tuple* out,
                        bool* eof) {
-  while (next_ >= batch_.ActiveRows()) {
+  while (next_ >= batch_.num_rows()) {
     if (child_eof_) {
       *eof = true;
       return Status::OK();
@@ -54,11 +51,7 @@ Status RowReader::Next(Operator* child, int32_t max_rows, Tuple* out,
     MAGICDB_RETURN_IF_ERROR(child->NextBatch(&batch_, &child_eof_));
     next_ = 0;
   }
-  const int32_t r = batch_.sel_active()
-                        ? batch_.selection()[static_cast<size_t>(next_)]
-                        : next_;
-  ++next_;
-  batch_.MoveRowToTuple(r, out);
+  batch_.MoveRowToTuple(next_++, out);
   *eof = false;
   return Status::OK();
 }

@@ -9,6 +9,7 @@
 #include "src/common/statusor.h"
 #include "src/exec/exec_context.h"
 #include "src/exec/row_batch.h"
+#include "src/expr/expr.h"
 #include "src/types/schema.h"
 #include "src/types/tuple.h"
 
@@ -36,7 +37,7 @@ class Operator {
   /// capacity preserved) with up to out->capacity() rows. Contract:
   ///
   ///   - the final batch may carry rows together with *eof = true;
-  ///   - a batch with zero live rows and *eof = false is never returned
+  ///   - a batch with zero rows and *eof = false is never returned
   ///     (operators loop internally instead of bouncing empty batches);
   ///   - a streaming operator asks a child for at most out->capacity()
   ///     rows per pull, so a consumer that stops early (LIMIT asks for one
@@ -66,14 +67,59 @@ class Operator {
 
 using OpPtr = std::unique_ptr<Operator>;
 
+/// A predicate that filters whole batches: FilterOp's predicate and every
+/// join's residual. It owns the predicate's scratch vectors, reused across
+/// batches, so filtering allocates no batch of its own.
+class BatchFilter {
+ public:
+  /// A null `predicate` keeps every row.
+  explicit BatchFilter(ExprPtr predicate)
+      : predicate_(std::move(predicate)) {}
+
+  const ExprPtr& predicate() const { return predicate_; }
+
+  /// Keeps the rows of `batch` that satisfy the predicate (dense, ranks
+  /// gathered along), charging one expression evaluation per row.
+  void Keep(ExecContext* ctx, RowBatch* batch) {
+    if (predicate_ == nullptr || batch->num_rows() == 0) return;
+    ctx->counters().exprs_evaluated += batch->num_rows();
+    BatchEvalPredicate(*predicate_, *batch, &vals_, &keep_);
+    batch->KeepRows(keep_);
+  }
+
+  /// The filtering loop: `fill()` fills `out` with candidate rows (setting
+  /// *eof at end of input) and Keep() filters them, repeated while no row
+  /// survived and the input is not exhausted, so an empty non-final batch
+  /// never leaves the operator. Each pass sees exactly the candidates of
+  /// one fill, so the work done does not depend on out->capacity().
+  template <typename Fill>
+  Status FillAndKeep(ExecContext* ctx, RowBatch* out, const bool* eof,
+                     Fill&& fill) {
+    do {
+      MAGICDB_RETURN_IF_ERROR(fill());
+      Keep(ctx, out);
+    } while (out->num_rows() == 0 && !*eof);
+    return Status::OK();
+  }
+
+ private:
+  ExprPtr predicate_;
+  std::vector<Value> vals_;
+  std::vector<uint8_t> keep_;
+};
+
 /// Base of the operators whose work is naturally one row at a time (Sort,
 /// Distinct, Limit, the loop and sort-merge joins, FilterSetScan,
 /// OrderedIndexScan, the function operators, Ship, Gather): they implement
 /// NextRow, and NextBatch fills the batch by looping it. NextBatch is
-/// final, so such an operator has exactly one pull implementation.
+/// final, so such an operator has exactly one pull implementation. A join
+/// hands its residual to the base: NextRow then produces candidate rows,
+/// and NextBatch keeps those that satisfy the residual, one batch at a
+/// time (BatchFilter::FillAndKeep).
 class RowOperator : public Operator {
  public:
-  using Operator::Operator;
+  explicit RowOperator(Schema schema, ExprPtr residual = nullptr)
+      : Operator(std::move(schema)), residual_(std::move(residual)) {}
 
   Status NextBatch(RowBatch* out, bool* eof) final;
 
@@ -86,7 +132,14 @@ class RowOperator : public Operator {
   /// a streaming child read (RowReader::Next) may ask for.
   int32_t pull_rows() const { return pull_rows_; }
 
+  /// The residual handed to the constructor; null when there is none.
+  const ExprPtr& residual() const { return residual_.predicate(); }
+
+  /// The context Open received; the residual charges its evaluations here.
+  ExecContext* ctx_ = nullptr;
+
  private:
+  BatchFilter residual_;
   int32_t pull_rows_ = 1;
 };
 
@@ -105,7 +158,7 @@ class RowReader {
 
  private:
   RowBatch batch_{1};
-  int32_t next_ = 0;  // index into the batch's live rows
+  int32_t next_ = 0;  // the batch's next unread row
   bool child_eof_ = false;
 };
 
@@ -125,22 +178,19 @@ Status DrainBatches(Operator* child, ExecContext* ctx, Consume&& consume) {
   return Status::OK();
 }
 
-/// DrainBatches one row at a time: moves every live row out of its batch
-/// and calls `consume(Tuple&& row, int64_t pos)`, where `pos` is the row's
-/// rank position (the parallel gather key), or -1 when the batch carries no
+/// DrainBatches one row at a time: moves every row out of its batch and
+/// calls `consume(Tuple&& row, int64_t pos)`, where `pos` is the row's rank
+/// position (the parallel gather key), or -1 when the batch carries no
 /// rank tags.
 template <typename Consume>
 Status DrainRows(Operator* child, ExecContext* ctx, Consume&& consume) {
   Tuple t;
   return DrainBatches(child, ctx, [&](RowBatch* batch) -> Status {
-    const std::vector<int32_t>* sel =
-        batch->sel_active() ? &batch->selection() : nullptr;
-    const int32_t n = batch->ActiveRows();
-    for (int32_t k = 0; k < n; ++k) {
-      const size_t r = static_cast<size_t>(sel ? (*sel)[k] : k);
-      batch->MoveRowToTuple(static_cast<int32_t>(r), &t);
-      MAGICDB_RETURN_IF_ERROR(
-          consume(std::move(t), batch->has_ranks() ? batch->pos()[r] : -1));
+    for (int32_t r = 0; r < batch->num_rows(); ++r) {
+      batch->MoveRowToTuple(r, &t);
+      MAGICDB_RETURN_IF_ERROR(consume(
+          std::move(t),
+          batch->has_ranks() ? batch->pos()[static_cast<size_t>(r)] : -1));
     }
     return Status::OK();
   });

@@ -14,24 +14,25 @@ void RowBatch::MoveRowToTuple(int32_t r, Tuple* t) {
 }
 
 void RowBatch::MoveActiveToTuples(std::vector<Tuple>* out) {
-  ForEachActive([&](int32_t r) {
+  for (int32_t r = 0; r < num_rows_; ++r) {
     Tuple t;
     MoveRowToTuple(r, &t);
     out->push_back(std::move(t));
-  });
+  }
 }
 
-void RowBatch::CompactActive() {
-  if (!sel_active_) return;
-  const size_t n = selection_.size();
-  for (size_t k = 0; k < n; ++k) {
-    const size_t r = static_cast<size_t>(selection_[k]);
-    if (r == k) continue;  // prefix already dense; avoid self-move
-    for (auto& col : columns_) col[k] = std::move(col[r]);
-    if (has_ranks_) {
-      pos_[k] = pos_[r];
-      sub_[k] = sub_[r];
+void RowBatch::KeepRows(const std::vector<uint8_t>& keep) {
+  size_t n = 0;
+  for (size_t r = 0; r < static_cast<size_t>(num_rows_); ++r) {
+    if (keep[r] == 0) continue;
+    if (r != n) {  // the dense prefix stays put; avoid self-moves
+      for (auto& col : columns_) col[n] = std::move(col[r]);
+      if (has_ranks_) {
+        pos_[n] = pos_[r];
+        sub_[n] = sub_[r];
+      }
     }
+    ++n;
   }
   for (auto& col : columns_) col.resize(n);
   if (has_ranks_) {
@@ -39,8 +40,6 @@ void RowBatch::CompactActive() {
     sub_.resize(n);
   }
   num_rows_ = static_cast<int32_t>(n);
-  sel_active_ = false;
-  selection_.clear();
 }
 
 int64_t BatchRowByteWidth(const RowBatch& batch, int32_t row) {

@@ -13,16 +13,14 @@ namespace magicdb {
 /// Column-oriented batch of rows, the unit operators exchange through
 /// Operator::NextBatch. Layout:
 ///
-///   - `num_cols` column vectors of Value, all `num_rows` long — the
-///     physical rows of the batch;
-///   - an optional *selection vector*: a sorted list of physical row
-///     indexes that are logically alive. Filters narrow the selection
-///     in place instead of compacting the columns, so upstream data is
-///     copied once per pipeline, not once per filter;
-///   - optional *rank* vectors (pos, sub), aligned with the physical rows,
-///     carrying the deterministic (position, sub-rank) tags the parallel
-///     gather merge orders by. Scans fill pos with the global row index;
-///     rank-preserving operators copy them through.
+///   - `num_cols` column vectors of Value, all `num_rows` long. Every row
+///     of a batch is live: a filter keeps its survivors by gathering them
+///     to the front (KeepRows), so consumers loop over 0..num_rows()
+///     without an indirection;
+///   - optional *rank* vectors (pos, sub), one entry per row, carrying the
+///     deterministic (position, sub-rank) tags the parallel gather merge
+///     orders by. Scans fill pos with the global row index; rank-preserving
+///     operators copy them through.
 ///
 /// A batch is an arena the producing operator overwrites every iteration:
 /// consumers must finish with (or move out of) a batch before pulling the
@@ -37,18 +35,15 @@ class RowBatch {
 
   int32_t capacity() const { return capacity_; }
   int32_t num_cols() const { return static_cast<int32_t>(columns_.size()); }
-  /// Physical rows (including rows a selection vector has filtered out).
   int32_t num_rows() const { return num_rows_; }
   bool full() const { return num_rows_ >= capacity_; }
 
-  /// Clears rows, selection, and ranks; (re)shapes to `num_cols` columns.
+  /// Clears rows and ranks; (re)shapes to `num_cols` columns.
   /// Column storage is retained so steady-state iterations do not allocate.
   void ResetForWrite(int num_cols) {
     columns_.resize(static_cast<size_t>(num_cols));
     for (auto& col : columns_) col.clear();
     num_rows_ = 0;
-    sel_active_ = false;
-    selection_.clear();
     has_ranks_ = false;
     pos_.clear();
     sub_.clear();
@@ -70,52 +65,22 @@ class RowBatch {
   }
 
   /// Bulk-write protocol: an operator that fills column vectors directly
-  /// (e.g. the scan's column-wise page copy) declares the new physical row
-  /// count afterwards. Every column must be `n` long.
+  /// (e.g. the scan's column-wise page copy) declares the new row count
+  /// afterwards. Every column must be `n` long.
   void set_num_rows(int32_t n) { num_rows_ = n; }
 
-  // -- Selection vector -----------------------------------------------------
-
-  /// True when a selection vector restricts the live rows.
-  bool sel_active() const { return sel_active_; }
-  const std::vector<int32_t>& selection() const { return selection_; }
-
-  /// Logically live rows: selection size when active, else num_rows().
-  int32_t ActiveRows() const {
-    return sel_active_ ? static_cast<int32_t>(selection_.size()) : num_rows_;
-  }
-
-  /// Installs `sel` (sorted, strictly increasing physical row indexes) as
-  /// the selection vector. An empty vector means "no rows survive", which
-  /// is distinct from clearing the selection via ResetForWrite.
-  void SetSelection(std::vector<int32_t> sel) {
-    selection_ = std::move(sel);
-    sel_active_ = true;
-  }
-
-  /// Gathers the selected rows (and their rank tags) to the front of the
-  /// column vectors, shrinks the batch to the survivor count, and drops the
-  /// selection vector. Pays one move-gather of the survivors so every
-  /// downstream per-batch loop runs dense (and the fully-active bulk fast
-  /// paths apply); filters call it after narrowing the selection. No-op
-  /// when no selection is active.
-  void CompactActive();
-
-  /// Calls f(physical_row_index) for every live row, in ascending order.
-  template <typename F>
-  void ForEachActive(F&& f) const {
-    if (sel_active_) {
-      for (int32_t r : selection_) f(r);
-    } else {
-      for (int32_t r = 0; r < num_rows_; ++r) f(r);
-    }
-  }
+  /// Keeps the rows whose `keep` entry is nonzero: gathers them, with
+  /// their pos()/sub() entries, to the front in order and shrinks the
+  /// batch to the survivor count. `keep` has num_rows() entries. Filters
+  /// call it after their predicate pass, so every batch that leaves an
+  /// operator is dense.
+  void KeepRows(const std::vector<uint8_t>& keep);
 
   // -- Rank tags (parallel gather ordering) ---------------------------------
 
   bool has_ranks() const { return has_ranks_; }
   /// Enables the (pos, sub) rank vectors; the producer appends one entry
-  /// per physical row it emits.
+  /// per row it emits.
   void EnableRanks() { has_ranks_ = true; }
   std::vector<int64_t>& pos() { return pos_; }
   const std::vector<int64_t>& pos() const { return pos_; }
@@ -124,20 +89,18 @@ class RowBatch {
 
   // -- Row-form conversion --------------------------------------------------
 
-  /// Moves physical row `r` out of the batch into `*t` (resized to
-  /// num_cols()). The row's slots are left NULL; callers do this only on a
-  /// batch they will Reset (or discard) before reuse.
+  /// Moves row `r` out of the batch into `*t` (resized to num_cols()). The
+  /// row's slots are left NULL; callers do this only on a batch they will
+  /// Reset (or discard) before reuse.
   void MoveRowToTuple(int32_t r, Tuple* t);
 
-  /// Appends every live row to `*out` as tuples, moving the values out.
+  /// Appends every row to `*out` as tuples, moving the values out.
   void MoveActiveToTuples(std::vector<Tuple>* out);
 
  private:
   int32_t capacity_;
   int32_t num_rows_ = 0;
   std::vector<std::vector<Value>> columns_;
-  bool sel_active_ = false;
-  std::vector<int32_t> selection_;
   bool has_ranks_ = false;
   std::vector<int64_t> pos_;
   std::vector<int64_t> sub_;

@@ -162,16 +162,17 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* eof) {
       for (int c : survivor_cols_) {
         out->column(c).resize(static_cast<size_t>(n));
       }
-      BatchEvalPredicate(*predicate_, out, &pred_vals_, &pred_errs_);
+      BatchEvalPredicate(*predicate_, *out, &pred_vals_, &pred_keep_);
       const std::vector<int64_t>& rows = out->pos();
       for (int c : survivor_cols_) {
         std::vector<Value>& col = out->column(c);
-        for (int32_t r : out->selection()) {
-          const auto i = static_cast<size_t>(r);
-          col[i] = table_->row(rows[i])[static_cast<size_t>(c)];
+        for (size_t i = 0; i < pred_keep_.size(); ++i) {
+          if (pred_keep_[i]) {
+            col[i] = table_->row(rows[i])[static_cast<size_t>(c)];
+          }
         }
       }
-      out->CompactActive();
+      out->KeepRows(pred_keep_);
       if (morsels_ == nullptr) out->pos().clear();
     }
     // Never hand an empty non-final batch upward; keep reading instead.

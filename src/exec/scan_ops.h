@@ -79,7 +79,7 @@ class SeqScanOp final : public Operator {
   bool have_morsel_ = false;
   // Scratch for the vectorized predicate pass, reused across batches.
   std::vector<Value> pred_vals_;
-  std::vector<uint8_t> pred_errs_;
+  std::vector<uint8_t> pred_keep_;
 };
 
 /// Scans a stored table in the key order of one of its ordered indexes —
@@ -100,7 +100,6 @@ class OrderedIndexScanOp final : public RowOperator {
 
   const Table* table_;
   const OrderedIndex* index_;
-  ExecContext* ctx_ = nullptr;
   std::vector<int64_t> row_order_;
   int64_t next_ = 0;
   int64_t rows_per_page_ = 1;
@@ -121,7 +120,6 @@ class FilterSetScanOp final : public RowOperator {
   Status NextRow(Tuple* out, bool* eof) override;
 
   std::string binding_id_;
-  ExecContext* ctx_ = nullptr;
   std::shared_ptr<FilterSetBinding> binding_;
   int64_t next_row_ = 0;
   int64_t rows_per_page_ = 1;

@@ -20,9 +20,9 @@ void InitBatchOut(const RowBatch& batch, std::vector<Value>* out,
 }
 
 /// Marks row `r` as errored; the first error in evaluation order wins.
-void RowError(int32_t r, Status s, std::vector<uint8_t>* errs,
+void RowError(size_t r, Status s, std::vector<uint8_t>* errs,
               Status* first_error) {
-  (*errs)[static_cast<size_t>(r)] = 1;
+  (*errs)[r] = 1;
   if (first_error->ok()) *first_error = std::move(s);
 }
 
@@ -66,41 +66,12 @@ void Expr::CollectColumnRefs(std::vector<int>* out) const {
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-void Expr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
-                     std::vector<uint8_t>* errs, Status* first_error) const {
-  // Row-at-a-time fallback: materialize each live row and call Eval. Keeps
-  // every Expr subclass batch-safe even without a native kernel.
-  InitBatchOut(batch, out, errs);
-  Tuple row(static_cast<size_t>(batch.num_cols()));
-  batch.ForEachActive([&](int32_t r) {
-    for (int c = 0; c < batch.num_cols(); ++c) {
-      row[static_cast<size_t>(c)] = batch.column(c)[static_cast<size_t>(r)];
-    }
-    StatusOr<Value> v = Eval(row);
-    if (v.ok()) {
-      (*out)[static_cast<size_t>(r)] = std::move(*v);
-    } else {
-      RowError(r, v.status(), errs, first_error);
-    }
-  });
-}
-
 // ----- LiteralExpr -----
-
-StatusOr<Value> LiteralExpr::Eval(const Tuple&) const { return value_; }
 
 void LiteralExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
                             std::vector<uint8_t>* errs, Status*) const {
-  const size_t n = static_cast<size_t>(batch.num_rows());
-  if (batch.ActiveRows() == batch.num_rows()) {
-    // Fully active: bulk broadcast instead of the per-row loop.
-    out->assign(n, value_);
-    errs->assign(n, 0);
-    return;
-  }
-  InitBatchOut(batch, out, errs);
-  batch.ForEachActive(
-      [&](int32_t r) { (*out)[static_cast<size_t>(r)] = value_; });
+  out->assign(static_cast<size_t>(batch.num_rows()), value_);
+  errs->assign(static_cast<size_t>(batch.num_rows()), 0);
 }
 
 ExprPtr LiteralExpr::RemapColumns(const std::vector<int>&) const {
@@ -111,42 +82,23 @@ void LiteralExpr::CollectColumnRefsInternal(std::vector<int>*) const {}
 
 // ----- ColumnRefExpr -----
 
-StatusOr<Value> ColumnRefExpr::Eval(const Tuple& row) const {
-  if (index_ < 0 || index_ >= static_cast<int>(row.size())) {
-    return Status::Internal("column index " + std::to_string(index_) +
-                            " out of range for tuple of arity " +
-                            std::to_string(row.size()));
-  }
-  return row[index_];
-}
-
 void ColumnRefExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
                               std::vector<uint8_t>* errs,
                               Status* first_error) const {
-  if (index_ >= 0 && index_ < batch.num_cols() &&
-      batch.ActiveRows() == batch.num_rows() && batch.num_rows() > 0) {
-    // Fully active, in range: one bulk copy instead of the per-row loop.
+  const int32_t n = batch.num_rows();
+  if (index_ >= 0 && index_ < batch.num_cols()) {
     const std::vector<Value>& col = batch.column(index_);
-    out->assign(col.begin(),
-                col.begin() + static_cast<ptrdiff_t>(batch.num_rows()));
-    errs->assign(static_cast<size_t>(batch.num_rows()), 0);
+    out->assign(col.begin(), col.begin() + static_cast<ptrdiff_t>(n));
+    errs->assign(static_cast<size_t>(n), 0);
     return;
   }
   InitBatchOut(batch, out, errs);
-  if (batch.ActiveRows() == 0) return;
-  if (index_ < 0 || index_ >= batch.num_cols()) {
-    // Same message Eval() produces (columns == tuple arity here).
-    Status oob = Status::Internal("column index " + std::to_string(index_) +
-                                  " out of range for tuple of arity " +
-                                  std::to_string(batch.num_cols()));
-    batch.ForEachActive(
-        [&](int32_t r) { RowError(r, oob, errs, first_error); });
-    return;
+  const Status oob = Status::Internal(
+      "column index " + std::to_string(index_) +
+      " out of range for tuple of arity " + std::to_string(batch.num_cols()));
+  for (size_t r = 0; r < errs->size(); ++r) {
+    RowError(r, oob, errs, first_error);
   }
-  const std::vector<Value>& col = batch.column(index_);
-  batch.ForEachActive([&](int32_t r) {
-    (*out)[static_cast<size_t>(r)] = col[static_cast<size_t>(r)];
-  });
 }
 
 ExprPtr ColumnRefExpr::RemapColumns(const std::vector<int>& mapping) const {
@@ -166,28 +118,6 @@ std::string ColumnRefExpr::ToString() const {
 
 // ----- ComparisonExpr -----
 
-StatusOr<Value> ComparisonExpr::Eval(const Tuple& row) const {
-  MAGICDB_ASSIGN_OR_RETURN(Value lv, left_->Eval(row));
-  MAGICDB_ASSIGN_OR_RETURN(Value rv, right_->Eval(row));
-  if (lv.is_null() || rv.is_null()) return Value::Null();
-  const int c = lv.Compare(rv);
-  switch (op_) {
-    case CompareOp::kEq:
-      return Value::Bool(c == 0);
-    case CompareOp::kNe:
-      return Value::Bool(c != 0);
-    case CompareOp::kLt:
-      return Value::Bool(c < 0);
-    case CompareOp::kLe:
-      return Value::Bool(c <= 0);
-    case CompareOp::kGt:
-      return Value::Bool(c > 0);
-    case CompareOp::kGe:
-      return Value::Bool(c >= 0);
-  }
-  return Status::Internal("bad compare op");
-}
-
 void ComparisonExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
                                std::vector<uint8_t>* errs,
                                Status* first_error) const {
@@ -197,15 +127,14 @@ void ComparisonExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
   ResolveBatchOperand(*left_, batch, &lvals, &lerrs, first_error, &lop);
   ResolveBatchOperand(*right_, batch, &rvals, &rerrs, first_error, &rop);
   InitBatchOut(batch, out, errs);
-  batch.ForEachActive([&](int32_t r) {
-    const size_t i = static_cast<size_t>(r);
+  for (size_t i = 0; i < out->size(); ++i) {
     if (lop.err(i) || rop.err(i)) {
       (*errs)[i] = 1;  // child error poisons the row
-      return;
+      continue;
     }
     const Value& lv = lop.at(i);
     const Value& rv = rop.at(i);
-    if (lv.is_null() || rv.is_null()) return;  // result stays NULL
+    if (lv.is_null() || rv.is_null()) continue;  // result stays NULL
     const int c = lv.Compare(rv);
     bool b = false;
     switch (op_) {
@@ -229,7 +158,7 @@ void ComparisonExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
         break;
     }
     (*out)[i] = Value::Bool(b);
-  });
+  }
 }
 
 ExprPtr ComparisonExpr::RemapColumns(const std::vector<int>& mapping) const {
@@ -260,42 +189,6 @@ DataType ArithmeticExpr::result_type() const {
   return DataType::kInt64;
 }
 
-StatusOr<Value> ArithmeticExpr::Eval(const Tuple& row) const {
-  MAGICDB_ASSIGN_OR_RETURN(Value lv, left_->Eval(row));
-  MAGICDB_ASSIGN_OR_RETURN(Value rv, right_->Eval(row));
-  if (lv.is_null() || rv.is_null()) return Value::Null();
-  // Exact integer arithmetic when both sides are int64 (except division).
-  if (lv.type() == DataType::kInt64 && rv.type() == DataType::kInt64 &&
-      op_ != ArithOp::kDiv) {
-    const int64_t a = lv.AsInt64();
-    const int64_t b = rv.AsInt64();
-    switch (op_) {
-      case ArithOp::kAdd:
-        return Value::Int64(a + b);
-      case ArithOp::kSub:
-        return Value::Int64(a - b);
-      case ArithOp::kMul:
-        return Value::Int64(a * b);
-      default:
-        break;
-    }
-  }
-  MAGICDB_ASSIGN_OR_RETURN(double a, lv.AsNumeric());
-  MAGICDB_ASSIGN_OR_RETURN(double b, rv.AsNumeric());
-  switch (op_) {
-    case ArithOp::kAdd:
-      return Value::Double(a + b);
-    case ArithOp::kSub:
-      return Value::Double(a - b);
-    case ArithOp::kMul:
-      return Value::Double(a * b);
-    case ArithOp::kDiv:
-      if (b == 0.0) return Status::InvalidArgument("division by zero");
-      return Value::Double(a / b);
-  }
-  return Status::Internal("bad arith op");
-}
-
 void ArithmeticExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
                                std::vector<uint8_t>* errs,
                                Status* first_error) const {
@@ -305,17 +198,15 @@ void ArithmeticExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
   ResolveBatchOperand(*left_, batch, &lvals, &lerrs, first_error, &lop);
   ResolveBatchOperand(*right_, batch, &rvals, &rerrs, first_error, &rop);
   InitBatchOut(batch, out, errs);
-  batch.ForEachActive([&](int32_t r) {
-    const size_t i = static_cast<size_t>(r);
+  for (size_t i = 0; i < out->size(); ++i) {
     if (lop.err(i) || rop.err(i)) {
       (*errs)[i] = 1;
-      return;
+      continue;
     }
     const Value& lv = lop.at(i);
     const Value& rv = rop.at(i);
-    if (lv.is_null() || rv.is_null()) return;
-    // Exact integer arithmetic when both sides are int64 (except division) —
-    // same fast path Eval() takes.
+    if (lv.is_null() || rv.is_null()) continue;
+    // Exact integer arithmetic when both sides are int64 (except division).
     if (lv.type() == DataType::kInt64 && rv.type() == DataType::kInt64 &&
         op_ != ArithOp::kDiv) {
       const int64_t a = lv.AsInt64();
@@ -323,47 +214,47 @@ void ArithmeticExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
       switch (op_) {
         case ArithOp::kAdd:
           (*out)[i] = Value::Int64(a + b);
-          return;
+          continue;
         case ArithOp::kSub:
           (*out)[i] = Value::Int64(a - b);
-          return;
+          continue;
         case ArithOp::kMul:
           (*out)[i] = Value::Int64(a * b);
-          return;
+          continue;
         default:
           break;
       }
     }
     StatusOr<double> a = lv.AsNumeric();
     if (!a.ok()) {
-      RowError(r, a.status(), errs, first_error);
-      return;
+      RowError(i, a.status(), errs, first_error);
+      continue;
     }
     StatusOr<double> b = rv.AsNumeric();
     if (!b.ok()) {
-      RowError(r, b.status(), errs, first_error);
-      return;
+      RowError(i, b.status(), errs, first_error);
+      continue;
     }
     switch (op_) {
       case ArithOp::kAdd:
         (*out)[i] = Value::Double(*a + *b);
-        return;
+        break;
       case ArithOp::kSub:
         (*out)[i] = Value::Double(*a - *b);
-        return;
+        break;
       case ArithOp::kMul:
         (*out)[i] = Value::Double(*a * *b);
-        return;
+        break;
       case ArithOp::kDiv:
         if (*b == 0.0) {
-          RowError(r, Status::InvalidArgument("division by zero"), errs,
+          RowError(i, Status::InvalidArgument("division by zero"), errs,
                    first_error);
-          return;
+          break;
         }
         (*out)[i] = Value::Double(*a / *b);
-        return;
+        break;
     }
-  });
+  }
 }
 
 ExprPtr ArithmeticExpr::RemapColumns(const std::vector<int>& mapping) const {
@@ -385,38 +276,6 @@ std::string ArithmeticExpr::ToString() const {
 
 // ----- LogicalExpr -----
 
-StatusOr<Value> LogicalExpr::Eval(const Tuple& row) const {
-  if (op_ == LogicalOp::kNot) {
-    MAGICDB_ASSIGN_OR_RETURN(Value v, left_->Eval(row));
-    if (v.is_null()) return Value::Null();
-    if (v.type() != DataType::kBool) {
-      return Status::TypeError("NOT over non-boolean: " + v.ToString());
-    }
-    return Value::Bool(!v.AsBool());
-  }
-  // Kleene three-valued AND/OR.
-  MAGICDB_ASSIGN_OR_RETURN(Value lv, left_->Eval(row));
-  MAGICDB_ASSIGN_OR_RETURN(Value rv, right_->Eval(row));
-  auto as_tri = [](const Value& v) -> StatusOr<int> {
-    if (v.is_null()) return 2;  // unknown
-    if (v.type() != DataType::kBool) {
-      return Status::TypeError("logical op over non-boolean: " + v.ToString());
-    }
-    return v.AsBool() ? 1 : 0;
-  };
-  MAGICDB_ASSIGN_OR_RETURN(int a, as_tri(lv));
-  MAGICDB_ASSIGN_OR_RETURN(int b, as_tri(rv));
-  if (op_ == LogicalOp::kAnd) {
-    if (a == 0 || b == 0) return Value::Bool(false);
-    if (a == 2 || b == 2) return Value::Null();
-    return Value::Bool(true);
-  }
-  // OR
-  if (a == 1 || b == 1) return Value::Bool(true);
-  if (a == 2 || b == 2) return Value::Null();
-  return Value::Bool(false);
-}
-
 void LogicalExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
                             std::vector<uint8_t>* errs,
                             Status* first_error) const {
@@ -426,21 +285,20 @@ void LogicalExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
   ResolveBatchOperand(*left_, batch, &lvals, &lerrs, first_error, &lop);
   if (op_ == LogicalOp::kNot) {
     InitBatchOut(batch, out, errs);
-    batch.ForEachActive([&](int32_t r) {
-      const size_t i = static_cast<size_t>(r);
+    for (size_t i = 0; i < out->size(); ++i) {
       if (lop.err(i)) {
         (*errs)[i] = 1;
-        return;
+        continue;
       }
       const Value& v = lop.at(i);
-      if (v.is_null()) return;
+      if (v.is_null()) continue;
       if (v.type() != DataType::kBool) {
-        RowError(r, Status::TypeError("NOT over non-boolean: " + v.ToString()),
+        RowError(i, Status::TypeError("NOT over non-boolean: " + v.ToString()),
                  errs, first_error);
-        return;
+        continue;
       }
       (*out)[i] = Value::Bool(!v.AsBool());
-    });
+    }
     return;
   }
   std::vector<Value> rvals;
@@ -449,7 +307,7 @@ void LogicalExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
   ResolveBatchOperand(*right_, batch, &rvals, &rerrs, first_error, &rop);
   InitBatchOut(batch, out, errs);
   // Kleene three-valued AND/OR: 0 = false, 1 = true, 2 = unknown.
-  auto as_tri = [&](const Value& v, int32_t r) -> int {
+  auto as_tri = [&](const Value& v, size_t r) -> int {
     if (v.is_null()) return 2;
     if (v.type() != DataType::kBool) {
       RowError(r,
@@ -460,23 +318,22 @@ void LogicalExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
     }
     return v.AsBool() ? 1 : 0;
   };
-  batch.ForEachActive([&](int32_t r) {
-    const size_t i = static_cast<size_t>(r);
+  for (size_t i = 0; i < out->size(); ++i) {
     if (lop.err(i) || rop.err(i)) {
       (*errs)[i] = 1;
-      return;
+      continue;
     }
-    const int a = as_tri(lop.at(i), r);
-    if (a < 0) return;
-    const int b = as_tri(rop.at(i), r);
-    if (b < 0) return;
+    const int a = as_tri(lop.at(i), i);
+    if (a < 0) continue;
+    const int b = as_tri(rop.at(i), i);
+    if (b < 0) continue;
     if (op_ == LogicalOp::kAnd) {
       if (a == 0 || b == 0) {
         (*out)[i] = Value::Bool(false);
       } else if (a != 2 && b != 2) {
         (*out)[i] = Value::Bool(true);
       }  // else: unknown stays NULL
-      return;
+      continue;
     }
     // OR
     if (a == 1 || b == 1) {
@@ -484,7 +341,7 @@ void LogicalExpr::BatchEval(const RowBatch& batch, std::vector<Value>* out,
     } else if (a != 2 && b != 2) {
       (*out)[i] = Value::Bool(false);
     }  // else: unknown stays NULL
-  });
+  }
 }
 
 ExprPtr LogicalExpr::RemapColumns(const std::vector<int>& mapping) const {
@@ -674,34 +531,22 @@ void ResolveBatchOperand(const Expr& expr, const RowBatch& batch,
       op->col = &batch.column(index);
       return;
     }
-    // Out-of-range refs take the materializing path below, whose error
-    // handling matches Eval().
+    // Out-of-range refs take the materializing path below, which errs
+    // every row.
   }
   expr.BatchEval(batch, scratch_vals, scratch_errs, first_error);
   op->col = scratch_vals;
   op->errs = scratch_errs;
 }
 
-bool EvalPredicate(const Expr& expr, const Tuple& row) {
-  StatusOr<Value> v = expr.Eval(row);
-  if (!v.ok() || v->is_null()) return false;
-  return v->type() == DataType::kBool && v->AsBool();
-}
-
-void BatchEvalPredicate(const Expr& expr, RowBatch* batch,
-                        std::vector<Value>* vals, std::vector<uint8_t>* errs) {
+void BatchEvalPredicate(const Expr& expr, const RowBatch& batch,
+                        std::vector<Value>* vals, std::vector<uint8_t>* keep) {
   Status first_error;  // predicate errors count as false; status discarded
-  expr.BatchEval(*batch, vals, errs, &first_error);
-  std::vector<int32_t> sel;
-  sel.reserve(static_cast<size_t>(batch->ActiveRows()));
-  batch->ForEachActive([&](int32_t r) {
-    const size_t i = static_cast<size_t>(r);
-    if ((*errs)[i]) return;
-    const Value& v = (*vals)[i];
-    if (v.is_null()) return;
-    if (v.type() == DataType::kBool && v.AsBool()) sel.push_back(r);
-  });
-  batch->SetSelection(std::move(sel));
+  expr.BatchEval(batch, vals, keep, &first_error);
+  for (size_t r = 0; r < vals->size(); ++r) {
+    const Value& v = (*vals)[r];
+    (*keep)[r] = (*keep)[r] == 0 && v.type() == DataType::kBool && v.AsBool();
+  }
 }
 
 }  // namespace magicdb

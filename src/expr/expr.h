@@ -8,7 +8,6 @@
 
 #include "src/common/statusor.h"
 #include "src/types/schema.h"
-#include "src/types/tuple.h"
 #include "src/types/value.h"
 
 namespace magicdb {
@@ -35,8 +34,9 @@ enum class LogicalOp { kAnd, kOr, kNot };
 const char* CompareOpName(CompareOp op);
 const char* ArithOpName(ArithOp op);
 
-/// Scalar expression over a positional tuple layout. Column references are
-/// resolved indexes; the SQL binder produces resolved trees.
+/// Scalar expression over a positional column layout. Column references
+/// are resolved indexes into a batch's columns; the SQL binder produces
+/// resolved trees.
 ///
 /// Evaluation follows SQL three-valued logic: comparisons and arithmetic
 /// over NULL yield NULL; AND/OR use Kleene logic. Predicates treat a NULL
@@ -51,34 +51,19 @@ class Expr {
   /// construction time.
   virtual DataType result_type() const = 0;
 
-  /// Evaluates against `row`. Errors on type mismatches the binder missed
-  /// (e.g. '+' over strings) and on division by zero.
-  virtual StatusOr<Value> Eval(const Tuple& row) const = 0;
-
-  /// Vectorized evaluation over every live row of `batch` (its selection
-  /// vector is honored). Writes out->at(r) for each live physical row r;
-  /// a row whose evaluation errors gets errs->at(r) = 1 and a NULL value,
-  /// and *first_error is set to the error Status if it is still OK. A row
-  /// whose *child* erred is poisoned (errs propagates) without recomputing.
-  /// Both vectors are assign()-ed to batch.num_rows() entries on entry.
-  ///
-  /// Per-row results on the success path are identical to Eval(); when
-  /// several rows error, *first_error is the first in this tree's
-  /// (child-major) evaluation order, which can differ from the row-major
-  /// order Eval() surfaces — predicates never observe this (errors count
-  /// as false either way).
-  ///
-  /// ComparisonExpr / ArithmeticExpr / LogicalExpr / ColumnRefExpr /
-  /// LiteralExpr override this with tight column loops that skip the
-  /// per-row virtual Eval dispatch; the base implementation falls back to
-  /// materializing each live row and calling Eval (so any future Expr kind
-  /// is batch-safe by construction).
+  /// Evaluates the expression over every row of `batch`, the only
+  /// evaluator. Writes out->at(r) for each row r; a row whose evaluation
+  /// errs (a type mismatch the binder missed, e.g. '+' over strings, or
+  /// division by zero) gets errs->at(r) = 1 and a NULL value, and
+  /// *first_error is set to the error Status if it is still OK. A row whose
+  /// *child* erred is poisoned (errs propagates) without recomputing. Both
+  /// vectors are assign()-ed to batch.num_rows() entries on entry. When
+  /// several rows err, *first_error is the first in this tree's
+  /// (child-major) evaluation order. Every kind implements it with tight
+  /// column loops.
   virtual void BatchEval(const RowBatch& batch, std::vector<Value>* out,
                          std::vector<uint8_t>* errs,
-                         Status* first_error) const;
-
-  /// Number of nodes in this tree (used to charge CPU per evaluation).
-  virtual int NodeCount() const = 0;
+                         Status* first_error) const = 0;
 
   /// Collects the distinct column indexes referenced by this tree.
   void CollectColumnRefs(std::vector<int>* out) const;
@@ -105,11 +90,9 @@ class LiteralExpr final : public Expr {
 
   const Value& value() const { return value_; }
   DataType result_type() const override { return value_.type(); }
-  StatusOr<Value> Eval(const Tuple& row) const override;
   void BatchEval(const RowBatch& batch, std::vector<Value>* out,
                  std::vector<uint8_t>* errs,
                  Status* first_error) const override;
-  int NodeCount() const override { return 1; }
   ExprPtr RemapColumns(const std::vector<int>& mapping) const override;
   std::string ToString() const override { return value_.ToString(); }
 
@@ -131,11 +114,9 @@ class ColumnRefExpr final : public Expr {
   int index() const { return index_; }
   const std::string& name() const { return name_; }
   DataType result_type() const override { return type_; }
-  StatusOr<Value> Eval(const Tuple& row) const override;
   void BatchEval(const RowBatch& batch, std::vector<Value>* out,
                  std::vector<uint8_t>* errs,
                  Status* first_error) const override;
-  int NodeCount() const override { return 1; }
   ExprPtr RemapColumns(const std::vector<int>& mapping) const override;
   std::string ToString() const override;
 
@@ -159,13 +140,9 @@ class ComparisonExpr final : public Expr {
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
   DataType result_type() const override { return DataType::kBool; }
-  StatusOr<Value> Eval(const Tuple& row) const override;
   void BatchEval(const RowBatch& batch, std::vector<Value>* out,
                  std::vector<uint8_t>* errs,
                  Status* first_error) const override;
-  int NodeCount() const override {
-    return 1 + left_->NodeCount() + right_->NodeCount();
-  }
   ExprPtr RemapColumns(const std::vector<int>& mapping) const override;
   std::string ToString() const override;
 
@@ -189,13 +166,9 @@ class ArithmeticExpr final : public Expr {
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
   DataType result_type() const override;
-  StatusOr<Value> Eval(const Tuple& row) const override;
   void BatchEval(const RowBatch& batch, std::vector<Value>* out,
                  std::vector<uint8_t>* errs,
                  Status* first_error) const override;
-  int NodeCount() const override {
-    return 1 + left_->NodeCount() + right_->NodeCount();
-  }
   ExprPtr RemapColumns(const std::vector<int>& mapping) const override;
   std::string ToString() const override;
 
@@ -220,13 +193,9 @@ class LogicalExpr final : public Expr {
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
   DataType result_type() const override { return DataType::kBool; }
-  StatusOr<Value> Eval(const Tuple& row) const override;
   void BatchEval(const RowBatch& batch, std::vector<Value>* out,
                  std::vector<uint8_t>* errs,
                  Status* first_error) const override;
-  int NodeCount() const override {
-    return 1 + left_->NodeCount() + (right_ ? right_->NodeCount() : 0);
-  }
   ExprPtr RemapColumns(const std::vector<int>& mapping) const override;
   std::string ToString() const override;
 
@@ -314,16 +283,13 @@ void ResolveBatchOperand(const Expr& expr, const RowBatch& batch,
                          std::vector<uint8_t>* scratch_errs,
                          Status* first_error, BatchOperand* op);
 
-/// Evaluates `expr` as a predicate: NULL and errors count as false.
-bool EvalPredicate(const Expr& expr, const Tuple& row);
-
-/// Vectorized EvalPredicate: evaluates `expr` over every live row of
-/// `batch` and narrows the batch's selection vector to the rows where the
-/// result is boolean true (NULL, non-bool, and erroring rows drop out —
-/// exactly EvalPredicate's semantics). `vals`/`errs` are caller-owned
-/// scratch vectors reused across batches.
-void BatchEvalPredicate(const Expr& expr, RowBatch* batch,
-                        std::vector<Value>* vals, std::vector<uint8_t>* errs);
+/// Evaluates `expr` as a predicate over every row of `batch`: on return
+/// keep->at(r) is 1 exactly where the result is boolean true (NULL,
+/// non-bool and erroring rows count as false) and 0 elsewhere, ready for
+/// RowBatch::KeepRows. `vals` and `keep` are caller-owned scratch vectors
+/// reused across batches.
+void BatchEvalPredicate(const Expr& expr, const RowBatch& batch,
+                        std::vector<Value>* vals, std::vector<uint8_t>* keep);
 
 }  // namespace magicdb
 

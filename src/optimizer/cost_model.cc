@@ -130,15 +130,6 @@ double AggregateSpill(double input_rows, int64_t width_bytes,
   return 2.0 * passes * Estimate::PagesForRowsD(input_rows, width_bytes);
 }
 
-double VectorizedCpuFactor(int64_t batch_size) {
-  if (batch_size <= 1) return 1.0;
-  // Per-tuple interpretation overhead splits into a fixed floor (work that
-  // stays per-row: value moves, hashing) and an amortizable share (operator
-  // dispatch, virtual calls, cancellation checks) spread over the batch.
-  constexpr double kFloor = 0.25;
-  return kFloor + (1.0 - kFloor) / static_cast<double>(batch_size);
-}
-
 }  // namespace costs
 
 double ExpectedDistinct(double domain, double draws) {

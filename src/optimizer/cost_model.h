@@ -102,14 +102,6 @@ double HashSpill(double build_rows, int64_t build_width, double probe_rows,
 double AggregateSpill(double input_rows, int64_t width_bytes,
                       int64_t memory_budget_bytes);
 
-/// Multiplier in (0, 1] on per-tuple CPU when operators run vectorized with
-/// `batch_size` rows per batch: interpretation overhead amortizes over the
-/// batch, asymptoting at kVectorizedCpuFloor for large batches. 1.0 for
-/// batch_size <= 1 (one row per pull). Diagnostic only — join ordering does
-/// NOT consult it, so every batch size executes the identical plan (the
-/// counter-identity guarantee compares executions of one plan).
-double VectorizedCpuFactor(int64_t batch_size);
-
 }  // namespace costs
 
 /// Expected number of distinct values observed after `draws` samples (with

@@ -72,7 +72,6 @@ class Optimizer {
   const OptimizerOptions& options() const { return options_; }
   OptimizerOptions* mutable_options() { return &options_; }
   const OptimizerStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
 
   /// Installs a cardinality overlay: observed row counts (keyed by feedback
   /// scan key, see src/stats/feedback_store.h) that override the stats-based

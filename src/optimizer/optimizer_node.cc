@@ -91,20 +91,7 @@ void Optimizer::set_cardinality_overlay(const CardinalityOverlay* overlay) {
 }
 
 StatusOr<OptimizedPlan> Optimizer::Optimize(const LogicalPtr& plan) {
-  if (!plan) return Status::InvalidArgument("cannot optimize a null plan");
-  impl_->chosen_filter_joins_.clear();
-  optimizer_internal::PlanContext ctx;
-  MAGICDB_ASSIGN_OR_RETURN(Planned planned, impl_->PlanNode(plan, &ctx));
-  OptimizedPlan result;
-  MAGICDB_ASSIGN_OR_RETURN(result.root, planned.build());
-  result.est_cost = planned.est.cost;
-  result.est_rows = planned.est.rows;
-  result.filter_joins = impl_->chosen_filter_joins_;
-  result.explain = "estimated cost=" + std::to_string(planned.est.cost) +
-                   " rows=" + std::to_string(planned.est.rows) +
-                   " backend=" + options_.join_order_backend + "\n" +
-                   result.root->TreeString();
-  return result;
+  return OptimizeWithFilterSets(plan, {});
 }
 
 StatusOr<OptimizedPlan> Optimizer::OptimizeWithFilterSets(

@@ -125,8 +125,6 @@ struct OptimizerStats {
   int64_t eq_class_hits = 0;           // parametric cache hits
   int64_t eq_class_misses = 0;         // parametric cache fills
   int64_t filter_joins_costed = 0;
-
-  void Reset() { *this = OptimizerStats(); }
 };
 
 }  // namespace magicdb

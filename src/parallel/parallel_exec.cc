@@ -164,15 +164,12 @@ Status RunPipeline(Operator* root, ExecContext* ctx,
     return Status::OK();
   };
   Status st = DrainBatches(root, ctx, [&](RowBatch* batch) {
-    const std::vector<int32_t>* sel =
-        batch->sel_active() ? &batch->selection() : nullptr;
-    const int32_t n = batch->ActiveRows();
+    const int32_t n = batch->num_rows();
     if (n > 0 && !batch->has_ranks()) {
       return Status::Internal("parallel pipeline batch lacks rank tags");
     }
     Tuple t;
-    for (int32_t k = 0; k < n; ++k) {
-      const int32_t r = sel ? (*sel)[static_cast<size_t>(k)] : k;
+    for (int32_t r = 0; r < n; ++r) {
       batch->MoveRowToTuple(r, &t);
       MAGICDB_RETURN_IF_ERROR(stage(std::move(t),
                                     batch->pos()[static_cast<size_t>(r)],

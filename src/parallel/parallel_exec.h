@@ -105,8 +105,6 @@ class ParallelExecutor {
   StatusOr<StagedStream> RunStaged(std::vector<OpPtr> replicas,
                                    const ExecContext& proto);
 
-  int dop() const { return dop_; }
-
   /// Why `root` cannot run parallel; empty string == parallel-safe.
   /// Exposed for tests and EXPLAIN-style diagnostics.
   static std::string UnsafeReason(const Operator& root);

@@ -2,7 +2,6 @@
 
 #include "src/common/logging.h"
 #include "src/exec/exec_context.h"
-#include "src/expr/expr.h"
 #include "src/spill/row_serde.h"
 
 namespace magicdb {
@@ -21,11 +20,11 @@ Status GraceHashJoin::OutCodec::Decode(std::string_view record,
 
 GraceHashJoin::GraceHashJoin(std::shared_ptr<SpillManager> mgr,
                              std::vector<int> outer_keys,
-                             std::vector<int> inner_keys, const Expr* residual)
+                             std::vector<int> inner_keys, ExprPtr residual)
     : mgr_(std::move(mgr)),
       outer_keys_(std::move(outer_keys)),
       inner_keys_(std::move(inner_keys)),
-      residual_(residual),
+      residual_(std::move(residual)),
       partitions_(mgr_.get(), {"join-build", "join-probe"}) {}
 
 Status GraceHashJoin::BeginBuildSpill(ExecContext* ctx,
@@ -107,18 +106,32 @@ Status GraceHashJoin::JoinLeaf(const SpillPartitioner::Leaf& leaf,
         return Status::OK();
       });
 
-  // Stream the probe partition against the loaded table, emitting matches
-  // tagged with the probe sequence so the final merge can restore order.
+  // Stream the probe partition against the loaded table. Matches collect
+  // in a batch, rank-tagged with their probe sequence so the final merge
+  // can restore order; the residual keeps its survivors one batch at a
+  // time, and only those are appended to the output run.
   RunWriter<OutCodec> out(mgr_.get(), "join-out");
+  RowBatch matches(static_cast<int32_t>(ctx->batch_size()));
+  const auto flush = [&]() -> Status {
+    residual_.Keep(ctx, &matches);
+    OutRow match;
+    for (int32_t r = 0; r < matches.num_rows(); ++r) {
+      match.seq = matches.pos()[static_cast<size_t>(r)];
+      matches.MoveRowToTuple(r, &match.row);
+      MAGICDB_RETURN_IF_ERROR(out.Append(match, ctx));
+    }
+    matches.ResetForWrite(matches.num_cols());
+    return Status::OK();
+  };
   if (status.ok()) {
     status = ForEachRecord(
         leaf.files[1].get(), ctx, [&](std::string_view record) -> Status {
           spill::RecordReader reader(record.data(), record.size());
           uint64_t hash = 0;
-          OutRow match;
+          int64_t seq = 0;
           Tuple row;
           MAGICDB_RETURN_IF_ERROR(reader.ReadU64(&hash));
-          MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&match.seq));
+          MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&seq));
           MAGICDB_RETURN_IF_ERROR(reader.ReadTuple(&row));
           for (uint32_t e = table.First(hash); e != HashTable<Tuple>::kEnd;
                e = table.Next(e)) {
@@ -128,16 +141,20 @@ Status GraceHashJoin::JoinLeaf(const SpillPartitioner::Leaf& leaf,
               continue;  // hash collision
             }
             ctx->counters().tuples_processed += 1;
-            match.row = ConcatTuples(row, build_row);
-            if (residual_ != nullptr) {
-              ctx->counters().exprs_evaluated += 1;
-              if (!EvalPredicate(*residual_, match.row)) continue;
+            Tuple joined = ConcatTuples(row, build_row);
+            if (matches.num_rows() == 0) {  // a fresh batch: shape it
+              matches.ResetForWrite(static_cast<int>(joined.size()));
+              matches.EnableRanks();
             }
-            MAGICDB_RETURN_IF_ERROR(out.Append(match, ctx));
+            matches.AppendTuple(std::move(joined));
+            matches.pos().push_back(seq);
+            matches.sub().push_back(0);
+            if (matches.full()) MAGICDB_RETURN_IF_ERROR(flush());
           }
           return Status::OK();
         });
   }
+  if (status.ok()) status = flush();
   ctx->ReleaseMemory(charged);
   if (*split) return Status::OK();
   MAGICDB_RETURN_IF_ERROR(status);

@@ -17,7 +17,8 @@
 ///      partition is empty — they cannot join).
 ///   4. FinishProbe() joins the partition pairs one at a time: load one
 ///      build partition into a charged in-memory table, stream its probe
-///      partition, write matches as (seq, joined row) to an output run. A
+///      partition, and write the matches that satisfy the residual (kept a
+///      batch at a time) as (seq, joined row) to an output run. A
 ///      build partition that itself breaches the limit is split by the
 ///      SpillPartitioner at depth+1 (both files), up to the configured
 ///      recursion bound.
@@ -38,6 +39,7 @@
 
 #include "src/common/hash_table.h"
 #include "src/common/statusor.h"
+#include "src/exec/operator.h"
 #include "src/spill/sorted_runs.h"
 #include "src/spill/spill_manager.h"
 #include "src/spill/spill_partition_set.h"
@@ -45,13 +47,10 @@
 
 namespace magicdb {
 
-class ExecContext;
-class Expr;
-
 class GraceHashJoin {
  public:
   GraceHashJoin(std::shared_ptr<SpillManager> mgr, std::vector<int> outer_keys,
-                std::vector<int> inner_keys, const Expr* residual);
+                std::vector<int> inner_keys, ExprPtr residual);
 
   /// Dumps the breached in-memory build table to partitions, releasing its
   /// `*charged_bytes` from the tracker and clearing the table.
@@ -88,7 +87,7 @@ class GraceHashJoin {
   const std::shared_ptr<SpillManager> mgr_;
   const std::vector<int> outer_keys_;
   const std::vector<int> inner_keys_;
-  const Expr* const residual_;
+  BatchFilter residual_;
 
   SpillPartitioner partitions_;  // input 0: build, input 1: probe
   int64_t probe_seq_ = 0;

@@ -1,5 +1,5 @@
 // Tests for batch execution: RowBatch mechanics, chunked memory
-// reservation, selection-vector edge cases, row-at-a-time operators over
+// reservation, filter edge cases, row-at-a-time operators over
 // batch children, LIMIT doing no work past its rows, and the headline
 // guarantee — results, result order, and cost counters byte-identical to
 // batch size 1 (the exact-work reference) at any DoP and any batch size,
@@ -21,11 +21,13 @@
 #include "src/exec/basic_ops.h"
 #include "src/exec/exec_context.h"
 #include "src/exec/filter_join_op.h"
+#include "src/exec/function_ops.h"
 #include "src/exec/join_ops.h"
 #include "src/exec/row_batch.h"
 #include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
 #include "src/server/query_service.h"
+#include "src/udr/table_function.h"
 #include "tests/test_util.h"
 
 namespace magicdb {
@@ -40,16 +42,15 @@ TEST(RowBatchTest, AppendSelectActiveRows) {
     b.AppendTuple({Value::Int64(i), Value::String("r" + std::to_string(i))});
   }
   EXPECT_EQ(b.num_rows(), 3);
-  EXPECT_EQ(b.ActiveRows(), 3);
   EXPECT_FALSE(b.full());
-  b.SetSelection({0, 2});
-  EXPECT_EQ(b.num_rows(), 3);  // physical rows unchanged
-  EXPECT_EQ(b.ActiveRows(), 2);
+  b.KeepRows({1, 0, 1});
+  EXPECT_EQ(b.num_rows(), 2);  // every row of a batch is live
   std::vector<Tuple> out;
   b.MoveActiveToTuples(&out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0][0].AsInt64(), 0);
   EXPECT_EQ(out[1][0].AsInt64(), 2);
+  EXPECT_EQ(out[1][1].AsString(), "r2");
 }
 
 TEST(RowBatchTest, CompactActiveGathersSurvivorsAndRanks) {
@@ -61,11 +62,8 @@ TEST(RowBatchTest, CompactActiveGathersSurvivorsAndRanks) {
     b.pos().push_back(100 + i);
     b.sub().push_back(i);
   }
-  b.SetSelection({0, 2, 4});  // prefix row 0 stays put; 2 and 4 gather down
-  b.CompactActive();
-  EXPECT_FALSE(b.sel_active());
+  b.KeepRows({1, 0, 1, 0, 1});  // row 0 stays put; 2 and 4 gather down
   ASSERT_EQ(b.num_rows(), 3);
-  EXPECT_EQ(b.ActiveRows(), 3);
   ASSERT_EQ(b.column(0).size(), 3u);
   EXPECT_EQ(b.column(0)[0].AsInt64(), 0);
   EXPECT_EQ(b.column(0)[1].AsInt64(), 2);
@@ -74,25 +72,27 @@ TEST(RowBatchTest, CompactActiveGathersSurvivorsAndRanks) {
   ASSERT_EQ(b.pos().size(), 3u);
   EXPECT_EQ(b.pos()[1], 102);
   EXPECT_EQ(b.sub()[2], 4);
-  // Compacting again (no selection) is a no-op.
-  b.CompactActive();
+  // Keeping every row changes nothing.
+  b.KeepRows({1, 1, 1});
   EXPECT_EQ(b.num_rows(), 3);
+  EXPECT_EQ(b.column(0)[2].AsInt64(), 4);
+  EXPECT_EQ(b.pos()[2], 104);
 
-  // An empty selection compacts to an empty batch.
-  b.SetSelection({});
-  b.CompactActive();
+  // Keeping no row empties the columns and the ranks.
+  b.KeepRows({0, 0, 0});
   EXPECT_EQ(b.num_rows(), 0);
-  EXPECT_FALSE(b.sel_active());
   EXPECT_TRUE(b.column(0).empty());
   EXPECT_TRUE(b.pos().empty());
+  EXPECT_TRUE(b.sub().empty());
 }
 
 TEST(RowBatchTest, EmptySelectionMeansNoActiveRows) {
   RowBatch b(4);
   b.ResetForWrite(1);
   b.AppendTuple({Value::Int64(7)});
-  b.SetSelection({});
-  EXPECT_EQ(b.ActiveRows(), 0);
+  b.KeepRows({0});
+  EXPECT_EQ(b.num_rows(), 0);
+  EXPECT_FALSE(b.full());
   std::vector<Tuple> out;
   b.MoveActiveToTuples(&out);
   EXPECT_TRUE(out.empty());
@@ -101,15 +101,22 @@ TEST(RowBatchTest, EmptySelectionMeansNoActiveRows) {
 TEST(RowBatchTest, ResetForWriteClearsSelectionAndRanks) {
   RowBatch b(2);
   b.ResetForWrite(1);
-  b.AppendTuple({Value::Int64(1)});
-  b.SetSelection({0});
   b.EnableRanks();
+  b.AppendTuple({Value::Int64(1)});
   b.pos().push_back(42);
   b.sub().push_back(0);
+  b.AppendTuple({Value::Int64(2)});
+  b.pos().push_back(43);
+  b.sub().push_back(0);
+  b.KeepRows({0, 1});
+  ASSERT_EQ(b.num_rows(), 1);
   b.ResetForWrite(1);
   EXPECT_EQ(b.num_rows(), 0);
-  EXPECT_FALSE(b.sel_active());
+  EXPECT_TRUE(b.column(0).empty());
   EXPECT_FALSE(b.has_ranks());
+  EXPECT_TRUE(b.pos().empty());
+  EXPECT_TRUE(b.sub().empty());
+  EXPECT_EQ(b.capacity(), 2);
 }
 
 TEST(RowBatchTest, HelpersMatchTupleCounterparts) {
@@ -523,7 +530,8 @@ TEST(BatchEdgeCaseTest, HashJoinKeepsProbeRowsWhenPullSizeChanges) {
 // asks a child for more rows than it was asked for, so a LIMIT query does
 // the same work — and charges the same counters — at any batch size. A
 // design that fetched ahead (a full batch below the LIMIT) would charge
-// the extra scan, probe and filter work at batch 7 and 1024.
+// the extra scan, probe and filter work at batch 7 and 1024. A join with a
+// residual evaluates it over one-row batches here, one candidate at a time.
 TEST(BatchLimitTest, LimitWorkIsBatchSizeInvariant) {
   Table r("r", Schema({{"r", "k", DataType::kInt64},
                        {"r", "x", DataType::kInt64}}));
@@ -543,10 +551,35 @@ TEST(BatchLimitTest, LimitWorkIsBatchSizeInvariant) {
         MakeComparison(CompareOp::kGe, MakeColumnRef(1, DataType::kInt64),
                        MakeLiteral(Value::Int64(1000))));
   };
-  auto probe_s = [&](OpPtr outer) -> OpPtr {
+  auto probe_s = [&](OpPtr outer, ExprPtr residual = nullptr) -> OpPtr {
     return std::make_unique<IndexNestedLoopsJoinOp>(
-        std::move(outer), &s, s_index, std::vector<int>{0}, nullptr);
+        std::move(outer), &s, s_index, std::vector<int>{0},
+        std::move(residual));
   };
+  // Over r ++ s (or r ++ the function's args ++ y): y < 1000 keeps two of
+  // the eight inner rows of each key, so the join runs its residual loop.
+  auto residual = [] {
+    return MakeComparison(CompareOp::kLt, MakeColumnRef(3, DataType::kInt64),
+                          MakeLiteral(Value::Int64(1000)));
+  };
+  auto filter_join = [&](ExprPtr fj_residual) -> OpPtr {
+    const std::string binding = "fs_limit";
+    auto inner = std::make_unique<FilterProbeOp>(
+        std::make_unique<SeqScanOp>(&s), binding, std::vector<int>{0});
+    return std::make_unique<FilterJoinOp>(
+        filtered_r(), std::move(inner), binding, std::vector<int>{0},
+        std::vector<int>{0}, std::move(fj_residual), FilterSetImpl::kExact);
+  };
+  // s as a function: the eight (y) rows of key k.
+  LambdaTableFunction s_fn(
+      "s_fn", Schema({{"", "k", DataType::kInt64}}),
+      Schema({{"", "y", DataType::kInt64}}),
+      [](const Tuple& in, std::vector<Tuple>* out) {
+        for (int64_t j = 0; j < 8; ++j) {
+          out->push_back({Value::Int64((in[0].AsInt64() + 50 * j) * 10)});
+        }
+        return Status::OK();
+      });
   const std::vector<std::pair<std::string, std::function<OpPtr()>>> shapes = {
       {"filtered scan", filtered_r},
       {"hash join",
@@ -558,13 +591,37 @@ TEST(BatchLimitTest, LimitWorkIsBatchSizeInvariant) {
       // Eight inner matches per outer row.
       {"index nested loops", [&] { return probe_s(filtered_r()); }},
       {"filter join under index nested loops",
-       [&] {
-         const std::string binding = "fs_limit";
-         auto inner = std::make_unique<FilterProbeOp>(
-             std::make_unique<SeqScanOp>(&s), binding, std::vector<int>{0});
-         return probe_s(std::make_unique<FilterJoinOp>(
-             filtered_r(), std::move(inner), binding, std::vector<int>{0},
-             std::vector<int>{0}, nullptr, FilterSetImpl::kExact));
+       [&] { return probe_s(filter_join(nullptr)); }},
+      // A residual on each join method.
+      {"hash join + residual",
+       [&]() -> OpPtr {
+         return std::make_unique<HashJoinOp>(
+             filtered_r(), std::make_unique<SeqScanOp>(&s),
+             std::vector<int>{0}, std::vector<int>{0}, residual());
+       }},
+      {"index nested loops + residual",
+       [&] { return probe_s(filtered_r(), residual()); }},
+      {"nested loops + residual",
+       [&]() -> OpPtr {
+         return std::make_unique<NestedLoopsJoinOp>(
+             filtered_r(), std::make_unique<SeqScanOp>(&s),
+             MakeAnd(MakeComparison(CompareOp::kEq,
+                                    MakeColumnRef(0, DataType::kInt64),
+                                    MakeColumnRef(2, DataType::kInt64)),
+                     residual()));
+       }},
+      {"sort-merge + residual",
+       [&]() -> OpPtr {
+         return std::make_unique<SortMergeJoinOp>(
+             filtered_r(), std::make_unique<SeqScanOp>(&s),
+             std::vector<int>{0}, std::vector<int>{0}, residual());
+       }},
+      {"filter join + residual", [&] { return filter_join(residual()); }},
+      {"function probe + residual",
+       [&]() -> OpPtr {
+         return std::make_unique<FunctionProbeJoinOp>(
+             filtered_r(), &s_fn, std::vector<int>{0}, residual(),
+             /*memoize=*/true);
        }},
   };
   for (const auto& [name, make] : shapes) {

@@ -130,24 +130,6 @@ TEST(ExpectedDistinctTest, NeverExceedsDrawsOrDomain) {
   }
 }
 
-TEST(CostsTest, VectorizedCpuFactorAmortizesWithBatchSize) {
-  // Tuple-at-a-time pays full per-row overhead.
-  EXPECT_DOUBLE_EQ(costs::VectorizedCpuFactor(0), 1.0);
-  EXPECT_DOUBLE_EQ(costs::VectorizedCpuFactor(1), 1.0);
-  // Monotonically non-increasing in batch size, bounded away from zero by
-  // the non-amortizable per-row floor.
-  double prev = 1.0;
-  for (int64_t batch : {2, 7, 64, 1024, 1 << 20}) {
-    const double f = costs::VectorizedCpuFactor(batch);
-    EXPECT_LE(f, prev) << batch;
-    EXPECT_GT(f, 0.0) << batch;
-    EXPECT_LT(f, 1.0) << batch;
-    prev = f;
-  }
-  // Large batches asymptote near the floor rather than collapsing to it.
-  EXPECT_NEAR(costs::VectorizedCpuFactor(1 << 20), 0.25, 1e-4);
-}
-
 TEST(FilterJoinBreakdownTest, StepTotalSumsComponentsExceptOuter) {
   FilterJoinCostBreakdown bd;
   bd.join_cost_p = 100;  // excluded

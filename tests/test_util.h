@@ -5,8 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "src/common/statusor.h"
 #include "src/exec/basic_ops.h"
+#include "src/exec/row_batch.h"
 #include "src/exec/scan_ops.h"
+#include "src/expr/expr.h"
 #include "src/types/tuple.h"
 
 namespace magicdb::testutil {
@@ -30,6 +33,34 @@ inline bool SameMultiset(std::vector<Tuple> a, std::vector<Tuple> b) {
     if (CompareTuples(a[i], b[i]) != 0) return false;
   }
   return true;
+}
+
+/// A one-row batch holding a copy of `row`.
+inline RowBatch OneRowBatch(const Tuple& row) {
+  RowBatch batch(1);
+  batch.ResetForWrite(static_cast<int>(row.size()));
+  batch.AppendTuple(Tuple(row));
+  return batch;
+}
+
+/// Evaluates `expr` over `row` through a one-row batch, the way operators
+/// evaluate expressions (Expr::BatchEval): the value, or the row's error.
+inline StatusOr<Value> EvalRow(const Expr& expr, const Tuple& row) {
+  std::vector<Value> vals;
+  std::vector<uint8_t> errs;
+  Status first_error;
+  expr.BatchEval(OneRowBatch(row), &vals, &errs, &first_error);
+  if (errs[0] != 0) return first_error;
+  return vals[0];
+}
+
+/// `expr` as a predicate over `row` (BatchEvalPredicate): NULL and errors
+/// count as false.
+inline bool RowPredicate(const Expr& expr, const Tuple& row) {
+  std::vector<Value> vals;
+  std::vector<uint8_t> keep;
+  BatchEvalPredicate(expr, OneRowBatch(row), &vals, &keep);
+  return keep[0] != 0;
 }
 
 /// Describes the first FilterOp in the tree under `root` whose child is a
