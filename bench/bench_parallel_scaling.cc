@@ -3,7 +3,9 @@
 // DoP in {1, 2, 4, 8}, for the plan shapes the executor parallelizes —
 // the no-magic hash-join plan, the magic FilterJoin plan, and two-phase
 // parallel GROUP BY aggregation at both cardinality extremes
-// (low-cardinality = merge-heavy, high-cardinality = partition-heavy).
+// (low-cardinality = merge-heavy, high-cardinality = partition-heavy) —
+// and, at DoP in {1, 2, 4}, a 1M-row scan returned whole, which measures
+// what delivering every row through the result sink's lanes costs.
 //
 // Two invariants are asserted on every run, not just reported:
 //   * rows are byte-identical to the DoP=1 execution, in the same order;
@@ -94,15 +96,20 @@ const char* kGroupByHighCardQuery =
     "SELECT E.sal, COUNT(*) AS c, MAX(E.age) AS m "
     "FROM Emp E GROUP BY E.sal";
 
-/// Runs `query` at every DoP in g_dops, printing the scaling table and
-/// asserting byte-identical rows + exactly-merged counters against DoP=1.
+// The whole Emp relation: no breaker, so every row streams out of the
+// workers' lanes.
+const char* kWholeScanQuery = "SELECT E.did, E.sal, E.age FROM Emp E";
+
+/// Runs `query` at every DoP in `dops` (the first must be 1), printing the
+/// scaling table and asserting byte-identical rows + exactly-merged
+/// counters against DoP=1.
 void RunScalingLoop(Database* db, const char* plan_key, const char* query,
-                    Json* json_results) {
+                    const std::vector<int>& dops, Json* json_results) {
   TablePrinter table({"dop", "used_dop", "wall_ms(median)", "speedup",
                       "measured_cost", "rows", "fallback"});
   QueryResult base;
   double base_ms = 0.0;
-  for (int dop : g_dops) {
+  for (int dop : dops) {
     QueryResult result;
     const double ms = MedianWallMs(db, query, dop, &result);
     if (dop == 1) {
@@ -154,11 +161,13 @@ void PrintScalingTable(const char* title, const char* plan_key,
 
   std::cout << "=== " << title << " (Dept=" << opts.num_depts
             << ", Emp=" << opts.num_depts * opts.emps_per_dept << ") ===\n\n";
-  RunScalingLoop(db.get(), plan_key, query, json_results);
+  RunScalingLoop(db.get(), plan_key, query, g_dops, json_results);
 }
 
+/// Scaling over the 1M-row Emp (smoke: 2,000 rows) at `dops`.
 void PrintAggScalingTable(const char* title, const char* plan_key,
-                          const char* query, bool smoke, Json* json_results) {
+                          const char* query, const std::vector<int>& dops,
+                          bool smoke, Json* json_results) {
   Figure1Options opts;
   // 1M input rows (2000 x 500) in the full run: large enough that the
   // accumulate phase dominates and DoP-4 speedup is observable on a
@@ -174,7 +183,7 @@ void PrintAggScalingTable(const char* title, const char* plan_key,
 
   std::cout << "=== " << title
             << " (Emp=" << opts.num_depts * opts.emps_per_dept << ") ===\n\n";
-  RunScalingLoop(db.get(), plan_key, query, json_results);
+  RunScalingLoop(db.get(), plan_key, query, dops, json_results);
 }
 
 // ----- Adaptive re-optimization bake-off (DP vs greedy vs adaptive) -----
@@ -363,10 +372,15 @@ void PrintScaling(bool smoke, const std::string& json_path) {
                     OptimizerOptions::MagicMode::kAlwaysOnVirtual, smoke, out);
   PrintAggScalingTable(
       "Parallel scaling, GROUP BY low cardinality (merge-heavy)",
-      "group_by_low_cardinality", kGroupByLowCardQuery, smoke, out);
+      "group_by_low_cardinality", kGroupByLowCardQuery, g_dops, smoke, out);
   PrintAggScalingTable(
       "Parallel scaling, GROUP BY high cardinality (partition-heavy)",
-      "group_by_high_cardinality", kGroupByHighCardQuery, smoke, out);
+      "group_by_high_cardinality", kGroupByHighCardQuery, g_dops, smoke, out);
+  PrintAggScalingTable("Whole result, scan returned by Database::Run",
+                       "whole_result_scan", kWholeScanQuery,
+                       smoke ? std::vector<int>{1, 2}
+                             : std::vector<int>{1, 2, 4},
+                       smoke, out);
   Json bakeoff_results = Json::Array();
   PrintAdaptiveBakeoff(smoke, json_path.empty() ? nullptr : &bakeoff_results);
   if (out != nullptr) {

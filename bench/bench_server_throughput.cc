@@ -205,9 +205,11 @@ StreamResult RunStreaming(Database* db, const QueryResult& baseline, int dop) {
     for (size_t i = 0; i < rows.size(); ++i) {
       MAGICDB_CHECK(CompareTuples(rows[i], baseline.rows[i]) == 0);
     }
-    // The bounded-memory contract, asserted on every iteration.
+    // The bounded-memory contract, asserted on every iteration: the
+    // queue's mark plus one quantum per producing lane (one per worker).
     MAGICDB_CHECK(out.peak_buffered_rows <=
-                  so.stream_queue_rows + so.scheduler_quantum_rows);
+                  so.stream_queue_rows +
+                      out.used_dop * so.scheduler_quantum_rows);
     MAGICDB_CHECK_OK(cursor->Close());
     if (iter == 0 || out.ttlr_us < best.ttlr_us) best = out;
   }

@@ -51,16 +51,23 @@
 # absorb the rejections, and survivors must stay byte-identical with zero
 # leaked tickets, gang slots, cursors, or disk-budget bytes.
 #
-# Before anything builds, three source guards: every build side, distinct
+# Before anything builds, four source guards: every build side, distinct
 # set, filter set and group index goes through HashTable<T> in
 # src/common/hash_table.h, so a hand-rolled unordered_map<uint64_t, ...>
 # table under src/ fails the check; every spilled record is read through
 # the sorted-run module (src/spill/sorted_runs.h: RunMerge, ForEachRecord)
 # or the partitioner beside SpillPartitionSet, so a SpillFile::NextRecord
-# call anywhere else under src/ fails it too; and batches are dense and
+# call anywhere else under src/ fails it too; batches are dense and
 # Expr::BatchEval is the one evaluator, so a row evaluator (Eval(const
 # Tuple, EvalPredicate() or a selection vector (SetSelection, sel_active,
-# ActiveRows, ForEachActive) under src/ fails it as well.
+# ActiveRows, ForEachActive) under src/ fails it as well; and a dop > 1
+# query streams its workers' rows through the lanes of the result sink, so
+# a staged gather (StagedStream, RunStaged, GatherCodec, GatherRow) under
+# src/ fails it too.
+#
+# After the TSAN suite, the cursor tests and the two concurrent-cursor
+# stress tests rerun five times under TSAN: every dop > 1 cursor has
+# concurrent producers and a consumer-side lane merge.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -89,6 +96,15 @@ if grep -rn -e "Eval(const Tuple" -e "\bEvalPredicate(" -e "SetSelection(" \
   echo "error: row-at-a-time evaluation or a selection vector under src/" \
        "(above); evaluate through Expr::BatchEval / BatchEvalPredicate and" \
        "keep filtered rows with RowBatch::KeepRows" >&2
+  exit 1
+fi
+
+echo "=== Source guard: no staged gather ==="
+if grep -rn -e "StagedStream" -e "RunStaged" -e "GatherCodec" -e "GatherRow" \
+     src/; then
+  echo "error: a staged parallel gather under src/ (above); a dop > 1" \
+       "query's workers stream into the lanes of the ResultSink" \
+       "(StreamPump, src/exec/stream_pump.h)" >&2
   exit 1
 fi
 
@@ -166,6 +182,11 @@ echo "=== TSAN suite, re-optimization forced aggressive ==="
 MAGICDB_TEST_REOPT_QERROR=1.0 \
   ctest --test-dir build-tsan --output-on-failure --timeout 120 \
         -j "${JOBS}" "$@"
+
+echo "=== TSAN repeat: streaming cursors and concurrent-cursor stress ==="
+./build-tsan/tests/magicdb_tests \
+    --gtest_filter='CursorTest.*:ServerStressTest.ConcurrentCursorsStreamIdenticalResults:ServerStressTest.DdlRacingQueriesStaysConsistent' \
+    --gtest_repeat=5
 
 echo "=== Parallel-scaling bench smoke (TSAN, DoP 2) ==="
 ./build-tsan/bench/bench_parallel_scaling --smoke

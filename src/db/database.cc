@@ -146,16 +146,6 @@ StatusOr<PlannedSelect> Database::PlanBound(
   return planned;
 }
 
-void CollectFilterJoinMeasured(const Operator& root,
-                               std::vector<FilterJoinMeasured>* out) {
-  if (const auto* fj = dynamic_cast<const FilterJoinOp*>(&root)) {
-    out->push_back(fj->measured());
-  }
-  for (const Operator* child : root.Children()) {
-    CollectFilterJoinMeasured(*child, out);
-  }
-}
-
 namespace {
 
 /// Gives `ctx` a fresh tracker with the same limit (no-op when ungoverned):
@@ -218,18 +208,19 @@ StatusOr<QueryStream> Database::StartQuery(
                                  PlanBound(planned.bound, options, overlay));
         replicas.push_back(std::move(replica.root));
       }
-      StatusOr<StagedStream> gang = ParallelExecutor(start.dop).RunStaged(
-          std::move(replicas), *ctx);
+      StatusOr<ParallelGang> gang =
+          ParallelExecutor(start.dop).Open(std::move(replicas), *ctx);
       if (gang.ok()) {
-        planned.root = std::move(gang->stream_root);
-        stream.staged = gang->staged;
         stream.fallback_reason = std::move(gang->fallback_reason);
-        if (gang->staged) {
+        if (gang->used_dop > 1) {
           stream.used_dop = gang->used_dop;
-          stream.counters = gang->counters;
-          if (gang->has_filter_join) {
-            stream.filter_join_measured.push_back(gang->filter_join_measured);
+          stream.lanes = std::move(gang->lanes);
+          stream.pool = std::move(gang->pool);
+          for (StreamLane& lane : stream.lanes) {
+            lane.ctx->set_reoptimize_qerror_threshold(0.0);
           }
+        } else {
+          planned.root = std::move(gang->lanes[0].root);
         }
       } else if (gang.status().IsReoptimizeRequested()) {
         restart = gang.status();
@@ -249,22 +240,26 @@ StatusOr<QueryStream> Database::StartQuery(
         return gang.status();
       }
     }
-    if (restart.ok() && armed && !stream.staged) {
-      // Every pipeline breaker completes inside Open(), so a trigger fires
-      // before the first output row and the restart is invisible to the
-      // consumer. Later observations must never fail NextBatch().
-      Status open = planned.root->Open(ctx.get());
-      if (open.IsReoptimizeRequested()) {
-        restart = std::move(open);
-      } else {
-        ctx->set_reoptimize_qerror_threshold(0.0);
-        stream.opened = open.ok();
-        stream.open_status = std::move(open);
+    if (restart.ok() && stream.lanes.empty()) {
+      StreamLane lane;
+      if (armed) {
+        // Every pipeline breaker completes inside Open(), so a trigger
+        // fires before the first output row and the restart is invisible
+        // to the consumer. Later observations must never fail NextBatch().
+        Status open = planned.root->Open(ctx.get());
+        if (open.IsReoptimizeRequested()) {
+          restart = std::move(open);
+        } else {
+          ctx->set_reoptimize_qerror_threshold(0.0);
+          lane.opened = open.ok();
+          stream.open_status = std::move(open);
+        }
       }
+      lane.ctx = std::move(ctx);
+      lane.root = std::move(planned.root);
+      stream.lanes.push_back(std::move(lane));
     }
     if (restart.ok()) {
-      stream.root = std::move(planned.root);
-      stream.ctx = std::move(ctx);
       stream.plan = std::move(planned);
       return stream;
     }
@@ -279,7 +274,7 @@ StatusOr<QueryStream> Database::StartQuery(
       start.overlay.rows[obs.key] = obs.actual;
       ledger->SuppressKey(obs.key);
     }
-    planned.root.reset();
+    stream.lanes.clear();  // an armed sequential tree that asked to re-plan
   }
 }
 
@@ -315,28 +310,25 @@ StatusOr<QueryResult> Database::Run(const std::string& sql,
   MAGICDB_ASSIGN_OR_RETURN(QueryStream stream,
                            StartQuery(std::move(start), optimizer_options_));
   MAGICDB_RETURN_IF_ERROR(stream.open_status);
-  ExecContext* ctx = stream.ctx.get();
-  if (!stream.opened) MAGICDB_RETURN_IF_ERROR(stream.root->Open(ctx));
+  const std::shared_ptr<CardinalityFeedback> ledger =
+      stream.lanes[0].ctx->cardinality_feedback();
+  // Run() has no shared pool: a gang's lanes run on the pool its Open
+  // phase ran on, and this thread merges them.
   QueryResult result;
-  MAGICDB_ASSIGN_OR_RETURN(result.rows,
-                           DrainToVector(stream.root.get(), ctx));
+  MAGICDB_ASSIGN_OR_RETURN(
+      result.rows,
+      DrainLanes(std::move(stream.lanes), stream.pool.get(), &result.counters,
+                 &result.filter_join_measured));
   result.schema = std::move(stream.plan.schema);
   result.explain = std::move(stream.plan.explain);
   result.est_cost = stream.plan.est_cost;
   result.est_rows = stream.plan.est_rows;
   result.filter_joins = std::move(stream.plan.filter_joins);
   result.optimizer_stats = stream.plan.optimizer_stats;
-  if (stream.staged) {
-    result.counters = stream.counters;
-    result.filter_join_measured = std::move(stream.filter_join_measured);
-  } else {
-    result.counters = ctx->counters();
-    CollectFilterJoinMeasured(*stream.root, &result.filter_join_measured);
-  }
   result.used_dop = stream.used_dop;
   result.parallel_fallback_reason = std::move(stream.fallback_reason);
   result.reoptimizations = static_cast<int>(stream.reoptimizations.size());
-  result.feedback = ctx->cardinality_feedback()->Snapshot();
+  result.feedback = ledger->Snapshot();
   if (options.persist_feedback) feedback_store_.Fold(result.feedback);
   return result;
 }

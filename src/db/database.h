@@ -13,7 +13,9 @@
 #include "src/exec/filter_join_op.h"
 #include "src/exec/operator.h"
 #include "src/exec/row_batch.h"
+#include "src/exec/stream_pump.h"
 #include "src/optimizer/optimizer.h"
+#include "src/parallel/thread_pool.h"
 #include "src/stats/feedback_store.h"
 
 namespace magicdb {
@@ -53,12 +55,6 @@ struct QueryResult {
   /// Pretty-prints rows as an aligned text table.
   std::string ToString(size_t max_rows = 20) const;
 };
-
-/// Appends the measured per-phase costs of every FilterJoin in the executed
-/// tree, outermost first (the order QueryResult::filter_join_measured
-/// documents).
-void CollectFilterJoinMeasured(const Operator& root,
-                               std::vector<FilterJoinMeasured>* out);
 
 /// Parse+bind output of one SELECT. The logical plan is immutable and
 /// shared (`LogicalPtr` is a shared_ptr-to-const), so a BoundSelect can be
@@ -112,28 +108,18 @@ struct QueryStart {
 };
 
 /// A started SELECT, ready to deliver rows: the outcome of
-/// Database::StartQuery. `root` runs under `*ctx`, which carries the query's
-/// cancel token, memory tracker, spill area and cardinality-feedback ledger.
-/// `ctx` is heap-allocated because an opened tree keeps pointers into it,
-/// and declared first so it outlives `root`, whose operators release memory
-/// through it when destroyed. Three shapes:
-///   - `staged`: the parallel gang already ran. `root` is a GatherOp whose
-///     drain performs no query work and charges nothing, and `counters` and
-///     `filter_join_measured` are final.
-///   - `opened`: a sequential tree whose Open() — every pipeline breaker —
-///     already ran; the consumer drains and closes it.
-///   - neither: a sequential tree the consumer opens, drains and closes.
-/// A sequential stream's work accrues in `ctx->counters()`.
+/// Database::StartQuery. Its `lanes` produce the result, each an operator
+/// tree under its own ExecContext (which carries the query's cancel token,
+/// memory tracker, spill area and feedback ledger): either one sequential
+/// tree, opened here when the attempt was armed, or the `used_dop` opened
+/// replicas of a gang, whose breakers and peer barriers all ran here. The
+/// consumer drains them (StreamPump, DrainLanes); the query's counters are
+/// the sum of the lanes' once every lane has finished.
 struct QueryStream {
-  std::unique_ptr<ExecContext> ctx;
-  OpPtr root;
-  bool staged = false;
-  bool opened = false;
+  std::vector<StreamLane> lanes;
   /// The error the eager Open failed with, when it failed for any reason
   /// but a re-plan request; the consumer reports it as the query's outcome.
   Status open_status;
-  CostCounters counters;
-  std::vector<FilterJoinMeasured> filter_join_measured;
   /// The plan that runs: attempt 0's, or the last re-plan's.
   PlanMeta plan;
   int used_dop = 1;
@@ -141,6 +127,9 @@ struct QueryStream {
   std::string fallback_reason;
   /// The kReoptimizeRequested message of every abandoned attempt, in order.
   std::vector<std::string> reoptimizations;
+  /// The pool the gang opened on, for its lanes to run on too, when the
+  /// query has no shared pool; null otherwise.
+  std::unique_ptr<ThreadPool> pool;
 };
 
 /// Top-level embedded-database facade tying catalog, SQL front end,
@@ -237,14 +226,15 @@ class Database {
   ///
   /// An attempt runs parallel when dop > 1, there is no LIMIT, and the plan
   /// has a parallel-safe shape: it plans the other dop - 1 replicas and
-  /// runs the gang to completion. Otherwise it runs sequentially, with the
-  /// fallback reason "LIMIT clause" or the unsafe shape. An attempt is
-  /// armed when the threshold is positive and it is not the last one
-  /// permitted. An armed gang runs with triggering on; an armed sequential
-  /// tree is opened here with triggering on and disarmed once Open()
-  /// returns. Either way a kReoptimizeRequested unwind folds the exact
-  /// overlay-eligible observations into the overlay, suppresses their keys,
-  /// and re-plans on a fresh ExecContext and MemoryTracker. An unarmed
+  /// runs the gang's Open phase (ParallelExecutor::Open). Otherwise it runs
+  /// sequentially, with the fallback reason "LIMIT clause" or the unsafe
+  /// shape. An attempt is armed when the threshold is positive and it is
+  /// not the last one permitted. An armed gang opens with triggering on; an
+  /// armed sequential tree is opened here with triggering on. The lanes are
+  /// disarmed once Open() returns: every breaker has completed by then. A
+  /// kReoptimizeRequested unwind folds the exact overlay-eligible
+  /// observations into the overlay, suppresses their keys, and re-plans on
+  /// a fresh ExecContext and MemoryTracker. An unarmed
   /// sequential tree is returned unopened. A gang that breaches its memory
   /// limit on a context that can spill degrades to an unopened sequential
   /// tree planned against the same overlay; without a spill area the

@@ -38,9 +38,9 @@ struct OperandKeySource;
 ///   SharedAggregate by key-hash partition, then merges the one partition
 ///   this worker owns (two-phase aggregation; see SharedAggregate).
 ///   NextBatch() emits the merged partition's groups — sorted by first-seen
-///   input rank (pos, sub) and tagged with it, so the gather merge can
-///   interleave the per-worker runs back into exactly the sequential
-///   first-seen output order.
+///   input rank (pos, sub) and tagged with it, so the result sink's lane
+///   merge can interleave the workers' lanes back into exactly the
+///   sequential first-seen output order.
 class HashAggregateOp final : public Operator {
  public:
   HashAggregateOp(OpPtr child, std::vector<ExprPtr> group_by,

@@ -190,7 +190,7 @@ class ExecContext {
   }
 
   /// Shared liveness heartbeat for the stuck-query watchdog. Producers bump
-  /// it at coarse checkpoints (pump quanta, staged rows, spill frames); the
+  /// it at coarse checkpoints (pump quanta, spill frames); the
   /// watchdog cancels a query whose heartbeat stops advancing. Null (the
   /// default) disables publication at zero cost.
   void set_progress_heartbeat(std::shared_ptr<std::atomic<int64_t>> hb) {

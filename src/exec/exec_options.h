@@ -39,7 +39,7 @@ struct ExecOptions {
   /// Memory limit (bytes) for this query's retained execution state: hash
   /// and filter-join build tables, spooled production sets, aggregate
   /// groups, sort buffers, DISTINCT's retained rows, the sort-merge join's
-  /// buffered inputs, staged parallel rows, and the unfetched result queue.
+  /// buffered inputs, and the unfetched result queue.
   /// A query that would exceed it fails with StatusCode::kResourceExhausted
   /// instead of growing unbounded. 0 = the service default
   /// (QueryServiceOptions::query_memory_limit_bytes); negative = explicitly

@@ -360,13 +360,14 @@ Status FilterJoinOp::Close() {
   return Status::OK();
 }
 
-const FilterJoinOp* FindFilterJoin(const Operator& root) {
-  if (const auto* fj = dynamic_cast<const FilterJoinOp*>(&root)) return fj;
-  for (const Operator* child : root.Children()) {
-    const FilterJoinOp* found = FindFilterJoin(*child);
-    if (found != nullptr) return found;
+void CollectFilterJoinMeasured(const Operator& root,
+                               std::vector<FilterJoinMeasured>* out) {
+  if (const auto* fj = dynamic_cast<const FilterJoinOp*>(&root)) {
+    out->push_back(fj->measured());
   }
-  return nullptr;
+  for (const Operator* child : root.Children()) {
+    CollectFilterJoinMeasured(*child, out);
+  }
 }
 
 std::string FilterJoinOp::Describe() const {

@@ -28,6 +28,16 @@ struct FilterJoinMeasured {
   double Total() const {
     return production + projection + avail_filter + filter_inner + final_join;
   }
+
+  /// Adds another replica's measurements of the same Filter Join.
+  FilterJoinMeasured& operator+=(const FilterJoinMeasured& o) {
+    production += o.production;
+    projection += o.projection;
+    avail_filter += o.avail_filter;
+    filter_inner += o.filter_inner;
+    final_join += o.final_join;
+    return *this;
+  }
 };
 
 /// How a magic filter set is implemented (§3.3 Limitation 3): an exact
@@ -177,9 +187,11 @@ class FilterJoinOp final : public Operator {
   std::vector<int64_t> production_pos_;  // global pos per production_ row
 };
 
-/// Finds the topmost FilterJoinOp in an operator tree (nullptr if none) —
-/// benches use this to read measured Table-1 components.
-const FilterJoinOp* FindFilterJoin(const Operator& root);
+/// Appends the measured per-phase costs of every FilterJoin in the executed
+/// tree, outermost first (the order QueryResult::filter_join_measured
+/// documents).
+void CollectFilterJoinMeasured(const Operator& root,
+                               std::vector<FilterJoinMeasured>* out);
 
 }  // namespace magicdb
 

@@ -385,8 +385,8 @@ Status HashJoinOp::Probe(RowBatch* out, bool* eof) {
         ctx_->counters().tuples_processed += 1;
         out->AppendTuple(ConcatTuples(current_outer_, inner_row));
         if (out->has_ranks()) {
-          // Matches inherit the outer row's scan position; the gather stage
-          // derives sub-ranks from runs of equal positions.
+          // Matches inherit the outer row's scan position; rows sharing it
+          // keep their emission order within this worker's lane.
           out->pos().push_back(probe_batch_->pos()[r]);
           out->sub().push_back(0);
         }

@@ -110,7 +110,7 @@ class BatchFilter {
 
 /// Base of the operators whose work is naturally one row at a time (Sort,
 /// Distinct, Limit, the loop and sort-merge joins, FilterSetScan,
-/// OrderedIndexScan, the function operators, Ship, Gather): they implement
+/// OrderedIndexScan, the function operators, Ship): they implement
 /// NextRow, and NextBatch fills the batch by looping it. NextBatch is
 /// final, so such an operator has exactly one pull implementation. A join
 /// hands its residual to the base: NextRow then produces candidate rows,
@@ -180,7 +180,7 @@ Status DrainBatches(Operator* child, ExecContext* ctx, Consume&& consume) {
 
 /// DrainBatches one row at a time: moves every row out of its batch and
 /// calls `consume(Tuple&& row, int64_t pos)`, where `pos` is the row's rank
-/// position (the parallel gather key), or -1 when the batch carries no
+/// position (the lane-merge key), or -1 when the batch carries no
 /// rank tags.
 template <typename Consume>
 Status DrainRows(Operator* child, ExecContext* ctx, Consume&& consume) {

@@ -18,7 +18,7 @@ namespace magicdb {
 ///     to the front (KeepRows), so consumers loop over 0..num_rows()
 ///     without an indirection;
 ///   - optional *rank* vectors (pos, sub), one entry per row, carrying the
-///     deterministic (position, sub-rank) tags the parallel gather merge
+///     deterministic (position, sub-rank) tags the result sink's lane merge
 ///     orders by. Scans fill pos with the global row index; rank-preserving
 ///     operators copy them through.
 ///
@@ -76,7 +76,7 @@ class RowBatch {
   /// operator is dense.
   void KeepRows(const std::vector<uint8_t>& keep);
 
-  // -- Rank tags (parallel gather ordering) ---------------------------------
+  // -- Rank tags (lane-merge ordering) --------------------------------------
 
   bool has_ranks() const { return has_ranks_; }
   /// Enables the (pos, sub) rank vectors; the producer appends one entry

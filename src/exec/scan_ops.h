@@ -44,8 +44,9 @@ class SeqScanOp final : public Operator {
   /// their own checkpoint). With a predicate it fills one batch's worth of
   /// rows from the pages it reads, keeps the survivors, and like FilterOp
   /// never returns an empty batch that is not the last. In morsel mode the
-  /// batch carries (pos, sub) = (global row, 0) rank tags, which the gather
-  /// merge uses to restore sequential output order across workers.
+  /// batch carries (pos, sub) = (global row, 0) rank tags, which the result
+  /// sink's lane merge uses to restore sequential output order across
+  /// workers.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;

@@ -23,8 +23,8 @@ struct Morsel {
 ///
 /// Thread-safe: any number of workers may call Next concurrently. Claimed
 /// morsel indexes are monotonically increasing, so the morsels one worker
-/// receives are always in ascending row order — the property the gather
-/// merge relies on for deterministic output.
+/// receives are always in ascending row order — the property the result
+/// sink's lane merge relies on for deterministic output.
 class MorselSource {
  public:
   /// Morsels cover [0, num_rows); the morsel size is `target_rows` rounded
@@ -37,7 +37,6 @@ class MorselSource {
 
   int64_t num_rows() const { return num_rows_; }
   int64_t morsel_rows() const { return morsel_rows_; }
-  int64_t NumMorsels() const { return num_morsels_; }
 
   /// Rewinds the cursor. Only safe when no worker is mid-claim (tests and
   /// re-execution setup; never during a running pipeline).

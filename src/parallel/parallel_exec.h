@@ -5,17 +5,14 @@
 #include <string>
 #include <vector>
 
-#include "src/common/cancellation.h"
 #include "src/common/cost_counters.h"
-#include "src/common/memory_tracker.h"
 #include "src/common/statusor.h"
 #include "src/exec/filter_join_op.h"
 #include "src/exec/operator.h"
+#include "src/exec/stream_pump.h"
+#include "src/parallel/thread_pool.h"
 
 namespace magicdb {
-
-class SpillManager;
-class ThreadPool;
 
 /// Outcome of one (possibly parallel) pipeline execution.
 struct ParallelRunResult {
@@ -38,27 +35,19 @@ struct ParallelRunResult {
   FilterJoinMeasured filter_join_measured;
 };
 
-/// A parallel execution staged for streaming: the outcome of
-/// ParallelExecutor::RunStaged. When the gang ran (`staged` == true) the
-/// workers have already produced and rank-tagged every output row;
-/// `stream_root` is a GatherOp whose Open/NextBatch/Close drains the
-/// deterministic merge incrementally — pumping it performs no query work
-/// and must charge nothing, and `counters`/`filter_join_*` are final. When
-/// the plan fell back (`staged` == false) nothing has executed yet:
-/// `stream_root` is the untouched first replica, and the caller's pump
-/// performs the actual execution (its ExecContext accrues the counters).
-/// Either way the caller owns `stream_root` and can feed it into a bounded
-/// ResultSink batch by batch instead of materializing a full result.
-struct StagedStream {
-  OpPtr stream_root;
-  bool staged = false;
-
-  /// Final only when `staged`; see above.
-  CostCounters counters;
+/// The outcome of ParallelExecutor::Open. When the gang ran (`used_dop` >
+/// 1), `lanes` holds one opened replica per worker under its own context:
+/// every breaker and peer barrier has completed, so the lanes never wait on
+/// each other and are pumped independently (StreamPump, DrainLanes). After
+/// a fallback it holds the untouched first replica alone, unopened.
+struct ParallelGang {
+  std::vector<StreamLane> lanes;
   int used_dop = 1;
+  /// Why the plan runs single-threaded; empty when it runs parallel.
   std::string fallback_reason;
-  bool has_filter_join = false;
-  FilterJoinMeasured filter_join_measured;
+  /// The pool the Open phase ran on when the prototype has no shared pool,
+  /// for the lanes to run on too; null otherwise.
+  std::unique_ptr<ThreadPool> pool;
 };
 
 /// Morsel-driven parallel executor. Takes `dop` isomorphic plan replicas
@@ -67,10 +56,10 @@ struct StagedStream {
 /// MorselSource per scanned base table, a SharedHashBuild per hash join, a
 /// SharedFilterJoin for the (at most one) topmost Filter Join, a
 /// SharedAggregate for the (at most one) aggregation above the joins — and
-/// runs one replica per worker on a work-stealing pool. Output rows are
+/// opens one replica per worker on a work-stealing pool. Output rows are
 /// tagged with their sequential-order rank (driving-scan position, or the
-/// aggregate's group first-seen rank) and gather-merged, so results are
-/// byte-identical to DoP=1.
+/// aggregate's group first-seen rank) and the result sink merges the
+/// workers' lanes on those ranks, so results are byte-identical to DoP=1.
 ///
 /// Parallel-safe plan shape (anything else falls back to sequential):
 ///
@@ -83,27 +72,22 @@ class ParallelExecutor {
   /// `dop` >= 1; clamped up to 1.
   explicit ParallelExecutor(int dop);
 
-  /// Runs the pipeline. `replicas` must contain either `dop` isomorphic
-  /// plans, or at least one plan (fallback runs replicas[0]). Consumes the
-  /// replicas. `proto` is a prototype execution environment: every worker's
-  /// ExecContext (and the fallback drain's) inherits its configuration —
-  /// cancel token, memory governor/budget, spill area, batch size, shared
-  /// thread pool, and the cardinality-feedback ledger with its
-  /// re-optimization threshold (see ExecContext::InheritConfig). Counters
-  /// and filter-set registries stay per-worker. When `proto` carries a
-  /// shared pool the caller must uphold ThreadPool::RunGang's deadlock
-  /// contract: at most pool->size() blocking gang tasks outstanding — the
-  /// query service's admission controller reserves `dop` slots per parallel
-  /// query for exactly this reason.
+  /// Opens the gang: `replicas` must contain either `dop` isomorphic plans,
+  /// or at least one plan (fallback keeps replicas[0]). Consumes the
+  /// replicas. Every worker's ExecContext (and the fallback's) inherits the
+  /// configuration of the prototype `proto` (ExecContext::InheritConfig);
+  /// counters and filter-set registries stay per-worker. When `proto`
+  /// carries a shared pool the caller must uphold ThreadPool::RunGang's
+  /// deadlock contract for the Open phase: at most pool->size() blocking
+  /// gang tasks outstanding — the query service's admission controller
+  /// reserves `dop` slots per parallel query for exactly this reason.
+  StatusOr<ParallelGang> Open(std::vector<OpPtr> replicas,
+                              const ExecContext& proto);
+
+  /// Runs the pipeline to completion: Open, then DrainLanes on the caller's
+  /// thread, with the lanes pumped on the shared pool or the gang's own.
   StatusOr<ParallelRunResult> Run(std::vector<OpPtr> replicas,
                                   const ExecContext& proto);
-
-  /// Streaming variant: runs the worker gang to completion (or decides the
-  /// fallback without executing anything) and returns the operator the
-  /// caller pumps to deliver rows incrementally — see StagedStream. Run()
-  /// is a thin drain-to-vector wrapper over this.
-  StatusOr<StagedStream> RunStaged(std::vector<OpPtr> replicas,
-                                   const ExecContext& proto);
 
   /// Why `root` cannot run parallel; empty string == parallel-safe.
   /// Exposed for tests and EXPLAIN-style diagnostics.

@@ -59,9 +59,9 @@ inline bool RankLess(const StagedGroup& a, const StagedGroup& b) {
 ///      partitioning charge once from the global input byte total.
 ///
 /// After MergeOwnPartition returns, each worker owns the merged groups of
-/// its partition exclusively and emits them itself; the gather merge on
-/// (pos, sub) interleaves the per-worker runs back into the sequential
-/// first-seen order.
+/// its partition exclusively and emits them itself; the result sink's lane
+/// merge on (pos, sub) interleaves the workers' lanes back into the
+/// sequential first-seen order.
 ///
 /// Counter discipline: accumulate work (key evals, agg-arg evals, hash
 /// ops) is charged by the worker that consumed each input row — every row

@@ -34,7 +34,7 @@ StatusOr<std::vector<Tuple>> Cursor::Fetch(int64_t max_rows) {
 
 bool Cursor::done() const {
   return state_ == nullptr || state_->saw_eof || state_->closed ||
-         (state_->sink.finished() && !state_->sink.final_status().ok());
+         !state_->sink.final_status().ok();
 }
 
 int64_t Cursor::peak_buffered_rows() const {

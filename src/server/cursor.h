@@ -61,9 +61,9 @@ struct CursorState {
   /// with every execution context of the query.
   std::shared_ptr<CardinalityFeedback> cardinality_feedback;
 
-  // Terminal execution state: written by the producer strictly before
-  // sink.Finish(), read by the consumer strictly after the sink reports
-  // finished — the sink's mutex orders the handoff.
+  // Terminal execution state: written by the lane that finishes last
+  // strictly before its sink.Finish(), read by the consumer strictly after
+  // every lane finished — the sink's mutex orders the handoff.
   CostCounters final_counters;
   std::vector<FilterJoinMeasured> filter_join_measured;
 
@@ -79,7 +79,8 @@ struct CursorState {
 /// Session::Open(); rows arrive through repeated Fetch(n) calls while the
 /// query produces into a bounded, backpressured queue behind the scenes —
 /// peak buffered rows never exceed the queue's high-water mark plus one
-/// scheduler quantum, regardless of result cardinality.
+/// scheduler quantum per producing lane (one lane, or one per worker of a
+/// dop > 1 gang), regardless of result cardinality.
 ///
 /// Concatenating every fetched batch yields exactly the rows (same order,
 /// same bytes) Session::Query() returns for the same statement and options

@@ -15,8 +15,6 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/exec/exec_context.h"
-#include "src/exec/row_batch.h"
-#include "src/parallel/parallel_exec.h"
 #include "src/spill/spill_manager.h"
 
 namespace magicdb {
@@ -72,32 +70,66 @@ int PriorityIndex(SessionPriority priority) {
 
 }  // namespace
 
-/// Control block of one cursor's producing pipeline. The Volcano state
-/// (`stream`) is touched only by the currently running pump quantum;
-/// successive quanta are ordered through the pool's queue locks (and, across
-/// a park, through the sink's mutex), so it needs no extra synchronization.
-///
-/// The two stream shapes Database::StartQuery returns share this code path:
-///   - sequential stream: `stream.root` is the live plan instance; each
-///     quantum performs real query work, so it re-validates the catalog
-///     epoch under the DDL lock and the final counters come from
-///     `stream.ctx` at end of stream.
-///   - staged stream: the worker gang already ran (inside Open, under the
-///     DDL lock); `stream.root` is a GatherOp draining pre-staged rows.
-///     Pumping it performs no catalog access (the plan is effectively
-///     pinned across DDL) and charges nothing — the cursor's final counters
-///     were fixed at Open time.
-struct StreamProducer {
-  std::shared_ptr<CursorState> cursor;
-  QueryStream stream;
-  /// The reusable batch the quantum loop pulls into (lazily allocated on
-  /// the first quantum).
-  std::unique_ptr<RowBatch> row_batch;
-  /// Return `stream.root` to the plan cache on clean end of stream.
+/// The producer of one cursor: a StreamPump over the query's lanes, on the
+/// service's shared pool. The pump keeps the cursor state, and with it the
+/// sink, alive until its last task returns.
+class StreamProducer final : public StreamPump {
+ public:
+  StreamProducer(QueryService* service, std::shared_ptr<CursorState> cursor,
+                 std::vector<StreamLane> lanes)
+      : StreamPump(std::move(lanes),
+                   std::shared_ptr<ResultSink>(cursor, &cursor->sink),
+                   service->pool(), service->options_.scheduler_quantum_rows),
+        cursor_(std::move(cursor)),
+        service_(service) {}
+
+  /// Return the tree to the plan cache on clean end of stream.
   bool check_in = false;
   /// Fold the query's exact cardinality observations into the database's
   /// FeedbackStore on clean end of stream (ExecOptions::persist_feedback).
   bool persist_feedback = false;
+
+ private:
+  // A quantum — not the whole query — is the DDL read-side critical
+  // section; that is what lets DDL run while cursors sit open. The epoch
+  // check turns a catalog change under a live stream, sequential or
+  // parallel, into a clean stale-plan error instead of reads from replaced
+  // objects.
+  Status Quantum(int lane, std::vector<Tuple>* rows,
+                 std::vector<RowRank>* ranks, bool* eof) override {
+    service_->sched_quanta_->Increment();
+    std::shared_lock<std::shared_mutex> lock(service_->ddl_mu_);
+    if (service_->db_->catalog()->ddl_epoch() != cursor_->plan_epoch) {
+      // Every lane of a gang sees the change; the cursor counts once.
+      if (!stale_.exchange(true)) service_->cursors_stale_->Increment();
+      return Status::FailedPrecondition(
+          "plan invalidated by DDL: catalog changed while cursor was open");
+    }
+    return Pull(lane, rows, ranks, eof);
+  }
+
+  void Parked() override { service_->cursor_parks_->Increment(); }
+
+  void Finished(bool ok) override {
+    cursor_->final_counters = counters();
+    cursor_->filter_join_measured = filter_join_measured();
+    if (ok && check_in && !cursor_->cache_key.empty()) {
+      // The tree fully re-initializes in Open(), so it can serve the next
+      // execution of the same statement. CheckIn refuses stale epochs.
+      service_->plan_cache_.CheckIn(cursor_->cache_key, cursor_->plan_epoch,
+                                    std::move(lanes()[0].root));
+    }
+    if (ok && persist_feedback) {
+      // Cross-query learning: fold this query's exact observations into the
+      // store so later plans (cache-keyed by the store's version) use them.
+      service_->db_->feedback_store()->Fold(
+          cursor_->cardinality_feedback->Snapshot());
+    }
+  }
+
+  const std::shared_ptr<CursorState> cursor_;
+  QueryService* const service_;
+  std::atomic<bool> stale_{false};
 };
 
 std::string ServiceStats::ToString() const {
@@ -174,10 +206,10 @@ QueryService::QueryService(Database* db, const QueryServiceOptions& options)
     options_.max_concurrent_queries = 2 * threads;
   }
   if (options_.scheduler_quantum_rows <= 0) {
-    options_.scheduler_quantum_rows = 1024;
+    options_.scheduler_quantum_rows = kDefaultQuantumRows;
   }
   if (options_.stream_queue_rows <= 0) {
-    options_.stream_queue_rows = 8192;
+    options_.stream_queue_rows = kDefaultStreamQueueRows;
   }
   // Test hooks: a build-script sweep can impose a low default memory limit
   // and a spill area on every service in the process without touching call
@@ -558,10 +590,11 @@ void QueryService::WatchdogLoop() {
     const Clock::time_point now = Clock::now();
     for (auto& [id, entry] : live_queries_) {
       CursorState* state = entry.state.get();
-      // A finished stream is waiting on its consumer, and a parked producer
-      // is waiting on backpressure — neither is stalled execution. Reset
-      // the stall clock so time spent there never counts.
-      if (state->sink.finished() || state->sink.producer_parked()) {
+      // A finished stream is waiting on its consumer, and a stream whose
+      // unfinished lanes are all parked is waiting on backpressure — neither
+      // is stalled execution. Reset the stall clock so time spent there
+      // never counts.
+      if (state->sink.awaiting_consumer()) {
         entry.last_advance = now;
         continue;
       }
@@ -635,110 +668,6 @@ Status QueryService::Shutdown(std::chrono::milliseconds grace) {
   MAGICDB_CHECK(used_gang_slots_ == 0);
   MAGICDB_CHECK(memory_ceiling_claimed_ == 0);
   return Status::OK();
-}
-
-void QueryService::SubmitProducer(const std::shared_ptr<StreamProducer>& p) {
-  pool_->Submit([this, p] { PumpQuantum(p); });
-}
-
-void QueryService::PumpQuantum(const std::shared_ptr<StreamProducer>& p) {
-  CursorState* c = p->cursor.get();
-  QueryStream& stream = p->stream;
-  // Backpressure before anything else: on a full queue the producer parks —
-  // stores its resume closure in the sink and returns the worker without
-  // rescheduling. The consumer's Fetch re-submits it after draining below
-  // the high-water mark.
-  if (!c->sink.ReserveOrPark([this, p] {
-        // Delay-injection site in the consumer-driven resume path; runs on
-        // the Fetch (client) thread just before the producer is re-queued.
-        MAGICDB_FAILPOINT_HIT("server.sink.resume");
-        SubmitProducer(p);
-      })) {
-    cursor_parks_->Increment();
-    return;
-  }
-  sched_quanta_->Increment();
-  Status status = c->token->Check();
-  bool eof = false;
-  std::vector<Tuple> batch;
-  if (status.ok()) {
-    // A quantum — not the whole query — is the DDL read-side critical
-    // section; that is what lets DDL run while cursors sit open. The epoch
-    // check turns a catalog change under a live sequential stream into a
-    // clean stale-plan error instead of reads from replaced objects.
-    std::shared_lock<std::shared_mutex> lock(ddl_mu_);
-    if (!stream.staged && db_->catalog()->ddl_epoch() != c->plan_epoch) {
-      cursors_stale_->Increment();
-      status = Status::FailedPrecondition(
-          "plan invalidated by DDL: catalog changed while cursor was open");
-    }
-    if (status.ok() && !stream.opened) {
-      status = stream.root->Open(stream.ctx.get());
-      stream.opened = status.ok();
-    }
-    if (status.ok()) {
-      // The pump batch is capped at the scheduler quantum, and another
-      // batch is pulled only while a full one still fits, so one quantum
-      // never delivers more than scheduler_quantum_rows rows — the cursor's
-      // peak-buffered-rows bound stays batch-size independent.
-      const int64_t cap = std::min<int64_t>(stream.ctx->batch_size(),
-                                            options_.scheduler_quantum_rows);
-      if (p->row_batch == nullptr) {
-        p->row_batch = std::make_unique<RowBatch>(static_cast<int32_t>(cap));
-      }
-      while (static_cast<int64_t>(batch.size()) + cap <=
-             options_.scheduler_quantum_rows) {
-        status = stream.root->NextBatch(p->row_batch.get(), &eof);
-        if (!status.ok()) break;
-        p->row_batch->MoveActiveToTuples(&batch);
-        if (eof) break;
-      }
-    }
-    if (status.ok() && eof) {
-      status = stream.root->Close();
-    }
-  }
-  // A quantum that ran (even to an empty batch or an error) is progress;
-  // a parked producer returned above, so parking never feeds the watchdog.
-  stream.ctx->NoteProgress(static_cast<int64_t>(batch.size()) + 1);
-  if (!batch.empty()) {
-    Status push_status = MAGICDB_FAILPOINT_EVAL("server.sink.push");
-    if (push_status.ok()) push_status = c->sink.Push(std::move(batch));
-    // A failed push (injected fault, or the queued rows breaching the
-    // memory limit) fails the stream; an earlier execution error wins.
-    if (status.ok() && !push_status.ok()) status = push_status;
-  }
-  if (!status.ok() || eof) {
-    FinishProducer(p, std::move(status));
-    return;
-  }
-  // Yield: re-enqueue at the back of the pool's queue so concurrently
-  // admitted queries interleave at quantum granularity.
-  SubmitProducer(p);
-}
-
-void QueryService::FinishProducer(const std::shared_ptr<StreamProducer>& p,
-                                  Status status) {
-  CursorState* c = p->cursor.get();
-  QueryStream& stream = p->stream;
-  if (!stream.staged) {  // a staged stream's totals were stored at Open
-    c->final_counters = stream.ctx->counters();
-    c->filter_join_measured.clear();
-    CollectFilterJoinMeasured(*stream.root, &c->filter_join_measured);
-  }
-  if (status.ok() && p->check_in && !c->cache_key.empty()) {
-    // The tree fully re-initializes in Open(), so it can serve the next
-    // execution of the same statement. CheckIn refuses stale epochs.
-    plan_cache_.CheckIn(c->cache_key, c->plan_epoch, std::move(stream.root));
-  }
-  if (status.ok() && p->persist_feedback) {
-    // Cross-query learning: fold this query's exact observations into the
-    // store so later plans (cache-keyed by the store's version) use them.
-    db_->feedback_store()->Fold(c->cardinality_feedback->Snapshot());
-  }
-  // Finish last: it publishes the terminal state (counters included — the
-  // sink's mutex orders the handoff) to the consumer.
-  c->sink.Finish(std::move(status));
 }
 
 StatusOr<Cursor> QueryService::Open(Session* session, const std::string& sql,
@@ -824,11 +753,9 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                                             int gang_slots) {
   uint64_t watch_id = 0;
   StatusOr<Cursor> result = [&]() -> StatusOr<Cursor> {
-    // Planning, the parallel worker gang and an armed eager Open run under
-    // the shared DDL lock; by the time rows stream out, a parallel
-    // execution's staged result is already catalog-consistent (its plan is
-    // pinned), while a sequential stream re-validates the epoch every
-    // quantum.
+    // Planning, a gang's Open phase and an armed eager Open run under the
+    // shared DDL lock; once rows stream, every lane re-validates the epoch
+    // each quantum.
     std::shared_lock<std::shared_mutex> lock(ddl_mu_);
 
     const OptimizerOptions& opts = session->options();
@@ -932,38 +859,34 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     state->used_dop = stream.used_dop;
     state->parallel_fallback_reason = std::move(stream.fallback_reason);
     state->reoptimizations = static_cast<int>(stream.reoptimizations.size());
-    state->cardinality_feedback = stream.ctx->cardinality_feedback();
-    state->memory_tracker = stream.ctx->memory_tracker();
+    const ExecContext& ctx = *stream.lanes[0].ctx;
+    state->cardinality_feedback = ctx.cardinality_feedback();
+    state->memory_tracker = ctx.memory_tracker();
+    state->sink.set_lanes(static_cast<int>(stream.lanes.size()));
     state->sink.set_memory_tracker(state->memory_tracker);
-    if (stream.staged) {
-      // The gang already ran: its totals are final before any row streams.
-      state->final_counters = stream.counters;
-      state->filter_join_measured = std::move(stream.filter_join_measured);
-    }
 
-    auto producer = std::make_shared<StreamProducer>();
-    producer->cursor = state;
+    auto producer =
+        std::make_shared<StreamProducer>(this, state, std::move(stream.lanes));
     // Only a sequential dop-1 run of the cached plan may return its tree to
     // the pool; a re-planned tree is attempt-specific.
     producer->check_in = effective_dop == 1 && stream.reoptimizations.empty();
     producer->persist_feedback = exec.persist_feedback;
-    Status open_status = stream.open_status;
-    producer->stream = std::move(stream);
-    if (!open_status.ok()) {
+    if (!stream.open_status.ok()) {
       // Surface an eager Open's failure through the stream, exactly as the
       // lazy Open does: the first Fetch reports it and Close runs the
       // normal terminal accounting (memory histogram included).
-      FinishProducer(producer, std::move(open_status));
+      producer->Fail(std::move(stream.open_status));
     } else {
-      SubmitProducer(producer);
+      producer->Start();
     }
     return Cursor(state);
   }();
   // A failed Open never hands out a cursor, so nothing would ever
   // unregister it — drop the registry entry here.
   if (!result.ok() && watch_id != 0) UnregisterLiveQuery(watch_id);
-  // The gang (if any) has finished by now either way; only the admission
-  // ticket stays held for the cursor's lifetime.
+  // The gang's Open phase (if any) has finished by now either way, and its
+  // lanes never wait on each other; only the admission ticket stays held
+  // for the cursor's lifetime.
   ReleaseGangSlots(gang_slots);
   return result;
 }

@@ -26,9 +26,9 @@
 
 namespace magicdb {
 
-/// Control block of one cursor's producing pipeline (defined in the .cc);
-/// successive pump quanta on the shared pool hand it to each other.
-struct StreamProducer;
+/// The producer of one cursor's result stream (defined in the .cc): a
+/// StreamPump over the query's lanes on the shared pool.
+class StreamProducer;
 class SpillManager;
 
 /// Construction-time knobs of a QueryService.
@@ -49,14 +49,15 @@ struct QueryServiceOptions {
   /// Rows a producing pipeline pumps per scheduler quantum before yielding
   /// its pool worker to the next queued task (the fair-interleaving knob;
   /// roughly a quarter of MorselSource::kDefaultMorselRows by default).
-  int64_t scheduler_quantum_rows = 1024;
+  int64_t scheduler_quantum_rows = kDefaultQuantumRows;
 
   /// Default high-water mark (rows) of a cursor's result queue: once this
   /// many rows are buffered unfetched, the producer is parked until the
-  /// consumer drains below the mark. Peak buffered rows are bounded by
-  /// this plus one scheduler quantum. Per-query override:
+  /// consumer drains below the mark. A dop > 1 cursor splits the mark
+  /// evenly across its gang's lanes. Peak buffered rows are bounded by this
+  /// plus one scheduler quantum per lane. Per-query override:
   /// ExecOptions::stream_queue_rows.
-  int64_t stream_queue_rows = 8192;
+  int64_t stream_queue_rows = kDefaultStreamQueueRows;
 
   /// Default per-query memory limit (bytes) for retained execution state
   /// (build tables, spooled tuples, aggregate groups, queued result rows).
@@ -235,11 +236,13 @@ struct ServiceStats {
 ///     makes barrier-synchronized gangs deadlock-free on a shared pool
 ///     (ThreadPool::RunGang).
 ///   - Streaming result delivery: Open() returns a Cursor whose Fetch(n)
-///     pulls batches incrementally. Producing pipelines run as cooperative
-///     quantum tasks that push into a bounded ResultSink and park on its
-///     high-water mark, so result memory is bounded by the queue (not the
-///     result cardinality) and a slow consumer suspends — never blocks —
-///     pool workers. Query() is a fetch-all wrapper over the same path.
+///     pulls batches incrementally. Producing pipelines — the sequential
+///     tree, or each replica of a parallel gang after its Open phase — run
+///     as cooperative quantum tasks that push into their lane of a bounded
+///     ResultSink and park on its high-water mark, so result memory is
+///     bounded by the queue (not the result cardinality) and a slow
+///     consumer suspends — never blocks — pool workers. Query() is a
+///     fetch-all wrapper over the same path.
 ///   - Fair scheduling: producers pump `scheduler_quantum_rows` rows per
 ///     quantum and re-enqueue themselves, so concurrently admitted queries
 ///     interleave at morsel granularity instead of monopolizing a worker.
@@ -257,10 +260,10 @@ struct ServiceStats {
 /// and re-optimizations at any DoP.
 ///
 /// The service takes over the database for its lifetime: run DDL/loads
-/// through Execute()/LoadRows() (serialized against queries; a sequential
-/// cursor still producing when DDL lands fails its next Fetch with
-/// FailedPrecondition instead of reading replaced catalog objects). Close
-/// every cursor before destroying the service.
+/// through Execute()/LoadRows() (serialized against queries; a cursor still
+/// producing when DDL lands fails a later Fetch with FailedPrecondition
+/// instead of reading replaced catalog objects). Close every cursor before
+/// destroying the service.
 class QueryService {
  public:
   explicit QueryService(Database* db, const QueryServiceOptions& options = {});
@@ -294,8 +297,9 @@ class QueryService {
   Status LoadRows(const std::string& table, std::vector<Tuple> rows);
 
   /// Opens a streaming cursor for one SELECT; Session::Open forwards here.
-  /// Admission, planning, and (for dop > 1) the parallel gang all happen
-  /// before this returns; rows are then pulled with Cursor::Fetch.
+  /// Admission, planning, and (for dop > 1) the gang's Open phase — every
+  /// pipeline breaker and peer barrier — happen before this returns; rows
+  /// are then pulled with Cursor::Fetch while the lanes produce them.
   StatusOr<Cursor> Open(Session* session, const std::string& sql,
                         const ExecOptions& exec = {});
 
@@ -322,6 +326,7 @@ class QueryService {
 
  private:
   friend class Cursor;
+  friend class StreamProducer;
 
   /// Load-shedding gate, evaluated before a submission queues: under the
   /// configured high-water marks a non-high-priority query is rejected
@@ -342,8 +347,9 @@ class QueryService {
   /// the wait in the aggregate and per-priority admission histograms.
   Status Admit(SessionPriority priority, int gang_slots, int64_t memory_claim,
                const CancelToken* token);
-  /// Gang slots are released as soon as the worker gang finishes (inside
-  /// Open); the admission ticket and memory-ceiling claim are held until
+  /// Gang slots are released as soon as the gang's Open phase finishes
+  /// (inside Open: the lanes that stream afterwards never block a pool
+  /// thread); the admission ticket and memory-ceiling claim are held until
   /// the cursor closes.
   void ReleaseGangSlots(int gang_slots);
   void ReleaseTicket(int64_t memory_claim);
@@ -374,22 +380,14 @@ class QueryService {
   void WatchdogLoop();
 
   /// Looks up or plans the query, starts it through Database::StartQuery,
-  /// and hands the stream to its producer; always releases `gang_slots`
-  /// before returning (the gang, if any, has finished by then). On success
-  /// the returned cursor owns the admission ticket.
+  /// and hands the stream's lanes to its producer; always releases
+  /// `gang_slots` before returning (the gang's Open phase, if any, has
+  /// finished by then). On success the returned cursor owns the admission
+  /// ticket.
   StatusOr<Cursor> OpenAdmitted(Session* session, const std::string& sql,
                                 const ExecOptions& exec,
                                 const CancelTokenPtr& token,
                                 int effective_dop, int gang_slots);
-
-  /// One cooperative scheduler quantum of a cursor's producer: park on a
-  /// full sink, re-check cancellation and the catalog epoch, pump up to
-  /// `scheduler_quantum_rows` rows into the sink, then yield (re-enqueue)
-  /// or finish the stream.
-  void PumpQuantum(const std::shared_ptr<StreamProducer>& p);
-  void SubmitProducer(const std::shared_ptr<StreamProducer>& p);
-  void FinishProducer(const std::shared_ptr<StreamProducer>& p,
-                      Status status);
 
   // Cursor plumbing (called through the Cursor handle).
   StatusOr<std::vector<Tuple>> FetchFromCursor(CursorState* cursor,

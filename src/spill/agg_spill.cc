@@ -128,7 +128,7 @@ Status AggSpill::Reaggregate(const SpillPartitioner::Leaf& leaf, bool* split,
     if (status.ok()) {
       StatusOr<std::unique_ptr<SpillFile>> file = out.FinishWrite(ctx);
       status = file.status();
-      if (status.ok()) merge_.Add({std::move(*file), {}});
+      if (status.ok()) merge_.Add(std::move(*file));
     }
   }
   ctx->ReleaseMemory(charged);

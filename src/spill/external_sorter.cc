@@ -63,7 +63,7 @@ Status ExternalSorter::SpillRun(std::vector<Tuple>* rows,
   }
   MAGICDB_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> file,
                            writer.FinishWrite(ctx));
-  merge_.Add({std::move(file), {}});
+  merge_.Add(std::move(file));
   rows->clear();
   keys->clear();
   return Status::OK();

@@ -160,7 +160,7 @@ Status GraceHashJoin::JoinLeaf(const SpillPartitioner::Leaf& leaf,
   MAGICDB_RETURN_IF_ERROR(status);
   MAGICDB_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> run,
                            out.FinishWrite(ctx));
-  if (run != nullptr) merge_.Add({std::move(run), {}});
+  merge_.Add(std::move(run));
   return Status::OK();
 }
 

@@ -4,9 +4,8 @@
 /// Sorted runs: the one place out-of-core paths frame, write, merge and scan
 /// spilled records (DESIGN.md, "Sorted runs and the partitioner").
 ///
-/// A run holds records in ascending order under its caller's order. It is
-/// either one sealed SpillFile or one in-memory vector; only the parallel
-/// gather keeps in-memory runs (the workers that never spilled).
+/// A run holds records in ascending order under its caller's order, in one
+/// sealed SpillFile.
 ///
 /// Callers describe their records with a codec, passed as a template
 /// parameter so no indirect call sits in the per-row loop:
@@ -48,35 +47,20 @@ Status ForEachRecord(SpillFile* file, ExecContext* ctx, const Fn& fn) {
   }
 }
 
-template <typename Row>
-struct SortedRun {
-  std::unique_ptr<SpillFile> file;  // null for an in-memory run
-  std::vector<Row> rows;
-
-  int64_t size() const {
-    return file != nullptr ? file->records()
-                           : static_cast<int64_t>(rows.size());
-  }
-};
-
 /// Writes one run to a spill file created on the first Append.
 template <typename Codec>
 class RunWriter {
  public:
   using Row = typename Codec::Row;
 
-  RunWriter(SpillManager* mgr, std::string label, Codec codec = Codec(),
-            bool charge_cost = true)
-      : mgr_(mgr),
-        label_(std::move(label)),
-        codec_(std::move(codec)),
-        charge_cost_(charge_cost) {}
+  RunWriter(SpillManager* mgr, std::string label, Codec codec = Codec())
+      : mgr_(mgr), label_(std::move(label)), codec_(std::move(codec)) {}
 
   bool started() const { return file_ != nullptr; }
 
   Status Append(const Row& row, ExecContext* ctx) {
     if (file_ == nullptr) {
-      file_ = std::make_unique<SpillFile>(mgr_, label_, charge_cost_);
+      file_ = std::make_unique<SpillFile>(mgr_, label_);
     }
     scratch_.clear();
     codec_.Encode(row, &scratch_);
@@ -93,7 +77,6 @@ class RunWriter {
   SpillManager* const mgr_;
   const std::string label_;
   const Codec codec_;
-  const bool charge_cost_;
   std::unique_ptr<SpillFile> file_;
   std::string scratch_;
 };
@@ -102,7 +85,7 @@ class RunWriter {
 /// the least; ties go to the lowest run index, and rows within a run keep
 /// their order.
 ///
-/// Open reserves one read frame (the spill batch size) per file run against
+/// Open reserves one read frame (the spill batch size) per run against
 /// `ctx`'s tracker and charges the reads to `ctx`; end of stream releases
 /// the frames. A null `ctx` reserves and charges nothing.
 template <typename Codec>
@@ -112,22 +95,21 @@ class RunMerge {
 
   explicit RunMerge(Codec codec = Codec()) : codec_(std::move(codec)) {}
 
-  /// Adds a run; only before Open.
-  void Add(SortedRun<Row> run) { cursors_.push_back({std::move(run)}); }
-  size_t num_runs() const { return cursors_.size(); }
+  /// Adds a sealed run (null, from a writer that got no record, adds
+  /// nothing); only before Open.
+  void Add(std::unique_ptr<SpillFile> run) {
+    if (run != nullptr) cursors_.push_back({std::move(run)});
+  }
 
   Status Open(ExecContext* ctx) {
     ctx_ = ctx;
-    int64_t file_runs = 0;
-    for (const Cursor& c : cursors_) file_runs += c.run.file != nullptr;
-    if (ctx_ != nullptr && file_runs > 0) {
+    if (ctx_ != nullptr && !cursors_.empty()) {
       MAGICDB_RETURN_IF_ERROR(frames_.Acquire(
-          ctx_, file_runs * ctx_->spill_manager()->config().batch_bytes));
+          ctx_, static_cast<int64_t>(cursors_.size()) *
+                    ctx_->spill_manager()->config().batch_bytes));
     }
     for (Cursor& c : cursors_) {
-      c.next = 0;
-      if (c.run.file == nullptr) continue;
-      MAGICDB_RETURN_IF_ERROR(c.run.file->Rewind());
+      MAGICDB_RETURN_IF_ERROR(c.file->Rewind());
       MAGICDB_RETURN_IF_ERROR(Advance(&c));
     }
     return Status::OK();
@@ -136,22 +118,14 @@ class RunMerge {
   /// Moves the least head into `*out`; `*has_row` is false at end of stream.
   Status Next(Row* out, bool* has_row) {
     Cursor* best = nullptr;
-    const Row* best_row = nullptr;
     for (Cursor& c : cursors_) {
-      const Row* head = Head(c);
-      if (head != nullptr &&
-          (best_row == nullptr || codec_.Less(*head, *best_row))) {
+      if (c.has && (best == nullptr || codec_.Less(c.head, best->head))) {
         best = &c;
-        best_row = head;
       }
     }
     *has_row = best != nullptr;
     if (best == nullptr) {
       frames_.Release();
-      return Status::OK();
-    }
-    if (best->run.file == nullptr) {
-      *out = std::move(best->run.rows[best->next++]);
       return Status::OK();
     }
     *out = std::move(best->head);
@@ -166,20 +140,14 @@ class RunMerge {
 
  private:
   struct Cursor {
-    SortedRun<Row> run;
-    bool has = false;  // a file run's decoded head is in `head`
+    std::unique_ptr<SpillFile> file;
+    bool has = false;  // the decoded head is in `head`
     Row head{};
-    size_t next = 0;  // an in-memory run's head index
   };
-
-  const Row* Head(const Cursor& c) const {
-    if (c.run.file != nullptr) return c.has ? &c.head : nullptr;
-    return c.next < c.run.rows.size() ? &c.run.rows[c.next] : nullptr;
-  }
 
   Status Advance(Cursor* c) {
     std::string_view record;
-    MAGICDB_RETURN_IF_ERROR(c->run.file->NextRecord(&record, &c->has, ctx_));
+    MAGICDB_RETURN_IF_ERROR(c->file->NextRecord(&record, &c->has, ctx_));
     return c->has ? codec_.Decode(record, &c->head) : Status::OK();
   }
 

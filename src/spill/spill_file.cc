@@ -17,9 +17,8 @@ int64_t CeilPages(int64_t bytes) {
 }
 }  // namespace
 
-SpillFile::SpillFile(SpillManager* mgr, const std::string& label,
-                     bool charge_cost)
-    : mgr_(mgr), charge_cost_(charge_cost), path_(mgr->NextFilePath(label)) {}
+SpillFile::SpillFile(SpillManager* mgr, const std::string& label)
+    : mgr_(mgr), path_(mgr->NextFilePath(label)) {}
 
 SpillFile::~SpillFile() {
   if (write_handle_ != nullptr) std::fclose(write_handle_);
@@ -31,10 +30,8 @@ SpillFile::~SpillFile() {
 void SpillFile::ChargeWrite(int64_t bytes, ExecContext* ctx) {
   mgr_->AddBytesWritten(bytes);
   if (ctx == nullptr) return;
-  // Spill I/O is forward progress for the stuck-query watchdog even on
-  // paths (gather staging) that charge no query cost.
+  // Spill I/O is forward progress for the stuck-query watchdog.
   ctx->NoteProgress(bytes);
-  if (!charge_cost_) return;
   ctx->counters().spill_bytes_written += bytes;
   const int64_t pages = CeilPages(bytes_written_) - write_pages_charged_;
   ctx->counters().pages_written += pages;
@@ -45,7 +42,6 @@ void SpillFile::ChargeRead(int64_t bytes, ExecContext* ctx) {
   mgr_->AddBytesRead(bytes);
   if (ctx == nullptr) return;
   ctx->NoteProgress(bytes);
-  if (!charge_cost_) return;
   ctx->counters().spill_bytes_read += bytes;
   const int64_t pages = CeilPages(bytes_read_) - read_pages_charged_;
   ctx->counters().pages_read += pages;

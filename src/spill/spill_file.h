@@ -12,9 +12,7 @@
 /// cumulative byte count over the shared page size — the same convention as
 /// PagesForRows) and spill bytes to the ExecContext passed to the call, and
 /// bytes to the owning SpillManager's global counters. Passing a null
-/// context (or constructing with charge_cost=false, as the gather path
-/// does) keeps the manager metrics but charges no CostCounters — GatherOp's
-/// contract is that it performs no query work.
+/// context keeps the manager metrics but charges no CostCounters.
 ///
 /// Failpoints: `spill.write` before every frame write, `spill.read` before
 /// every frame read.
@@ -36,8 +34,7 @@ class SpillFile {
  public:
   /// Creates a handle for a new temp file under `mgr`'s directory. The file
   /// itself is created lazily on the first flush.
-  SpillFile(SpillManager* mgr, const std::string& label,
-            bool charge_cost = true);
+  SpillFile(SpillManager* mgr, const std::string& label);
   ~SpillFile();
 
   SpillFile(const SpillFile&) = delete;
@@ -61,7 +58,6 @@ class SpillFile {
                     ExecContext* ctx);
 
   int64_t records() const { return records_; }
-  int64_t bytes() const { return bytes_written_; }
 
  private:
   Status FlushFrame(ExecContext* ctx);
@@ -70,7 +66,6 @@ class SpillFile {
   void ChargeRead(int64_t bytes, ExecContext* ctx);
 
   SpillManager* const mgr_;
-  const bool charge_cost_;
   std::string path_;
   std::FILE* write_handle_ = nullptr;
   std::FILE* read_handle_ = nullptr;

@@ -22,11 +22,10 @@ namespace magicdb {
 struct CardinalityObservation {
   /// Identity of the measured stream. Base join-block inputs use
   /// FeedbackScanKey ("scan:Emp|pred&pred", "view:DepAvgSal|..."); other
-  /// breakers use site-local keys ("fj:<binding>", "agg:...", "gather:...").
+  /// breakers use site-local keys ("fj:<binding>", "agg:...").
   std::string key;
   /// Breaker kind: "hash_join_build", "filter_join_build",
-  /// "aggregate_build", "staged_gather". Doubles as the re-optimization
-  /// metric reason label.
+  /// "aggregate_build". Doubles as the re-optimization metric reason label.
   std::string site;
   double estimated = 0.0;
   double actual = 0.0;

@@ -417,36 +417,50 @@ TEST(ChaosTest, ParkResumeDelayInjectionKeepsStreamExact) {
 
   QueryServiceOptions so;
   so.pool_threads = 2;
-  // Tiny quanta so the producer re-checks queue capacity every few rows —
-  // with a 4-row high-water mark below, it parks over and over.
+  // Tiny quanta so a producer re-checks its lane's capacity every few rows
+  // — with a 4-row high-water mark below, it parks over and over.
   so.scheduler_quantum_rows = 2;
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();
 
-  // Stretch the park -> resume handoff with injected latency on both sides
-  // while a tiny queue forces the producer to park constantly. The stream
-  // must still deliver every row exactly once, in order.
-  FailpointConfig delay;
-  delay.delay_micros = 500;
-  delay.max_fires = 25;  // bound injected latency, parks keep counting
-  ScopedFailpoint park(std::string("server.sink.park"), delay);
-  ScopedFailpoint resume(std::string("server.sink.resume"), delay);
+  // At dop 2 the gang's lanes park and resume through the same sites.
+  for (int dop : {1, 2}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    // Stretch the park -> resume handoff with injected latency on both
+    // sides while a tiny queue forces the producers to park constantly.
+    // The stream must still deliver every row exactly once, in order.
+    FailpointConfig delay;
+    delay.delay_micros = 500;
+    delay.max_fires = 25;  // bound injected latency, parks keep counting
+    ScopedFailpoint park(std::string("server.sink.park"), delay);
+    ScopedFailpoint resume(std::string("server.sink.resume"), delay);
 
-  ExecOptions exec;
-  exec.stream_queue_rows = 4;
-  auto cursor = session->Open(kJoinQuery, exec);
-  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  std::vector<Tuple> streamed;
-  while (true) {
-    auto batch = cursor->Fetch(3);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    if (batch->empty()) break;
-    for (Tuple& t : *batch) streamed.push_back(std::move(t));
+    ExecOptions exec;
+    exec.dop = dop;
+    exec.stream_queue_rows = 4;
+    auto cursor = session->Open(kJoinQuery, exec);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    EXPECT_EQ(cursor->used_dop(), dop) << cursor->parallel_fallback_reason();
+    // Park before the first Fetch: with nobody fetching, a result larger
+    // than the queue plus a quantum per lane must fill a lane.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (cursor->producer_parks() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<Tuple> streamed;
+    while (true) {
+      auto batch = cursor->Fetch(3);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      if (batch->empty()) break;
+      for (Tuple& t : *batch) streamed.push_back(std::move(t));
+    }
+    EXPECT_GT(cursor->producer_parks(), 0);
+    ASSERT_TRUE(cursor->Close().ok());
+    ExpectRowsIdentical(streamed, baseline->rows);
+    EXPECT_EQ(service.StatsSnapshot().open_cursors, 0);
   }
-  EXPECT_GT(cursor->producer_parks(), 0);
-  ASSERT_TRUE(cursor->Close().ok());
-  ExpectRowsIdentical(streamed, baseline->rows);
-  EXPECT_EQ(service.StatsSnapshot().open_cursors, 0);
 }
 
 TEST(ChaosTest, DeterministicTriggersFireOnSchedule) {

@@ -4,7 +4,7 @@
 // including GROUP BY and Filter Join plans — while enforcing deadlines and
 // cancellation between fetches, bounding resident result memory by the
 // queue's high-water mark, surviving abandonment, and failing cleanly when
-// DDL stales a live sequential stream.
+// DDL stales a live stream at any DoP.
 
 #include <chrono>
 #include <memory>
@@ -432,34 +432,123 @@ TEST(CursorTest, SequentialCursorFailsCleanlyWhenDdlStalesPlan) {
   EXPECT_TRUE(session->Query(kBigQuery).ok());
 }
 
-TEST(CursorTest, ParallelStagedCursorSurvivesDdl) {
+TEST(CursorTest, ParallelCursorFailsCleanlyWhenDdlStalesPlan) {
   Database db;
-  MakeWorkload(&db);
-  auto baseline = db.Run(kJoinQuery);
+  LoadBigTable(&db, 20000);
+  QueryServiceOptions so;
+  so.pool_threads = 2;
+  so.scheduler_quantum_rows = 64;
+  so.stream_queue_rows = 128;  // the lanes park long before end of stream
+  QueryService service(&db, so);
+  std::unique_ptr<Session> session = service.CreateSession();
+
+  ExecOptions exec;
+  exec.dop = 2;
+  auto cursor = session->Open(kBigQuery, exec);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor->used_dop(), 2) << cursor->parallel_fallback_reason();
+  ASSERT_TRUE(cursor->Fetch(10).ok());
+
+  // The gang's lanes stream after its Open phase, so a dop > 1 cursor goes
+  // stale under DDL exactly like a sequential one: rows that may already go
+  // out still arrive, then a lane's next quantum fails the stream.
+  MAGICDB_CHECK_OK(service.Execute("CREATE TABLE Zz (x INT)"));
+  Status terminal = Status::OK();
+  while (true) {
+    auto batch = cursor->Fetch(50);
+    if (!batch.ok()) {
+      terminal = batch.status();
+      break;
+    }
+    ASSERT_FALSE(batch->empty()) << "stream ended without stale-plan error";
+  }
+  EXPECT_EQ(terminal.code(), StatusCode::kFailedPrecondition)
+      << terminal.ToString();
+  EXPECT_EQ(cursor->Close().code(), StatusCode::kFailedPrecondition);
+  ServiceStats stats = service.StatsSnapshot();
+  EXPECT_EQ(stats.cursors_stale, 1);  // once per cursor, not per lane
+  EXPECT_EQ(stats.used_gang_slots, 0);
+  // Query() replans at the fresh epoch, as it does for sequential streams.
+  auto again = session->Query(kBigQuery, exec);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->used_dop, 2);
+  EXPECT_EQ(again->rows.size(), 20000u);
+}
+
+TEST(CursorTest, ParallelCursorBuffersOnlyItsLanes) {
+  Database db;
+  LoadBigTable(&db, 20000);
+  auto baseline = db.Run(kBigQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
-  so.pool_threads = 2;
-  so.stream_queue_rows = 16;
+  so.pool_threads = 4;
+  so.scheduler_quantum_rows = 64;
+  so.stream_queue_rows = 128;
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();
   ExecOptions exec;
-  exec.dop = 2;
-  auto cursor = session->Open(kJoinQuery, exec);
-  ASSERT_TRUE(cursor.ok());
-  EXPECT_EQ(cursor->used_dop(), 2) << cursor->parallel_fallback_reason();
-  auto first = cursor->Fetch(3);
-  ASSERT_TRUE(first.ok());
-
-  // The gang ran inside Open: the staged rows pin the plan, so DDL cannot
-  // stale a parallel cursor mid-stream.
-  MAGICDB_CHECK_OK(service.Execute("CREATE TABLE Zz (x INT)"));
-  std::vector<Tuple> rows = std::move(*first);
-  for (Tuple& t : FetchAll(&*cursor, 11)) rows.push_back(std::move(t));
+  exec.dop = 4;
+  exec.memory_limit_bytes = 1 << 20;
+  auto cursor = session->Open(kBigQuery, exec);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(cursor->used_dop(), 4) << cursor->parallel_fallback_reason();
+  std::vector<Tuple> rows = FetchAll(&*cursor, 50);
   ExpectRowsIdentical(rows, baseline->rows);
   ExpectCountersEqual(cursor->counters(), baseline->counters);
+
+  // Nothing is staged: the governor only ever saw the rows queued in the
+  // four lanes, at most the queue's mark plus one quantum per lane.
+  const int64_t bound_rows =
+      so.stream_queue_rows + 4 * so.scheduler_quantum_rows;
+  EXPECT_LE(cursor->peak_buffered_rows(), bound_rows);
+  EXPECT_GT(cursor->memory_peak_bytes(), 0);
+  EXPECT_LE(cursor->memory_peak_bytes(),
+            bound_rows * TupleByteWidth(baseline->rows[0]));
   MAGICDB_CHECK_OK(cursor->Close());
-  EXPECT_EQ(service.StatsSnapshot().cursors_stale, 0);
+}
+
+TEST(CursorTest, StoppedParallelConsumerHoldsNoPoolThread) {
+  Database db;
+  LoadBigTable(&db, 20000);
+  QueryServiceOptions so;
+  so.pool_threads = 2;
+  so.scheduler_quantum_rows = 64;
+  so.stream_queue_rows = 128;
+  QueryService service(&db, so);
+  std::unique_ptr<Session> stopped = service.CreateSession();
+  ExecOptions dop2;
+  dop2.dop = 2;
+  auto cursor = stopped->Open(kBigQuery, dop2);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor->used_dop(), 2) << cursor->parallel_fallback_reason();
+  ASSERT_TRUE(cursor->Fetch(10).ok());
+
+  // Left alone, both lanes fill and park.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cursor->producer_parks() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(cursor->producer_parks(), 2);
+  EXPECT_EQ(service.StatsSnapshot().used_gang_slots, 0);
+
+  // Parked lanes hold no pool thread, so a sequential and a parallel query
+  // on other sessions still run on the two-thread pool.
+  std::unique_ptr<Session> other = service.CreateSession();
+  auto seq = other->Query(kBigQuery);
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  auto par = other->Query(kBigQuery, dop2);
+  ASSERT_TRUE(par.ok()) << par.status().ToString();
+  EXPECT_EQ(par->used_dop, 2);
+  ExpectRowsIdentical(par->rows, seq->rows);
+
+  EXPECT_EQ(cursor->Close().code(), StatusCode::kCancelled);
+  ServiceStats stats = service.StatsSnapshot();
+  EXPECT_EQ(stats.active_queries, 0);
+  EXPECT_EQ(stats.used_gang_slots, 0);
+  EXPECT_EQ(stats.open_cursors, 0);
 }
 
 TEST(CursorTest, MetricsTextExposesStreamingSeries) {

@@ -2,7 +2,7 @@
 //
 // The contract under test: a governed query whose retained state exceeds
 // memory_limit_bytes completes by spilling (Grace hash join, hybrid hash
-// aggregation, external merge sort, staged-gather spill) with rows
+// aggregation, external merge sort) with rows
 // byte-identical to an ungoverned run at any DoP, while the MemoryTracker
 // peak stays at or under the limit and the magicdb_spill_* counters record
 // the I/O. Without a spill area — or with ExecOptions::allow_spill=false —
@@ -169,13 +169,14 @@ std::shared_ptr<SpillManager> MakeTestSpillManager() {
   return std::make_shared<SpillManager>(config);
 }
 
-SortedRun<KeyTag> FileRun(SpillManager* mgr, const std::vector<KeyTag>& rows,
-                          ExecContext* ctx) {
+std::unique_ptr<SpillFile> FileRun(SpillManager* mgr,
+                                   const std::vector<KeyTag>& rows,
+                                   ExecContext* ctx) {
   RunWriter<KeyTagCodec> writer(mgr, "test-run");
   for (const KeyTag& r : rows) MAGICDB_CHECK_OK(writer.Append(r, ctx));
   StatusOr<std::unique_ptr<SpillFile>> file = writer.FinishWrite(ctx);
   MAGICDB_CHECK(file.ok());
-  return {std::move(*file), {}};
+  return std::move(*file);
 }
 
 std::vector<int64_t> DrainTags(RunMerge<KeyTagCodec>* merge) {
@@ -193,8 +194,8 @@ TEST(SortedRunsTest, MergeBreaksTiesByRunIndexThenFifo) {
   auto mgr = MakeTestSpillManager();
   RunMerge<KeyTagCodec> merge;
   merge.Add(FileRun(mgr.get(), {{1, 10}, {3, 11}, {3, 12}, {5, 13}}, nullptr));
-  merge.Add({nullptr, {{0, 20}, {3, 21}, {5, 22}}});
-  merge.Add({});
+  merge.Add(FileRun(mgr.get(), {{0, 20}, {3, 21}, {5, 22}}, nullptr));
+  merge.Add(FileRun(mgr.get(), {}, nullptr));
   ASSERT_TRUE(merge.Open(nullptr).ok());
   EXPECT_EQ(DrainTags(&merge),
             (std::vector<int64_t>{20, 10, 11, 12, 21, 13, 22}));
@@ -208,10 +209,10 @@ TEST(SortedRunsTest, OpenReservesOneFramePerFileRun) {
   ctx.set_spill_manager(mgr);
   RunMerge<KeyTagCodec> merge;
   merge.Add(FileRun(mgr.get(), {{1, 1}, {4, 4}}, nullptr));
-  merge.Add({nullptr, {{2, 2}}});
+  merge.Add(FileRun(mgr.get(), {{2, 2}}, nullptr));
   merge.Add(FileRun(mgr.get(), {{3, 3}}, nullptr));
   ASSERT_TRUE(merge.Open(&ctx).ok());
-  EXPECT_EQ(tracker->used_bytes(), 2 * 256);
+  EXPECT_EQ(tracker->used_bytes(), 3 * 256);
   EXPECT_EQ(DrainTags(&merge), (std::vector<int64_t>{1, 2, 3, 4}));
   EXPECT_EQ(tracker->used_bytes(), 0);
   EXPECT_GT(ctx.counters().spill_bytes_read, 0);
@@ -225,7 +226,7 @@ TEST(SortedRunsTest, NullContextMergeChargesNothing) {
   ctx.set_spill_manager(mgr);
   RunMerge<KeyTagCodec> merge;
   merge.Add(FileRun(mgr.get(), {{1, 1}, {3, 3}}, &ctx));
-  merge.Add({nullptr, {{2, 2}}});
+  merge.Add(FileRun(mgr.get(), {{2, 2}}, &ctx));
   const CostCounters written = ctx.counters();
   ASSERT_GT(written.spill_bytes_written, 0);
   ASSERT_TRUE(merge.Open(nullptr).ok());
@@ -348,9 +349,10 @@ void MakeSpillWorkload(Database* db_out) {
   opts->enable_sort_merge = false;
 }
 
-// Each shape retains far more state than the tiny limits below allow: a
-// ~64 KB hash-join build, ~1000 aggregate groups, a full-input sort, and
-// a 4000-row staged parallel scan.
+// Each of the first three shapes retains far more state than the tiny
+// limits below allow: a ~64 KB hash-join build, ~1000 aggregate groups and
+// a full-input sort. The 4000-row scan retains nothing but its unfetched
+// result, which the cursor's queue bounds at any dop.
 const char* kSpillJoinQuery =
     "SELECT F.k, F.v, D.w FROM Fact F, Dim D WHERE F.k = D.k";
 const char* kSpillAggQuery =
@@ -393,9 +395,8 @@ TEST(SpillExecutionTest, JoinAggSortCompleteUnderTinyLimitAtAnyDop) {
   QueryService service(&db, SpillServiceOptions(dir));
   std::unique_ptr<Session> session = service.CreateSession();
 
-  // The pure scan is exercised separately: at dop=1 it retains no state
-  // and correctly never spills, and at dop=4 its staged-gather spill reads
-  // are deliberately uncharged (the gather merge is a free operator).
+  // The pure scan is exercised separately: it retains no state and
+  // correctly never spills, at dop=1 or at dop=4.
   for (const char* query :
        {kSpillJoinQuery, kSpillAggQuery, kSpillSortQuery}) {
     SCOPED_TRACE(query);
@@ -486,7 +487,7 @@ TEST(SpillExecutionTest, ParallelBreachDegradesToSequentialSpill) {
   EXPECT_EQ(stats.used_gang_slots, 0);
 }
 
-TEST(SpillExecutionTest, ParallelScanSpillsStagedRowsAndStaysParallel) {
+TEST(SpillExecutionTest, ParallelScanStreamsUnderTinyLimitWithoutSpilling) {
   Database db;
   MakeSpillWorkload(&db);
   const std::string dir = MakeSpillDir();
@@ -501,13 +502,24 @@ TEST(SpillExecutionTest, ParallelScanSpillsStagedRowsAndStaysParallel) {
 
   ExecOptions governed = wide;
   governed.memory_limit_bytes = kTinyLimit;
-  auto spilled = session->Query(kSpillScanQuery, governed);
-  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  // Staged gather rows overflow to per-worker spill files; the gang itself
-  // completes, so the query keeps its parallelism.
-  EXPECT_EQ(spilled->used_dop, 4);
-  ExpectRowsIdentical(spilled->rows, baseline->rows);
-  EXPECT_GT(spilled->counters.spill_bytes_written, 0);
+  auto cursor = session->Open(kSpillScanQuery, governed);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  std::vector<Tuple> rows;
+  while (true) {
+    auto batch = cursor->Fetch(128);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    if (batch->empty()) break;
+    for (Tuple& t : *batch) rows.push_back(std::move(t));
+  }
+  // The workers stream their rows through the sink's lanes, which bound the
+  // result memory: nothing is staged, so nothing spills, and the query
+  // keeps its parallelism.
+  EXPECT_EQ(cursor->used_dop(), 4);
+  ExpectRowsIdentical(rows, baseline->rows);
+  EXPECT_EQ(cursor->counters().spill_bytes_written, 0);
+  EXPECT_GT(cursor->memory_peak_bytes(), 0);
+  EXPECT_LE(cursor->memory_peak_bytes(), kTinyLimit);
+  ASSERT_TRUE(cursor->Close().ok());
 }
 
 // ----- opting out -----
