@@ -7,8 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/optimizer/optimizer.h"
@@ -25,26 +27,44 @@ struct Effort {
   int64_t micros;
 };
 
+// Plannings per table cell. The cell's time is their median, so one run
+// that the host preempts does not decide it; the counts are the same in
+// every repeat (the optimizer is deterministic).
+constexpr int kRepeats = 11;
+
 Effort MeasurePlanning(Database* db, const std::string& query,
                        const OptimizerOptions& opts) {
   auto logical = db->Bind(query);
   MAGICDB_CHECK_OK(logical.status());
-  Optimizer optimizer(db->catalog(), opts);
-  const auto start = std::chrono::steady_clock::now();
-  auto plan = optimizer.Optimize(*logical);
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  MAGICDB_CHECK_OK(plan.status());
-  return {optimizer.stats().join_steps_costed, optimizer.stats().dp_entries,
-          optimizer.stats().filter_joins_costed, micros};
+  Effort effort{};
+  std::vector<int64_t> micros;
+  for (int r = 0; r < kRepeats; ++r) {
+    Optimizer optimizer(db->catalog(), opts);
+    const auto start = std::chrono::steady_clock::now();
+    auto plan = optimizer.Optimize(*logical);
+    micros.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    MAGICDB_CHECK_OK(plan.status());
+    const OptimizerStats& stats = optimizer.stats();
+    const Effort run{stats.join_steps_costed, stats.dp_entries,
+                     stats.filter_joins_costed, 0};
+    MAGICDB_CHECK(r == 0 || (run.steps == effort.steps &&
+                             run.dp_entries == effort.dp_entries &&
+                             run.filter_joins == effort.filter_joins));
+    effort = run;
+  }
+  std::sort(micros.begin(), micros.end());
+  effort.micros = micros[micros.size() / 2];
+  return effort;
 }
 
 void PrintComplexityTable() {
   std::cout << "=== E7 / Section 3: optimization effort vs number of join "
                "inputs ===\n"
             << "star join of Fact with N dimension views; steps = (subset, "
-               "inner, method) combinations costed\n\n";
+               "inner, method) combinations costed; us = median of "
+            << kRepeats << " plannings\n\n";
   TablePrinter table({"N inputs", "no FJ: steps", "no FJ: us",
                       "FJ+Limits: steps", "FJ+Limits: us",
                       "FJ+prefixes: steps", "FJ+prefixes: us",

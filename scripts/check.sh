@@ -21,8 +21,8 @@
 # streaming-cursor sections assert byte-identity against Database::Run and
 # the cursor queue's bounded-memory contract while racing sessions on the
 # shared pool. After the Release suite the benchmark package (perfbench/)
-# is built on its own, its helper tests run, and a traced analytic_dop3
-# window and a traced spill_governed window must verify every result.
+# is built on its own, its helper tests run, and traced analytic_dop3,
+# spill_governed and adhoc_plan windows must verify every result.
 #
 # A second trio of builds repeats Release/TSAN/ASan+UBSan with
 # -DMAGICDB_FAILPOINTS=ON and runs the chaos suite (fault injection at every
@@ -153,12 +153,12 @@ echo "=== Server-throughput bench smoke (Release) ==="
 
 # The benchmark package (perfbench/, declared in BENCHMARK.json) builds the
 # library from src/ on its own, so the root build above never compiles it.
-# Build it, run its helper tests, and run one traced analytic_dop3 window
-# and one traced spill_governed window:
+# Build it, run its helper tests, and run one traced analytic_dop3 window,
+# one traced spill_governed window and one traced adhoc_plan window:
 # a library change that breaks the benchmark's direct path (bind, plan,
 # ParallelExecutor::Run, ExecuteToVector) or its Database::Run result
 # verification fails here.
-echo "=== Benchmark package: helper tests + traced analytic_dop3 and spill_governed runs ==="
+echo "=== Benchmark package: helper tests + traced analytic_dop3, spill_governed and adhoc_plan runs ==="
 cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-perfbench -j "${JOBS}"
 ctest --test-dir build-perfbench --output-on-failure --timeout 120
@@ -169,6 +169,12 @@ PERFBENCH_WORK_DIR="$(mktemp -d)"
 # did ranges over the did-ordered Emp) and the only one that spills;
 # perfbench exits non-zero when a result is wrong or a query did not spill.
 ./build-perfbench/perfbench --workload spill_governed --seed 1 --seconds 10 \
+    --trace 1 --work-dir "${PERFBENCH_WORK_DIR}"
+# adhoc_plan is the only workload that plans every statement (its star
+# joins never repeat a text), and it checks each result against the
+# MagicMode::kNever multiset of the same statement, so an optimizer change
+# that builds a wrong plan fails here.
+./build-perfbench/perfbench --workload adhoc_plan --seed 1 --seconds 10 \
     --trace 1 --work-dir "${PERFBENCH_WORK_DIR}"
 rm -rf "${PERFBENCH_WORK_DIR}"
 

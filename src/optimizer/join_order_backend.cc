@@ -7,20 +7,12 @@ namespace magicdb {
 
 using optimizer_internal::AccessKind;
 using optimizer_internal::JoinGraph;
+using optimizer_internal::PairFacts;
 using optimizer_internal::PartialPlan;
 using optimizer_internal::PlanContext;
-using optimizer_internal::StepMethod;
+using optimizer_internal::PricedSteps;
 
 namespace {
-
-// Methods a backend may try per step. CostJoinStep itself rejects methods
-// disabled by options (enable_hash_join etc.) or inapplicable to the input;
-// the explicit kFilterJoin/kFnMemo gates below mirror RunDP's.
-const StepMethod kStepMethods[] = {
-    StepMethod::kNestedLoops, StepMethod::kHash,    StepMethod::kSortMerge,
-    StepMethod::kIndexNL,     StepMethod::kFnProbe, StepMethod::kFnMemo,
-    StepMethod::kFilterJoin,
-};
 
 Status Infeasible() {
   return Status::InvalidArgument(
@@ -62,6 +54,8 @@ class GreedyBackend final : public JoinOrderBackend {
 
     bool have_best = false;
     PartialPlan best;
+    PairFacts facts;
+    PricedSteps priced;
     for (int seed = 0; seed < n; ++seed) {
       if (graph.inputs[seed].access == AccessKind::kFunction) continue;
       auto seeded = impl->AccessPlan(graph, seed);
@@ -75,16 +69,11 @@ class GreedyBackend final : public JoinOrderBackend {
         int step_input = -1;
         for (int j = 0; j < n; ++j) {
           if ((used & (1u << j)) != 0) continue;
-          for (StepMethod m : kStepMethods) {
-            if (m == StepMethod::kFilterJoin && !allow_filter_join) continue;
-            if (m == StepMethod::kFnMemo &&
-                !impl->options_->enable_function_memo) {
-              continue;
-            }
-            auto r = impl->CostJoinStep(graph, cur, j, m, ctx);
-            if (!r.ok()) continue;  // method inapplicable here
-            if (!have_step || r->cost < step_best.cost) {
-              step_best = std::move(*r);
+          const int count = impl->PricePair(graph, cur, j, allow_filter_join,
+                                            ctx, &facts, &priced);
+          for (int m = 0; m < count; ++m) {
+            if (!have_step || priced[m].cost < step_best.cost) {
+              step_best = impl->MaterializeStep(graph, cur, facts, priced[m]);
               step_input = j;
               have_step = true;
             }

@@ -2,10 +2,10 @@
 #define MAGICDB_OPTIMIZER_JOIN_ORDER_BACKEND_H_
 
 // Pluggable join-order search. Every backend enumerates left-deep trees
-// over the same JoinGraph and prices candidate steps with the same cost
-// model (Optimizer::Impl::CostJoinStep), so a backend switch changes only
-// how much of the plan space is explored — never how plans are costed or
-// what they produce. Selected via OptimizerOptions::join_order_backend and
+// over the same JoinGraph and prices candidate steps through the same
+// per-pair loop and cost model (Optimizer::Impl::PricePair), so a backend
+// switch changes only how much of the plan space is explored — never how
+// plans are costed or what they produce. Selected via OptimizerOptions::join_order_backend and
 // folded into the options fingerprint, so plan caches never share plans
 // across backends.
 

@@ -19,8 +19,10 @@ using optimizer_internal::InputInfo;
 using optimizer_internal::JoinGraph;
 using optimizer_internal::JoinStep;
 using optimizer_internal::JoinStepPtr;
+using optimizer_internal::PairFacts;
 using optimizer_internal::PartialPlan;
 using optimizer_internal::Planned;
+using optimizer_internal::PricedSteps;
 using optimizer_internal::StepMethod;
 using optimizer_internal::StepMethodName;
 
@@ -46,12 +48,6 @@ std::string InputFeedbackKey(const InputInfo& in) {
 
 namespace {
 
-const StepMethod kJoinMethods[] = {
-    StepMethod::kNestedLoops, StepMethod::kHash,    StepMethod::kSortMerge,
-    StepMethod::kIndexNL,     StepMethod::kFnProbe, StepMethod::kFnMemo,
-    StepMethod::kFilterJoin,
-};
-
 bool IsPrefixOf(const std::vector<int>& prefix, const std::vector<int>& of) {
   if (prefix.size() > of.size()) return false;
   for (size_t i = 0; i < prefix.size(); ++i) {
@@ -60,12 +56,18 @@ bool IsPrefixOf(const std::vector<int>& prefix, const std::vector<int>& of) {
   return true;
 }
 
-void InsertCandidate(std::vector<PartialPlan>* cands, PartialPlan cand) {
-  for (const PartialPlan& c : *cands) {
-    if (c.cost <= cand.cost && IsPrefixOf(cand.order_cols, c.order_cols)) {
-      return;
-    }
+/// Whether an incumbent of `cands` is at most as costly as a candidate of
+/// (cost, order) and provides at least its order (order as a prefix).
+bool Dominated(const std::vector<PartialPlan>& cands, double cost,
+               const std::vector<int>& order) {
+  for (const PartialPlan& c : cands) {
+    if (c.cost <= cost && IsPrefixOf(order, c.order_cols)) return true;
   }
+  return false;
+}
+
+void InsertCandidate(std::vector<PartialPlan>* cands, PartialPlan cand) {
+  if (Dominated(*cands, cand.cost, cand.order_cols)) return;
   cands->erase(std::remove_if(cands->begin(), cands->end(),
                               [&](const PartialPlan& c) {
                                 return cand.cost <= c.cost &&
@@ -139,23 +141,23 @@ StatusOr<PartialPlan> Optimizer::Impl::RunDP(const JoinGraph& graph,
     }
   }
 
+  // Every applicable priced step is a DP entry, but only one that no
+  // incumbent of its subset dominates is built and inserted.
+  PairFacts facts;
+  PricedSteps priced;
   for (uint32_t mask = 1; mask <= full; ++mask) {
     if (table[mask].empty()) continue;
     for (const PartialPlan& cand : table[mask]) {
       for (int j = 0; j < n; ++j) {
         if ((mask & (1u << j)) != 0) continue;
-        for (StepMethod method : kJoinMethods) {
-          if (method == StepMethod::kFilterJoin && !allow_filter_join) {
-            continue;
-          }
-          if (method == StepMethod::kFnMemo &&
-              !options_->enable_function_memo) {
-            continue;
-          }
-          auto r = CostJoinStep(graph, cand, j, method, ctx);
-          if (!r.ok()) continue;  // method inapplicable here
+        const int count =
+            PricePair(graph, cand, j, allow_filter_join, ctx, &facts, &priced);
+        std::vector<PartialPlan>& target = table[facts.new_set];
+        for (int k = 0; k < count; ++k) {
           stats_->dp_entries += 1;
-          InsertCandidate(&table[mask | (1u << j)], std::move(*r));
+          if (Dominated(target, priced[k].cost, priced[k].order)) continue;
+          InsertCandidate(&target,
+                          MaterializeStep(graph, cand, facts, priced[k]));
         }
       }
     }
@@ -487,6 +489,8 @@ StatusOr<std::vector<JoinOrderCost>> Optimizer::Impl::EnumerateOrders(
   for (int i = 0; i < n; ++i) perm[i] = i;
 
   std::vector<JoinOrderCost> results;
+  PairFacts facts;
+  PricedSteps priced;
   do {
     JoinOrderCost joc;
     bool feasible = true;
@@ -500,29 +504,19 @@ StatusOr<std::vector<JoinOrderCost>> Optimizer::Impl::EnumerateOrders(
       std::string methods = graph.inputs[perm[0]].alias;
       PartialPlan plan = std::move(*cur);
       for (int k = 1; k < n && feasible; ++k) {
-        double best_cost = -1;
-        PartialPlan best_plan;
-        StepMethod best_method = StepMethod::kNestedLoops;
-        for (StepMethod m : kJoinMethods) {
-          if (m == StepMethod::kFilterJoin && !allow_fj) continue;
-          if (m == StepMethod::kFnMemo && !options_->enable_function_memo) {
-            continue;
-          }
-          auto r = CostJoinStep(graph, plan, perm[k], m, ctx);
-          if (!r.ok()) continue;
-          if (best_cost < 0 || r->cost < best_cost) {
-            best_cost = r->cost;
-            best_plan = std::move(*r);
-            best_method = m;
-          }
+        const int count =
+            PricePair(graph, plan, perm[k], allow_fj, ctx, &facts, &priced);
+        int best = -1;
+        for (int m = 0; m < count; ++m) {
+          if (best < 0 || priced[m].cost < priced[best].cost) best = m;
         }
-        if (best_cost < 0) {
+        if (best < 0) {
           feasible = false;
           break;
         }
-        plan = std::move(best_plan);
-        methods += std::string(" *") + StepMethodName(best_method) + "* " +
-                   graph.inputs[perm[k]].alias;
+        plan = MaterializeStep(graph, plan, facts, priced[best]);
+        methods += std::string(" *") + StepMethodName(priced[best].method) +
+                   "* " + graph.inputs[perm[k]].alias;
       }
       if (!feasible) break;
       if (allow_fj) {

@@ -6,15 +6,19 @@
 // optimizer_join.cc (join-block dynamic programming and Filter Join
 // costing).
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exec/filter_join_op.h"
 #include "src/optimizer/optimizer.h"
+#include "src/rewrite/magic_rewrite.h"
 #include "src/stats/feedback_store.h"
 
 namespace magicdb {
@@ -59,6 +63,24 @@ enum class AccessKind {
   kFilterSetRef,  // magic filter set inside a rewritten view plan
 };
 
+/// Parametric costing cache for one virtual inner (§4.2): lazily computed
+/// (selectivity, cost, rows) samples at equivalence-class centers. One per
+/// (input, filter-key columns, rewrite style).
+struct ParametricCache {
+  std::vector<int> key_cols;  // the filter set's inner columns
+  RewriteStyle style = RewriteStyle::kJoin;
+  LogicalPtr rewritten;  // magic-rewritten inner plan
+  LogicalPtr pinned_node;  // original inner (pins the pointer in the key)
+  std::string binding_id;
+  double inner_key_domain = 1.0;  // distinct key values in the inner
+  struct Sample {
+    double selectivity;
+    double cost;
+    double rows;
+  };
+  std::vector<Sample> samples;  // indexed by bucket; selectivity<0 = empty
+};
+
 /// One FROM-clause input of a join block with its access-path information.
 struct InputInfo {
   int id = 0;
@@ -80,6 +102,17 @@ struct InputInfo {
   double base_rows = 0.0;
   double local_selectivity = 1.0;
   std::vector<double> base_distinct;
+
+  /// Whether a Filter Join may use this input as its inner, decided once
+  /// per join graph: the access kind and options allow it, and the input is
+  /// not already a magic-rewritten fragment (rewriting one again would
+  /// never terminate).
+  bool fj_eligible = false;
+  /// The parametric caches of an eligible view or subplan input, one per
+  /// (filter-key columns, rewrite style); owned by Optimizer::Impl and
+  /// shared by every join graph built over the same node. The deque keeps
+  /// references stable as caches are added.
+  std::deque<ParametricCache>* parametric = nullptr;
 
   bool IsVirtual() const { return access != AccessKind::kLocalTable; }
 };
@@ -128,6 +161,26 @@ enum class StepMethod {
 
 const char* StepMethodName(StepMethod m);
 
+/// The join methods every join-order search prices per (outer, inner)
+/// pair, in the order their candidates are priced and inserted.
+inline constexpr StepMethod kJoinMethods[] = {
+    StepMethod::kNestedLoops, StepMethod::kHash,    StepMethod::kSortMerge,
+    StepMethod::kIndexNL,     StepMethod::kFnProbe, StepMethod::kFnMemo,
+    StepMethod::kFilterJoin,
+};
+inline constexpr size_t kNumJoinMethods = std::size(kJoinMethods);
+
+/// Whether a search prices `method` at all: the Filter Join only where the
+/// caller allows it (not under MagicMode::kNever or for the Starburst
+/// baseline's plain order), function memoization only when enabled. Every
+/// other method rejects itself in pricing.
+inline bool MethodConsidered(StepMethod method, bool allow_filter_join,
+                             const OptimizerOptions& options) {
+  if (method == StepMethod::kFilterJoin) return allow_filter_join;
+  if (method == StepMethod::kFnMemo) return options.enable_function_memo;
+  return true;
+}
+
 struct JoinStep;
 using JoinStepPtr = std::shared_ptr<const JoinStep>;
 
@@ -171,26 +224,67 @@ struct PartialPlan {
   JoinStepPtr step;
 };
 
+/// What joining one partial plan with one more input applies, whatever the
+/// method: derived once per (outer, inner) pair and read by every method's
+/// pricing. The vectors keep their capacity when a search reuses one
+/// PairFacts for pair after pair.
+struct PairFacts {
+  int inner_id = -1;
+  uint32_t new_set = 0;
+  /// Equi keys (outer block col, inner col), one per inner column, sorted
+  /// by inner column; `key_inner_cols` lists the inner columns alone.
+  std::vector<std::pair<int, int>> keys;
+  std::vector<int> key_inner_cols;
+  std::vector<int> applied;    // conjunct ids applied here, in graph order
+  std::vector<int> residuals;  // the non-equi ones among `applied`
+  double equi_sel = 1.0;
+  double resid_sel = 1.0;
+  /// Block-space distinct counts: the outer's plus the inner's columns.
+  std::vector<double> combined;
+  double mid_rows = 0.0;  // after the equi keys
+  double out_rows = 0.0;  // after the residuals too
+
+  // Scratch space of the facts pass and the Filter Join pricing.
+  std::vector<int> counted_classes;
+  std::vector<int> fj_outer_cols, fj_inner_cols;
+  std::vector<int> sub_outer_cols, sub_inner_cols;
+  struct ProdSpec {
+    double rows;
+    double width;
+    int prefix_len;  // -1 = full outer
+  };
+  std::vector<ProdSpec> prod_specs;
+};
+
+/// One method's price for a pair, computed before any JoinStep exists: the
+/// cumulative cost, rows and order a candidate would carry, plus what
+/// MaterializeStep needs to build its step.
+struct PricedStep {
+  StepMethod method = StepMethod::kAccess;
+  double cost = 0.0;  // cumulative: outer cost + step cost
+  double rows = 0.0;
+  std::vector<int> order;  // the candidate's order_cols
+  std::vector<std::pair<int, int>> keys;  // the step's keys
+  bool smj_outer_presorted = false;
+  // Filter Join.
+  FilterSetImpl fs_impl = FilterSetImpl::kExact;
+  FilterJoinCostBreakdown breakdown;
+  /// The single filter-key position of a partial-key filter set; -1 when
+  /// every key contributes.
+  int filter_key_position = -1;
+  /// A view or subplan inner's cache (its binding id and rewritten plan);
+  /// otherwise the number of the binding id reserved in pricing.
+  const ParametricCache* cache = nullptr;
+  int64_t binding_number = -1;
+};
+
+using PricedSteps = std::array<PricedStep, kNumJoinMethods>;
+
 /// Feedback identity of a join-block input: the key its observed build
 /// cardinality is recorded — and, for overlay-eligible scan:/view: keys,
 /// re-planned — under (see src/stats/feedback_store.h). Empty when the
 /// input has no stable identity (table functions, filter-set references).
 std::string InputFeedbackKey(const InputInfo& in);
-
-/// Parametric costing cache for one virtual inner (§4.2): lazily computed
-/// (selectivity, cost, rows) samples at equivalence-class centers.
-struct ParametricCache {
-  LogicalPtr rewritten;  // magic-rewritten inner plan
-  LogicalPtr pinned_node;  // original inner (pins the pointer in the key)
-  std::string binding_id;
-  double inner_key_domain = 1.0;  // distinct key values in the inner
-  struct Sample {
-    double selectivity;
-    double cost;
-    double rows;
-  };
-  std::vector<Sample> samples;  // indexed by bucket; selectivity<0 = empty
-};
 
 }  // namespace optimizer_internal
 
@@ -206,6 +300,9 @@ class Optimizer::Impl {
   using JoinStepPtr = optimizer_internal::JoinStepPtr;
   using StepMethod = optimizer_internal::StepMethod;
   using ParametricCache = optimizer_internal::ParametricCache;
+  using PairFacts = optimizer_internal::PairFacts;
+  using PricedStep = optimizer_internal::PricedStep;
+  using PricedSteps = optimizer_internal::PricedSteps;
 
   Impl(const Catalog* catalog, OptimizerOptions* options,
        OptimizerStats* stats)
@@ -252,6 +349,10 @@ class Optimizer::Impl {
   /// Fresh binding id for a magic filter set.
   std::string NextBindingId(const std::string& hint);
 
+  /// The binding id numbered `number` for a filter set on `hint`, as
+  /// NextBindingId formats it.
+  static std::string BindingId(const std::string& hint, int64_t number);
+
   // ----- implemented in optimizer_join.cc -----
 
   /// Plans a join block (NaryJoin node) via the System-R DP.
@@ -261,8 +362,48 @@ class Optimizer::Impl {
   StatusOr<JoinGraph> BuildJoinGraph(const NaryJoinNode& join,
                                      PlanContext* ctx);
 
-  /// Costs joining `outer` with input `inner_id` using `method`. Returns
-  /// false (no value) via Status when the method is inapplicable.
+  /// Derives the facts of joining `outer` with input `inner_id`.
+  void DerivePairFacts(const JoinGraph& graph, const PartialPlan& outer,
+                       int inner_id, PairFacts* facts) const;
+
+  /// Prices one method for a pair without allocating a step. Returns false
+  /// when the method cannot apply (or its Filter Join costing failed).
+  bool PriceStep(const JoinGraph& graph, const PartialPlan& outer,
+                 StepMethod method, PlanContext* ctx, PairFacts* facts,
+                 PricedStep* out);
+
+  /// PriceStep's Filter Join case: tries every filter-key subset, filter-set
+  /// implementation and production set, keeps the cheapest in `out` and
+  /// returns its step cost (negative when no Filter Join applies).
+  StatusOr<double> PriceFilterJoin(const JoinGraph& graph,
+                                   const PartialPlan& outer, PlanContext* ctx,
+                                   PairFacts* facts, PricedStep* out);
+
+  /// §4.2 parametric costing of a view or subplan inner restricted by a
+  /// filter set of `n_f` keys on `key_cols` (false-positive rate `fpr`):
+  /// FilterCost_Rk and |R_k'| read off the input's equivalence-class cache,
+  /// which a miss fills by planning the rewritten inner.
+  Status CostRestrictedView(const InputInfo& inner,
+                            const std::vector<int>& key_cols,
+                            FilterSetImpl impl, double n_f, double fpr,
+                            PlanContext* ctx, const ParametricCache** cache,
+                            double* filter_cost, double* restricted_rows);
+
+  /// The per-pair loop every join-order search shares: derives the pair's
+  /// facts into `*facts`, then prices each method of kJoinMethods that
+  /// MethodConsidered admits, writing the applicable ones to `out` in
+  /// method order. Returns how many it wrote.
+  int PricePair(const JoinGraph& graph, const PartialPlan& outer,
+                int inner_id, bool allow_filter_join, PlanContext* ctx,
+                PairFacts* facts, PricedSteps* out);
+
+  /// Builds the candidate (and its JoinStep) a priced step describes.
+  PartialPlan MaterializeStep(const JoinGraph& graph, const PartialPlan& outer,
+                              const PairFacts& facts,
+                              const PricedStep& priced) const;
+
+  /// Facts, pricing and materialization of one (pair, method) at once.
+  /// InvalidArgument when the method is inapplicable.
   StatusOr<PartialPlan> CostJoinStep(const JoinGraph& graph,
                                      const PartialPlan& outer, int inner_id,
                                      StepMethod method, PlanContext* ctx);
@@ -311,8 +452,11 @@ class Optimizer::Impl {
   /// repeated nested optimization of the same view).
   std::map<std::string, Planned> view_cache_;
 
-  /// Parametric restricted-inner caches, keyed by binding id.
-  std::map<std::string, ParametricCache> parametric_;
+  /// Parametric restricted-inner caches, keyed by the input's node and
+  /// alias (see InputInfo::parametric).
+  std::map<std::pair<const LogicalNode*, std::string>,
+           std::deque<ParametricCache>>
+      parametric_;
 
   /// Table-1 breakdowns of Filter Joins in plans actually chosen (cleared
   /// per Optimize call; suppressed during parametric trial planning).

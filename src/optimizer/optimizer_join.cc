@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 #include "src/common/logging.h"
 #include "src/exec/basic_ops.h"
@@ -23,9 +22,11 @@ using optimizer_internal::InputInfo;
 using optimizer_internal::JoinGraph;
 using optimizer_internal::JoinStep;
 using optimizer_internal::JoinStepPtr;
+using optimizer_internal::PairFacts;
 using optimizer_internal::ParametricCache;
 using optimizer_internal::PartialPlan;
 using optimizer_internal::Planned;
+using optimizer_internal::PricedStep;
 using optimizer_internal::StepMethod;
 using optimizer_internal::StepMethodName;
 
@@ -370,6 +371,32 @@ StatusOr<JoinGraph> Optimizer::Impl::BuildJoinGraph(const NaryJoinNode& join,
       }
     }
   }
+
+  // Filter Join eligibility and parametric caches, decided once per input.
+  for (InputInfo& in : graph.inputs) {
+    switch (in.access) {
+      case AccessKind::kLocalTable:
+        in.fj_eligible = options_->filter_join_on_stored;
+        break;
+      case AccessKind::kRemoteTable:
+      case AccessKind::kFunction:
+        in.fj_eligible = true;
+        break;
+      case AccessKind::kView:
+        in.fj_eligible = !PlanContainsFilterSet(*in.entry->view_plan);
+        break;
+      case AccessKind::kSubplan:
+        in.fj_eligible = !PlanContainsFilterSet(*in.node);
+        break;
+      case AccessKind::kFilterSetRef:
+        in.fj_eligible = false;
+        break;
+    }
+    if (in.fj_eligible && (in.access == AccessKind::kView ||
+                           in.access == AccessKind::kSubplan)) {
+      in.parametric = &parametric_[{in.node.get(), in.alias}];
+    }
+  }
   return graph;
 }
 
@@ -446,37 +473,42 @@ StatusOr<PartialPlan> Optimizer::Impl::OrderedAccessPlan(
 }
 
 // ----- Join step costing -----
+//
+// A search prices each (outer, inner) pair in three parts: DerivePairFacts
+// computes what every method shares (applied conjuncts, keys,
+// selectivities, distinct counts, rows) once per pair; PriceStep turns the
+// facts into one method's cumulative cost, rows and order without building
+// anything; MaterializeStep allocates the JoinStep and PartialPlan only for
+// the candidates the search keeps.
 
-StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
-                                                    const PartialPlan& outer,
-                                                    int inner_id,
-                                                    StepMethod method,
-                                                    PlanContext* ctx) {
+void Optimizer::Impl::DerivePairFacts(const JoinGraph& graph,
+                                      const PartialPlan& outer, int inner_id,
+                                      PairFacts* f) const {
   const InputInfo& inner = graph.inputs[inner_id];
   const uint32_t inner_bit = 1u << inner_id;
   MAGICDB_CHECK((outer.set & inner_bit) == 0);
-  const uint32_t new_set = outer.set | inner_bit;
-  stats_->join_steps_costed += 1;
-
-  // Conjuncts applied at this step: those referencing the inner whose full
-  // mask is now covered.
-  std::vector<std::pair<int, int>> keys;      // (outer block col, inner col)
-  std::vector<ExprPtr> residuals;             // block space
-  std::vector<ExprPtr> all_applied;           // for NL predicates
-  double equi_sel = 1.0;
-  double resid_sel = 1.0;
+  f->inner_id = inner_id;
+  f->new_set = outer.set | inner_bit;
+  f->keys.clear();
+  f->applied.clear();
+  f->residuals.clear();
+  f->counted_classes.clear();
+  f->equi_sel = 1.0;
+  f->resid_sel = 1.0;
 
   // Combined distinct (outer cols + inner cols) for residual selectivity.
-  std::vector<double> combined = outer.distinct;
+  f->combined.assign(outer.distinct.begin(), outer.distinct.end());
   for (int c = 0; c < inner.schema.num_columns(); ++c) {
-    combined[inner.col_offset + c] = inner.planned.distinct[c];
+    f->combined[inner.col_offset + c] = inner.planned.distinct[c];
   }
 
-  std::vector<int> counted_classes;  // selectivity counted per column class
-  for (const Conjunct& conj : graph.conjuncts) {
+  // Conjuncts applied at this step: those referencing the inner whose full
+  // mask is now covered. Selectivity is counted once per column class.
+  for (int id = 0; id < static_cast<int>(graph.conjuncts.size()); ++id) {
+    const Conjunct& conj = graph.conjuncts[id];
     if ((conj.mask & inner_bit) == 0) continue;
-    if ((conj.mask & ~new_set) != 0) continue;
-    all_applied.push_back(conj.expr);
+    if ((conj.mask & ~f->new_set) != 0) continue;
+    f->applied.push_back(id);
     if (conj.is_equi) {
       const EquiEdge& e = graph.edges[conj.equi_edge];
       int ocol, icol;
@@ -490,138 +522,139 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       // Keys are deduplicated per inner column; transitively-equal edges
       // (same equivalence class) contribute selectivity only once.
       bool dup_key = false;
-      for (const auto& [eo, ei] : keys) {
+      for (const auto& [eo, ei] : f->keys) {
         if (ei == icol) {
           dup_key = true;
           break;
         }
       }
-      if (!dup_key) keys.emplace_back(ocol, icol);
+      if (!dup_key) f->keys.emplace_back(ocol, icol);
       const int cls = graph.col_class[inner.col_offset + icol];
       bool counted = false;
-      for (int c : counted_classes) {
+      for (int c : f->counted_classes) {
         if (c == cls) {
           counted = true;
           break;
         }
       }
       if (!counted) {
-        counted_classes.push_back(cls);
-        equi_sel *= 1.0 / std::max({1.0, outer.distinct[ocol],
-                                    inner.planned.distinct[icol]});
+        f->counted_classes.push_back(cls);
+        f->equi_sel *= 1.0 / std::max({1.0, outer.distinct[ocol],
+                                       inner.planned.distinct[icol]});
       }
       continue;
     }
-    residuals.push_back(conj.expr);
-    resid_sel *= ConjunctSelectivity(
-        conj.expr, combined, nullptr,
+    f->residuals.push_back(id);
+    f->resid_sel *= ConjunctSelectivity(
+        conj.expr, f->combined, nullptr,
         outer.rows * std::max(1.0, inner.planned.est.rows));
   }
-  std::sort(keys.begin(), keys.end(),
+  std::sort(f->keys.begin(), f->keys.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
+  f->key_inner_cols.clear();
+  for (const auto& [ocol, icol] : f->keys) f->key_inner_cols.push_back(icol);
 
+  f->mid_rows = outer.rows * inner.planned.est.rows * f->equi_sel;
+  f->out_rows = f->mid_rows * f->resid_sel;
+}
+
+bool Optimizer::Impl::PriceStep(const JoinGraph& graph,
+                                const PartialPlan& outer, StepMethod method,
+                                PlanContext* ctx, PairFacts* facts,
+                                PricedStep* out) {
+  stats_->join_steps_costed += 1;
+  const PairFacts& f = *facts;
+  const InputInfo& inner = graph.inputs[f.inner_id];
   const double inner_rows = inner.planned.est.rows;
-  const double mid_rows = outer.rows * inner_rows * equi_sel;
-  double out_rows = mid_rows * resid_sel;
-
-  auto step = std::make_shared<JoinStep>();
-  step->method = method;
-  step->input = inner_id;
-  step->outer = outer.step;
-  step->keys = keys;
-  step->residuals = residuals;
-  step->output_block_cols = outer.step->output_block_cols;
-  for (int c = 0; c < inner.schema.num_columns(); ++c) {
-    step->output_block_cols.push_back(inner.col_offset + c);
-  }
-
-  double step_cost = kInapplicable;
-  std::vector<int> order = outer.order_cols;
-
   const bool is_function = inner.access == AccessKind::kFunction;
   const bool is_table = inner.access == AccessKind::kLocalTable ||
                         inner.access == AccessKind::kRemoteTable;
 
+  out->method = method;
+  out->keys.assign(f.keys.begin(), f.keys.end());
+  out->smj_outer_presorted = false;
+  out->order.assign(outer.order_cols.begin(), outer.order_cols.end());
+  double step_cost = kInapplicable;
+  double out_rows = f.out_rows;
+
   switch (method) {
     case StepMethod::kAccess:
-      return Status::InvalidArgument("kAccess is not a join method");
+      break;  // not a join method
 
     case StepMethod::kNestedLoops: {
       if (!options_->enable_nested_loops || is_function) break;
       const double pairs = outer.rows * inner_rows;
       step_cost = outer.rows * inner.planned.est.cost +
                   costs::TupleCpu(pairs) +
-                  (all_applied.empty() ? 0.0 : costs::ExprEval(pairs));
+                  (f.applied.empty() ? 0.0 : costs::ExprEval(pairs));
       // NL applies every conjunct (keys included) as its predicate.
-      step->keys.clear();
-      step->residuals = all_applied;
+      out->keys.clear();
       break;
     }
 
     case StepMethod::kHash: {
-      if (!options_->enable_hash_join || is_function || keys.empty()) break;
+      if (!options_->enable_hash_join || is_function || f.keys.empty()) break;
       step_cost = inner.planned.est.cost +
                   costs::HashBuild(inner_rows,
                                    options_->degree_of_parallelism) +
-                  costs::HashProbe(outer.rows, mid_rows,
+                  costs::HashProbe(outer.rows, f.mid_rows,
                                    options_->degree_of_parallelism) +
                   costs::HashSpill(inner_rows, inner.planned.est.width_bytes,
                                    outer.rows, outer.width,
                                    options_->memory_budget_bytes) +
-                  (residuals.empty() ? 0.0 : costs::ExprEval(mid_rows));
+                  (f.residuals.empty() ? 0.0 : costs::ExprEval(f.mid_rows));
       break;
     }
 
     case StepMethod::kSortMerge: {
-      if (!options_->enable_sort_merge || is_function || keys.empty()) break;
+      if (!options_->enable_sort_merge || is_function || f.keys.empty()) {
+        break;
+      }
       // Interesting orders: when the outer already arrives sorted on the
       // key columns (its order's leading columns are a permutation of the
       // keys), skip sorting the outer and merge directly.
-      bool outer_presorted = false;
       if (options_->interesting_orders &&
-          outer.order_cols.size() >= keys.size()) {
-        std::vector<std::pair<int, int>> reordered;
-        for (size_t i = 0; i < keys.size(); ++i) {
+          outer.order_cols.size() >= f.keys.size()) {
+        out->keys.clear();
+        for (size_t i = 0; i < f.keys.size(); ++i) {
           const int want = outer.order_cols[i];
-          for (const auto& kv : keys) {
+          for (const auto& kv : f.keys) {
             if (kv.first == want) {
-              reordered.push_back(kv);
+              out->keys.push_back(kv);
               break;
             }
           }
         }
-        if (reordered.size() == keys.size()) {
-          outer_presorted = true;
-          keys = reordered;
-          step->keys = keys;
+        out->smj_outer_presorted = out->keys.size() == f.keys.size();
+        if (!out->smj_outer_presorted) {
+          out->keys.assign(f.keys.begin(), f.keys.end());
         }
       }
       step_cost = inner.planned.est.cost +
-                  (outer_presorted
+                  (out->smj_outer_presorted
                        ? 0.0
                        : costs::Sort(outer.rows, outer.width,
                                      options_->memory_budget_bytes)) +
                   costs::Sort(inner_rows, inner.planned.est.width_bytes,
                               options_->memory_budget_bytes) +
-                  costs::TupleCpu(mid_rows) +
-                  (residuals.empty() ? 0.0 : costs::ExprEval(mid_rows));
-      order.clear();
-      for (const auto& [ocol, icol] : keys) order.push_back(ocol);
-      step->smj_outer_presorted = outer_presorted;
+                  costs::TupleCpu(f.mid_rows) +
+                  (f.residuals.empty() ? 0.0 : costs::ExprEval(f.mid_rows));
+      out->order.clear();
+      for (const auto& [ocol, icol] : out->keys) out->order.push_back(ocol);
       break;
     }
 
     case StepMethod::kIndexNL: {
-      if (!options_->enable_index_nested_loops || !is_table || keys.empty()) {
+      if (!options_->enable_index_nested_loops || !is_table ||
+          f.keys.empty()) {
         break;
       }
-      std::vector<int> index_cols;
-      for (const auto& [ocol, icol] : keys) index_cols.push_back(icol);
-      const HashIndex* index = inner.entry->table->FindHashIndex(index_cols);
-      if (index == nullptr) break;
+      if (inner.entry->table->FindHashIndex(f.key_inner_cols) == nullptr) {
+        break;
+      }
       // Probes hit the raw table; local predicates become residuals.
       double base_equi_sel = 1.0;
-      for (const auto& [ocol, icol] : keys) {
+      for (const auto& [ocol, icol] : f.keys) {
         base_equi_sel *= 1.0 / std::max({1.0, outer.distinct[ocol],
                                          inner.base_distinct[icol]});
       }
@@ -629,52 +662,41 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       const double matches_per_probe =
           outer.rows > 0 ? base_matches / outer.rows : 0.0;
       step_cost = outer.rows * costs::IndexProbe(matches_per_probe);
-      if (!inner.local_preds.empty() || !residuals.empty()) {
+      if (!inner.local_preds.empty() || !f.residuals.empty()) {
         step_cost += costs::ExprEval(base_matches);
       }
       if (inner.access == AccessKind::kRemoteTable) {
-        const double key_bytes = 8.0 * static_cast<double>(keys.size());
+        const double key_bytes = 8.0 * static_cast<double>(f.keys.size());
         step_cost += outer.rows *
                      costs::RemoteProbe(key_bytes, matches_per_probe,
                                         inner.planned.est.width_bytes);
       }
-      out_rows = base_matches * inner.local_selectivity * resid_sel;
+      out_rows = base_matches * inner.local_selectivity * f.resid_sel;
       break;
     }
 
     case StepMethod::kFnProbe:
     case StepMethod::kFnMemo: {
       if (!is_function) break;
-      // Every argument column must be bound by an equi key.
+      // Every argument column must be bound by an equi key; an equality
+      // against a result column is applied after the call.
       const int nargs = inner.entry->function->arg_schema().num_columns();
-      std::vector<std::pair<int, int>> arg_keys;
-      std::vector<ExprPtr> fn_residuals = residuals;
-      for (const auto& [ocol, icol] : keys) {
-        if (icol < nargs) {
-          arg_keys.emplace_back(ocol, icol);
-        } else {
-          // Equality against a function result column: apply after the
-          // call.
-          fn_residuals.push_back(MakeComparison(
-              CompareOp::kEq,
-              MakeColumnRef(ocol, graph.block_schema.column(ocol).type,
-                            graph.block_schema.column(ocol).QualifiedName()),
-              MakeColumnRef(inner.col_offset + icol,
-                            graph.block_schema.column(inner.col_offset + icol)
-                                .type,
-                            graph.block_schema.column(inner.col_offset + icol)
-                                .QualifiedName())));
-        }
+      out->keys.clear();
+      for (const auto& kv : f.keys) {
+        if (kv.second < nargs) out->keys.push_back(kv);
       }
-      if (static_cast<int>(arg_keys.size()) != nargs) break;  // unbound args
+      if (static_cast<int>(out->keys.size()) != nargs) break;  // unbound args
+      const bool has_fn_residuals =
+          !f.residuals.empty() || out->keys.size() != f.keys.size();
       const double rpi =
           inner.entry->function->ExpectedRowsPerInvocation();
       const double raw_out = outer.rows * rpi;
       if (method == StepMethod::kFnProbe) {
-        step_cost = costs::FunctionInvoke(outer.rows) + costs::TupleCpu(raw_out);
+        step_cost =
+            costs::FunctionInvoke(outer.rows) + costs::TupleCpu(raw_out);
       } else {
         std::vector<int> arg_cols;
-        for (const auto& [ocol, icol] : arg_keys) arg_cols.push_back(ocol);
+        for (const auto& [ocol, icol] : out->keys) arg_cols.push_back(ocol);
         const double d_args =
             ProductCappedAt(outer.distinct, arg_cols, outer.rows);
         const double distinct_args = ExpectedDistinct(d_args, outer.rows);
@@ -682,140 +704,133 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                     costs::HashProbe(outer.rows, 0.0) +
                     costs::TupleCpu(raw_out);
       }
-      if (!fn_residuals.empty()) step_cost += costs::ExprEval(raw_out);
-      out_rows = raw_out * resid_sel;
-      step->keys = arg_keys;
-      step->residuals = fn_residuals;
+      if (has_fn_residuals) step_cost += costs::ExprEval(raw_out);
+      out_rows = raw_out * f.resid_sel;
       break;
     }
 
     case StepMethod::kFilterJoin: {
-      if (keys.empty()) break;
-      bool eligible =
-          inner.access == AccessKind::kView ||
-          inner.access == AccessKind::kSubplan ||
-          inner.access == AccessKind::kRemoteTable ||
-          inner.access == AccessKind::kFunction ||
-          (inner.access == AccessKind::kLocalTable &&
-           options_->filter_join_on_stored);
-      // Never rewrite an already magic-rewritten fragment (the rewrite
-      // would never terminate), and bound nesting depth as a backstop.
-      if (inner.access == AccessKind::kSubplan &&
-          PlanContainsFilterSet(*inner.node)) {
-        eligible = false;
-      }
-      if (inner.access == AccessKind::kView &&
-          PlanContainsFilterSet(*inner.entry->view_plan)) {
-        eligible = false;
-      }
-      if (filter_join_depth_ >= 8) eligible = false;
-      if (!eligible) break;
+      StatusOr<double> fj = PriceFilterJoin(graph, outer, ctx, facts, out);
+      if (fj.ok()) step_cost = *fj;
+      break;
+    }
+  }
 
-      const int nargs =
-          is_function ? inner.entry->function->arg_schema().num_columns() : 0;
-      if (is_function) {
-        // All argument columns must be filter-set keys, in arg order.
-        std::vector<std::pair<int, int>> arg_keys;
-        for (const auto& [ocol, icol] : keys) {
-          if (icol < nargs) arg_keys.emplace_back(ocol, icol);
-        }
-        if (static_cast<int>(arg_keys.size()) != nargs) break;
-        step->keys = arg_keys;
-      }
-      const std::vector<std::pair<int, int>>& fj_keys = step->keys;
+  if (step_cost < 0) return false;
+  out->cost = outer.cost + step_cost;
+  out->rows = std::max(0.0, out_rows);
+  if (!options_->interesting_orders) out->order.clear();
+  return true;
+}
 
-      // Candidate filter-set implementations (Limitation 3).
-      std::vector<FilterSetImpl> impls;
-      if (options_->consider_exact_filter_sets) {
-        impls.push_back(FilterSetImpl::kExact);
-      }
-      if (options_->consider_bloom_filter_sets && !is_function) {
-        impls.push_back(FilterSetImpl::kBloom);
-      }
-      if (impls.empty()) break;
+StatusOr<double> Optimizer::Impl::PriceFilterJoin(const JoinGraph& graph,
+                                                  const PartialPlan& outer,
+                                                  PlanContext* ctx,
+                                                  PairFacts* f,
+                                                  PricedStep* out) {
+  const InputInfo& inner = graph.inputs[f->inner_id];
+  // Bound nesting depth as a backstop: parametric trial planning may
+  // recurse into further join blocks.
+  if (f->keys.empty() || !inner.fj_eligible || filter_join_depth_ >= 8) {
+    return kInapplicable;
+  }
+  const bool is_function = inner.access == AccessKind::kFunction;
+  const bool is_table = inner.access == AccessKind::kLocalTable ||
+                        inner.access == AccessKind::kRemoteTable;
+  if (is_function) {
+    // All argument columns must be filter-set keys, in arg order.
+    const int nargs = inner.entry->function->arg_schema().num_columns();
+    out->keys.clear();
+    for (const auto& kv : f->keys) {
+      if (kv.second < nargs) out->keys.push_back(kv);
+    }
+    if (static_cast<int>(out->keys.size()) != nargs) return kInapplicable;
+  }
+  const std::vector<std::pair<int, int>>& fj_keys = out->keys;
 
-      double best_cost = kInapplicable;
-      FilterJoinCostBreakdown best_bd;
-      FilterSetImpl best_impl = FilterSetImpl::kExact;
-      LogicalPtr best_rewritten;
-      std::string best_binding;
-      std::vector<int> best_filter_positions;
+  // Candidate filter-set implementations (Limitation 3).
+  FilterSetImpl impls[2];
+  int num_impls = 0;
+  if (options_->consider_exact_filter_sets) {
+    impls[num_impls++] = FilterSetImpl::kExact;
+  }
+  if (options_->consider_bloom_filter_sets && !is_function) {
+    impls[num_impls++] = FilterSetImpl::kBloom;
+  }
+  if (num_impls == 0) return kInapplicable;
 
-      std::vector<int> outer_key_cols;
-      std::vector<int> inner_key_local;
-      for (const auto& [ocol, icol] : fj_keys) {
-        outer_key_cols.push_back(ocol);
-        inner_key_local.push_back(icol);
-      }
+  double best_cost = kInapplicable;
 
-      // Filter-key subsets (§2.1/§3.3): the filter set normally uses every
-      // join attribute; optionally each single attribute is also tried
-      // (lossy-by-omission SIPS). Functions need all arguments bound.
-      std::vector<std::vector<int>> key_subsets;
-      {
-        std::vector<int> all(fj_keys.size());
-        for (size_t i = 0; i < fj_keys.size(); ++i) all[i] = static_cast<int>(i);
-        key_subsets.push_back(std::move(all));
-        if (options_->consider_partial_key_filter_sets && !is_function &&
-            fj_keys.size() > 1) {
-          for (size_t i = 0; i < fj_keys.size(); ++i) {
-            key_subsets.push_back({static_cast<int>(i)});
+  f->fj_outer_cols.clear();
+  f->fj_inner_cols.clear();
+  for (const auto& [ocol, icol] : fj_keys) {
+    f->fj_outer_cols.push_back(ocol);
+    f->fj_inner_cols.push_back(icol);
+  }
+
+  // Filter-key subsets (§2.1/§3.3): subset 0 uses every join attribute;
+  // optionally subset i > 0 uses attribute i - 1 alone (lossy-by-omission
+  // SIPS). Functions need all arguments bound.
+  const int num_keys = static_cast<int>(fj_keys.size());
+  const int num_subsets =
+      options_->consider_partial_key_filter_sets && !is_function &&
+              num_keys > 1
+          ? 1 + num_keys
+          : 1;
+
+  // Production-set choices. Limitation 2 fixes it to the full outer; the
+  // ablation additionally tries every outer-chain prefix that still
+  // produces all key columns (Limitation 1), which multiplies costing work
+  // by O(chain length).
+  f->prod_specs.clear();
+  f->prod_specs.push_back({outer.rows, static_cast<double>(outer.width), -1});
+  if (options_->explore_prefix_production_sets) {
+    for (const JoinStep* s = outer.step->outer.get(); s != nullptr;
+         s = s->outer.get()) {
+      bool has_all_keys = true;
+      for (int kc : f->fj_outer_cols) {
+        bool found = false;
+        for (int c : s->output_block_cols) {
+          if (c == kc) {
+            found = true;
+            break;
           }
         }
-      }
-
-      // Production-set choices. Limitation 2 fixes it to the full outer;
-      // the ablation additionally tries every outer-chain prefix that
-      // still produces all key columns (Limitation 1), which multiplies
-      // costing work by O(chain length).
-      struct ProdSpec {
-        double rows;
-        double width;
-        int prefix_len;  // -1 = full outer
-      };
-      std::vector<ProdSpec> prod_specs = {
-          {outer.rows, static_cast<double>(outer.width), -1}};
-      if (options_->explore_prefix_production_sets) {
-        for (const JoinStep* s = outer.step->outer.get(); s != nullptr;
-             s = s->outer.get()) {
-          bool has_all_keys = true;
-          for (int kc : outer_key_cols) {
-            bool found = false;
-            for (int c : s->output_block_cols) {
-              if (c == kc) {
-                found = true;
-                break;
-              }
-            }
-            if (!found) {
-              has_all_keys = false;
-              break;
-            }
-          }
-          if (!has_all_keys) continue;
-          double w = 0;
-          for (int c : s->output_block_cols) {
-            w += static_cast<double>(
-                DataTypeWidth(graph.block_schema.column(c).type));
-          }
-          int len = 0;
-          for (const JoinStep* q = s; q != nullptr; q = q->outer.get()) ++len;
-          prod_specs.push_back({s->rows, w, len});
+        if (!found) {
+          has_all_keys = false;
+          break;
         }
       }
+      if (!has_all_keys) continue;
+      double w = 0;
+      for (int c : s->output_block_cols) {
+        w += static_cast<double>(
+            DataTypeWidth(graph.block_schema.column(c).type));
+      }
+      int len = 0;
+      for (const JoinStep* q = s; q != nullptr; q = q->outer.get()) ++len;
+      f->prod_specs.push_back({s->rows, w, len});
+    }
+  }
 
-      for (const std::vector<int>& subset : key_subsets) {
-       std::vector<int> sub_outer_cols, sub_inner_local;
-       for (int pos : subset) {
-         sub_outer_cols.push_back(outer_key_cols[pos]);
-         sub_inner_local.push_back(inner_key_local[pos]);
-       }
-       int64_t key_width = 0;
-       for (int icol : sub_inner_local) {
-         key_width += DataTypeWidth(inner.schema.column(icol).type);
-       }
-       for (FilterSetImpl impl : impls) {
-       for (const ProdSpec& prod : prod_specs) {
+  for (int subset = 0; subset < num_subsets; ++subset) {
+    std::vector<int>& sub_outer_cols = f->sub_outer_cols;
+    std::vector<int>& sub_inner_local = f->sub_inner_cols;
+    if (subset == 0) {
+      sub_outer_cols.assign(f->fj_outer_cols.begin(), f->fj_outer_cols.end());
+      sub_inner_local.assign(f->fj_inner_cols.begin(),
+                             f->fj_inner_cols.end());
+    } else {
+      sub_outer_cols.assign(1, f->fj_outer_cols[subset - 1]);
+      sub_inner_local.assign(1, f->fj_inner_cols[subset - 1]);
+    }
+    int64_t key_width = 0;
+    for (int icol : sub_inner_local) {
+      key_width += DataTypeWidth(inner.schema.column(icol).type);
+    }
+    for (int i = 0; i < num_impls; ++i) {
+      const FilterSetImpl impl = impls[i];
+      for (const PairFacts::ProdSpec& prod : f->prod_specs) {
         stats_->filter_joins_costed += 1;
         FilterJoinCostBreakdown bd;
         bd.production_prefix_len = prod.prefix_len;
@@ -827,7 +842,7 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
             ProductCappedAt(outer.distinct, sub_outer_cols, prod.rows);
         const double n_f = ExpectedDistinct(d_key_outer, prod.rows);
         bd.filter_set_size = n_f;
-        bd.filter_key_count = static_cast<int>(subset.size());
+        bd.filter_key_count = static_cast<int>(sub_inner_local.size());
         const double fpr = impl == FilterSetImpl::kBloom
                                ? BloomFpr(options_->bloom_bits_per_key)
                                : 0.0;
@@ -842,23 +857,21 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
         } else {
           bd.avail_cost_f = costs::MaterializeWrite(n_f, key_width);
           if (inner.site != kLocalSite) {
-            bd.avail_cost_f +=
-                CostConstants::kMessageCost +
-                CostConstants::kBytePerCost * n_f *
-                    static_cast<double>(key_width);
+            bd.avail_cost_f += CostConstants::kMessageCost +
+                               CostConstants::kBytePerCost * n_f *
+                                   static_cast<double>(key_width);
           }
         }
 
         double restricted_rows = 0.0;
         double filter_cost = 0.0;
         double avail_rk = 0.0;
-        LogicalPtr rewritten;
-        std::string binding;
+        const ParametricCache* cache = nullptr;
+        int64_t binding_number = -1;
 
         if (is_table) {
-          double d_inner_base =
-              ProductCappedAt(inner.base_distinct, sub_inner_local,
-                              inner.base_rows);
+          double d_inner_base = ProductCappedAt(
+              inner.base_distinct, sub_inner_local, inner.base_rows);
           double sigma = std::min(1.0, n_f / d_inner_base);
           sigma = sigma + (1.0 - sigma) * fpr;
           const double probed = inner.base_rows * sigma;
@@ -877,120 +890,11 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
           filter_cost = costs::FunctionInvoke(n_f) +
                         costs::TupleCpu(n_f * inner.base_rows);
           restricted_rows = n_f * inner.base_rows;
-          binding = NextBindingId(inner.alias);
+          binding_number = next_binding_++;
         } else {
-          // View or subplan: parametric costing via equivalence classes.
-          // Exact filter sets use the join-style rewrite (F can drive the
-          // view through an index); Bloom sets can only probe.
-          const RewriteStyle style = impl == FilterSetImpl::kBloom
-                                         ? RewriteStyle::kProbe
-                                         : RewriteStyle::kJoin;
-          std::string key_suffix;
-          for (int icol : sub_inner_local) {
-            key_suffix += "." + std::to_string(icol);
-          }
-          key_suffix += style == RewriteStyle::kJoin ? "_join" : "_probe";
-          std::ostringstream key_os;
-          key_os << inner.alias << "@" << static_cast<const void*>(
-              inner.node.get()) << key_suffix;
-          const std::string cache_key = key_os.str();
-          auto cache_it = parametric_.find(cache_key);
-          if (cache_it == parametric_.end()) {
-            ParametricCache cache;
-            cache.pinned_node = inner.node;  // keeps the cache key unique
-            cache.binding_id = NextBindingId(inner.alias);
-            const LogicalPtr view_plan = inner.access == AccessKind::kView
-                                             ? inner.entry->view_plan
-                                             : inner.node;
-            MAGICDB_ASSIGN_OR_RETURN(
-                cache.rewritten,
-                MagicRewrite(view_plan, sub_inner_local, cache.binding_id,
-                             style, catalog_));
-            std::vector<double> base_d = inner.base_distinct;
-            cache.inner_key_domain =
-                ProductCappedAt(base_d, sub_inner_local,
-                                std::max(1.0, inner.base_rows));
-            cache.samples.assign(
-                static_cast<size_t>(std::max(1, options_->equivalence_classes)),
-                ParametricCache::Sample{-1.0, 0.0, 0.0});
-            cache_it = parametric_.emplace(cache_key, std::move(cache)).first;
-          }
-          ParametricCache& cache = cache_it->second;
-          binding = cache.binding_id;
-          rewritten = cache.rewritten;
-
-          double sigma =
-              std::min(1.0, n_f / std::max(1.0, cache.inner_key_domain));
-          sigma = sigma + (1.0 - sigma) * fpr;
-          // Equivalence classes are log-spaced over [10^-4, 1]: join
-          // selectivities vary over orders of magnitude, and a uniform
-          // grid would lump every selective case into one coarse class
-          // (the paper leaves the classing heuristic open, §4.2).
-          constexpr double kDecades = 4.0;
-          const int k = static_cast<int>(cache.samples.size());
-          const double log_sigma =
-              std::log10(std::clamp(sigma, 1e-4, 1.0));  // in [-4, 0]
-          int bucket = std::clamp(
-              static_cast<int>((log_sigma + kDecades) / kDecades * k), 0,
-              k - 1);
-          if (cache.samples[bucket].selectivity < 0) {
-            // Miss: nested-plan the rewritten inner at the bucket's
-            // (geometric) center.
-            stats_->eq_class_misses += 1;
-            // The top class is anchored at sigma = 1 (the unrestricted
-            // inner), so a useless filter set is costed exactly.
-            const double sigma_c =
-                bucket == k - 1
-                    ? 1.0
-                    : std::pow(10.0, -kDecades + (bucket + 0.5) * kDecades / k);
-            PlanContext trial = *ctx;
-            trial.filter_set_rows[binding] =
-                std::max(1.0, sigma_c * cache.inner_key_domain);
-            trial.filter_set_fpr[binding] = 0.0;
-            const bool saved = collect_breakdowns_;
-            collect_breakdowns_ = false;
-            ++filter_join_depth_;
-            auto planned = PlanNode(cache.rewritten, &trial);
-            --filter_join_depth_;
-            collect_breakdowns_ = saved;
-            if (!planned.ok()) return planned.status();
-            cache.samples[bucket] = ParametricCache::Sample{
-                sigma_c, planned->est.cost, planned->est.rows};
-          } else {
-            stats_->eq_class_hits += 1;
-          }
-          // Cardinality: straight-line fit through the computed samples
-          // (Figure 4). Cost: the step function of the bucket (Figure 5).
-          double sum_s = 0, sum_r = 0, sum_ss = 0, sum_sr = 0;
-          int count = 0;
-          for (const auto& s : cache.samples) {
-            if (s.selectivity < 0) continue;
-            sum_s += s.selectivity;
-            sum_r += s.rows;
-            sum_ss += s.selectivity * s.selectivity;
-            sum_sr += s.selectivity * s.rows;
-            ++count;
-          }
-          double rows_at_sigma;
-          if (count >= 2 && sum_ss * count - sum_s * sum_s > 1e-12) {
-            const double slope =
-                (count * sum_sr - sum_s * sum_r) /
-                (count * sum_ss - sum_s * sum_s);
-            const double intercept = (sum_r - slope * sum_s) / count;
-            rows_at_sigma = std::max(0.0, intercept + slope * sigma);
-          } else {
-            // One sample: line through the origin.
-            const auto& s = cache.samples[bucket];
-            rows_at_sigma = s.selectivity > 0
-                                ? s.rows * (sigma / s.selectivity)
-                                : s.rows;
-          }
-          filter_cost = cache.samples[bucket].cost;
-          restricted_rows = std::min(rows_at_sigma, inner.base_rows);
-          restricted_rows *= inner.local_selectivity;
-          if (!inner.local_preds.empty()) {
-            filter_cost += costs::ExprEval(rows_at_sigma);
-          }
+          MAGICDB_RETURN_IF_ERROR(CostRestrictedView(
+              inner, sub_inner_local, impl, n_f, fpr, ctx, &cache,
+              &filter_cost, &restricted_rows));
         }
 
         bd.filter_cost_rk = filter_cost;
@@ -1003,57 +907,235 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                                 : 0.0;
         bd.final_join_cost =
             spool_read + costs::HashBuild(restricted_rows) +
-            costs::HashProbe(outer.rows, mid_rows) +
-            costs::HashSpill(restricted_rows,
-                             inner.planned.est.width_bytes, outer.rows,
-                             outer.width, options_->memory_budget_bytes) +
-            (residuals.empty() ? 0.0 : costs::ExprEval(mid_rows));
+            costs::HashProbe(outer.rows, f->mid_rows) +
+            costs::HashSpill(restricted_rows, inner.planned.est.width_bytes,
+                             outer.rows, outer.width,
+                             options_->memory_budget_bytes) +
+            (f->residuals.empty() ? 0.0 : costs::ExprEval(f->mid_rows));
 
         const double total = bd.StepTotal();
         if (best_cost < 0 || total < best_cost) {
           best_cost = total;
-          best_bd = bd;
-          best_impl = impl;
-          best_rewritten = rewritten;
-          best_binding = binding;
-          best_filter_positions =
-              subset.size() == fj_keys.size() ? std::vector<int>{} : subset;
+          out->breakdown = bd;
+          out->fs_impl = impl;
+          out->cache = cache;
+          out->binding_number = binding_number;
+          out->filter_key_position = subset == 0 ? -1 : subset - 1;
         }
-       }
-       }
       }
-      if (best_cost < 0) break;
-      step_cost = best_cost;
-      step->fs_impl = best_impl;
-      step->binding_id = best_binding.empty()
-                             ? NextBindingId(inner.alias)
-                             : best_binding;
-      step->rewritten_inner = best_rewritten;
-      step->breakdown = best_bd;
-      step->filter_key_positions = best_filter_positions;
+    }
+  }
+  // A stored table's binding id is reserved once its costing succeeds.
+  if (best_cost >= 0 && is_table) out->binding_number = next_binding_++;
+  return best_cost;
+}
+
+Status Optimizer::Impl::CostRestrictedView(const InputInfo& inner,
+                                           const std::vector<int>& key_cols,
+                                           FilterSetImpl impl, double n_f,
+                                           double fpr, PlanContext* ctx,
+                                           const ParametricCache** cache,
+                                           double* filter_cost,
+                                           double* restricted_rows) {
+  // Exact filter sets use the join-style rewrite (F can drive the view
+  // through an index); Bloom sets can only probe.
+  const RewriteStyle style = impl == FilterSetImpl::kBloom
+                                 ? RewriteStyle::kProbe
+                                 : RewriteStyle::kJoin;
+  std::deque<ParametricCache>& caches = *inner.parametric;
+  ParametricCache* found = nullptr;
+  for (ParametricCache& c : caches) {
+    if (c.style == style && c.key_cols == key_cols) {
+      found = &c;
       break;
     }
   }
+  if (found == nullptr) {
+    ParametricCache fresh;
+    fresh.key_cols = key_cols;
+    fresh.style = style;
+    fresh.pinned_node = inner.node;  // keeps the cache key unique
+    fresh.binding_id = NextBindingId(inner.alias);
+    const LogicalPtr view_plan = inner.access == AccessKind::kView
+                                     ? inner.entry->view_plan
+                                     : inner.node;
+    MAGICDB_ASSIGN_OR_RETURN(fresh.rewritten,
+                             MagicRewrite(view_plan, key_cols,
+                                          fresh.binding_id, style, catalog_));
+    fresh.inner_key_domain = ProductCappedAt(
+        inner.base_distinct, key_cols, std::max(1.0, inner.base_rows));
+    fresh.samples.assign(
+        static_cast<size_t>(std::max(1, options_->equivalence_classes)),
+        ParametricCache::Sample{-1.0, 0.0, 0.0});
+    found = &caches.emplace_back(std::move(fresh));
+  }
+  ParametricCache& pc = *found;
+  *cache = found;
 
-  if (step_cost < 0) {
-    return Status::InvalidArgument("method inapplicable");
+  double sigma = std::min(1.0, n_f / std::max(1.0, pc.inner_key_domain));
+  sigma = sigma + (1.0 - sigma) * fpr;
+  // Equivalence classes are log-spaced over [10^-4, 1]: join selectivities
+  // vary over orders of magnitude, and a uniform grid would lump every
+  // selective case into one coarse class (the paper leaves the classing
+  // heuristic open, §4.2).
+  constexpr double kDecades = 4.0;
+  const int k = static_cast<int>(pc.samples.size());
+  const double log_sigma =
+      std::log10(std::clamp(sigma, 1e-4, 1.0));  // in [-4, 0]
+  int bucket = std::clamp(
+      static_cast<int>((log_sigma + kDecades) / kDecades * k), 0, k - 1);
+  if (pc.samples[bucket].selectivity < 0) {
+    // Miss: nested-plan the rewritten inner at the bucket's (geometric)
+    // center.
+    stats_->eq_class_misses += 1;
+    // The top class is anchored at sigma = 1 (the unrestricted inner), so
+    // a useless filter set is costed exactly.
+    const double sigma_c =
+        bucket == k - 1
+            ? 1.0
+            : std::pow(10.0, -kDecades + (bucket + 0.5) * kDecades / k);
+    PlanContext trial = *ctx;
+    trial.filter_set_rows[pc.binding_id] =
+        std::max(1.0, sigma_c * pc.inner_key_domain);
+    trial.filter_set_fpr[pc.binding_id] = 0.0;
+    const bool saved = collect_breakdowns_;
+    collect_breakdowns_ = false;
+    ++filter_join_depth_;
+    auto planned = PlanNode(pc.rewritten, &trial);
+    --filter_join_depth_;
+    collect_breakdowns_ = saved;
+    if (!planned.ok()) return planned.status();
+    pc.samples[bucket] =
+        ParametricCache::Sample{sigma_c, planned->est.cost, planned->est.rows};
+  } else {
+    stats_->eq_class_hits += 1;
+  }
+  // Cardinality: straight-line fit through the computed samples (Figure 4).
+  // Cost: the step function of the bucket (Figure 5).
+  double sum_s = 0, sum_r = 0, sum_ss = 0, sum_sr = 0;
+  int count = 0;
+  for (const auto& s : pc.samples) {
+    if (s.selectivity < 0) continue;
+    sum_s += s.selectivity;
+    sum_r += s.rows;
+    sum_ss += s.selectivity * s.selectivity;
+    sum_sr += s.selectivity * s.rows;
+    ++count;
+  }
+  double rows_at_sigma;
+  if (count >= 2 && sum_ss * count - sum_s * sum_s > 1e-12) {
+    const double slope =
+        (count * sum_sr - sum_s * sum_r) / (count * sum_ss - sum_s * sum_s);
+    const double intercept = (sum_r - slope * sum_s) / count;
+    rows_at_sigma = std::max(0.0, intercept + slope * sigma);
+  } else {
+    // One sample: line through the origin.
+    const auto& s = pc.samples[bucket];
+    rows_at_sigma =
+        s.selectivity > 0 ? s.rows * (sigma / s.selectivity) : s.rows;
+  }
+  *filter_cost = pc.samples[bucket].cost;
+  *restricted_rows = std::min(rows_at_sigma, inner.base_rows);
+  *restricted_rows *= inner.local_selectivity;
+  if (!inner.local_preds.empty()) {
+    *filter_cost += costs::ExprEval(rows_at_sigma);
+  }
+  return Status::OK();
+}
+
+int Optimizer::Impl::PricePair(const JoinGraph& graph,
+                               const PartialPlan& outer, int inner_id,
+                               bool allow_filter_join, PlanContext* ctx,
+                               PairFacts* facts, PricedSteps* out) {
+  DerivePairFacts(graph, outer, inner_id, facts);
+  int priced = 0;
+  for (StepMethod method : optimizer_internal::kJoinMethods) {
+    if (!MethodConsidered(method, allow_filter_join, *options_)) continue;
+    if (PriceStep(graph, outer, method, ctx, facts, &(*out)[priced])) {
+      ++priced;
+    }
+  }
+  return priced;
+}
+
+PartialPlan Optimizer::Impl::MaterializeStep(const JoinGraph& graph,
+                                             const PartialPlan& outer,
+                                             const PairFacts& f,
+                                             const PricedStep& s) const {
+  const InputInfo& inner = graph.inputs[f.inner_id];
+  auto step = std::make_shared<JoinStep>();
+  step->method = s.method;
+  step->input = f.inner_id;
+  step->outer = outer.step;
+  step->keys = s.keys;
+  // NL applies every conjunct as its predicate; the others apply the
+  // non-equi ones above their keys.
+  const std::vector<int>& conjuncts =
+      s.method == StepMethod::kNestedLoops ? f.applied : f.residuals;
+  step->residuals.reserve(conjuncts.size());
+  for (int id : conjuncts) step->residuals.push_back(graph.conjuncts[id].expr);
+  if (s.method == StepMethod::kFnProbe || s.method == StepMethod::kFnMemo) {
+    // Equality against a function result column: apply after the call.
+    const int nargs = inner.entry->function->arg_schema().num_columns();
+    for (const auto& [ocol, icol] : f.keys) {
+      if (icol < nargs) continue;
+      const Column& oc = graph.block_schema.column(ocol);
+      const Column& ic = graph.block_schema.column(inner.col_offset + icol);
+      step->residuals.push_back(MakeComparison(
+          CompareOp::kEq, MakeColumnRef(ocol, oc.type, oc.QualifiedName()),
+          MakeColumnRef(inner.col_offset + icol, ic.type,
+                        ic.QualifiedName())));
+    }
+  }
+  step->output_block_cols.reserve(outer.step->output_block_cols.size() +
+                                  inner.schema.num_columns());
+  step->output_block_cols = outer.step->output_block_cols;
+  for (int c = 0; c < inner.schema.num_columns(); ++c) {
+    step->output_block_cols.push_back(inner.col_offset + c);
+  }
+  step->smj_outer_presorted = s.smj_outer_presorted;
+  if (s.method == StepMethod::kFilterJoin) {
+    step->fs_impl = s.fs_impl;
+    if (s.cache != nullptr) {
+      step->binding_id = s.cache->binding_id;
+      step->rewritten_inner = s.cache->rewritten;
+    } else {
+      step->binding_id = BindingId(inner.alias, s.binding_number);
+    }
+    step->breakdown = s.breakdown;
+    if (s.filter_key_position >= 0) {
+      step->filter_key_positions = {s.filter_key_position};
+    }
   }
 
   PartialPlan result;
-  result.set = new_set;
-  result.cost = outer.cost + step_cost;
-  result.rows = std::max(0.0, out_rows);
+  result.set = f.new_set;
+  result.cost = s.cost;
+  result.rows = s.rows;
   result.width = outer.width + inner.planned.est.width_bytes;
-  result.distinct = combined;
+  result.distinct = f.combined;
   for (double& d : result.distinct) {
     d = std::min(d, std::max(1.0, result.rows));
   }
-  result.order_cols = options_->interesting_orders ? order
-                                                   : std::vector<int>{};
+  result.order_cols = s.order;
   step->cost = result.cost;
   step->rows = result.rows;
-  result.step = step;
+  result.step = std::move(step);
   return result;
+}
+
+StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
+                                                    const PartialPlan& outer,
+                                                    int inner_id,
+                                                    StepMethod method,
+                                                    PlanContext* ctx) {
+  PairFacts facts;
+  DerivePairFacts(graph, outer, inner_id, &facts);
+  PricedStep priced;
+  if (!PriceStep(graph, outer, method, ctx, &facts, &priced)) {
+    return Status::InvalidArgument("method inapplicable");
+  }
+  return MaterializeStep(graph, outer, facts, priced);
 }
 
 }  // namespace magicdb

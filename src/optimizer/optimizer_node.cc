@@ -164,7 +164,12 @@ StatusOr<Planned> Optimizer::Impl::PlanNode(const LogicalPtr& node,
 }
 
 std::string Optimizer::Impl::NextBindingId(const std::string& hint) {
-  return "fs_" + hint + "_" + std::to_string(next_binding_++);
+  return BindingId(hint, next_binding_++);
+}
+
+std::string Optimizer::Impl::BindingId(const std::string& hint,
+                                       int64_t number) {
+  return "fs_" + hint + "_" + std::to_string(number);
 }
 
 StatusOr<Planned> Optimizer::Impl::PlanRelScan(const LogicalPtr& node,

@@ -16,6 +16,7 @@ bool PlanCache::Lookup(const std::string& key, int64_t epoch,
     return false;
   }
   *meta = entry.meta;
+  entry.hits += 1;
   if (instance != nullptr) {
     if (!entry.idle_instances.empty()) {
       *instance = std::move(entry.idle_instances.back());
@@ -40,6 +41,7 @@ void PlanCache::Insert(const std::string& key, int64_t epoch,
     if (entry.epoch != epoch) {
       entry.epoch = epoch;
       entry.meta = std::move(meta);
+      entry.hits = 0;
       entry.idle_instances.clear();
     }
     lru_.splice(lru_.begin(), lru_, entry.lru_pos);
@@ -62,6 +64,7 @@ void PlanCache::CheckIn(const std::string& key, int64_t epoch,
   if (it == entries_.end()) return;
   Entry& entry = it->second;
   if (entry.epoch != epoch) return;
+  if (entry.hits == 0) return;  // a statement not (yet) repeated
   if (entry.idle_instances.size() >= max_idle_instances_) return;
   entry.idle_instances.push_back(std::move(instance));
 }

@@ -31,7 +31,9 @@ namespace magicdb {
 /// checked-in tree is byte-identical to a freshly planned one (the
 /// optimizer is deterministic). Instances that ran parallel are never
 /// checked in — shared morsel/build wiring survives Close() and must not
-/// leak into a later run.
+/// leak into a later run. Only an entry that has served a Lookup hit pools:
+/// an idle tree keeps every operator's batch arena (megabytes for a star
+/// join), and a statement that is never repeated would pin it for nothing.
 ///
 /// Thread-safe; every method takes one internal lock.
 class PlanCache {
@@ -51,8 +53,8 @@ class PlanCache {
   void Insert(const std::string& key, int64_t epoch, PlanMeta meta);
 
   /// Returns an executed instance to the entry's idle pool. Dropped
-  /// silently when the entry vanished, the epoch moved on, or the pool is
-  /// full.
+  /// silently when the entry vanished, the epoch moved on, the entry has
+  /// never been hit, or the pool is full.
   void CheckIn(const std::string& key, int64_t epoch, OpPtr instance);
 
   /// Drops every entry (tests).
@@ -65,6 +67,7 @@ class PlanCache {
   struct Entry {
     int64_t epoch = 0;
     PlanMeta meta;
+    int64_t hits = 0;  // Lookup hits served at this epoch
     std::vector<OpPtr> idle_instances;
     std::list<std::string>::iterator lru_pos;
   };

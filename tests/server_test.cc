@@ -138,6 +138,27 @@ TEST(PlanCacheTest, StaleCheckInIsDropped) {
   EXPECT_EQ(instance, nullptr);  // nothing was pooled
 }
 
+// A tree that never ran: pooling moves it without touching it.
+OpPtr IdleInstance() {
+  return std::make_unique<FilterSetScanOp>("fs_unused", Schema());
+}
+
+TEST(PlanCacheTest, PoolsOnlyIntoAnEntryThatWasHit) {
+  PlanCache cache;
+  PlanMeta meta;
+  OpPtr instance;
+  EXPECT_FALSE(cache.Lookup("q1", 0, &meta, &instance));
+  cache.Insert("q1", 0, MetaWithCost(1.0));
+  // Never hit: the statement may never repeat, so its tree is dropped.
+  cache.CheckIn("q1", 0, IdleInstance());
+  ASSERT_TRUE(cache.Lookup("q1", 0, &meta, &instance));
+  EXPECT_EQ(instance, nullptr);
+  // Hit once: the next check-in pools and the next hit reuses it.
+  cache.CheckIn("q1", 0, IdleInstance());
+  ASSERT_TRUE(cache.Lookup("q1", 0, &meta, &instance));
+  EXPECT_NE(instance, nullptr);
+}
+
 TEST(PlanCacheTest, LruEvictsOldest) {
   PlanCache cache(/*max_entries=*/2);
   cache.Insert("a", 0, MetaWithCost(1.0));
@@ -264,8 +285,11 @@ TEST(QueryServiceTest, ResultsByteIdenticalToDatabaseQuery) {
   if (ResolveReoptQErrorThreshold(-1.0) <= 0) {
     // A forced re-optimization sweep (MAGICDB_TEST_REOPT_QERROR) replaces
     // cached instances with attempt-specific plans, which are never checked
-    // back in — the reuse count is only deterministic without it.
-    EXPECT_EQ(stats.plan_instance_reuses, 4);
+    // back in — the reuse count is only deterministic without it. An entry
+    // pools only after its first hit: round 1's trees are dropped, round 2
+    // builds fresh ones from the cached plan and checks them in, and only
+    // round 3 reuses.
+    EXPECT_EQ(stats.plan_instance_reuses, 2);
   }
 }
 
