@@ -22,7 +22,7 @@
 # the cursor queue's bounded-memory contract while racing sessions on the
 # shared pool. After the Release suite the benchmark package (perfbench/)
 # is built on its own, its helper tests run, and traced analytic_dop3,
-# spill_governed and adhoc_plan windows must verify every result.
+# spill_governed, adhoc_plan and serve_hot windows must verify every result.
 #
 # A second trio of builds repeats Release/TSAN/ASan+UBSan with
 # -DMAGICDB_FAILPOINTS=ON and runs the chaos suite (fault injection at every
@@ -154,11 +154,11 @@ echo "=== Server-throughput bench smoke (Release) ==="
 # The benchmark package (perfbench/, declared in BENCHMARK.json) builds the
 # library from src/ on its own, so the root build above never compiles it.
 # Build it, run its helper tests, and run one traced analytic_dop3 window,
-# one traced spill_governed window and one traced adhoc_plan window:
-# a library change that breaks the benchmark's direct path (bind, plan,
-# ParallelExecutor::Run, ExecuteToVector) or its Database::Run result
-# verification fails here.
-echo "=== Benchmark package: helper tests + traced analytic_dop3, spill_governed and adhoc_plan runs ==="
+# one traced spill_governed window, one traced adhoc_plan window and one
+# traced serve_hot window: a library change that breaks the benchmark's
+# direct path (bind, plan, ParallelExecutor::Run, ExecuteToVector) or its
+# Database::Run result verification fails here.
+echo "=== Benchmark package: helper tests + traced analytic_dop3, spill_governed, adhoc_plan and serve_hot runs ==="
 cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-perfbench -j "${JOBS}"
 ctest --test-dir build-perfbench --output-on-failure --timeout 120
@@ -175,6 +175,15 @@ PERFBENCH_WORK_DIR="$(mktemp -d)"
 # MagicMode::kNever multiset of the same statement, so an optimizer change
 # that builds a wrong plan fails here.
 ./build-perfbench/perfbench --workload adhoc_plan --seed 1 --seconds 10 \
+    --trace 1 --work-dir "${PERFBENCH_WORK_DIR}"
+# serve_hot is the only workload whose every plan is a Filter Join over
+# index nested loops: a filtered Dept scan feeds DepAvgSal restricted
+# through IndexNestedLoopsJoin(Emp), and four of its five classes join Emp
+# by index again above the Filter Join. perfbench asserts a plan-cache
+# hit rate of at least 0.99 and checks each result against the
+# MagicMode::kNever multiset, so a wrong scan kernel, index join or probe
+# fails here.
+./build-perfbench/perfbench --workload serve_hot --seed 1 --seconds 10 \
     --trace 1 --work-dir "${PERFBENCH_WORK_DIR}"
 rm -rf "${PERFBENCH_WORK_DIR}"
 

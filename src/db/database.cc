@@ -90,9 +90,15 @@ Status Database::LoadRows(const std::string& table, std::vector<Tuple> rows) {
   if (entry->table == nullptr) {
     return Status::InvalidArgument("relation has no storage: " + table);
   }
-  MAGICDB_RETURN_IF_ERROR(
-      const_cast<Table*>(entry->table)->InsertAll(std::move(rows)));
-  return catalog_.Analyze(table);
+  Table* stored = const_cast<Table*>(entry->table);
+  const int64_t rows_before = stored->NumRows();
+  const Status inserted = stored->InsertAll(std::move(rows));
+  // A load that fails part way has still changed the table and its indexes:
+  // refresh the statistics, which bumps the DDL epoch, so open cursors go
+  // stale instead of reading index lists that moved.
+  if (stored->NumRows() == rows_before) return inserted;
+  MAGICDB_RETURN_IF_ERROR(catalog_.Analyze(table));
+  return inserted;
 }
 
 StatusOr<LogicalPtr> Database::Bind(const std::string& sql) {

@@ -163,7 +163,9 @@ class Database {
   /// Executes a DDL statement (CREATE TABLE / CREATE VIEW).
   Status Execute(const std::string& sql);
 
-  /// Bulk-loads rows into a table and refreshes its statistics.
+  /// Bulk-loads rows into a table and refreshes its statistics. Stops at
+  /// the first bad row; the rows before it stay loaded, and the statistics
+  /// (and the DDL epoch) are refreshed for them too.
   Status LoadRows(const std::string& table, std::vector<Tuple> rows);
 
   /// Parses, binds, optimizes and runs a SELECT — the one execution entry

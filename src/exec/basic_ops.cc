@@ -33,7 +33,27 @@ std::string FilterOp::Describe() const {
 ProjectOp::ProjectOp(OpPtr child, std::vector<ExprPtr> exprs, Schema schema)
     : Operator(std::move(schema)),
       child_(std::move(child)),
-      exprs_(std::move(exprs)) {}
+      exprs_(std::move(exprs)),
+      move_from_(exprs_.size(), -1) {
+  // A child column may move only when a single output reads it, as that
+  // output's bare reference: every reference, inside any expression, counts.
+  const int child_cols = child_->schema().num_columns();
+  std::vector<int> readers(static_cast<size_t>(child_cols), 0);
+  for (const ExprPtr& e : exprs_) {
+    std::vector<int> refs;
+    e->CollectColumnRefs(&refs);
+    for (int c : refs) {
+      if (c >= 0 && c < child_cols) ++readers[static_cast<size_t>(c)];
+    }
+  }
+  for (size_t j = 0; j < exprs_.size(); ++j) {
+    if (exprs_[j]->kind() != ExprKind::kColumnRef) continue;
+    const int c = static_cast<const ColumnRefExpr&>(*exprs_[j]).index();
+    if (c >= 0 && c < child_cols && readers[static_cast<size_t>(c)] == 1) {
+      move_from_[j] = c;
+    }
+  }
+}
 
 Status ProjectOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
@@ -50,6 +70,10 @@ Status ProjectOp::NextBatch(RowBatch* out, bool* eof) {
   for (size_t j = 0; j < exprs_.size(); ++j) {
     ctx_->counters().exprs_evaluated += n;
     std::vector<Value>& dst = out->column(static_cast<int>(j));
+    if (move_from_[j] >= 0) {
+      dst.swap(in_batch_->column(move_from_[j]));  // its only reader
+      continue;
+    }
     Status first_error;
     BatchOperand op;
     ResolveBatchOperand(*exprs_[j], *in_batch_, &col_vals_, &col_errs_,

@@ -40,7 +40,9 @@ class ProjectOp final : public Operator {
 
   Status Open(ExecContext* ctx) override;
   /// Each output column is one BatchEval over the child batch; the input's
-  /// rank tags copy through.
+  /// rank tags copy through. A bare column reference whose column no other
+  /// output reads moves the child's column into the output instead of
+  /// copying it.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -51,6 +53,9 @@ class ProjectOp final : public Operator {
  private:
   OpPtr child_;
   std::vector<ExprPtr> exprs_;
+  // Per output: the child column it moves, or -1 when it is computed or
+  // copied.
+  std::vector<int> move_from_;
   ExecContext* ctx_ = nullptr;
   // Child batch + per-column value/error scratch.
   std::unique_ptr<RowBatch> in_batch_;

@@ -322,23 +322,23 @@ Status FilterJoinOp::Probe(RowBatch* out, bool* eof) {
         // rounding would overcharge), so workers skip the per-row charge.
         ctx_->counters().pages_read += 1;
       }
-      // Each production row is probed once: move it out of the spool.
-      current_outer_ = std::move(production_[outer_pos_++]);
+      const Tuple& outer_row = production_[outer_pos_++];
       ctx_->counters().tuples_processed += 1;
-      if (!TupleHasNullAt(current_outer_, outer_keys_)) {
+      if (!TupleHasNullAt(outer_row, outer_keys_)) {
         ctx_->counters().hash_operations += 1;
-        probe_entry_ =
-            table.First(HashTupleColumns(current_outer_, outer_keys_));
+        probe_entry_ = table.First(HashTupleColumns(outer_row, outer_keys_));
       }
     }
+    // The production row being probed; its matches copy it in place.
+    const Tuple& outer_row = production_[outer_pos_ - 1];
     while (probe_entry_ != HashTable<Tuple>::kEnd && !out->full()) {
       const Tuple& inner_row = table[probe_entry_];
       probe_entry_ = table.Next(probe_entry_);
-      if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
+      if (CompareTupleColumns(outer_row, inner_row, outer_keys_,
                               inner_keys_) != 0) {
         continue;
       }
-      out->AppendTuple(ConcatTuples(current_outer_, inner_row));
+      out->AppendJoined(outer_row, inner_row);
       if (out->has_ranks()) {
         out->pos().push_back(production_pos_[outer_pos_ - 1]);
         out->sub().push_back(0);

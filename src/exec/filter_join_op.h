@@ -170,7 +170,6 @@ class FilterJoinOp final : public Operator {
   // Walk over the R_k' entries under the current production row's hash;
   // kEnd when the next production row is due.
   uint32_t probe_entry_ = HashTable<Tuple>::kEnd;
-  Tuple current_outer_;
   int64_t last_filter_set_size_ = 0;
   int64_t production_rows_per_page_ = 1;
   FilterJoinMeasured measured_;

@@ -77,15 +77,15 @@ IndexNestedLoopsJoinOp::IndexNestedLoopsJoinOp(
     OpPtr outer, const Table* inner_table, const HashIndex* index,
     std::vector<int> outer_key_indexes, ExprPtr residual, bool remote_probe,
     const std::string& inner_alias)
-    : RowOperator(outer->schema().Concat(
-                      inner_alias.empty()
-                          ? inner_table->schema()
-                          : inner_table->schema().WithQualifier(inner_alias)),
-                  std::move(residual)),
+    : Operator(outer->schema().Concat(
+          inner_alias.empty()
+              ? inner_table->schema()
+              : inner_table->schema().WithQualifier(inner_alias))),
       outer_(std::move(outer)),
       inner_table_(inner_table),
       index_(index),
       outer_key_indexes_(std::move(outer_key_indexes)),
+      residual_(std::move(residual)),
       remote_probe_(remote_probe) {
   MAGICDB_CHECK(index_ != nullptr);
   MAGICDB_CHECK(index_->columns().size() == outer_key_indexes_.size());
@@ -93,56 +93,87 @@ IndexNestedLoopsJoinOp::IndexNestedLoopsJoinOp(
 
 Status IndexNestedLoopsJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  have_outer_ = false;
-  current_matches_.clear();
+  outer_exhausted_ = true;
+  outer_eof_ = false;
+  outer_row_ = 0;
+  matches_ = nullptr;
   match_pos_ = 0;
-  outer_in_.Reset();
   return outer_->Open(ctx);
 }
 
-Status IndexNestedLoopsJoinOp::NextRow(Tuple* out, bool* eof) {
+Status IndexNestedLoopsJoinOp::NextBatch(RowBatch* out, bool* eof) {
+  *eof = false;
+  return residual_.FillAndKeep(ctx_, out, eof,
+                               [&] { return Probe(out, eof); });
+}
+
+Status IndexNestedLoopsJoinOp::Probe(RowBatch* out, bool* eof) {
+  out->ResetForWrite(schema_.num_columns());
   while (true) {
-    if (!have_outer_) {
-      bool outer_eof = false;
-      MAGICDB_RETURN_IF_ERROR(outer_in_.Next(outer_.get(), pull_rows(),
-                                             &current_outer_, &outer_eof));
-      if (outer_eof) {
+    if (outer_exhausted_) {
+      if (outer_eof_) {
         *eof = true;
         return Status::OK();
       }
-      have_outer_ = true;
-      if (TupleHasNullAt(current_outer_, outer_key_indexes_)) {
-        current_matches_.clear();  // NULL keys never join
-        match_pos_ = 0;
-        continue;
+      if (outer_batch_ == nullptr ||
+          outer_batch_->capacity() != out->capacity()) {
+        outer_batch_ = std::make_unique<RowBatch>(out->capacity());
       }
-      Tuple key = ProjectTuple(current_outer_, outer_key_indexes_);
-      // One probe: a hash operation plus one page to reach the bucket.
-      ctx_->counters().hash_operations += 1;
-      ctx_->counters().pages_read += 1;
-      if (remote_probe_) {
-        // Fetch-matches round trip: request carries the key, response the
-        // matching tuples (charged below per match).
-        ctx_->counters().messages_sent += 2;
-        ctx_->counters().bytes_shipped += TupleByteWidth(key);
-      }
-      current_matches_ = index_->Lookup(key);
-      match_pos_ = 0;
+      MAGICDB_RETURN_IF_ERROR(
+          outer_->NextBatch(outer_batch_.get(), &outer_eof_));
+      outer_exhausted_ = false;
+      outer_row_ = 0;
     }
-    if (match_pos_ < current_matches_.size()) {
-      const Tuple& inner_row =
-          inner_table_->row(current_matches_[match_pos_++]);
-      // Unclustered index: each matching row costs one page fetch.
-      ctx_->counters().pages_read += 1;
-      ctx_->counters().tuples_processed += 1;
-      if (remote_probe_) {
-        ctx_->counters().bytes_shipped += TupleByteWidth(inner_row);
+    if (outer_batch_->has_ranks()) out->EnableRanks();
+    for (; outer_row_ < outer_batch_->num_rows(); ++outer_row_) {
+      const auto r = static_cast<size_t>(outer_row_);
+      if (matches_ == nullptr) {
+        if (out->full()) return Status::OK();  // probe when a row is wanted
+        if (BatchRowHasNullAt(*outer_batch_, outer_row_,
+                              outer_key_indexes_)) {
+          continue;  // NULL keys never join
+        }
+        probe_key_.clear();
+        for (int k : outer_key_indexes_) {
+          probe_key_.push_back(outer_batch_->column(k)[r]);
+        }
+        // One probe: a hash operation plus one page to reach the bucket.
+        ctx_->counters().hash_operations += 1;
+        ctx_->counters().pages_read += 1;
+        if (remote_probe_) {
+          // Fetch-matches round trip: request carries the key, response the
+          // matching tuples (charged below per match).
+          ctx_->counters().messages_sent += 2;
+          ctx_->counters().bytes_shipped += TupleByteWidth(probe_key_);
+        }
+        matches_ = &index_->Lookup(probe_key_);
+        match_pos_ = 0;
       }
-      *out = ConcatTuples(current_outer_, inner_row);
-      *eof = false;
+      for (; match_pos_ < matches_->size(); ++match_pos_) {
+        if (out->full()) return Status::OK();  // resume mid-list next call
+        const Tuple& inner_row = inner_table_->row((*matches_)[match_pos_]);
+        // Unclustered index: each matching row costs one page fetch.
+        ctx_->counters().pages_read += 1;
+        ctx_->counters().tuples_processed += 1;
+        if (remote_probe_) {
+          ctx_->counters().bytes_shipped += TupleByteWidth(inner_row);
+        }
+        out->AppendJoined(*outer_batch_, outer_row_, inner_row);
+        if (out->has_ranks()) {
+          out->pos().push_back(outer_batch_->pos()[r]);
+          out->sub().push_back(0);
+        }
+      }
+      matches_ = nullptr;
+    }
+    outer_exhausted_ = true;
+    if (outer_eof_) {
+      *eof = true;
       return Status::OK();
     }
-    have_outer_ = false;
+    if (out->full()) return Status::OK();
+    // One cancellation check per consumed outer batch.
+    MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
   }
 }
 
@@ -383,7 +414,7 @@ Status HashJoinOp::Probe(RowBatch* out, bool* eof) {
           continue;
         }
         ctx_->counters().tuples_processed += 1;
-        out->AppendTuple(ConcatTuples(current_outer_, inner_row));
+        out->AppendJoined(current_outer_, inner_row);
         if (out->has_ranks()) {
           // Matches inherit the outer row's scan position; rows sharing it
           // keep their emission order within this worker's lane.

@@ -44,14 +44,14 @@ class NestedLoopsJoinOp final : public RowOperator {
   bool inner_open_ = false;
 };
 
-/// Index nested loops: probes a stored table's index once per outer tuple.
+/// Index nested loops: probes a stored table's index once per outer row.
 /// Models the classic repeated-probe strategy; with `remote_probe` set, each
 /// probe additionally pays a message round trip (System R* "fetch matches").
-class IndexNestedLoopsJoinOp final : public RowOperator {
+class IndexNestedLoopsJoinOp final : public Operator {
  public:
   /// `index` must belong to `inner_table` and cover exactly the columns the
   /// probe key binds. `outer_key_indexes` selects the probe key from the
-  /// outer tuple. `residual` (may be null) is evaluated over outer ++ inner.
+  /// outer row. `residual` (may be null) is evaluated over outer ++ inner.
   IndexNestedLoopsJoinOp(OpPtr outer, const Table* inner_table,
                          const HashIndex* index,
                          std::vector<int> outer_key_indexes, ExprPtr residual,
@@ -59,6 +59,15 @@ class IndexNestedLoopsJoinOp final : public RowOperator {
                          const std::string& inner_alias = "");
 
   Status Open(ExecContext* ctx) override;
+  /// Probes the index for each row of an outer batch sized to the output
+  /// batch and copies every match into the output columns, the outer values
+  /// from that batch and the inner values from the table, resuming
+  /// mid-batch and mid-match-list across calls; then keeps the matches that
+  /// satisfy the residual, refilling while none does. A row is probed only
+  /// once the output has room for its first match, so a consumer that
+  /// stops early causes no probe past the rows it took. Outer rank tags
+  /// propagate to the matches.
+  Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override {
@@ -66,18 +75,27 @@ class IndexNestedLoopsJoinOp final : public RowOperator {
   }
 
  private:
-  Status NextRow(Tuple* out, bool* eof) override;
+  /// Fills `out` with the matches of the outer rows, before the residual,
+  /// until it is full or the outer is exhausted.
+  Status Probe(RowBatch* out, bool* eof);
 
   OpPtr outer_;
-  RowReader outer_in_;
   const Table* inner_table_;
   const HashIndex* index_;
   std::vector<int> outer_key_indexes_;
+  BatchFilter residual_;
   bool remote_probe_;
-  Tuple current_outer_;
-  std::vector<int64_t> current_matches_;
+  ExecContext* ctx_ = nullptr;
+  // The outer batch the probe resumes from and its next row; the index's
+  // match list of the row being joined (null when the next row is due) and
+  // the next match in it.
+  std::unique_ptr<RowBatch> outer_batch_;
+  bool outer_exhausted_ = true;
+  bool outer_eof_ = false;
+  int32_t outer_row_ = 0;
+  const std::vector<int64_t>* matches_ = nullptr;
   size_t match_pos_ = 0;
-  bool have_outer_ = false;
+  Tuple probe_key_;  // scratch, reused across probes
 };
 
 /// Classic in-memory hash join on equality keys. Build side is the inner

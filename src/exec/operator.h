@@ -109,7 +109,7 @@ class BatchFilter {
 };
 
 /// Base of the operators whose work is naturally one row at a time (Sort,
-/// Distinct, Limit, the loop and sort-merge joins, FilterSetScan,
+/// Distinct, Limit, the nested-loops and sort-merge joins, FilterSetScan,
 /// OrderedIndexScan, the function operators, Ship): they implement
 /// NextRow, and NextBatch fills the batch by looping it. NextBatch is
 /// final, so such an operator has exactly one pull implementation. A join

@@ -64,6 +64,26 @@ class RowBatch {
     ++num_rows_;
   }
 
+  /// Appends one join output row: the values of `outer`, then those of
+  /// `inner`, copied straight into the columns. num_cols() must be
+  /// outer.size() + inner.size().
+  void AppendJoined(const Tuple& outer, const Tuple& inner) {
+    auto col = columns_.begin();
+    for (const Value& v : outer) (col++)->push_back(v);
+    for (const Value& v : inner) (col++)->push_back(v);
+    ++num_rows_;
+  }
+
+  /// AppendJoined with the outer values read from row `row` of `outer`.
+  void AppendJoined(const RowBatch& outer, int32_t row, const Tuple& inner) {
+    auto col = columns_.begin();
+    for (const std::vector<Value>& src : outer.columns_) {
+      (col++)->push_back(src[static_cast<size_t>(row)]);
+    }
+    for (const Value& v : inner) (col++)->push_back(v);
+    ++num_rows_;
+  }
+
   /// Bulk-write protocol: an operator that fills column vectors directly
   /// (e.g. the scan's column-wise page copy) declares the new row count
   /// afterwards. Every column must be `n` long.

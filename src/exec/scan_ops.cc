@@ -11,7 +11,58 @@ namespace {
 // Rows read or skipped between two cancellation checks, at most.
 constexpr int64_t kCancelCheckRows = 1024;
 
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a == b ? 0 : (a < b ? -1 : 1);
+}
+
+bool NumericColumn(const Schema& schema, int c) {
+  return c >= 0 && c < schema.num_columns() &&
+         (schema.column(c).type == DataType::kInt64 ||
+          schema.column(c).type == DataType::kDouble);
+}
+
 }  // namespace
+
+bool SeqScanOp::KernelConjunct::Holds(const Value& v) const {
+  // Value::Compare's numeric branch: exact when both sides are INT, else
+  // over doubles. Each side stays where the conjunct wrote it, since a NaN
+  // compares as greater from either side.
+  int c;
+  switch (v.type()) {
+    case DataType::kInt64:
+      if (literal_int) {
+        c = literal_left ? ThreeWay(int_literal, v.AsInt64())
+                         : ThreeWay(v.AsInt64(), int_literal);
+        break;
+      }
+      c = literal_left
+              ? ThreeWay(double_literal, static_cast<double>(v.AsInt64()))
+              : ThreeWay(static_cast<double>(v.AsInt64()), double_literal);
+      break;
+    case DataType::kDouble:
+      c = literal_left ? ThreeWay(double_literal, v.AsDouble())
+                       : ThreeWay(v.AsDouble(), double_literal);
+      break;
+    default:
+      return false;  // NULL: a stored INT or DOUBLE column holds nothing else
+  }
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
 
 SeqScanOp::SeqScanOp(const Table* table, const std::string& alias,
                      ExprPtr predicate)
@@ -20,24 +71,39 @@ SeqScanOp::SeqScanOp(const Table* table, const std::string& alias,
       table_(table),
       predicate_(std::move(predicate)) {
   const int num_cols = schema_.num_columns();
-  if (predicate_ == nullptr) {
-    for (int c = 0; c < num_cols; ++c) read_cols_.push_back(c);
-    return;
-  }
-  predicate_->CollectColumnRefs(&read_cols_);
-  for (int c = 0; c < num_cols; ++c) {
-    if (!std::binary_search(read_cols_.begin(), read_cols_.end(), c)) {
-      survivor_cols_.push_back(c);
-    }
-  }
   std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(predicate_, &conjuncts);
-  for (ColumnRange& r : ExtractColumnRanges(conjuncts)) {
-    if (r.column >= 0 && r.column < num_cols &&
-        (schema_.column(r.column).type == DataType::kInt64 ||
-         schema_.column(r.column).type == DataType::kDouble)) {
-      bounds_.push_back(std::move(r));
+  if (predicate_ != nullptr) SplitConjuncts(predicate_, &conjuncts);
+  std::vector<ExprPtr> residual;
+  for (const ExprPtr& conjunct : conjuncts) {
+    ColumnComparison match;
+    if (!MatchColumnComparison(*conjunct, &match) ||
+        !NumericColumn(schema_, match.column) ||
+        (match.literal->type() != DataType::kInt64 &&
+         match.literal->type() != DataType::kDouble)) {
+      residual.push_back(conjunct);
+      continue;
     }
+    // The operator as written, not the match's column-on-the-left reading.
+    const auto& cmp = static_cast<const ComparisonExpr&>(*conjunct);
+    KernelConjunct k;
+    k.column = match.column;
+    k.op = cmp.op();
+    k.literal_left = cmp.left()->kind() == ExprKind::kLiteral;
+    k.literal_int = match.literal->type() == DataType::kInt64;
+    if (k.literal_int) k.int_literal = match.literal->AsInt64();
+    k.double_literal = k.literal_int ? static_cast<double>(k.int_literal)
+                                     : match.literal->AsDouble();
+    kernel_.push_back(k);
+  }
+  residual_ = ConjoinAll(residual);
+  if (residual_ != nullptr) residual_->CollectColumnRefs(&residual_cols_);
+  for (int c = 0; c < num_cols; ++c) {
+    if (!std::binary_search(residual_cols_.begin(), residual_cols_.end(), c)) {
+      output_cols_.push_back(c);
+    }
+  }
+  for (ColumnRange& r : ExtractColumnRanges(conjuncts)) {
+    if (NumericColumn(schema_, r.column)) bounds_.push_back(std::move(r));
   }
 }
 
@@ -65,16 +131,13 @@ bool SeqScanOp::SkipPage(int64_t page) const {
   return false;
 }
 
-Status SeqScanOp::ReadRows(RowBatch* out, bool* eof) {
-  out->ResetForWrite(schema_.num_columns());
+Status SeqScanOp::ReadRows(int32_t capacity, bool* eof) {
+  rows_.clear();
   *eof = false;
-  if (morsels_ != nullptr) out->EnableRanks();
-  // A filtering scan keeps each row's table position in pos() even without
-  // ranks, to copy the survivors' remaining columns.
-  const bool keep_pos = morsels_ != nullptr || predicate_ != nullptr;
+  const size_t want = static_cast<size_t>(capacity);
   const int64_t rpp = table_->rows_per_page();
   int64_t unchecked = 0;
-  while (!out->full()) {
+  while (rows_.size() < want) {
     if (unchecked >= kCancelCheckRows) {
       MAGICDB_RETURN_IF_ERROR(ctx_->CheckCancelled());
       unchecked = 0;
@@ -101,79 +164,95 @@ Status SeqScanOp::ReadRows(RowBatch* out, bool* eof) {
       }
       chunk_end = table_->NumRows();
     }
-    const int64_t room = out->capacity() - out->num_rows();
-    int64_t chunk = std::min(room, chunk_end - next_row_);
+    // Read no further than the next cancellation check.
+    int64_t end = std::min(chunk_end, next_row_ + kCancelCheckRows - unchecked);
     if (!bounds_.empty()) {
       // Every page start consults the zone map: skip the page, or read on
-      // to the next page the zones rule out. Morsels are page-aligned, so
-      // the decisions are the same at any DoP.
-      int64_t run_end = (next_row_ / rpp + 1) * rpp;
+      // within it. Morsels are page-aligned, so the decisions are the same
+      // at any DoP.
+      const int64_t page_end = (next_row_ / rpp + 1) * rpp;
       if (next_row_ % rpp == 0 && SkipPage(next_row_ / rpp)) {
-        const int64_t skipped = std::min(run_end, chunk_end) - next_row_;
+        const int64_t skipped = std::min(page_end, chunk_end) - next_row_;
         next_row_ += skipped;
         unchecked += skipped;
         continue;
       }
-      while (run_end < next_row_ + chunk && !SkipPage(run_end / rpp)) {
-        run_end += rpp;
-      }
-      chunk = std::min(chunk, run_end - next_row_);
+      end = std::min(end, page_end);
     }
-    // One page charge for every page boundary in
-    // [next_row_, next_row_ + chunk). Morsels are page-aligned, so the
-    // totals match a front-to-back scan at any DoP.
-    const int64_t first_boundary = ((next_row_ + rpp - 1) / rpp) * rpp;
-    for (int64_t b = first_boundary; b < next_row_ + chunk; b += rpp) {
+    const int64_t begin = next_row_;
+    int64_t r = begin;
+    if (kernel_.empty()) {
+      r = std::min(end, begin + static_cast<int64_t>(want - rows_.size()));
+      for (int64_t i = begin; i < r; ++i) rows_.push_back(i);
+    } else {
+      for (; r < end && rows_.size() < want; ++r) {
+        const Tuple& row = table_->row(r);
+        bool pass = true;
+        for (const KernelConjunct& k : kernel_) {
+          if (!k.Holds(row[static_cast<size_t>(k.column)])) {
+            pass = false;
+            break;
+          }
+        }
+        if (pass) rows_.push_back(r);
+      }
+    }
+    // One page charge for every page boundary in [begin, r). Morsels are
+    // page-aligned, so the totals match a front-to-back scan at any DoP.
+    const int64_t first_boundary = ((begin + rpp - 1) / rpp) * rpp;
+    for (int64_t b = first_boundary; b < r; b += rpp) {
       MAGICDB_FAILPOINT("storage.page_read");
       ctx_->counters().pages_read += 1;
     }
-    // Column-wise copy into the batch: one output column at a time, so
-    // each inner loop appends to a single vector.
-    for (int c : read_cols_) {
-      std::vector<Value>& col = out->column(c);
-      col.reserve(static_cast<size_t>(out->num_rows() + chunk));
-      for (int64_t i = 0; i < chunk; ++i) {
-        col.push_back(table_->row(next_row_ + i)[static_cast<size_t>(c)]);
-      }
-    }
-    if (keep_pos) {
-      for (int64_t i = 0; i < chunk; ++i) out->pos().push_back(next_row_ + i);
-    }
-    if (morsels_ != nullptr) out->sub().resize(out->pos().size(), 0);
-    out->set_num_rows(out->num_rows() + static_cast<int32_t>(chunk));
-    ctx_->counters().tuples_processed += chunk;
-    next_row_ += chunk;
-    unchecked += chunk;
+    ctx_->counters().tuples_processed += r - begin;
+    // A filtering scan charges one predicate evaluation per row read.
+    if (predicate_ != nullptr) ctx_->counters().exprs_evaluated += r - begin;
+    next_row_ = r;
+    unchecked += r - begin;
   }
   // And one check per batch: every blocking loop bottoms out at a scan, so
   // a cancelled query unwinds within one batch of rows.
   return ctx_->CheckCancelled();
 }
 
+void SeqScanOp::CopyColumn(int c, RowBatch* out) const {
+  std::vector<Value>& col = out->column(c);
+  col.reserve(col.size() + rows_.size());
+  const auto ci = static_cast<size_t>(c);
+  for (int64_t r : rows_) col.push_back(table_->row(r)[ci]);
+}
+
 Status SeqScanOp::NextBatch(RowBatch* out, bool* eof) {
   while (true) {
-    MAGICDB_RETURN_IF_ERROR(ReadRows(out, eof));
-    if (predicate_ == nullptr) return Status::OK();
-    const int32_t n = out->num_rows();
-    if (n > 0) {
-      // One predicate evaluation per row read. The columns it does not
-      // read hold NULL placeholders until the survivors' values arrive.
-      ctx_->counters().exprs_evaluated += n;
-      for (int c : survivor_cols_) {
-        out->column(c).resize(static_cast<size_t>(n));
-      }
-      BatchEvalPredicate(*predicate_, *out, &pred_vals_, &pred_keep_);
-      const std::vector<int64_t>& rows = out->pos();
-      for (int c : survivor_cols_) {
-        std::vector<Value>& col = out->column(c);
-        for (size_t i = 0; i < pred_keep_.size(); ++i) {
-          if (pred_keep_[i]) {
-            col[i] = table_->row(rows[i])[static_cast<size_t>(c)];
+    out->ResetForWrite(schema_.num_columns());
+    MAGICDB_RETURN_IF_ERROR(ReadRows(out->capacity(), eof));
+    if (residual_ != nullptr && !rows_.empty()) {
+      // While the residual runs, only its own columns hold values; it reads
+      // no other column.
+      for (int c : residual_cols_) CopyColumn(c, out);
+      out->set_num_rows(static_cast<int32_t>(rows_.size()));
+      BatchEvalPredicate(*residual_, *out, &pred_vals_, &pred_keep_);
+      size_t n = 0;
+      for (size_t i = 0; i < rows_.size(); ++i) {
+        if (pred_keep_[i] == 0) continue;
+        if (i != n) {
+          rows_[n] = rows_[i];
+          for (int c : residual_cols_) {
+            std::vector<Value>& col = out->column(c);
+            col[n] = std::move(col[i]);
           }
         }
+        ++n;
       }
-      out->KeepRows(pred_keep_);
-      if (morsels_ == nullptr) out->pos().clear();
+      rows_.resize(n);
+      for (int c : residual_cols_) out->column(c).resize(n);
+    }
+    for (int c : output_cols_) CopyColumn(c, out);
+    out->set_num_rows(static_cast<int32_t>(rows_.size()));
+    if (morsels_ != nullptr) {
+      out->EnableRanks();
+      out->pos().assign(rows_.begin(), rows_.end());
+      out->sub().assign(rows_.size(), 0);
     }
     // Never hand an empty non-final batch upward; keep reading instead.
     if (out->num_rows() > 0 || *eof) return Status::OK();

@@ -21,11 +21,22 @@ namespace magicdb {
 /// columns are checked against the table's zone map at every page start: a
 /// page where some bounded column holds no non-NULL value, or whose
 /// [min, max] lies outside the bound, is skipped and charges nothing (a
-/// page holding a NaN in the column is never skipped on it). A page that
-/// is read copies the predicate's columns, evaluates the whole predicate
-/// and copies the other columns for the survivors only; it charges what
-/// FilterOp over an unfiltered scan charges for those rows (a page read,
-/// a tuple and an expression evaluation per row).
+/// page holding a NaN in the column is never skipped on it). On a page
+/// that is read, each row copies a value at most once:
+///
+///   1. the *kernel* conjuncts, `col op literal` or `literal op col` over
+///      an INT or DOUBLE column and a non-NULL INT or DOUBLE literal, are
+///      tested on the stored values, in the orientation they are written
+///      (Value::Compare is not antisymmetric on NaN), without a copy;
+///   2. the other conjuncts, ANDed into the residual, run as one
+///      BatchEvalPredicate over the kernel survivors, for which only the
+///      residual's columns are copied;
+///   3. the remaining columns are copied for the final survivors.
+///
+/// A predicate without kernel conjuncts makes every row read a candidate.
+/// The scan charges what FilterOp over an unfiltered scan charges for the
+/// rows it reads (a page read, a tuple and an expression evaluation per
+/// row).
 ///
 /// With a MorselSource attached (parallel execution), the scan claims
 /// page-aligned morsels from the shared source instead of walking the table
@@ -39,14 +50,14 @@ class SeqScanOp final : public Operator {
             ExprPtr predicate = nullptr);
 
   Status Open(ExecContext* ctx) override;
-  /// Column-wise page copies with a cancellation check at least once per
-  /// 1,024 rows read or skipped, and once per batch (morsel claims keep
-  /// their own checkpoint). With a predicate it fills one batch's worth of
-  /// rows from the pages it reads, keeps the survivors, and like FilterOp
-  /// never returns an empty batch that is not the last. In morsel mode the
-  /// batch carries (pos, sub) = (global row, 0) rank tags, which the result
-  /// sink's lane merge uses to restore sequential output order across
-  /// workers.
+  /// Column-wise copies with a cancellation check at least once per 1,024
+  /// rows read or skipped, and once per batch (morsel claims keep their own
+  /// checkpoint). Reads rows until a batch's worth of them pass the kernel
+  /// (every row read, without one), keeps those that pass the residual, and
+  /// like FilterOp never returns an empty batch that is not the last. In
+  /// morsel mode the batch carries (pos, sub) = (global row, 0) rank tags,
+  /// which the result sink's lane merge uses to restore sequential output
+  /// order across workers.
   Status NextBatch(RowBatch* out, bool* eof) override;
   Status Close() override;
   std::string Describe() const override;
@@ -62,23 +73,45 @@ class SeqScanOp final : public Operator {
   }
 
  private:
-  /// Fills `out` with up to a batch of rows from the pages the zones do
-  /// not rule out, copying only `read_cols_`.
-  Status ReadRows(RowBatch* out, bool* eof);
+  /// A kernel conjunct: `column op literal`, or `literal op column` when
+  /// `literal_left`.
+  struct KernelConjunct {
+    int column = -1;
+    CompareOp op = CompareOp::kEq;
+    bool literal_left = false;
+    bool literal_int = false;
+    int64_t int_literal = 0;
+    double double_literal = 0.0;  // the literal as a double, either type
+
+    /// The conjunct over the stored value `v`, compared exactly as
+    /// Value::Compare's numeric branch does; NULL fails.
+    bool Holds(const Value& v) const;
+  };
+
+  /// Reads rows from the pages the zones do not rule out until `capacity`
+  /// of them pass the kernel, or the input ends, and leaves their table
+  /// positions in `rows_`. Copies nothing.
+  Status ReadRows(int32_t capacity, bool* eof);
   /// True when the zone map proves no row of `page` satisfies the bounds.
   bool SkipPage(int64_t page) const;
+  /// Appends column `c` of every row in `rows_` to out->column(c).
+  void CopyColumn(int c, RowBatch* out) const;
 
   const Table* table_;
   ExprPtr predicate_;
   std::vector<ColumnRange> bounds_;  // on zone-mapped columns only
-  std::vector<int> read_cols_;       // copied for every row read
-  std::vector<int> survivor_cols_;   // copied for survivors only
+  std::vector<KernelConjunct> kernel_;
+  ExprPtr residual_;                 // the other conjuncts; may be null
+  std::vector<int> residual_cols_;   // copied for kernel survivors
+  std::vector<int> output_cols_;     // copied for final survivors
   ExecContext* ctx_ = nullptr;
   int64_t next_row_ = 0;
   std::shared_ptr<MorselSource> morsels_;
   Morsel morsel_;
   bool have_morsel_ = false;
-  // Scratch for the vectorized predicate pass, reused across batches.
+  // Scratch reused across batches: candidate positions and the residual's
+  // vectorized pass.
+  std::vector<int64_t> rows_;
   std::vector<Value> pred_vals_;
   std::vector<uint8_t> pred_keep_;
 };

@@ -16,12 +16,13 @@ void HashIndex::Insert(const Tuple& row, int64_t row_id) {
   ++num_entries_;
 }
 
-std::vector<int64_t> HashIndex::Lookup(const Tuple& key) const {
+const std::vector<int64_t>& HashIndex::Lookup(const Tuple& key) const {
+  static const std::vector<int64_t> kNoRows;
   MAGICDB_CHECK(key.size() == columns_.size());
   const Entry* entry = entries_.Find(
       HashTuple(key),
       [&](const Entry& e) { return CompareTuples(e.key, key) == 0; });
-  return entry == nullptr ? std::vector<int64_t>() : entry->row_ids;
+  return entry == nullptr ? kNoRows : entry->row_ids;
 }
 
 void OrderedIndex::Insert(const Tuple& row, int64_t row_id) {

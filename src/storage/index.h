@@ -23,8 +23,10 @@ class HashIndex {
   /// Indexes `row` (stored at `row_id` in the owning table).
   void Insert(const Tuple& row, int64_t row_id);
 
-  /// Row ids whose key columns equal `key` (key arity == columns arity).
-  std::vector<int64_t> Lookup(const Tuple& key) const;
+  /// Row ids whose key columns equal `key` (key arity == columns arity), in
+  /// insertion order; an empty list when no row matches. The list is the
+  /// index's own, valid until the next Insert.
+  const std::vector<int64_t>& Lookup(const Tuple& key) const;
 
   int64_t NumEntries() const { return num_entries_; }
 

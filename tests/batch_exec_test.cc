@@ -1,6 +1,7 @@
 // Tests for batch execution: RowBatch mechanics, chunked memory
 // reservation, filter edge cases, row-at-a-time operators over
-// batch children, LIMIT doing no work past its rows, and the headline
+// batch children, projections that move columns, LIMIT doing no work past
+// its rows, and the headline
 // guarantee — results, result order, and cost counters byte-identical to
 // batch size 1 (the exact-work reference) at any DoP and any batch size,
 // with and without spilling.
@@ -522,6 +523,99 @@ TEST(BatchEdgeCaseTest, HashJoinKeepsProbeRowsWhenPullSizeChanges) {
   const std::vector<Tuple> fixed = drain([](int) { return 7; });
   ASSERT_EQ(fixed.size(), 300u * 8);
   ExpectRowsIdentical(drain([](int call) { return 7 - call % 7; }), fixed);
+}
+
+// ----- Projection moves a column it alone reads -----
+
+// Serves fixed rows and records, at each pull, how long each column of the
+// batch it filled the pull before still is: a consumer that moved a column
+// out leaves it empty, one that copied it leaves it whole.
+class LeftoverRecorder final : public Operator {
+ public:
+  LeftoverRecorder(Schema schema, std::vector<Tuple> rows)
+      : Operator(std::move(schema)), rows_(std::move(rows)) {}
+
+  Status Open(ExecContext*) override {
+    next_ = 0;
+    leftovers_.clear();
+    return Status::OK();
+  }
+  Status NextBatch(RowBatch* out, bool* eof) override {
+    if (next_ > 0) {
+      std::vector<size_t> lengths;
+      for (int c = 0; c < out->num_cols(); ++c) {
+        lengths.push_back(out->column(c).size());
+      }
+      leftovers_.push_back(std::move(lengths));
+    }
+    out->ResetForWrite(schema_.num_columns());
+    while (!out->full() && next_ < rows_.size()) {
+      out->AppendTuple(Tuple(rows_[next_++]));
+    }
+    *eof = next_ == rows_.size();
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  std::string Describe() const override { return "LeftoverRecorder"; }
+
+  const std::vector<std::vector<size_t>>& leftovers() const {
+    return leftovers_;
+  }
+
+ private:
+  std::vector<Tuple> rows_;
+  size_t next_ = 0;
+  std::vector<std::vector<size_t>> leftovers_;
+};
+
+// `SELECT a, a + 1, b, c, c`: `a` is read by two outputs and `c` twice,
+// so both are copied; `b` is read only by its bare reference and moves.
+TEST(ProjectMoveTest, MovesOnlyAColumnItsBareRefAloneReads) {
+  const Schema in_schema({{"t", "a", DataType::kInt64},
+                          {"t", "b", DataType::kString},
+                          {"t", "c", DataType::kInt64}});
+  std::vector<Tuple> rows;
+  std::vector<Tuple> expected;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back({i % 3 == 0 ? Value::Null() : Value::Int64(i),
+                    Value::String("b" + std::to_string(i)),
+                    Value::Int64(i * 7)});
+    const Value a1 = rows.back()[0].is_null()
+                         ? Value::Null()
+                         : Value::Int64(rows.back()[0].AsInt64() + 1);
+    expected.push_back({rows.back()[0], a1, rows.back()[1], rows.back()[2],
+                        rows.back()[2]});
+  }
+  auto a = [] { return MakeColumnRef(0, DataType::kInt64, "t.a"); };
+  auto c = [] { return MakeColumnRef(2, DataType::kInt64, "t.c"); };
+  const Schema out_schema({{"", "a", DataType::kInt64},
+                           {"", "a1", DataType::kInt64},
+                           {"", "b", DataType::kString},
+                           {"", "c", DataType::kInt64},
+                           {"", "c2", DataType::kInt64}});
+  for (int64_t batch : {1, 7, 1024}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto source = std::make_unique<LeftoverRecorder>(in_schema, rows);
+    const LeftoverRecorder* recorder = source.get();
+    ProjectOp project(
+        std::move(source),
+        {a(), MakeArithmetic(ArithOp::kAdd, a(), MakeLiteral(Value::Int64(1))),
+         MakeColumnRef(1, DataType::kString, "t.b"), c(), c()},
+        out_schema);
+    ExecContext ctx;
+    ctx.set_batch_size(batch);
+    auto got = ExecuteToVector(&project, &ctx);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectRowsIdentical(*got, expected);
+    EXPECT_EQ(ctx.counters().exprs_evaluated, 20 * 5);
+    // Each pull after the first sees what became of the full batch before.
+    if (batch < 20) ASSERT_FALSE(recorder->leftovers().empty());
+    for (const std::vector<size_t>& left : recorder->leftovers()) {
+      EXPECT_EQ(left[0], static_cast<size_t>(batch));  // copied
+      EXPECT_EQ(left[1], 0u);                          // moved
+      EXPECT_EQ(left[2], static_cast<size_t>(batch));  // copied
+    }
+  }
 }
 
 // ----- LIMIT does no work past its rows -----

@@ -223,6 +223,71 @@ TEST(IndexNestedLoopsJoinTest, RemoteProbeChargesMessages) {
   EXPECT_GT(ctx.counters().bytes_shipped, 0);
 }
 
+// Index nested loops probes an outer batch and copies each match into the
+// output columns, resuming mid-batch and mid-match-list: key 0 has 2,100
+// inner rows, so one outer row's matches span several output batches even
+// at 1,024 rows. NULL outer keys never probe, the residual keeps some
+// matches, and every probe is remote. Rows, their order and every counter
+// must be the same at any batch size, and equal the nested loops below.
+TEST(IndexNestedLoopsJoinTest, MatchListsSpanBatchesIdenticallyAtAnySize) {
+  Table r("r", RSchema());
+  for (int i = 0; i < 30; ++i) {
+    MAGICDB_CHECK_OK(r.Insert({i % 5 == 4 ? Value::Null() : Value::Int64(i % 4),
+                               Value::Int64(i * 70)}));
+  }
+  Table s("s", SSchema());
+  for (int i = 0; i < 3000; ++i) {
+    MAGICDB_CHECK_OK(
+        s.Insert({Value::Int64(i < 2100 ? 0 : 1 + i % 5), Value::Int64(i)}));
+  }
+  const HashIndex* index = s.CreateHashIndex({0});
+  // s.y > r.x over r ++ s.
+  const ExprPtr residual =
+      MakeComparison(CompareOp::kGt, MakeColumnRef(3, DataType::kInt64),
+                     MakeColumnRef(1, DataType::kInt64));
+  // The reference: every (r, s) pair in index order, NULL keys dropped.
+  std::vector<Tuple> expected;
+  int64_t probes = 0;
+  int64_t matches = 0;
+  int64_t key_bytes = 0;
+  int64_t match_bytes = 0;
+  for (int64_t i = 0; i < r.NumRows(); ++i) {
+    if (r.row(i)[0].is_null()) continue;
+    ++probes;
+    key_bytes += r.row(i)[0].ByteWidth();
+    for (int64_t j = 0; j < s.NumRows(); ++j) {
+      if (s.row(j)[0].Compare(r.row(i)[0]) != 0) continue;
+      ++matches;
+      match_bytes += TupleByteWidth(s.row(j));
+      if (s.row(j)[1].AsInt64() > r.row(i)[1].AsInt64()) {
+        expected.push_back(ConcatTuples(r.row(i), s.row(j)));
+      }
+    }
+  }
+  ASSERT_GT(matches, static_cast<int64_t>(expected.size()));
+  for (int64_t batch : {1, 7, 1024}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    ExecContext ctx;
+    ctx.set_batch_size(batch);
+    IndexNestedLoopsJoinOp join(std::make_unique<SeqScanOp>(&r), &s, index,
+                                {0}, residual, /*remote_probe=*/true);
+    auto rows = ExecuteToVector(&join, &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(CompareTuples((*rows)[i], expected[i]), 0) << "row " << i;
+    }
+    const CostCounters& c = ctx.counters();
+    EXPECT_EQ(c.hash_operations, probes);
+    EXPECT_EQ(c.messages_sent, 2 * probes);
+    EXPECT_EQ(c.bytes_shipped, key_bytes + match_bytes);
+    // One page per probe and per match, plus the outer scan's one page.
+    EXPECT_EQ(c.pages_read, probes + matches + r.NumPages());
+    EXPECT_EQ(c.tuples_processed, r.NumRows() + matches);
+    EXPECT_EQ(c.exprs_evaluated, matches);
+  }
+}
+
 TEST(JoinAgreementTest, AllJoinMethodsAgreeOnRandomInputs) {
   Random rng(1234);
   for (int trial = 0; trial < 8; ++trial) {

@@ -1,7 +1,8 @@
 // The zone map on Table and the filtering SeqScanOp: per-page min/max
 // entries maintained by Insert, pages skipped when their zones cannot match
 // the predicate's bounds, exact charges for the pages read, cancellation
-// while skipping, and the optimizer's range estimate and page cost.
+// while skipping, the kernel conjuncts tested on stored values, and the
+// optimizer's range estimate and page cost.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "src/exec/basic_ops.h"
 #include "src/exec/scan_ops.h"
 #include "src/optimizer/cost_model.h"
+#include "src/parallel/morsel.h"
 #include "src/stats/table_stats.h"
 #include "tests/test_util.h"
 
@@ -95,6 +97,8 @@ void ExpectSameCounters(const CostCounters& a, const CostCounters& b) {
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
   EXPECT_EQ(a.function_invocations, b.function_invocations);
+  EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
+  EXPECT_EQ(a.spill_bytes_read, b.spill_bytes_read);
 }
 
 // ----- Zone entries -----
@@ -374,6 +378,184 @@ TEST(ScanFilterTest, CancelledScanStopsWithinOneCheckInterval) {
     EXPECT_EQ(ctx.counters().tuples_processed, 0);
     EXPECT_EQ(ctx.counters().pages_read, 0);
   }
+}
+
+// ----- Kernel conjuncts -----
+
+// Every page holds INT64_MIN and INT64_MAX in `a` and a NaN in `x`, so no
+// literal below rules a page out and the filtering scan reads exactly the
+// rows FilterOp over an unfiltered scan reads. The other rows cycle through
+// NULL, signed zeros, infinities and integers beyond 2^53, where a double
+// comparison and an exact int64 one disagree.
+std::unique_ptr<Table> EdgeValueTable() {
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> a_vals = {
+      Value::Null(),         Value::Int64(0),        Value::Int64(-1),
+      Value::Int64(5),       Value::Int64(kBig),     Value::Int64(kBig + 1),
+      Value::Int64(kBig + 2), Value::Int64(-kBig - 1), Value::Int64(6)};
+  const std::vector<Value> x_vals = {
+      Value::Double(-0.0),  Value::Double(0.0),  Value::Null(),
+      Value::Double(inf),   Value::Double(-inf), Value::Double(5.5),
+      Value::Double(5.0),   Value::Double(static_cast<double>(kBig)),
+      Value::Double(nan),   Value::Double(static_cast<double>(kBig) + 2),
+      Value::Double(-1.0)};
+  auto t = std::make_unique<Table>("t", ZoneSchema());
+  for (int i = 0; i < 300; ++i) {
+    Value a = a_vals[static_cast<size_t>(i) % a_vals.size()];
+    if (i % 128 == 0) a = Value::Int64(std::numeric_limits<int64_t>::min());
+    if (i % 128 == 1) a = Value::Int64(std::numeric_limits<int64_t>::max());
+    Value x = x_vals[static_cast<size_t>(i) % x_vals.size()];
+    if (i % 128 == 2) x = Value::Double(nan);
+    MAGICDB_CHECK_OK(t->Insert({std::move(a), std::move(x),
+                                Value::String("s" + std::to_string(i % 3))}));
+  }
+  return t;
+}
+
+// Four scans of one table share a MorselSource of one-page morsels and are
+// pulled in turn, as a gang's workers would; their rows are put back in
+// table order by the pos rank each batch carries, and their counters add up.
+ScanRun MorselScans(const Table& t, const ExprPtr& pred) {
+  auto source = std::make_shared<MorselSource>(t.NumRows(), t.rows_per_page(),
+                                               t.rows_per_page());
+  constexpr int kDop = 4;
+  std::vector<std::unique_ptr<SeqScanOp>> scans;
+  std::vector<ExecContext> ctxs(kDop);
+  for (int w = 0; w < kDop; ++w) {
+    scans.push_back(std::make_unique<SeqScanOp>(&t, "", pred));
+    scans.back()->AttachMorselSource(source);
+    ctxs[static_cast<size_t>(w)].set_batch_size(7);
+    MAGICDB_CHECK_OK(scans.back()->Open(&ctxs[static_cast<size_t>(w)]));
+  }
+  std::vector<std::pair<int64_t, Tuple>> ranked;
+  std::vector<bool> done(kDop, false);
+  for (int live = kDop; live > 0;) {
+    for (int w = 0; w < kDop; ++w) {
+      if (done[static_cast<size_t>(w)]) continue;
+      RowBatch batch(7);
+      bool eof = false;
+      MAGICDB_CHECK_OK(scans[static_cast<size_t>(w)]->NextBatch(&batch, &eof));
+      MAGICDB_CHECK(batch.has_ranks());
+      for (int32_t r = 0; r < batch.num_rows(); ++r) {
+        Tuple row;
+        batch.MoveRowToTuple(r, &row);
+        ranked.emplace_back(batch.pos()[static_cast<size_t>(r)],
+                            std::move(row));
+      }
+      if (eof) {
+        done[static_cast<size_t>(w)] = true;
+        --live;
+      }
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& l, const auto& r) { return l.first < r.first; });
+  ScanRun run;
+  for (auto& [pos, row] : ranked) run.rows.push_back(std::move(row));
+  for (int w = 0; w < kDop; ++w) {
+    MAGICDB_CHECK_OK(scans[static_cast<size_t>(w)]->Close());
+    run.counters += ctxs[static_cast<size_t>(w)].counters();
+  }
+  return run;
+}
+
+ScanRun DrainAtBatch(Operator* op, int64_t batch) {
+  ExecContext ctx;
+  ctx.set_batch_size(batch);
+  auto rows = ExecuteToVector(op, &ctx);
+  MAGICDB_CHECK_OK(rows.status());
+  return {std::move(*rows), ctx.counters()};
+}
+
+// Kernel conjuncts compare stored values without BatchEval, so they are
+// checked against it: `SeqScanOp(t, pred)` must equal `FilterOp(pred)` over
+// an unfiltered scan in rows, order and every counter, for every operator,
+// literal side, column type and literal type, alone and beside residual
+// conjuncts, at three batch sizes and across a four-scan morsel gang.
+TEST(ScanKernelTest, MatchesFilterOverScanOnEdgeValues) {
+  auto t = EdgeValueTable();
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const std::vector<ExprPtr> literals = {
+      Int(0), Int(kBig + 1), Dbl(-0.0), Dbl(5.5),
+      Dbl(static_cast<double>(kBig)),
+      Dbl(std::numeric_limits<double>::quiet_NaN())};
+  const std::vector<ExprPtr> residuals = {
+      nullptr,
+      MakeOr(Cmp(CompareOp::kLt, ColA(), Int(3)),
+             Cmp(CompareOp::kGt, ColX(), Dbl(100))),
+      Cmp(CompareOp::kEq, MakeColumnRef(2, DataType::kString, "t.s"),
+          MakeLiteral(Value::String("s1"))),
+      Cmp(CompareOp::kLt, ColA(), ColX())};
+  int64_t kept = 0;
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    for (const ExprPtr& col : {ColA(), ColX()}) {
+      for (const ExprPtr& lit : literals) {
+        for (bool literal_left : {false, true}) {
+          ExprPtr kernel =
+              literal_left ? Cmp(op, lit, col) : Cmp(op, col, lit);
+          for (const ExprPtr& residual : residuals) {
+            ExprPtr pred =
+                residual == nullptr ? kernel : MakeAnd(residual, kernel);
+            SCOPED_TRACE(pred->ToString());
+            for (int64_t batch : {1, 7, 1024}) {
+              SCOPED_TRACE("batch=" + std::to_string(batch));
+              SeqScanOp scan(t.get(), "", pred);
+              FilterOp ref_op(std::make_unique<SeqScanOp>(t.get()), pred);
+              ScanRun got = DrainAtBatch(&scan, batch);
+              ScanRun ref = DrainAtBatch(&ref_op, batch);
+              ExpectSameRows(got.rows, ref.rows);
+              ExpectSameCounters(got.counters, ref.counters);
+              if (batch == 1024) kept += static_cast<int64_t>(ref.rows.size());
+            }
+            SCOPED_TRACE("morsels at dop 4");
+            ScanRun gang = MorselScans(*t, pred);
+            ScanRun ref = FilterOverScan(*t, pred);
+            ExpectSameRows(gang.rows, ref.rows);
+            ExpectSameCounters(gang.counters, ref.counters);
+          }
+        }
+      }
+    }
+  }
+  // The predicates keep some rows and drop others.
+  EXPECT_GT(kept, 0);
+}
+
+// NaN is greater than any number from either side of Value::Compare, so a
+// conjunct must be tested the way it is written: `x > 5` holds for a NaN x
+// while `5 < x` does not.
+TEST(ScanKernelTest, NaNKeepsTheWrittenOrientation) {
+  Table t("t", ZoneSchema());
+  MAGICDB_CHECK_OK(
+      t.Insert({Value::Int64(1),
+                Value::Double(std::numeric_limits<double>::quiet_NaN()),
+                Value::String("s")}));
+  EXPECT_EQ(FilteringScan(t, Cmp(CompareOp::kGt, ColX(), Int(5))).rows.size(),
+            1u);
+  EXPECT_EQ(FilteringScan(t, Cmp(CompareOp::kLt, Int(5), ColX())).rows.size(),
+            0u);
+}
+
+// Above 2^53 an INT column against an INT literal compares exactly, and
+// against a DOUBLE literal through doubles, as Value::Compare does. The
+// page also holds a 0, so its zone [0, 2^53 + 1] cannot rule it out and
+// the kernel decides.
+TEST(ScanKernelTest, IntColumnComparesExactlyBeyondTwoToThe53) {
+  constexpr int64_t kBig = int64_t{1} << 53;
+  Table t("t", ZoneSchema());
+  MAGICDB_CHECK_OK(
+      t.Insert({Value::Int64(0), Value::Double(0.0), Value::String("s")}));
+  MAGICDB_CHECK_OK(t.Insert(
+      {Value::Int64(kBig + 1), Value::Double(0.0), Value::String("s")}));
+  EXPECT_TRUE(
+      FilteringScan(t, Cmp(CompareOp::kEq, ColA(), Int(kBig))).rows.empty());
+  EXPECT_EQ(FilteringScan(t, Cmp(CompareOp::kEq, ColA(),
+                                 Dbl(static_cast<double>(kBig))))
+                .rows.size(),
+            1u);
 }
 
 // ----- Bounds extraction -----

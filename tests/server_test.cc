@@ -190,6 +190,27 @@ TEST(CatalogEpochTest, DdlAndAnalyzeBumpEpoch) {
   EXPECT_GT(db.catalog()->ddl_epoch(), e2);
 }
 
+// A load that fails part way keeps the rows before the bad one, so it must
+// refresh the statistics and bump the epoch like a clean load: an open
+// cursor then goes stale rather than reading index lists that moved. A
+// load that inserts nothing leaves the epoch alone.
+TEST(CatalogEpochTest, PartialLoadBumpsEpoch) {
+  Database db;
+  MAGICDB_CHECK_OK(db.Execute("CREATE TABLE T (a INT, b DOUBLE)"));
+  const int64_t e0 = db.catalog()->ddl_epoch();
+  EXPECT_FALSE(db.LoadRows("T", {{Value::String("bad"), Value::Double(1.0)}})
+                   .ok());
+  EXPECT_EQ(db.catalog()->ddl_epoch(), e0);
+  EXPECT_FALSE(db.LoadRows("T", {{Value::Int64(1), Value::Double(2.0)},
+                                 {Value::String("bad"), Value::Double(1.0)}})
+                   .ok());
+  EXPECT_GT(db.catalog()->ddl_epoch(), e0);
+  auto result = db.Run("SELECT a FROM T");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ((*db.catalog()->Lookup("T"))->stats.num_rows, 1);
+}
+
 // ----- QueryService / Session -----
 
 void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
