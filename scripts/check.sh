@@ -3,10 +3,11 @@
 # batch execution (MAGICDB_TEST_BATCH_SIZE sweeps rerun the full suite at
 # batch size 1, the exact-work reference, and at an odd batch size; the
 # default runs cover 1024-row batches) and the adaptive re-optimization path
-# (MAGICDB_TEST_REOPT_QERROR sweeps rerun the full suite with feedback-driven
-# plan restarts forced maximally aggressive and explicitly disabled, under
-# Release and TSAN — restarts must never change results and must be race-free
-# when the parallel retry loop re-plans gangs of replicas):
+# (a MAGICDB_TEST_REOPT_QERROR sweep reruns the full suite with
+# feedback-driven plan restarts forced maximally aggressive, under Release
+# and TSAN — restarts must never change results and must be race-free when
+# the parallel retry loop re-plans gangs of replicas; the default runs have
+# re-optimization off):
 #   1. Release build, full test suite (correctness + cost-identity tests),
 #      plus a smoke run of bench_parallel_scaling (DoP {1,2}) whose
 #      byte-identity and counter-identity assertions cover the parallel
@@ -51,7 +52,7 @@
 # absorb the rejections, and survivors must stay byte-identical with zero
 # leaked tickets, gang slots, cursors, or disk-budget bytes.
 #
-# Before anything builds, four source guards: every build side, distinct
+# Before anything builds, five source guards: every build side, distinct
 # set, filter set and group index goes through HashTable<T> in
 # src/common/hash_table.h, so a hand-rolled unordered_map<uint64_t, ...>
 # table under src/ fails the check; every spilled record is read through
@@ -63,7 +64,14 @@
 # ActiveRows, ForEachActive) under src/ fails it as well; and a dop > 1
 # query streams its workers' rows through the lanes of the result sink, so
 # a staged gather (StagedStream, RunStaged, GatherCodec, GatherRow) under
-# src/ fails it too.
+# src/ fails it too; and every governed operator charges each retained row
+# or group through ExecContext::ChargeMemory, so the deleted reservation
+# protocol (BatchReserve, ReserveMemory, CommitReserved, ReleaseReserved)
+# under src/ fails it as well.
+#
+# The MAGICDB_TEST_* and MAGICDB_FAILPOINT_DELAYS variables are cleared
+# before the first build, so the default runs test the defaults and each
+# sweep sets only its own.
 #
 # After the TSAN suite, the cursor tests and the two concurrent-cursor
 # stress tests rerun five times under TSAN: every dop > 1 cursor has
@@ -108,6 +116,21 @@ if grep -rn -e "StagedStream" -e "RunStaged" -e "GatherCodec" -e "GatherRow" \
   exit 1
 fi
 
+echo "=== Source guard: one charge per retained byte ==="
+if grep -rn -e "BatchReserve" -e "ReserveMemory" -e "CommitReserved" \
+     -e "ReleaseReserved" src/; then
+  echo "error: a memory reservation under src/ (above); charge each" \
+       "retained row or group with ExecContext::ChargeMemory and release" \
+       "it with ReleaseMemory" >&2
+  exit 1
+fi
+
+for var in $(compgen -e); do
+  case "${var}" in
+    MAGICDB_TEST_* | MAGICDB_FAILPOINT_DELAYS) unset "${var}" ;;
+  esac
+done
+
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 echo "=== Release build ==="
@@ -132,16 +155,13 @@ MAGICDB_TEST_BATCH_SIZE=7 \
 
 # Adaptive re-optimization sweep: rerun the full suite with runtime
 # cardinality feedback forced maximally aggressive (any estimation error
-# restarts planning at every pipeline breaker) and explicitly off. The
-# suite's byte-identity assertions verify that restart-based re-planning
-# never changes results; only tests that pin their own threshold opt out.
+# restarts planning at every pipeline breaker). The suite's byte-identity
+# assertions verify that restart-based re-planning never changes results;
+# only tests that pin their own threshold opt out. The default run above
+# is the re-optimization-off run: an unset MAGICDB_TEST_REOPT_QERROR and 0
+# both resolve to a disabled threshold.
 echo "=== Release suite, re-optimization forced aggressive ==="
 MAGICDB_TEST_REOPT_QERROR=1.0 \
-  ctest --test-dir build-release --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
-
-echo "=== Release suite, re-optimization forced off ==="
-MAGICDB_TEST_REOPT_QERROR=0 \
   ctest --test-dir build-release --output-on-failure --timeout 120 \
         -j "${JOBS}" "$@"
 

@@ -10,23 +10,28 @@
 namespace magicdb {
 
 /// Per-query memory governor. One tracker is shared (via shared_ptr) by every
-/// worker of a query plus its result sink; operators charge the bytes they
-/// retain (hash-table rows, spooled production tuples, partial-aggregate
-/// groups, queued sink rows) and release them when the state is dropped.
+/// worker of a query plus its result sink; operators charge each row or
+/// group they retain (hash-table rows, spooled production tuples,
+/// partial-aggregate groups, sort and distinct inputs, spill frames, queued
+/// sink rows) when they retain it, and release the bytes when the state is
+/// dropped.
 ///
 /// Charging is advisory accounting, not an allocator hook: the charge is the
 /// engine's own estimate (TupleByteWidth and friends), the same quantity the
-/// cost model budgets against. A breach refunds the failed charge and returns
-/// kResourceExhausted, so `used_bytes()` never exceeds the limit by more than
-/// the in-flight charges of concurrent workers.
+/// cost model budgets against. The tracker keeps a limit, the bytes in use
+/// and a sticky peak of them. A charge is one fetch_add plus the peak
+/// update; a breach refunds the failed charge and returns
+/// kResourceExhausted, so `used_bytes()` never exceeds the limit by more
+/// than the in-flight charges of concurrent workers, and `peak_bytes()`
+/// never exceeds it at all. A deterministic rerun with the limit set to the
+/// observed peak therefore succeeds, and one byte less fails.
 ///
 /// A limit <= 0 means unlimited: charges still maintain used/peak (cheap
 /// relaxed atomics) but can never fail. Operators treat a null tracker
 /// pointer as "no governance" and skip the calls entirely.
 class MemoryTracker {
  public:
-  explicit MemoryTracker(int64_t limit_bytes, std::string label = "query")
-      : limit_bytes_(limit_bytes), label_(std::move(label)) {}
+  explicit MemoryTracker(int64_t limit_bytes) : limit_bytes_(limit_bytes) {}
 
   MemoryTracker(const MemoryTracker&) = delete;
   MemoryTracker& operator=(const MemoryTracker&) = delete;
@@ -41,60 +46,19 @@ class MemoryTracker {
     if (limit_bytes_ > 0 && now > limit_bytes_) {
       used_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
       return Status::ResourceExhausted(
-          label_ + " memory limit exceeded: need " + std::to_string(now) +
+          "query memory limit exceeded: need " + std::to_string(now) +
           " bytes, limit " + std::to_string(limit_bytes_) + " bytes");
     }
-    const int64_t consumed =
-        consumed_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     // Lock-free max update; racing peaks converge to the true maximum.
     int64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-    while (consumed > peak && !peak_bytes_.compare_exchange_weak(
-                                  peak, consumed, std::memory_order_relaxed)) {
+    while (now > peak && !peak_bytes_.compare_exchange_weak(
+                             peak, now, std::memory_order_relaxed)) {
     }
     return Status::OK();
   }
 
   /// Returns previously charged bytes. Never fails.
   void Release(int64_t bytes) {
-    if (bytes <= 0) return;
-    used_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    consumed_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
-  /// Sets aside `bytes` of headroom against the limit without recording any
-  /// consumption: the reservation can fail exactly like Charge, but it never
-  /// moves the peak. The batch execution path reserves a chunk at a time and
-  /// commits per-row out of it, keeping peak_bytes() a tight high-water mark
-  /// of retained state (a rerun with the limit set to the observed peak must
-  /// succeed; one byte less must fail) regardless of reservation size.
-  Status Reserve(int64_t bytes) {
-    if (bytes <= 0) return Status::OK();
-    const int64_t now =
-        used_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    if (limit_bytes_ > 0 && now > limit_bytes_) {
-      used_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          label_ + " memory limit exceeded: need " + std::to_string(now) +
-          " bytes, limit " + std::to_string(limit_bytes_) + " bytes");
-    }
-    return Status::OK();
-  }
-
-  /// Converts `bytes` of a prior Reserve into real consumption: updates the
-  /// peak, leaves used_bytes() unchanged (the bytes were already accounted
-  /// at Reserve time). Release the committed bytes with Release().
-  void CommitReserved(int64_t bytes) {
-    if (bytes <= 0) return;
-    const int64_t now =
-        consumed_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    int64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-    while (now > peak && !peak_bytes_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Refunds reserved-but-uncommitted headroom.
-  void ReleaseReserved(int64_t bytes) {
     if (bytes <= 0) return;
     used_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
@@ -109,13 +73,7 @@ class MemoryTracker {
 
  private:
   const int64_t limit_bytes_;
-  const std::string label_;
-  /// Accounted against the limit: committed consumption plus outstanding
-  /// reservations.
   std::atomic<int64_t> used_bytes_{0};
-  /// Committed consumption only; feeds the peak. Equal to used_bytes_ when
-  /// no reservations are outstanding.
-  std::atomic<int64_t> consumed_bytes_{0};
   std::atomic<int64_t> peak_bytes_{0};
 };
 

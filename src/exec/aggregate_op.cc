@@ -143,7 +143,7 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx,
     const int64_t group_bytes =
         key_src.ByteWidth() +
         static_cast<int64_t>(aggs_.size() * sizeof(AggState));
-    Status charge = group_reserve_.Take(ctx, group_bytes);
+    Status charge = ctx->ChargeMemory(group_bytes);
     if (charge.ok()) {
       charged_bytes_ += group_bytes;
       group = &groups_.Append(
@@ -183,7 +183,6 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   aggregated_ = false;
   charged_bytes_ = 0;
   agg_spill_.reset();
-  group_reserve_ = BatchReserve();
   const bool parallel = shared_ != nullptr;
 
   MAGICDB_RETURN_IF_ERROR(child_->Open(ctx));
@@ -192,13 +191,12 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   int64_t input_pos = -1;
   int64_t input_sub = 0;
   // Input drain: group keys and aggregate arguments evaluate vectorized,
-  // new-group memory charges coalesce, and in parallel mode the rank tags
-  // ride in the batches. Operand views resolve plain-column keys and
-  // arguments to zero-copy pointers into the input batch; the scratch
-  // vectors fill in only for computed expressions. Views alias the batch,
-  // so the row loop below copies key values out rather than moving them
-  // (two keys may reference the same column, and BatchRowByteWidth also
-  // reads the input row).
+  // and in parallel mode the rank tags ride in the batches. Operand views
+  // resolve plain-column keys and arguments to zero-copy pointers into the
+  // input batch; the scratch vectors fill in only for computed expressions.
+  // Views alias the batch, so the row loop below copies key values out
+  // rather than moving them (two keys may reference the same column, and
+  // BatchRowByteWidth also reads the input row).
   std::vector<std::vector<Value>> key_vals(group_by_.size());
   std::vector<std::vector<uint8_t>> key_errs(group_by_.size());
   std::vector<std::vector<Value>> agg_vals(aggs_.size());
@@ -258,7 +256,6 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
     }
     return Status::OK();
   }));
-  group_reserve_.ReleaseHeadroom(ctx);
   MAGICDB_RETURN_IF_ERROR(child_->Close());
 
   if (!parallel) {
@@ -364,7 +361,6 @@ Status HashAggregateOp::Close() {
   groups_.Clear();
   agg_spill_.reset();
   if (ctx_ != nullptr) {
-    group_reserve_.ReleaseHeadroom(ctx_);
     ctx_->ReleaseMemory(charged_bytes_);
     charged_bytes_ = 0;
   }

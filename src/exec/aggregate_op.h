@@ -85,12 +85,12 @@ class HashAggregateOp final : public Operator {
   Status FoldPreEvaluated(const std::vector<BatchOperand>& agg_ops, int32_t r,
                           StagedGroup* group);
   /// Routes one input row's group key to its destination — a spill partial,
-  /// an existing resident group, or a freshly charged one (charges coalesce
-  /// through group_reserve_, with the breach->eviction retry loop) — and
-  /// applies `fold` to it. The key Tuple is materialized at most once, and
-  /// not at all when the group already exists; templated on the fold
-  /// callable, so the per-input-row call carries no std::function
-  /// construction (defined in aggregate_op.cc, its only caller).
+  /// an existing resident group, or a freshly charged one (with the
+  /// breach->eviction retry loop) — and applies `fold` to it. The key Tuple
+  /// is materialized at most once, and not at all when the group already
+  /// exists; templated on the fold callable, so the per-input-row call
+  /// carries no std::function construction (defined in aggregate_op.cc, its
+  /// only caller).
   template <typename Fold>
   Status DispatchRow(ExecContext* ctx, const OperandKeySource& key_src,
                      uint64_t h, int64_t input_pos, int64_t input_sub,
@@ -116,9 +116,6 @@ class HashAggregateOp final : public Operator {
   // only). Victim partitions of the group table are evicted as partial
   // states and re-aggregated one at a time at end of input.
   std::unique_ptr<AggSpill> agg_spill_;
-  // Coalesced new-group memory charges (one tracker round trip per
-  // reservation chunk instead of per group).
-  BatchReserve group_reserve_;
   // Cardinality-feedback annotation (AnnotateGroupCardinality); key empty =
   // not annotated.
   std::string feedback_key_;

@@ -117,23 +117,6 @@ class ExecContext {
     if (memory_tracker_ != nullptr) memory_tracker_->Release(bytes);
   }
 
-  /// Sets aside headroom against the limit without moving the peak; see
-  /// MemoryTracker::Reserve. OK when untracked.
-  Status ReserveMemory(int64_t bytes) {
-    return memory_tracker_ == nullptr ? Status::OK()
-                                      : memory_tracker_->Reserve(bytes);
-  }
-
-  /// Converts reserved headroom into consumption (peak-visible).
-  void CommitReservedMemory(int64_t bytes) {
-    if (memory_tracker_ != nullptr) memory_tracker_->CommitReserved(bytes);
-  }
-
-  /// Refunds reserved-but-uncommitted headroom.
-  void ReleaseReservedMemory(int64_t bytes) {
-    if (memory_tracker_ != nullptr) memory_tracker_->ReleaseReserved(bytes);
-  }
-
   /// Attaches the spill area this query may degrade to under memory
   /// pressure. Null (the default) or a disabled manager means a breach
   /// stays a hard kResourceExhausted failure.
@@ -259,65 +242,6 @@ class ExecContext {
   double reoptimize_qerror_threshold_ = 0.0;
   std::shared_ptr<std::atomic<int64_t>> progress_heartbeat_;
   std::map<std::string, std::shared_ptr<FilterSetBinding>> filter_sets_;
-};
-
-/// Coalesces MemoryTracker charges for a tight batch loop: instead of one
-/// atomic Charge per row, Take() serves small charges from a local
-/// reservation refilled kChunkBytes at a time. Correctness contract with
-/// the spill-engagement paths that key off an exact breach point:
-///
-///   - when a chunk refill fails, Take() retries the *exact* remainder, so
-///     a genuine breach surfaces at precisely the cumulative byte count at
-///     which un-coalesced charging would have breached;
-///   - on breach the unused reservation is refunded and coalescing is
-///     permanently disabled (the caller is about to hand accounting to a
-///     spill path that releases/charges exact byte counts);
-///   - tracked peak never exceeds the limit (Charge rolls back on breach),
-///     so `peak <= limit` invariants keep holding.
-///
-/// The tracker holds caller-consumed bytes + headroom(); callers that keep
-/// their own charged-byte ledgers must count only what they Take().
-class BatchReserve {
- public:
-  static constexpr int64_t kChunkBytes = 16 * 1024;
-
-  /// Consumes `bytes` from the reservation, refilling from `ctx` as needed.
-  /// Reservations count against the limit but not the peak, so the peak
-  /// stays the same tight high-water mark exact per-row charging records.
-  /// On a reservation breach the headroom is refunded and the charge
-  /// retried exactly (and chunking stays off from then on), so a breach
-  /// surfaces at precisely the cumulative byte count where exact charging
-  /// would fail.
-  Status Take(ExecContext* ctx, int64_t bytes) {
-    if (!chunked_) return ctx->ChargeMemory(bytes);
-    if (reserve_left_ < bytes) {
-      const int64_t need = bytes - reserve_left_;
-      const int64_t want = need > kChunkBytes ? need : kChunkBytes;
-      if (!ctx->ReserveMemory(want).ok()) {
-        ReleaseHeadroom(ctx);
-        chunked_ = false;
-        return ctx->ChargeMemory(bytes);
-      }
-      reserve_left_ += want;
-    }
-    reserve_left_ -= bytes;
-    ctx->CommitReservedMemory(bytes);
-    return Status::OK();
-  }
-
-  /// Refunds the unused reservation (end of input, Close, or breach).
-  void ReleaseHeadroom(ExecContext* ctx) {
-    if (reserve_left_ > 0) {
-      ctx->ReleaseReservedMemory(reserve_left_);
-      reserve_left_ = 0;
-    }
-  }
-
-  int64_t headroom() const { return reserve_left_; }
-
- private:
-  int64_t reserve_left_ = 0;
-  bool chunked_ = true;
 };
 
 }  // namespace magicdb

@@ -214,7 +214,7 @@ Status HashJoinOp::AddBuildTuple(Tuple t, int64_t stage_pos,
   // Retained build row: governed memory, whether staged into the shared
   // partitioned build or kept in this replica's private table.
   const int64_t row_bytes = TupleByteWidth(t);
-  Status charge = build_reserve_.Take(ctx_, row_bytes);
+  Status charge = ctx_->ChargeMemory(row_bytes);
   if (!charge.ok()) {
     // A governed breach turns into out-of-core execution when a spill
     // area is attached (sequential mode only; parallel replicas fail the
@@ -250,7 +250,6 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   charged_bytes_ = 0;
   grace_.reset();
   probe_spilled_ = false;
-  build_reserve_ = BatchReserve();
   probe_batch_exhausted_ = true;
   probe_eof_ = false;
   probe_row_ = 0;
@@ -272,7 +271,6 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     ++build_rows;
     return AddBuildTuple(std::move(t), pos, &build_bytes);
   }));
-  build_reserve_.ReleaseHeadroom(ctx);
   MAGICDB_RETURN_IF_ERROR(inner_->Close());
   // Cardinality feedback: record the observed build-input total and decide
   // the re-optimization trigger before any probe output is produced (every
@@ -438,7 +436,6 @@ Status HashJoinOp::Close() {
   build_.Clear();
   grace_.reset();
   if (ctx_ != nullptr) {
-    build_reserve_.ReleaseHeadroom(ctx_);
     ctx_->ReleaseMemory(charged_bytes_);
     charged_bytes_ = 0;
   }

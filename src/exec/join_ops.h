@@ -155,10 +155,10 @@ class HashJoinOp final : public Operator {
   /// before the residual, until it is full or the outer is exhausted.
   Status Probe(RowBatch* out, bool* eof);
 
-  /// Per-row build step: NULL-key skip, failpoint, hash, memory charge
-  /// (coalesced through build_reserve_), grace engagement on breach, and
-  /// staging or private-table insert. `stage_pos` is the scan position tag
-  /// for shared builds (ignored otherwise).
+  /// Per-row build step: NULL-key skip, failpoint, hash, memory charge,
+  /// grace engagement on breach, and staging or private-table insert.
+  /// `stage_pos` is the scan position tag for shared builds (ignored
+  /// otherwise).
   Status AddBuildTuple(Tuple t, int64_t stage_pos, int64_t* build_bytes);
 
   OpPtr outer_;
@@ -197,9 +197,8 @@ class HashJoinOp final : public Operator {
   std::string feedback_key_;
   double feedback_est_rows_ = 0.0;
   bool feedback_can_trigger_ = false;
-  // Coalesced build-side memory charges, the owned outer batch the probe
-  // resumes from, and per-batch key-hash scratch.
-  BatchReserve build_reserve_;
+  // The owned outer batch the probe resumes from, and per-batch key-hash
+  // scratch.
   std::unique_ptr<RowBatch> probe_batch_;
   bool probe_batch_exhausted_ = true;
   bool probe_eof_ = false;

@@ -260,16 +260,15 @@ StatusOr<ParallelGang> ParallelExecutor::Open(std::vector<OpPtr> replicas,
     if (!st.ok()) abort_all(st);
     return st;
   };
-  std::vector<Status> statuses;
-  if (proto.shared_pool() != nullptr) {
-    // Multiplexed mode: the gang shares the service-wide pool with other
-    // queries' tasks. Admission guarantees the gang fits (see
-    // ExecContext::shared_pool).
-    statuses = proto.shared_pool()->RunGang(dop_, worker_fn);
-  } else {
+  // On the service-wide pool, admission guarantees the gang fits (see
+  // ExecContext::shared_pool); a private pool of exactly dop_ workers with
+  // nothing else queued meets RunGang's deadlock contract trivially.
+  ThreadPool* pool = proto.shared_pool();
+  if (pool == nullptr) {
     gang.pool = std::make_unique<ThreadPool>(dop_);
-    statuses = gang.pool->RunOnAllWorkers(worker_fn);
+    pool = gang.pool.get();
   }
+  const std::vector<Status> statuses = pool->RunGang(dop_, worker_fn);
   for (const Status& st : statuses) {
     // Prefer a non-abort status if one exists; all failures here share the
     // same root cause anyway (abort propagates the first error).

@@ -117,25 +117,4 @@ std::vector<Status> ThreadPool::RunGang(int n,
   return results;
 }
 
-std::vector<Status> ThreadPool::RunOnAllWorkers(
-    const std::function<Status(int)>& fn) {
-  const int n = size();
-  std::vector<Status> results(n, Status::OK());
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  int done = 0;
-  for (int i = 0; i < n; ++i) {
-    SubmitTo(i, [&, i] {
-      Status s = fn(i);
-      std::lock_guard<std::mutex> lock(done_mu);
-      results[i] = std::move(s);
-      done += 1;
-      done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done == n; });
-  return results;
-}
-
 }  // namespace magicdb

@@ -22,14 +22,6 @@ namespace magicdb {
 /// of work). Deques are mutex-protected; at morsel granularity the lock is
 /// a vanishing fraction of per-task work, and the implementation stays
 /// trivially TSAN-clean.
-///
-/// Two usage modes:
-///   - Submit()/SubmitTo() + WaitIdle(): fire-and-forget task graphs.
-///   - RunOnAllWorkers(fn): runs fn(worker_id) on every worker
-///     simultaneously and returns the per-worker Statuses. Pipelines that
-///     synchronize through barriers need this mode — it guarantees one
-///     concurrently-running task per worker, so no barrier participant is
-///     stuck behind another in a queue.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -44,21 +36,16 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// Enqueues a task on a specific worker's deque. Another worker may still
-  /// steal it; use RunOnAllWorkers for strict per-worker placement.
+  /// steal it.
   void SubmitTo(int worker, std::function<void()> task);
 
   /// Blocks until every queued task has finished and all workers are idle.
   void WaitIdle();
 
-  /// Runs fn(worker_id) once on every worker thread concurrently; blocks
-  /// until all invocations return. Tasks submitted via Submit while this is
-  /// in flight wait until the per-worker functions complete.
-  std::vector<Status> RunOnAllWorkers(const std::function<Status(int)>& fn);
-
   /// Runs fn(0..n-1) as `n` ordinary tasks on the (possibly shared) pool
-  /// and blocks until all return. Unlike RunOnAllWorkers the tasks are not
-  /// pinned one-per-worker, so several gangs and any number of short
-  /// non-blocking tasks can share one pool.
+  /// and blocks until all return. The tasks are not pinned one-per-worker,
+  /// so several gangs and any number of short non-blocking tasks can share
+  /// one pool.
   ///
   /// Deadlock contract for gang members that block on barriers with each
   /// other: the caller must ensure that the total number of potentially

@@ -707,12 +707,14 @@ StatusOr<Cursor> QueryService::Open(Session* session, const std::string& sql,
     query_latency_us_->Observe(ElapsedUs(start));
   };
 
-  // The query's claim against the service memory ceiling is its effective
-  // memory limit — the most it can retain. Ungoverned queries claim nothing.
-  const int64_t memory_limit = exec.memory_limit_bytes != 0
-                                   ? exec.memory_limit_bytes
-                                   : options_.query_memory_limit_bytes;
-  const int64_t memory_claim = memory_limit > 0 ? memory_limit : 0;
+  // The effective memory limit, resolved once: 0 defers to the service
+  // default, and a non-positive result leaves the query ungoverned (0
+  // here). It is also the query's claim against the service memory
+  // ceiling, the most it can retain, so ungoverned queries claim nothing.
+  const int64_t memory_claim = std::max<int64_t>(
+      exec.memory_limit_bytes != 0 ? exec.memory_limit_bytes
+                                   : options_.query_memory_limit_bytes,
+      0);
   if (options_.service_memory_ceiling_bytes > 0 &&
       memory_claim > options_.service_memory_ceiling_bytes) {
     Status too_big = Status::ResourceExhausted(
@@ -732,8 +734,9 @@ StatusOr<Cursor> QueryService::Open(Session* session, const std::string& sql,
   }
   queries_admitted_->Increment();
 
-  StatusOr<Cursor> cursor =
-      OpenAdmitted(session, sql, exec, token, effective_dop, gang_slots);
+  StatusOr<Cursor> cursor = OpenAdmitted(session, sql, exec, token,
+                                         effective_dop, gang_slots,
+                                         memory_claim);
   if (!cursor.ok()) {
     ReleaseTicket(memory_claim);
     classify_failure(cursor.status());
@@ -750,7 +753,8 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                                             const ExecOptions& exec,
                                             const CancelTokenPtr& token,
                                             int effective_dop,
-                                            int gang_slots) {
+                                            int gang_slots,
+                                            int64_t memory_limit) {
   uint64_t watch_id = 0;
   StatusOr<Cursor> result = [&]() -> StatusOr<Cursor> {
     // Planning, a gang's Open phase and an armed eager Open run under the
@@ -810,16 +814,10 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                                    ? exec.stream_queue_rows
                                    : options_.stream_queue_rows;
     auto state = std::make_shared<CursorState>(this, high_water);
-    // Per-query memory governor: one tracker shared by every worker
-    // context and the result sink. 0 defers to the service default;
-    // negative opts out entirely.
-    const int64_t memory_limit = exec.memory_limit_bytes != 0
-                                     ? exec.memory_limit_bytes
-                                     : options_.query_memory_limit_bytes;
     state->token = token;
     state->plan_epoch = epoch;
     state->cache_key = key;
-    state->memory_claim = memory_limit > 0 ? memory_limit : 0;
+    state->memory_claim = memory_limit;
     // Liveness plumbing: one shared heartbeat per query, inherited by every
     // worker context; the registry entry lets the watchdog sample it and
     // graceful drain cancel through it until CloseCursor unregisters.
@@ -834,6 +832,8 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
     proto.set_progress_heartbeat(state->progress_heartbeat);
     proto.set_shared_pool(pool_.get());
     if (memory_limit > 0) {
+      // Per-query memory governor: one tracker shared by every worker
+      // context and the result sink.
       proto.set_memory_tracker(std::make_shared<MemoryTracker>(memory_limit));
       // Out-of-core degradation is offered only to governed queries that
       // did not opt out, and only when the service has a spill area. An

@@ -382,12 +382,14 @@ class QueryService {
   /// Looks up or plans the query, starts it through Database::StartQuery,
   /// and hands the stream's lanes to its producer; always releases
   /// `gang_slots` before returning (the gang's Open phase, if any, has
-  /// finished by then). On success the returned cursor owns the admission
-  /// ticket.
+  /// finished by then). `memory_limit` is the effective limit Open resolved
+  /// and claimed (0 = ungoverned). On success the returned cursor owns the
+  /// admission ticket.
   StatusOr<Cursor> OpenAdmitted(Session* session, const std::string& sql,
                                 const ExecOptions& exec,
                                 const CancelTokenPtr& token,
-                                int effective_dop, int gang_slots);
+                                int effective_dop, int gang_slots,
+                                int64_t memory_limit);
 
   // Cursor plumbing (called through the Cursor handle).
   StatusOr<std::vector<Tuple>> FetchFromCursor(CursorState* cursor,

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
-#include "src/common/memory_tracker.h"
 #include "src/common/random.h"
 #include "src/db/database.h"
 #include "src/exec/basic_ops.h"
@@ -138,43 +137,6 @@ TEST(RowBatchTest, HelpersMatchTupleCounterparts) {
               HashTupleColumns(rows[r], keys))
         << r;
   }
-}
-
-// ----- BatchReserve: chunked charging with a tight peak -----
-
-TEST(BatchReserveTest, HeadroomDoesNotInflatePeak) {
-  auto tracker = std::make_shared<MemoryTracker>(/*limit_bytes=*/1 << 20);
-  ExecContext ctx;
-  ctx.set_memory_tracker(tracker);
-  BatchReserve reserve;
-  MAGICDB_CHECK_OK(reserve.Take(&ctx, 100));
-  // The chunk is accounted against the limit but only the consumed 100
-  // bytes are peak-visible.
-  EXPECT_GE(tracker->used_bytes(), BatchReserve::kChunkBytes);
-  EXPECT_EQ(tracker->peak_bytes(), 100);
-  MAGICDB_CHECK_OK(reserve.Take(&ctx, 50));
-  EXPECT_EQ(tracker->peak_bytes(), 150);
-  reserve.ReleaseHeadroom(&ctx);
-  EXPECT_EQ(tracker->used_bytes(), 150);
-  ctx.ReleaseMemory(150);
-  EXPECT_EQ(tracker->used_bytes(), 0);
-  EXPECT_EQ(tracker->peak_bytes(), 150);  // peak is sticky
-}
-
-TEST(BatchReserveTest, BreachSurfacesAtRowModeByteCount) {
-  auto tracker = std::make_shared<MemoryTracker>(/*limit_bytes=*/250);
-  ExecContext ctx;
-  ctx.set_memory_tracker(tracker);
-  BatchReserve reserve;
-  // The 16 KiB chunk reservation fails immediately, so every Take falls
-  // back to exact charging: the third 100-byte charge is the first one a
-  // 250-byte limit cannot hold — exactly where per-row charging fails.
-  MAGICDB_CHECK_OK(reserve.Take(&ctx, 100));
-  MAGICDB_CHECK_OK(reserve.Take(&ctx, 100));
-  Status breach = reserve.Take(&ctx, 100);
-  EXPECT_EQ(breach.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(tracker->used_bytes(), 200);
-  EXPECT_EQ(reserve.headroom(), 0);
 }
 
 // ----- Selection-vector edge cases at the operator level -----
@@ -416,14 +378,12 @@ TEST(BatchIdentitySweepTest, DopTimesBatchSizeGridIsByteIdentical) {
 }
 
 TEST(BatchIdentitySweepTest, SpillUnderTinyLimitIsByteIdentical) {
-  char templ[] = "/tmp/magicdb-batch-test-XXXXXX";
-  const char* dir = mkdtemp(templ);
-  ASSERT_NE(dir, nullptr);
+  const testutil::ScopedTempDir dir("batch");
   Database db;
   MakeWorkload(&db);
   QueryServiceOptions so;
   so.pool_threads = 4;
-  so.spill_dir = dir;
+  so.spill_dir = dir.path();
   so.spill_batch_bytes = 1024;
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();

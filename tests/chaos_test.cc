@@ -50,7 +50,10 @@ TEST(MemoryTrackerTest, BreachRollsBackAndReportsResourceExhausted) {
   // The failed charge must not stick: the query unwinds, but the tracker
   // still reflects only successfully charged bytes.
   EXPECT_EQ(tracker.used_bytes(), 90);
+  EXPECT_EQ(tracker.peak_bytes(), 90);
+  // The limit is inclusive, so a rerun at the observed peak succeeds.
   EXPECT_TRUE(tracker.Charge(10).ok());
+  EXPECT_EQ(tracker.peak_bytes(), 100);
 }
 
 TEST(MemoryTrackerTest, NonPositiveLimitIsUnlimited) {

@@ -3,8 +3,6 @@
 // kResourceExhausted, spill area or not (neither has a spill path), and the
 // peak never passes the limit; under it, they return the ungoverned rows.
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -15,6 +13,7 @@
 #include "src/common/logging.h"
 #include "src/db/database.h"
 #include "src/server/query_service.h"
+#include "tests/test_util.h"
 
 namespace magicdb {
 namespace {
@@ -124,25 +123,16 @@ void CheckGoverned(const char* sql, const std::string& plan_node,
   EXPECT_EQ(stats.spill_bytes_written, 0);
 }
 
-std::string MakeSpillDir() {
-  char templ[] = "/tmp/magicdb-governed-test-XXXXXX";
-  const char* dir = mkdtemp(templ);
-  MAGICDB_CHECK(dir != nullptr);
-  return dir;
-}
-
 TEST(GovernedStateTest, DistinctChargesItsRetainedRows) {
   CheckGoverned(kDistinctQuery, "Distinct", "");
-  const std::string dir = MakeSpillDir();
-  CheckGoverned(kDistinctQuery, "Distinct", dir);
-  rmdir(dir.c_str());
+  const testutil::ScopedTempDir dir("governed");
+  CheckGoverned(kDistinctQuery, "Distinct", dir.path());
 }
 
 TEST(GovernedStateTest, SortMergeJoinChargesItsBufferedInputs) {
   CheckGoverned(kJoinQuery, "SortMergeJoin(", "");
-  const std::string dir = MakeSpillDir();
-  CheckGoverned(kJoinQuery, "SortMergeJoin(", dir);
-  rmdir(dir.c_str());
+  const testutil::ScopedTempDir dir("governed");
+  CheckGoverned(kJoinQuery, "SortMergeJoin(", dir.path());
 }
 
 }  // namespace

@@ -280,13 +280,6 @@ TEST(OverloadTest, ServiceMemoryCeilingGatesAdmission) {
 
 // ----- spill disk budget -----
 
-std::string MakeSpillDir() {
-  char templ[] = "/tmp/magicdb-overload-test-XXXXXX";
-  const char* dir = mkdtemp(templ);
-  MAGICDB_CHECK(dir != nullptr);
-  return dir;
-}
-
 /// A workload whose hash-join build (~64 KB of Fact rows) cannot fit a
 /// 48 KB per-query limit — the query must spill to finish, which is what
 /// makes the disk budget bite. MakeWorkload's 150-row tables never spill.
@@ -320,10 +313,11 @@ TEST(OverloadTest, SpillDiskBudgetFailsRequesterNotBystanders) {
   auto baseline = db.Run(kSpillJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
+  const testutil::ScopedTempDir dir("overload");
   QueryServiceOptions so;
   so.pool_threads = 2;
   so.shed_queue_depth = -1;
-  so.spill_dir = MakeSpillDir();
+  so.spill_dir = dir.path();
   so.spill_batch_bytes = 1024;
   so.scheduler_quantum_rows = 128;
   so.stream_queue_rows = 256;
@@ -353,8 +347,9 @@ TEST(OverloadTest, SpillDiskBudgetFailsRequesterNotBystanders) {
 
   // Under a generous budget the same governed query completes by spilling,
   // byte-identical, and its disk usage returns to zero at close.
+  const testutil::ScopedTempDir generous_dir("overload");
   QueryServiceOptions generous = so;
-  generous.spill_dir = MakeSpillDir();
+  generous.spill_dir = generous_dir.path();
   generous.spill_disk_budget_bytes = 1 << 30;
   QueryService service2(&db, generous);
   std::unique_ptr<Session> session2 = service2.CreateSession();
@@ -675,11 +670,12 @@ TEST(OverloadChaosTest, MixedPriorityOversubscriptionLeaksNothing) {
 
   for (int dop : {1, 4}) {
     SCOPED_TRACE("dop=" + std::to_string(dop));
+    const testutil::ScopedTempDir dir("overload");
     QueryServiceOptions so;
     so.pool_threads = 4;
     so.max_concurrent_queries = 3;
     so.shed_queue_depth = 2;  // small high-water: real sheds under the storm
-    so.spill_dir = MakeSpillDir();
+    so.spill_dir = dir.path();
     so.spill_batch_bytes = 1024;
     so.spill_disk_budget_bytes = 1 << 20;
     so.scheduler_quantum_rows = 128;

@@ -54,21 +54,6 @@ TEST(ThreadPoolTest, StealsUnderImbalance) {
   EXPECT_GT(pool.steal_count(), 0);
 }
 
-TEST(ThreadPoolTest, RunOnAllWorkersHitsEachWorkerOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(3);
-  for (auto& h : hits) h.store(0);
-  std::vector<Status> statuses = pool.RunOnAllWorkers([&](int w) -> Status {
-    hits[w].fetch_add(1);
-    return w == 1 ? Status::Internal("worker 1 fails") : Status::OK();
-  });
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_FALSE(statuses[1].ok());
-  EXPECT_TRUE(statuses[2].ok());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 // ----- MorselSource -----
 
 TEST(MorselTest, MorselsArePageAligned) {

@@ -4,8 +4,6 @@
 // the same counters at any DoP and batch size, and its rows must equal an
 // oracle computed straight from the loaded rows, without the executor.
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -340,9 +338,7 @@ TEST(ResidualJoinTest, GraceLeafJoinFiltersBeforeWritingRuns) {
   Database db;
   Load(&db, rows);
   OnlyMethod("hash join", db.mutable_optimizer_options());
-  char templ[] = "/tmp/magicdb-residual-test-XXXXXX";
-  const char* dir = mkdtemp(templ);
-  ASSERT_NE(dir, nullptr);
+  const testutil::ScopedTempDir dir("residual");
   // limit 0 = ungoverned, in memory.
   auto run = [&](int64_t limit, int64_t batch) {
     auto planned =
@@ -353,7 +349,7 @@ TEST(ResidualJoinTest, GraceLeafJoinFiltersBeforeWritingRuns) {
     if (limit > 0) {
       ctx.set_memory_tracker(std::make_shared<MemoryTracker>(limit));
       SpillConfig config;
-      config.dir = dir;
+      config.dir = dir.path();
       config.batch_bytes = 1024;
       ctx.set_spill_manager(std::make_shared<SpillManager>(config));
     }
@@ -375,7 +371,7 @@ TEST(ResidualJoinTest, GraceLeafJoinFiltersBeforeWritingRuns) {
     ExpectRowsIdentical(result, reference);
     ExpectCountersEqual(result_counters, counters);
   }
-  rmdir(dir);  // every spill file is unlinked by now
+  EXPECT_TRUE(dir.empty());  // every spill file is unlinked by now
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 // the I/O. Without a spill area — or with ExecOptions::allow_spill=false —
 // the same queries keep failing fast with kResourceExhausted.
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -131,13 +129,6 @@ TEST(SpillPartitionTest, RouterRedistributesAcrossDepths) {
   }
 }
 
-std::string MakeSpillDir() {
-  char templ[] = "/tmp/magicdb-spill-test-XXXXXX";
-  const char* dir = mkdtemp(templ);
-  MAGICDB_CHECK(dir != nullptr);
-  return dir;
-}
-
 // ----- sorted runs and the partitioner -----
 
 // Rows ordered by `key` alone, so equal keys expose how the merge breaks
@@ -162,9 +153,9 @@ struct KeyTagCodec {
 };
 
 // The smallest spill batch: 256-byte frames, so a set reserves 8 x 256.
-std::shared_ptr<SpillManager> MakeTestSpillManager() {
+std::shared_ptr<SpillManager> MakeTestSpillManager(const std::string& dir) {
   SpillConfig config;
-  config.dir = MakeSpillDir();
+  config.dir = dir;
   config.batch_bytes = 256;
   return std::make_shared<SpillManager>(config);
 }
@@ -191,7 +182,8 @@ std::vector<int64_t> DrainTags(RunMerge<KeyTagCodec>* merge) {
 }
 
 TEST(SortedRunsTest, MergeBreaksTiesByRunIndexThenFifo) {
-  auto mgr = MakeTestSpillManager();
+  const testutil::ScopedTempDir dir("spill");
+  auto mgr = MakeTestSpillManager(dir.path());
   RunMerge<KeyTagCodec> merge;
   merge.Add(FileRun(mgr.get(), {{1, 10}, {3, 11}, {3, 12}, {5, 13}}, nullptr));
   merge.Add(FileRun(mgr.get(), {{0, 20}, {3, 21}, {5, 22}}, nullptr));
@@ -202,7 +194,8 @@ TEST(SortedRunsTest, MergeBreaksTiesByRunIndexThenFifo) {
 }
 
 TEST(SortedRunsTest, OpenReservesOneFramePerFileRun) {
-  auto mgr = MakeTestSpillManager();
+  const testutil::ScopedTempDir dir("spill");
+  auto mgr = MakeTestSpillManager(dir.path());
   auto tracker = std::make_shared<MemoryTracker>(0);
   ExecContext ctx;
   ctx.set_memory_tracker(tracker);
@@ -219,7 +212,8 @@ TEST(SortedRunsTest, OpenReservesOneFramePerFileRun) {
 }
 
 TEST(SortedRunsTest, NullContextMergeChargesNothing) {
-  auto mgr = MakeTestSpillManager();
+  const testutil::ScopedTempDir dir("spill");
+  auto mgr = MakeTestSpillManager(dir.path());
   auto tracker = std::make_shared<MemoryTracker>(0);
   ExecContext ctx;
   ctx.set_memory_tracker(tracker);
@@ -247,7 +241,8 @@ std::string HashRecord(uint64_t hash, int64_t tag) {
 }
 
 TEST(SpillPartitionTest, LaterInputsDropRecordsOfDeadPartitions) {
-  auto mgr = MakeTestSpillManager();
+  const testutil::ScopedTempDir dir("spill");
+  auto mgr = MakeTestSpillManager(dir.path());
   ExecContext ctx;
   SpillPartitioner parts(mgr.get(), {"in0", "in1"});
   ASSERT_TRUE(parts.input(0).Reserve(&ctx).ok());
@@ -289,7 +284,8 @@ TEST(SpillPartitionTest, LaterInputsDropRecordsOfDeadPartitions) {
 }
 
 TEST(SpillPartitionTest, SplitReservesAfterTheLeafReleases) {
-  auto mgr = MakeTestSpillManager();
+  const testutil::ScopedTempDir dir("spill");
+  auto mgr = MakeTestSpillManager(dir.path());
   const int64_t set_bytes = 8 * 256;
   const int64_t leaf_bytes = 1024;
   // Room for a set's write buffers or a leaf's frames, not for both.
@@ -391,8 +387,8 @@ void ExpectRowsIdentical(const std::vector<Tuple>& a,
 TEST(SpillExecutionTest, JoinAggSortCompleteUnderTinyLimitAtAnyDop) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
 
   // The pure scan is exercised separately: it retains no state and
@@ -428,14 +424,14 @@ TEST(SpillExecutionTest, JoinAggSortCompleteUnderTinyLimitAtAnyDop) {
   const std::string metrics = service.MetricsText();
   EXPECT_NE(metrics.find("magicdb_spill_bytes_written_total"),
             std::string::npos);
-  rmdir(dir.c_str());  // all temp files must be unlinked by now
+  EXPECT_TRUE(dir.empty());  // every spill file is unlinked by now
 }
 
 TEST(SpillExecutionTest, PeakStaysUnderLimitWhileSpilling) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
 
   for (const char* query : {kSpillJoinQuery, kSpillAggQuery, kSpillSortQuery}) {
@@ -462,8 +458,8 @@ TEST(SpillExecutionTest, PeakStaysUnderLimitWhileSpilling) {
 TEST(SpillExecutionTest, ParallelBreachDegradesToSequentialSpill) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
 
   auto baseline = session->Query(kSpillJoinQuery);
@@ -490,8 +486,8 @@ TEST(SpillExecutionTest, ParallelBreachDegradesToSequentialSpill) {
 TEST(SpillExecutionTest, ParallelScanStreamsUnderTinyLimitWithoutSpilling) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
 
   ExecOptions wide;
@@ -548,8 +544,8 @@ TEST(SpillExecutionTest, AllowSpillFalseKeepsVerbatimResourceExhausted) {
 
   // Same failure — same code, same message — when a spill area exists but
   // the query opted out.
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
   for (int dop : {1, 4}) {
     SCOPED_TRACE("dop=" + std::to_string(dop));
@@ -573,18 +569,25 @@ TEST(SpillExecutionTest, AllowSpillFalseKeepsVerbatimResourceExhausted) {
 TEST(SpillExecutionTest, LimitExactlyAtPeakSucceedsWithoutSpilling) {
   Database db;
   MakeSpillWorkload(&db);
+  // Below the COUNT(*), the view's streaming DISTINCT charges each new row
+  // while the aggregate above it holds its one group: two operators charge
+  // the tracker in the same pipeline.
+  MAGICDB_CHECK_OK(db.Execute(
+      "CREATE VIEW DistinctFact AS SELECT DISTINCT F.k, F.v FROM Fact F"));
   QueryServiceOptions so;
   so.pool_threads = 2;
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();
 
-  auto drain = [&](int64_t limit, int64_t* peak) -> Status {
+  auto drain = [&](const char* query, int64_t batch_size, int64_t limit,
+                   int64_t* peak) -> Status {
     ExecOptions exec;
     exec.memory_limit_bytes = limit;
+    exec.batch_size = batch_size;
     // The boundary semantics under test are the hard-failure ones, even
     // when the chaos build injects a spill area via MAGICDB_TEST_SPILL_DIR.
     exec.allow_spill = false;
-    auto cursor = session->Open(kSpillAggQuery, exec);
+    auto cursor = session->Open(query, exec);
     if (!cursor.ok()) return cursor.status();
     while (true) {
       auto batch = cursor->Fetch(512);
@@ -602,18 +605,24 @@ TEST(SpillExecutionTest, LimitExactlyAtPeakSucceedsWithoutSpilling) {
   // the observed peak charges exactly the same bytes — and a limit equal to
   // the peak must succeed (the governor rejects only charges that would
   // exceed the limit).
-  int64_t peak = 0;
-  ASSERT_TRUE(drain(256 * 1024 * 1024, &peak).ok());
-  ASSERT_GT(peak, 0);
-  int64_t rerun_peak = 0;
-  Status at_peak = drain(peak, &rerun_peak);
-  ASSERT_TRUE(at_peak.ok()) << at_peak.ToString();
-  EXPECT_EQ(rerun_peak, peak);
-  // One byte less must fail.
-  int64_t unused = 0;
-  Status below = drain(peak - 1, &unused);
-  ASSERT_FALSE(below.ok());
-  EXPECT_EQ(below.code(), StatusCode::kResourceExhausted);
+  for (const char* query :
+       {kSpillAggQuery, "SELECT COUNT(*) AS c FROM DistinctFact D"}) {
+    for (int64_t batch : {1, 7, 1024}) {
+      SCOPED_TRACE(std::string(query) + " batch=" + std::to_string(batch));
+      int64_t peak = 0;
+      ASSERT_TRUE(drain(query, batch, 256 * 1024 * 1024, &peak).ok());
+      ASSERT_GT(peak, 0);
+      int64_t rerun_peak = 0;
+      Status at_peak = drain(query, batch, peak, &rerun_peak);
+      ASSERT_TRUE(at_peak.ok()) << at_peak.ToString();
+      EXPECT_EQ(rerun_peak, peak);
+      // One byte less must fail.
+      int64_t unused = 0;
+      Status below = drain(query, batch, peak - 1, &unused);
+      ASSERT_FALSE(below.ok());
+      EXPECT_EQ(below.code(), StatusCode::kResourceExhausted);
+    }
+  }
 }
 
 // A finished in-memory sort holds only its rows: it releases the key
@@ -624,10 +633,10 @@ TEST(SpillExecutionTest, LimitExactlyAtPeakSucceedsWithoutSpilling) {
 TEST(SpillExecutionTest, SortReleasesKeysAndEmittedRows) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
+  const testutil::ScopedTempDir dir("spill");
   QueryServiceOptions so;  // the default 1024-row scheduler quantum
   so.pool_threads = 2;
-  so.spill_dir = dir;
+  so.spill_dir = dir.path();
   QueryService service(&db, so);
   std::unique_ptr<Session> session = service.CreateSession();
   ExecOptions ungoverned;
@@ -656,8 +665,8 @@ TEST(SpillExecutionTest, SortReleasesKeysAndEmittedRows) {
 TEST(SpillExecutionTest, SpilledSortHoldsNoBufferThroughTheMerge) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
   ExecOptions ungoverned;
   ungoverned.memory_limit_bytes = -1;
@@ -677,8 +686,8 @@ TEST(SpillExecutionTest, SpilledSortHoldsNoBufferThroughTheMerge) {
 TEST(SpillExecutionTest, ZeroRowInputsSucceedUnderMinimalLimit) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
 
   // Every operator shape, but the predicate filters out every row before
@@ -717,8 +726,8 @@ TEST(SpillExecutionTest, RecursiveRepartitioningSplitsOversizedPartitions) {
   }
   MAGICDB_CHECK_OK(db.LoadRows("Big", std::move(big)));
 
-  const std::string dir = MakeSpillDir();
-  QueryServiceOptions so = SpillServiceOptions(dir);
+  const testutil::ScopedTempDir dir("spill");
+  QueryServiceOptions so = SpillServiceOptions(dir.path());
   // Small write buffers keep the leaf-run merge frames (one per output
   // run) comfortably inside the limit even with 64 depth-1 partitions.
   so.spill_batch_bytes = 256;
@@ -743,8 +752,8 @@ TEST(SpillExecutionTest, RecursiveRepartitioningSplitsOversizedPartitions) {
 TEST(SpillExecutionTest, SingleGiantKeyExhaustsRecursionAndFailsCleanly) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryServiceOptions so = SpillServiceOptions(dir);
+  const testutil::ScopedTempDir dir("spill");
+  QueryServiceOptions so = SpillServiceOptions(dir.path());
   // Small write buffers: the limit below must leave room for the
   // repartitioning machinery itself, so the failure comes from the
   // recursion bound rather than an unfittable buffer reservation.
@@ -781,8 +790,8 @@ TEST(SpillExecutionTest, SingleGiantKeyExhaustsRecursionAndFailsCleanly) {
 TEST(SpillChaosTest, FaultsAtSpillSitesFailQueryButLeakNothing) {
   Database db;
   MakeSpillWorkload(&db);
-  const std::string dir = MakeSpillDir();
-  QueryService service(&db, SpillServiceOptions(dir));
+  const testutil::ScopedTempDir dir("spill");
+  QueryService service(&db, SpillServiceOptions(dir.path()));
   std::unique_ptr<Session> session = service.CreateSession();
 
   auto baseline = session->Query(kSpillJoinQuery);

@@ -1,10 +1,15 @@
 #ifndef MAGICDB_TESTS_TEST_UTIL_H_
 #define MAGICDB_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/statusor.h"
 #include "src/exec/basic_ops.h"
 #include "src/exec/row_batch.h"
@@ -13,6 +18,31 @@
 #include "src/types/tuple.h"
 
 namespace magicdb::testutil {
+
+/// A fresh directory /tmp/magicdb-<tag>-test-XXXXXX, removed with anything
+/// left inside it when the object goes out of scope, whether the test
+/// passed or not. Declare it before the service or spill manager that
+/// writes into it, so it outlives them.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& tag)
+      : path_("/tmp/magicdb-" + tag + "-test-XXXXXX") {
+    MAGICDB_CHECK(mkdtemp(path_.data()) != nullptr);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// True when nothing is left inside: every spill file was unlinked.
+  bool empty() const { return std::filesystem::is_empty(path_); }
+
+ private:
+  std::string path_;
+};
 
 /// Sorts a result multiset into canonical order for order-insensitive
 /// comparison.
